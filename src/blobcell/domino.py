@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from . import weylb
 from .partitions import Partition
+from .weylb import InvariantViolation
 
 __all__ = [
     "DominoTableau", "domino_insert", "domino_shape", "domino_reverse",
@@ -169,12 +170,15 @@ def _shuffle_position(old: Domino, lam: set[Cell]) -> Domino:
     horizontal = r1 == r2
     if horizontal:
         if second_in:  # fully covered: append to the next row of lam
-            assert first_in, "partial cover must be the first cell"
+            if not first_in:
+                raise InvariantViolation(
+                    "partial cover must be the first cell")
             c = _row_len(lam, r1 + 1)
             return ((r1 + 1, c), (r1 + 1, c + 1))
         return ((r1, c2), (r1 + 1, c2))  # pivot to vertical
     if second_in:  # fully covered: append to the next column of lam
-        assert first_in, "partial cover must be the first cell"
+        if not first_in:
+            raise InvariantViolation("partial cover must be the first cell")
         r = _col_len(lam, c1 + 1)
         return ((r, c1 + 1), (r + 1, c1 + 1))
     return ((r2, c1), (r2, c1 + 1))  # pivot to horizontal
@@ -198,8 +202,8 @@ def _insert_letter(tab: dict[int, Domino], letter: int) -> dict[int, Domino]:
     covered.update(current)
     for lab in sorted(lab for lab in tab if lab > j):
         pos = _shuffle_position(tab[lab], covered)
-        assert not (pos[0] in covered or pos[1] in covered) or pos == tab[lab], \
-            "bumping collision"
+        if (pos[0] in covered or pos[1] in covered) and pos != tab[lab]:
+            raise InvariantViolation("bumping collision")
         new_tab[lab] = pos
         covered.update(pos)
     return new_tab
@@ -220,7 +224,8 @@ def domino_insert(w: weylb.SignedPermutation) -> tuple[DominoTableau, DominoTabl
         added = sorted(
             {c for pos in new_p.values() for c in pos} - old_cells
         )
-        assert len(added) == 2, "insertion must add exactly two cells"
+        if len(added) != 2:
+            raise InvariantViolation("insertion must add exactly two cells")
         q[step] = _sorted_domino(*added)
         p = new_p
     tp = DominoTableau.from_dict(p)
@@ -289,7 +294,8 @@ def _reverse_letter(tab: dict[int, Domino], hole: Domino) -> tuple[dict[int, Dom
         old = valid[0]
         tab[lab] = old
         hole_cells = lam - (shape_leq - set(old))
-        assert len(hole_cells) == 2
+        if len(hole_cells) != 2:
+            raise InvariantViolation("reverse bumping must leave two cells")
     raise ValueError("no inserted letter found during reverse insertion")
 
 

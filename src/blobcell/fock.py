@@ -352,9 +352,6 @@ class AlcoveGeometry:
             raise SingularWeight(f"{lam} lies on a wall")
         return (lam - self.m_minus) // self.e
 
-    def walls_near(self, radius: int = 12) -> list[int]:
-        return [self.m_minus + k * self.e for k in range(-radius, radius + 1)]
-
     def linked(self, lam: int, mu: int) -> bool:
         """
         Whether μ lies in the orbit of λ under the infinite dihedral group

@@ -19,11 +19,10 @@ strictly positive powers of v; it is constructed by triangular correction.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from . import weylb
 from .laurent import LaurentPoly
-from .weylb import BoundExceeded, SizeMismatch
+from .weylb import BoundExceeded, InvariantViolation, SizeMismatch
 
 __all__ = [
     "Coxeter", "type_b", "type_a",
@@ -155,10 +154,8 @@ def _mult_gen_right(cox: Coxeter, x: HeckeElement, k: int) -> HeckeElement:
     twist = qk - LaurentPoly.monomial(-qk.max_exp())
     for w, c in x.items():
         wk = cox.apply_right(w, k)
-        if cox.length(wk) > cox.length(w):
-            _add_term(out, wk, c)
-        else:
-            _add_term(out, wk, c)
+        _add_term(out, wk, c)
+        if cox.length(wk) < cox.length(w):
             _add_term(out, w, c * twist)
     return out
 
@@ -170,10 +167,8 @@ def _mult_gen_left(cox: Coxeter, k: int, x: HeckeElement) -> HeckeElement:
     twist = qk - LaurentPoly.monomial(-qk.max_exp())
     for w, c in x.items():
         kw = cox.apply_left(k, w)
-        if cox.length(kw) > cox.length(w):
-            _add_term(out, kw, c)
-        else:
-            _add_term(out, kw, c)
+        _add_term(out, kw, c)
+        if cox.length(kw) < cox.length(w):
             _add_term(out, w, c * twist)
     return out
 
@@ -214,13 +209,6 @@ def multiply_t(cox: Coxeter, x: HeckeElement, y: HeckeElement) -> HeckeElement:
     return out
 
 
-def _inverse(cox: Coxeter, w):
-    out = cox.identity
-    for k in reversed(_reduced_word(cox, w)):
-        out = cox.apply_right(out, k)
-    return out
-
-
 def bar_involution(cox: Coxeter, x: HeckeElement) -> HeckeElement:
     """T_w ↦ T_{w^{-1}}^{-1}, v ↦ v^{-1}, extended additively."""
     out: HeckeElement = {}
@@ -251,14 +239,15 @@ def _sub_into(x: HeckeElement, y: HeckeElement) -> None:
 
 class KLBasis:
     """
-    The C-basis {C_w} of the Hecke algebra of `cox`, with the left cell
-    edge relation derived from the expansions C_s C_w.
+    The C-basis {C_w} of the Hecke algebra of `cox`, with the W-graph: the
+    memoized C-coordinates of every product C_s C_w.
     """
 
     def __init__(self, cox: Coxeter, elements):
         self.cox = cox
         self.elements = sorted(elements, key=lambda w: (cox.length(w), w))
         self.c: dict = {}
+        self._rows: dict = {}
         self._build()
 
     def _build(self) -> None:
@@ -281,36 +270,49 @@ class KLBasis:
                     continue
                 mu = h.bar_symmetrize_nonpositive()
                 _sub_into(d, _scale(self.c[y], mu))
-            assert d.get(w, LaurentPoly.zero()).is_one(), w
+            if not d.get(w, LaurentPoly.zero()).is_one():
+                raise InvariantViolation(f"C_{w}: T_w coefficient is not 1")
             for y, h in d.items():
-                if y != w:
-                    assert h.nonpositive_part().is_zero(), (w, y, h)
+                if y != w and not h.nonpositive_part().is_zero():
+                    raise InvariantViolation(f"C_{w}: bad coefficient at {y}")
             self.c[w] = d
 
     def check_bar_invariance(self, w) -> bool:
         return bar_involution(self.cox, self.c[w]) == self.c[w]
 
     def c_coordinates(self, x: HeckeElement) -> dict:
-        """Expand x in the C-basis (triangular elimination by length)."""
+        """Expand x in the C-basis (one triangular pass, longest first)."""
         rest = dict(x)
         out = {}
-        while rest:
-            w = max(rest, key=lambda u: (self.cox.length(u), u))
-            coeff = rest[w]
-            out[w] = coeff
-            _sub_into(rest, _scale(self.c[w], coeff))
+        for w in reversed(self.elements):
+            if not rest:
+                break
+            coeff = rest.get(w)
+            if coeff is not None:
+                out[w] = coeff
+                _sub_into(rest, _scale(self.c[w], coeff))
+        if rest:
+            raise SizeMismatch(f"{sorted(rest)} lie outside the basis")
         return out
+
+    def left_product(self, s: int, w) -> dict:
+        """
+        The C-coordinates of C_s C_w = T_s C_w - q_s C_w: the row (s, w) of
+        the W-graph, computed once and memoized.  Every caller gets the same
+        dict, so none may change it.
+        """
+        row = self._rows.get((s, w))
+        if row is None:
+            prod = _mult_gen_left(self.cox, s, self.c[w])
+            _sub_into(prod, _scale(self.c[w], self.cox.weight(s)))
+            row = self._rows[s, w] = self.c_coordinates(prod)
+        return row
 
     def left_cell_edges(self) -> dict:
         """w -> {y != w : C_y appears in some C_s C_w}."""
-        edges: dict = {w: set() for w in self.elements}
-        for w in self.elements:
-            for s in self.cox.gens:
-                prod = multiply_t(self.cox, c_gen(self.cox, s), self.c[w])
-                for y in self.c_coordinates(prod):
-                    if y != w:
-                        edges[w].add(y)
-        return edges
+        return {w: {y for s in self.cox.gens for y in self.left_product(s, w)
+                    if y != w}
+                for w in self.elements}
 
 
 def compute_kl_basis(n: int, bound: int | None = None) -> KLBasis:
@@ -397,15 +399,20 @@ class IdealJn:
         return all(w in self.outside for w in coords)
 
     def verify_two_sided(self) -> bool:
-        """Closure under left and right multiplication by every C_s."""
-        cox = self.basis.cox
+        """
+        Closure under left and right multiplication by every C_s.  The left
+        side reads W-graph rows.  The right side uses the anti-involution
+        T_x ↦ T_{x⁻¹}, which fixes every T_s and so maps C_x to C_{x⁻¹}:
+        the C-coordinates of C_w C_s are {y⁻¹ : y in the row (s, w⁻¹)}.
+        """
+        basis = self.basis
         for w in self.outside:
-            cw = self.basis.c[w]
-            for s in cox.gens:
-                cs = c_gen(cox, s)
-                if not self.contains(multiply_t(cox, cs, cw)):
+            w_inv = weylb.inverse(w)
+            for s in basis.cox.gens:
+                if not self.outside.issuperset(basis.left_product(s, w)):
                     return False
-                if not self.contains(multiply_t(cox, cw, cs)):
+                if not all(weylb.inverse(y) in self.outside
+                           for y in basis.left_product(s, w_inv)):
                     return False
         return True
 
@@ -449,21 +456,12 @@ def cell_module(basis: KLBasis, w, spec=None):
 
     if not weylb.is_in_wb_by_words(w):
         raise NotInWb(f"{w} lies outside W_b")
-    cell = None
-    for comp in left_cells(basis):
-        if w in comp:
-            cell = sorted(comp)
-            break
-    pos = {z: i for i, z in enumerate(cell)}
+    cell = next(sorted(comp) for comp in left_cells(basis) if w in comp)
+    zero = LaurentPoly.zero()
     mats = {}
     for s in basis.cox.gens:
-        cs = c_gen(basis.cox, s)
-        cols = []
-        for z in cell:
-            coords = basis.c_coordinates(multiply_t(basis.cox, cs, basis.c[z]))
-            col = [coords.get(y, LaurentPoly.zero()) for y in cell]
-            cols.append(col)
-        mat = [[cols[j][i] for j in range(len(cell))] for i in range(len(cell))]
+        rows = [basis.left_product(s, z) for z in cell]
+        mat = [[rows[j].get(y, zero) for j in range(len(cell))] for y in cell]
         if spec is not None:
             mat = [[specialize(entry, spec) for entry in row] for row in mat]
         mats[s] = mat
@@ -481,14 +479,15 @@ def _iota_perm(w) -> tuple[int, ...]:
     return tuple(x + n + 1 if x < 0 else x + n for x in weylb.iota(w))
 
 
-def type_a_kl_compare(n: int, progress: bool = False) -> dict:
+def type_a_kl_compare(n: int) -> dict:
     """
     Structure-constant transfer along ι: for every w ∈ W_b(n), expand
     C_{s_{n-1}} C_w in type B and C̃_{ι(s_{n-1})} C̃_{ι(w)} in the
     equal-parameter algebra of S_{2n}; report each z with a nonzero type-B
     coefficient whose type-A counterpart vanishes (expected: none).  Also
     check that each left cell of W_n inside W_b is ι^{-1} of the ι-image
-    trace of a type-A left cell.
+    trace of a type-A left cell.  The type-A side multiplies in the T-basis
+    because ι(s_{n-1}) = s_1 s_{2n-1} is not a generator of S_{2n}.
     """
     if n < 2:
         return {"violations": [], "cells_match": True, "pairs_checked": 0}
@@ -500,7 +499,6 @@ def type_a_kl_compare(n: int, progress: bool = False) -> dict:
     basis_a = KLBasis(cox_a, list(itertools.permutations(range(1, 2 * n + 1))))
 
     s = n - 1
-    cs_b = basis_b.c[cox_b._gen_elts[s]]
     iota_s = _iota_perm(cox_b._gen_elts[s])
     cs_a = basis_a.c[iota_s]
 
@@ -508,7 +506,7 @@ def type_a_kl_compare(n: int, progress: bool = False) -> dict:
     pairs = 0
     wb = [w for w in basis_b.elements if weylb.is_in_wb_by_words(w)]
     for w in wb:
-        nb = basis_b.c_coordinates(multiply_t(cox_b, cs_b, basis_b.c[w]))
+        nb = basis_b.left_product(s, w)
         na = basis_a.c_coordinates(
             multiply_t(cox_a, cs_a, basis_a.c[_iota_perm(w)]))
         for z, coeff in nb.items():

@@ -219,12 +219,6 @@ class LaurentPoly:
         """Sum of terms with exponent <= 0."""
         return LaurentPoly({e: x for e, x in self._c.items() if e <= 0})
 
-    def constant_term(self) -> int:
-        return self._c.get(0, 0)
-
-    def is_bar_symmetric(self) -> bool:
-        return all(self._c.get(-e, 0) == x for e, x in self._c.items())
-
     def bar_symmetrize_nonpositive(self) -> "LaurentPoly":
         """
         The unique bar-symmetric polynomial congruent to this one modulo
@@ -233,20 +227,6 @@ class LaurentPoly:
         """
         low = self.nonpositive_part()
         return low + self.negative_part().bar()
-
-    def substitute_power(self, k: int) -> "LaurentPoly":
-        """Substitute v -> v^k."""
-        return LaurentPoly({e * k: x for e, x in self._c.items()})
-
-    def evaluate(self, value):
-        """Evaluate at an invertible scalar (Fraction or CycloNumber)."""
-        if self.is_zero():
-            return value - value if not isinstance(value, Fraction) else Fraction(0)
-        acc = None
-        for e, x in sorted(self._c.items()):
-            term = (value**e) * x
-            acc = term if acc is None else acc + term
-        return acc
 
     # -- protocol ----------------------------------------------------------
 

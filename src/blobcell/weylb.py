@@ -26,7 +26,8 @@ __all__ = [
     "inverse", "multiply", "bruhat_leq", "iota",
     "is_in_wb_by_avoidance", "is_in_wb_by_words",
     "enumerate_wn", "enumerate_wb", "wb_count_formula",
-    "IndexOutOfRange", "SizeMismatch", "BoundExceeded", "max_n",
+    "IndexOutOfRange", "SizeMismatch", "BoundExceeded", "InvariantViolation",
+    "max_n",
 ]
 
 SignedPermutation = tuple[int, ...]
@@ -43,6 +44,10 @@ class SizeMismatch(ValueError):
 
 class BoundExceeded(ValueError):
     """Raised when an enumeration exceeds the configured size bound."""
+
+
+class InvariantViolation(RuntimeError):
+    """Raised when a construction breaks one of its own invariants."""
 
 
 DEFAULT_MAX_N = 8

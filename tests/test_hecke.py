@@ -1,8 +1,10 @@
 """The unequal-parameter C-basis, cells, the ideal, and the tensor action."""
 
+import itertools
+
 import pytest
 
-from blobcell import hecke, weylb
+from blobcell import domino, hecke, weylb
 from blobcell.hecke import (
     bar_involution, c_gen, compute_kl_basis, ideal_jn, left_cells,
     multiply_t, t_gen, type_a, type_b,
@@ -74,6 +76,51 @@ def test_kl_closed_form_identities():
         rhs[w] = rhs.get(w, LaurentPoly.zero()) + c * ratio2
     assert {w: c for w, c in lhs.items() if not c.is_zero()} \
         == {w: c for w, c in rhs.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("group", ["B2", "B3", "S4"])
+def test_left_product_matches_t_basis_reference(group):
+    if group == "S4":
+        cox = type_a(4)
+        basis = hecke.KLBasis(cox, list(itertools.permutations(range(1, 5))))
+    else:
+        basis = compute_kl_basis(int(group[1]))
+        cox = basis.cox
+    for w in basis.elements:
+        for s in cox.gens:
+            cs = c_gen(cox, s)
+            assert basis.left_product(s, w) \
+                == basis.c_coordinates(multiply_t(cox, cs, basis.c[w]))
+            if group != "S4":
+                right = {weylb.inverse(y): c for y, c in
+                         basis.left_product(s, weylb.inverse(w)).items()}
+                assert right \
+                    == basis.c_coordinates(multiply_t(cox, basis.c[w], cs))
+
+
+def test_c_coordinates_rejects_keys_outside_basis():
+    basis = compute_kl_basis(2)
+    with pytest.raises(weylb.SizeMismatch):
+        basis.c_coordinates({(1, 2, 3): LaurentPoly.one()})
+
+
+def test_broken_build_step_raises(monkeypatch):
+    # Without the bar-symmetric correction some C_w keeps a coefficient
+    # outside v Z[v]; the build must raise, not rely on `assert`.
+    monkeypatch.setattr(LaurentPoly, "bar_symmetrize_nonpositive",
+                        lambda self: LaurentPoly.zero())
+    with pytest.raises(weylb.InvariantViolation):
+        compute_kl_basis(3)
+
+
+@pytest.mark.parametrize("n, count", [(2, 6), (3, 20), (4, 76)])
+def test_left_cells_are_domino_q_fibers(n, count):
+    fibers: dict = {}
+    for w in weylb.enumerate_wn(n):
+        fibers.setdefault(domino.domino_insert(w)[1], set()).add(w)
+    cells = left_cells(compute_kl_basis(n))
+    assert len(cells) == count
+    assert set(cells) == {frozenset(f) for f in fibers.values()}
 
 
 def test_cells_partition_group():
