@@ -637,15 +637,17 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 3) -> dict:
 
 def _traces_match(umats, dmats, n, zero, one) -> bool:
     def trace_words(mats):
+        """Traces of all words of length <= 4, each word's matrix built
+        from the matrix of its prefix."""
         size = len(mats[0])
         eye = [[one if i == j else zero for j in range(size)]
                for i in range(size)]
+        prods = {(): eye}
         out = {}
         for length in range(1, 5):
             for word in itertools.product(range(n), repeat=length):
-                acc = eye
-                for k in word:
-                    acc = _mat_mul(acc, mats[k], zero)
+                acc = prods[word] = _mat_mul(prods[word[:-1]], mats[word[-1]],
+                                             zero)
                 out[word] = sum((acc[i][i] for i in range(size)), zero)
         return out
 

@@ -2,10 +2,11 @@
 Command-line frontend: every computation of the library behind one binary
 with deterministic JSON/CSV/pretty output.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.  Negative
-window entries are passed after a `--` sentinel, e.g.
-`blobcell domino insert -- 2 3 -1`.  The BLOBCELL_MAX_N environment
-variable overrides the enumeration caps.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error, which
+includes a library bound or specialization error.  Negative window entries
+are passed after a `--` sentinel, e.g. `blobcell domino insert -- 2 3 -1`.
+The BLOBCELL_MAX_N environment variable overrides the size caps of every
+command and is passed to the library bounds.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv as _csv
 import io
 import json
+import os
 import sys
 
 import click
@@ -67,11 +69,38 @@ def _check_em(e: int, m: int) -> None:
             f"got e={e}, m={m}")
 
 
-@click.group()
-def main() -> None:
+class _Command(click.Command):
+    """A command whose library bound or specialization errors exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (weylb.BoundExceeded, blob.SpecializationInvalid) as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class _Group(click.Group):
+    command_class = _Command
+    group_class = type  # subgroups are _Groups too
+
+
+def _cap(default: int) -> int:
+    """BLOBCELL_MAX_N as parsed by `main`, else the command's default."""
+    cap = click.get_current_context().obj
+    return default if cap is None else cap
+
+
+@click.group(cls=_Group)
+@click.pass_context
+def main(ctx) -> None:
     """Exact computations for two-row signed-permutation combinatorics,
     the unequal-parameter C-basis, the blob diagram algebra and the
     level-2 Fock space."""
+    try:
+        ctx.obj = weylb.max_n(default=None)
+    except ValueError:
+        raise click.UsageError("BLOBCELL_MAX_N must be an integer, got "
+                               f"{os.environ['BLOBCELL_MAX_N']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +121,7 @@ def wb_enumerate(n: int, count: bool, fmt: str) -> None:
     """List (or count) the elements of W_b(N)."""
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
-    try:
-        elements = weylb.enumerate_wb(n)
-    except weylb.BoundExceeded as exc:
-        raise click.UsageError(str(exc))
+    elements = weylb.enumerate_wb(n, bound=_cap(weylb.DEFAULT_MAX_N))
     if count:
         _emit(fmt, {"n": n, "count": len(elements)},
               [["n", "count"], [n, len(elements)]], str(len(elements)))
@@ -113,7 +139,7 @@ def wb_test(n: int, fmt: str) -> None:
     """Check the three characterizations of W_b(N) against each other."""
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
-    if n > weylb.max_n():
+    if n > _cap(weylb.DEFAULT_MAX_N):
         raise click.UsageError(f"n={n} exceeds enumeration bound")
     mism = 0
     total = 0
@@ -222,10 +248,7 @@ def knuth_class_cmd(entries, fmt: str) -> None:
 def _kl_basis_checked(n: int) -> hecke.KLBasis:
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
-    try:
-        return hecke.compute_kl_basis(n, bound=weylb.max_n(hecke.KL_MAX_N))
-    except weylb.BoundExceeded as exc:
-        raise click.UsageError(str(exc))
+    return hecke.compute_kl_basis(n, bound=_cap(hecke.KL_MAX_N))
 
 
 @main.command("klbasis")
@@ -366,7 +389,7 @@ def blob_verify_cmd(n: int, m: int, fmt: str) -> None:
     small N, on the regular representation)."""
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
-    if n > weylb.max_n(6):
+    if n > _cap(6):
         raise click.UsageError(f"n={n} exceeds verification bound")
     reports = {}
     ok = True
@@ -402,10 +425,7 @@ def cellcompare_cmd(n: int, m: int, fmt: str) -> None:
     cyclotomic specialization (l = 2(2m-1))."""
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
-    try:
-        report = blob.compare_cell_to_standard(n, m, bound=weylb.max_n(3))
-    except weylb.BoundExceeded as exc:
-        raise click.UsageError(str(exc))
+    report = blob.compare_cell_to_standard(n, m, bound=_cap(3))
     obj = {"n": n, "m": m, "all_match": report["all_match"],
            "cells": [{**e, "cell_min": list(e["cell_min"])}
                      for e in report["cells"]]}
@@ -439,7 +459,7 @@ def tensor_check_cmd(n: int, fmt: str) -> None:
     permutation modules have the standard-module dimensions."""
     if n < 2:
         raise click.UsageError(f"n must be >= 2, got {n}")
-    if n > weylb.max_n(5):
+    if n > _cap(5):
         raise click.UsageError(f"n={n} exceeds tensor bound")
     annihilates = hecke.tensor_ideal_annihilates(n)
     symbolic = hecke.ideal_vanish_symbolic(min(n, 3))
@@ -529,9 +549,9 @@ def fock_canonical_cmd(n: int, e: int, s1: int, s2: int, fmt: str) -> None:
     """The canonical basis elements of degree N at charge (S1, S2)."""
     if e < 2:
         raise click.UsageError(f"e must be >= 2, got {e}")
-    if n < 0 or n > weylb.max_n(12):
+    if n < 0:
         raise click.UsageError(f"n={n} out of range")
-    basis = fock.canonical_basis(n, _charge(s1, s2), e)
+    basis = fock.canonical_basis(n, _charge(s1, s2), e, bound=_cap(12))
     obj = {}
     rows = [["mu", "lambda", "coefficient"]]
     lines = []
@@ -560,10 +580,10 @@ def decomp_cmd(n: int, e: int, m: int, fmt: str) -> None:
     """The decomposition matrix at rank N: canonical-basis coefficients
     cross-checked against the alcove formula (exit 1 on any mismatch)."""
     _check_em(e, m)
-    if n < 1 or n > weylb.max_n(12):
+    if n < 1:
         raise click.UsageError(f"n={n} out of range")
     geom = fock.alcove_data(e, m)
-    basis = fock.canonical_basis(n, geom.s, e)
+    basis = fock.canonical_basis(n, geom.s, e, bound=_cap(12))
     lams = [l for l in partitions.lambda_n(n) if not geom.is_wall(l)]
     ok = True
     obj = {"n": n, "e": e, "m": m, "charge": list(geom.s), "entries": {}}
@@ -600,7 +620,7 @@ def decomp_cmd(n: int, e: int, m: int, fmt: str) -> None:
 def kleshchev_cmd(n: int, e: int, m: int, fmt: str) -> None:
     """The weight -> Kleshchev-bipartition table at rank N."""
     _check_em(e, m)
-    if n < 1 or n > weylb.max_n(12):
+    if n < 1 or n > _cap(12):
         raise click.UsageError(f"n={n} out of range")
     computed = [(lam, fock.kleshchev_convert(n, e, m, lam))
                 for lam in range(n, -n - 1, -2)]

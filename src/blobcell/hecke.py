@@ -49,45 +49,49 @@ class Coxeter:
     """
     Minimal Coxeter-group interface for the KL engine: a finite list of
     generator indices, right/left multiplication on group elements (stored
-    as windows), length, descents and the parameter q_s of each generator.
+    as windows), the inverse, an O(1) right-descent test read from the
+    window, and the parameter q_s of each generator.  It memoizes the
+    reduced words and the bar(T_w) it computes.
     """
 
-    def __init__(self, name, gens, identity, apply_right, length, weight):
+    def __init__(self, name, gens, identity, apply_right, compose, inverse,
+                 descent, weight):
         self.name = name
         self.gens = tuple(gens)
         self.identity = identity
         self.apply_right = apply_right
-        self.length = length
+        self._compose = compose
+        self.inverse = inverse
+        self.descent = descent  # (w, k) -> whether l(w s_k) < l(w)
         self.weight = weight  # gen index -> LaurentPoly q_s
         self._gen_elts = {k: apply_right(identity, k) for k in gens}
+        self._words = {identity: ()}
+        self._bars = {identity: {identity: LaurentPoly.one()}}
 
     def apply_left(self, k, w):
-        g = self._gen_elts[k]
-        return self._compose(g, w)
+        return self._compose(self._gen_elts[k], w)
 
     def right_descents(self, w):
-        return {k for k in self.gens
-                if self.length(self.apply_right(w, k)) < self.length(w)}
+        return {k for k in self.gens if self.descent(w, k)}
 
     def left_descents(self, w):
-        return {k for k in self.gens
-                if self.length(self.apply_left(k, w)) < self.length(w)}
+        return self.right_descents(self.inverse(w))
 
 
 def type_b(n: int) -> Coxeter:
     """W_n with unequal parameters q_{s_0} = v, q_{s_i} = v^2."""
     q = LaurentPoly.monomial(2)
     big_q = LaurentPoly.monomial(1)
-    cox = Coxeter(
+    return Coxeter(
         name=f"B{n}",
         gens=range(n),
         identity=weylb.identity(n),
         apply_right=weylb.apply_generator,
-        length=weylb.length,
+        compose=weylb.multiply,
+        inverse=weylb.inverse,
+        descent=lambda w, k: w[0] < 0 if k == 0 else w[k - 1] > w[k],
         weight=lambda k: big_q if k == 0 else q,
     )
-    cox._compose = weylb.multiply
-    return cox
 
 
 def _sym_apply(w, k):
@@ -96,28 +100,30 @@ def _sym_apply(w, k):
     return tuple(lst)
 
 
-def _sym_length(w):
-    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w))
-               if w[i] > w[j])
-
-
 def _sym_multiply(u, w):
     return tuple(u[x - 1] for x in w)
+
+
+def _sym_inverse(w):
+    out = [0] * len(w)
+    for i, x in enumerate(w, start=1):
+        out[x - 1] = i
+    return tuple(out)
 
 
 def type_a(n_points: int) -> Coxeter:
     """The symmetric group S_N with the equal parameter v^2."""
     q = LaurentPoly.monomial(2)
-    cox = Coxeter(
+    return Coxeter(
         name=f"A{n_points - 1}",
         gens=range(1, n_points),
         identity=tuple(range(1, n_points + 1)),
         apply_right=_sym_apply,
-        length=_sym_length,
+        compose=_sym_multiply,
+        inverse=_sym_inverse,
+        descent=lambda w, k: w[k - 1] > w[k],
         weight=lambda k: q,
     )
-    cox._compose = _sym_multiply
-    return cox
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +159,8 @@ def _mult_gen_right(cox: Coxeter, x: HeckeElement, k: int) -> HeckeElement:
     qk = cox.weight(k)
     twist = qk - LaurentPoly.monomial(-qk.max_exp())
     for w, c in x.items():
-        wk = cox.apply_right(w, k)
-        _add_term(out, wk, c)
-        if cox.length(wk) < cox.length(w):
+        _add_term(out, cox.apply_right(w, k), c)
+        if cox.descent(w, k):
             _add_term(out, w, c * twist)
     return out
 
@@ -166,9 +171,8 @@ def _mult_gen_left(cox: Coxeter, k: int, x: HeckeElement) -> HeckeElement:
     qk = cox.weight(k)
     twist = qk - LaurentPoly.monomial(-qk.max_exp())
     for w, c in x.items():
-        kw = cox.apply_left(k, w)
-        _add_term(out, kw, c)
-        if cox.length(kw) < cox.length(w):
+        _add_term(out, cox.apply_left(k, w), c)
+        if cox.descent(cox.inverse(w), k):
             _add_term(out, w, c * twist)
     return out
 
@@ -184,14 +188,22 @@ def _mult_gen_right_inv(cox: Coxeter, x: HeckeElement, k: int) -> HeckeElement:
 
 
 def _reduced_word(cox: Coxeter, w) -> tuple[int, ...]:
-    out = []
-    while True:
-        d = cox.right_descents(w)
-        if not d:
-            return tuple(reversed(out))
-        k = min(d)
-        out.append(k)
-        w = cox.apply_right(w, k)
+    """The reduced word of w ending in its smallest right descent (memoized)."""
+    word = cox._words.get(w)
+    if word is None:
+        k = min(cox.right_descents(w))
+        word = cox._words[w] = _reduced_word(cox, cox.apply_right(w, k)) + (k,)
+    return word
+
+
+def _bar_t(cox: Coxeter, w) -> HeckeElement:
+    """bar(T_w) = bar(T_{ws}) T_s^{-1} for a right descent s (memoized)."""
+    out = cox._bars.get(w)
+    if out is None:
+        s = _reduced_word(cox, w)[-1]
+        out = cox._bars[w] = _mult_gen_right_inv(
+            cox, _bar_t(cox, cox.apply_right(w, s)), s)
+    return out
 
 
 def multiply_t(cox: Coxeter, x: HeckeElement, y: HeckeElement) -> HeckeElement:
@@ -213,23 +225,17 @@ def bar_involution(cox: Coxeter, x: HeckeElement) -> HeckeElement:
     """T_w ↦ T_{w^{-1}}^{-1}, v ↦ v^{-1}, extended additively."""
     out: HeckeElement = {}
     for w, c in x.items():
-        acc = {cox.identity: c.bar()}
-        for k in _reduced_word(cox, w):
-            acc = _mult_gen_right_inv(cox, acc, k)
-        for u, cu in acc.items():
-            _add_term(out, u, cu)
+        cb = c.bar()
+        for u, cu in _bar_t(cox, w).items():
+            _add_term(out, u, cu * cb)
     return out
 
 
-def _scale(x: HeckeElement, c: LaurentPoly) -> HeckeElement:
-    if c.is_zero():
-        return {}
-    return {w: cw * c for w, cw in x.items()}
-
-
-def _sub_into(x: HeckeElement, y: HeckeElement) -> None:
-    for w, c in y.items():
-        _add_term(x, w, -c)
+def _sub_scaled(x: HeckeElement, y: HeckeElement, c: LaurentPoly) -> None:
+    """x -= c * y, in place."""
+    neg = -c
+    for w, cw in y.items():
+        _add_term(x, w, cw * neg)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +251,8 @@ class KLBasis:
 
     def __init__(self, cox: Coxeter, elements):
         self.cox = cox
-        self.elements = sorted(elements, key=lambda w: (cox.length(w), w))
+        self._length = {w: len(_reduced_word(cox, w)) for w in elements}
+        self.elements = sorted(self._length, key=lambda w: (self._length[w], w))
         self.c: dict = {}
         self._rows: dict = {}
         self._build()
@@ -259,9 +266,9 @@ class KLBasis:
             s = min(cox.left_descents(w))
             w1 = cox.apply_left(s, w)
             d = _mult_gen_left(cox, s, self.c[w1])
-            _sub_into(d, _scale(self.c[w1], cox.weight(s)))
+            _sub_scaled(d, self.c[w1], cox.weight(s))
             for y in sorted((y for y in d if y != w),
-                            key=lambda y: -cox.length(y)):
+                            key=lambda y: -self._length[y]):
                 h = d.get(y)
                 if h is None:
                     continue
@@ -269,7 +276,7 @@ class KLBasis:
                 if low.is_zero():
                     continue
                 mu = h.bar_symmetrize_nonpositive()
-                _sub_into(d, _scale(self.c[y], mu))
+                _sub_scaled(d, self.c[y], mu)
             if not d.get(w, LaurentPoly.zero()).is_one():
                 raise InvariantViolation(f"C_{w}: T_w coefficient is not 1")
             for y, h in d.items():
@@ -290,7 +297,7 @@ class KLBasis:
             coeff = rest.get(w)
             if coeff is not None:
                 out[w] = coeff
-                _sub_into(rest, _scale(self.c[w], coeff))
+                _sub_scaled(rest, self.c[w], coeff)
         if rest:
             raise SizeMismatch(f"{sorted(rest)} lie outside the basis")
         return out
@@ -304,7 +311,7 @@ class KLBasis:
         row = self._rows.get((s, w))
         if row is None:
             prod = _mult_gen_left(self.cox, s, self.c[w])
-            _sub_into(prod, _scale(self.c[w], self.cox.weight(s)))
+            _sub_scaled(prod, self.c[w], self.cox.weight(s))
             row = self._rows[s, w] = self.c_coordinates(prod)
         return row
 
@@ -423,12 +430,12 @@ class IdealJn:
         gens = []
         if self.n >= 3:
             g = multiply_t(cox, multiply_t(cox, c1, c_gen(cox, 2)), c1)
-            _sub_into(g, c1)
+            _sub_scaled(g, c1, LaurentPoly.one())
             gens.append(g)
         # [2]_{Q/q} = Q/q + q/Q = v^{-1} + v
         ratio2 = LaurentPoly({1: 1, -1: 1})
         g = multiply_t(cox, multiply_t(cox, c1, c_gen(cox, 0)), c1)
-        _sub_into(g, _scale(c1, ratio2))
+        _sub_scaled(g, c1, ratio2)
         gens.append(g)
         return gens
 

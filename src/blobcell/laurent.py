@@ -324,11 +324,15 @@ def quantum_factorial(a: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    """Integer coefficients (ascending) of the n-th cyclotomic polynomial."""
-    from sympy import Poly, Symbol, cyclotomic_poly
-
-    x = Symbol("x")
-    return tuple(int(c) for c in reversed(Poly(cyclotomic_poly(n, x), x).all_coeffs()))
+    """
+    Integer coefficients (ascending) of the n-th cyclotomic polynomial:
+    x^n - 1 divided exactly by the d-th one for every proper divisor d of n.
+    """
+    p = LaurentPoly({n: 1, 0: -1})
+    for d in range(1, n):
+        if n % d == 0:
+            p = p.divide_exact(LaurentPoly(dict(enumerate(_cyclotomic_coeffs(d)))))
+    return tuple(p.coeff(e) for e in range(p.max_exp() + 1))
 
 
 def _poly_mod(a: list[Fraction], mod: tuple[int, ...]) -> list[Fraction]:

@@ -53,7 +53,7 @@ class InvariantViolation(RuntimeError):
 DEFAULT_MAX_N = 8
 
 
-def max_n(default: int = DEFAULT_MAX_N) -> int:
+def max_n(default: int | None = DEFAULT_MAX_N) -> int | None:
     """Enumeration cap; the BLOBCELL_MAX_N environment variable overrides it."""
     env = os.environ.get("BLOBCELL_MAX_N")
     return int(env) if env else default

@@ -104,6 +104,26 @@ def test_max_n_env_cap():
     assert res.exit_code == 0
 
 
+def test_max_n_not_an_integer_exits_2():
+    res = run("wb", "enumerate", "2", env={"BLOBCELL_MAX_N": "abc"})
+    assert res.exit_code == 2
+    assert "BLOBCELL_MAX_N" in res.output
+
+
+def test_invalid_specialization_exits_2():
+    res = run("cellcompare", "2", "-m", "1")
+    assert res.exit_code == 2
+    assert "no valid root" in res.output
+
+
+def test_raised_cap_reaches_fock_bound():
+    res = run("fock", "canonical", "--", "13", "3", "-1", "0",
+              env={"BLOBCELL_MAX_N": "13"})
+    assert res.exit_code == 0
+    assert res.output.startswith("G(")
+    assert run("fock", "canonical", "--", "13", "3", "-1", "0").exit_code == 2
+
+
 def test_deterministic_output():
     a = run("cells", "2", "--format", "json").output
     b = run("cells", "2", "--format", "json").output

@@ -44,6 +44,56 @@ def test_bar_is_involution():
         assert bar_involution(cox, bar_involution(cox, x)) == x
 
 
+def _inversions(w):
+    return sum(w[i] > w[j] for i in range(len(w)) for j in range(i + 1, len(w)))
+
+
+@pytest.mark.parametrize("group", ["B4", "S4"])
+def test_window_descents_match_lengths(group):
+    if group == "B4":
+        cox, length = type_b(4), weylb.length
+        elements = list(weylb.enumerate_wn(4))
+    else:
+        cox, length = type_a(4), _inversions
+        elements = list(itertools.permutations(range(1, 5)))
+    for w in elements:
+        right, left = cox.right_descents(w), cox.left_descents(w)
+        for k in cox.gens:
+            assert (k in right) == (length(cox.apply_right(w, k)) < length(w))
+            assert (k in left) == (length(cox.apply_left(k, w)) < length(w))
+
+
+@pytest.mark.parametrize("group", ["B3", "S4"])
+def test_bar_of_t_w_inverts_t_w_inverse(group):
+    # bar(T_w) = T_{w^-1}^{-1}, so bar(T_w) T_{w^-1} = 1.
+    if group == "B3":
+        cox, inverse = type_b(3), weylb.inverse
+        elements = list(weylb.enumerate_wn(3))
+    else:
+        cox = type_a(4)
+        elements = list(itertools.permutations(range(1, 5)))
+        inverse = cox.inverse
+    one = {cox.identity: LaurentPoly.one()}
+    for w in elements:
+        bar_tw = bar_involution(cox, {w: LaurentPoly.one()})
+        assert multiply_t(cox, bar_tw, {inverse(w): LaurentPoly.one()}) == one
+
+
+def test_bar_is_additive_and_bars_coefficients():
+    cox = type_b(3)
+    w1 = weylb.evaluate_word(3, (0, 1, 2, 1))
+    w2 = weylb.evaluate_word(3, (1, 0))
+    c1 = LaurentPoly({3: 2, -1: -1})
+    c2 = LaurentPoly({2: 1, 0: 5})
+    x = {w1: c1, w2: c2}
+    expected = dict(bar_involution(cox, {w1: c1}))
+    for u, c in bar_involution(cox, {w2: c2}).items():
+        expected[u] = expected.get(u, LaurentPoly.zero()) + c
+    assert bar_involution(cox, x) \
+        == {u: c for u, c in expected.items() if not c.is_zero()}
+    assert bar_involution(cox, bar_involution(cox, x)) == x
+
+
 def test_kl_basis_defining_properties():
     basis = compute_kl_basis(3)
     for w in basis.elements:

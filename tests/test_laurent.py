@@ -93,3 +93,14 @@ def test_pretty_and_json_deterministic():
     p = LaurentPoly({3: 2, 0: -1, -2: 5})
     assert p.pretty() == LaurentPoly(dict(reversed(list(p.items())))).pretty()
     assert p.to_json() == {"3": 2, "0": -1, "-2": 5}
+
+
+def test_cyclotomic_coeffs_match_sympy():
+    from sympy import Poly, Symbol, cyclotomic_poly
+
+    from blobcell.laurent import _cyclotomic_coeffs
+
+    x = Symbol("x")
+    for n in range(1, 201):
+        want = Poly(cyclotomic_poly(n, x), x).all_coeffs()
+        assert _cyclotomic_coeffs(n) == tuple(int(c) for c in reversed(want))
