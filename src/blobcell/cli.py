@@ -197,6 +197,8 @@ def domino_reverse_cmd(pair: str, fmt: str) -> None:
     raw = sys.stdin.read() if pair == "-" else pair
     try:
         d = json.loads(raw)
+        if not isinstance(d, dict):
+            raise ValueError('expected an object {"P": .., "Q": ..}')
         p = domino.DominoTableau.from_json(d["P"])
         q = domino.DominoTableau.from_json(d["Q"])
         w = domino.domino_reverse(p, q)

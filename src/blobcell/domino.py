@@ -46,6 +46,10 @@ class DuplicateLetter(ValueError):
     """Raised by rsk_type_a on words with repeated letters."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _sorted_domino(a: Cell, b: Cell) -> Domino:
     return (a, b) if a <= b else (b, a)
 
@@ -110,12 +114,31 @@ class DominoTableau:
 
     @staticmethod
     def from_json(d: dict) -> "DominoTableau":
-        return DominoTableau.from_dict(
-            {
-                lab: ((a[0] - 1, a[1] - 1), (b[0] - 1, b[1] - 1))
-                for lab, a, b in d["dominoes"]
-            }
-        )
+        """
+        Read {"dominoes": [[label, [row, col], [row, col]], ...]} with
+        1-based cells; raise ValueError unless every entry is an integer
+        label with two adjacent cells and no label or cell repeats.
+        """
+        if not isinstance(d, dict) or not isinstance(d.get("dominoes"), list):
+            raise ValueError('a tableau must be an object with a "dominoes" list')
+        out: dict[int, Domino] = {}
+        seen: set[Cell] = set()
+        for entry in d["dominoes"]:
+            try:
+                lab, (r1, c1), (r2, c2) = entry
+            except (TypeError, ValueError):
+                raise ValueError(f"malformed domino entry {entry!r}") from None
+            if not all(_is_int(x) for x in (lab, r1, c1, r2, c2)) or min(
+                    r1, c1, r2, c2) < 1:
+                raise ValueError(f"malformed domino entry {entry!r}")
+            a, b = (r1 - 1, c1 - 1), (r2 - 1, c2 - 1)
+            if abs(r1 - r2) + abs(c1 - c2) != 1:
+                raise ValueError(f"domino {lab} has non-adjacent cells")
+            if lab in out or a in seen or b in seen:
+                raise ValueError(f"domino {lab} repeats a label or a cell")
+            out[lab] = (a, b)
+            seen.update((a, b))
+        return DominoTableau.from_dict(out)
 
     def pretty(self) -> str:
         if not self.dominoes:

@@ -28,18 +28,17 @@ bar-invariance these conditions characterize G(μ) uniquely, so the result
 does not depend on the residue chosen or the elimination order.  Elements
 whose candidates are all blocked on a not-yet-computed same-degree G are
 retried after the rest of the layer (the dominance-style order on
-bipartitions is not always compatible with the elimination).
+bipartitions is not always compatible with the elimination).  f_i^(a) of a
+single bipartition has monomial coefficients; each such row is built once
+per canonical_basis call, so a monomial A(μ) is a sum of shifted rows.
 """
 
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache
-
 from . import partitions
 from .laurent import InexactDivision, LaurentPoly, quantum_factorial
-from .partitions import Bipartition, Partition
-from .weylb import BoundExceeded
+from .partitions import Bipartition
+from .weylb import BoundExceeded, InvariantViolation
 
 __all__ = [
     "residue", "node_key", "node_less", "addable_nodes", "removable_nodes",
@@ -138,19 +137,10 @@ def _vec_add(x: FockVector, b: Bipartition, c: LaurentPoly) -> None:
         x[b] = s
 
 
-def f_action(i: int, x: FockVector, s, e: int) -> FockVector:
+def f_action(i: int, x: FockVector, s, e: int,
+             rows: dict | None = None) -> FockVector:
     """f_i: add an i-node γ with coefficient v^{N_i^>} (see module doc)."""
-    out: FockVector = {}
-    for lam, coeff in x.items():
-        adds = [g for g in addable_nodes(lam) if residue(g, s, e) == i]
-        for g in adds:
-            mu = _add_node(lam, g)
-            above_add = sum(1 for g2 in adds if node_less(g, g2, s))
-            above_rem = sum(1 for g2 in removable_nodes(mu)
-                            if residue(g2, s, e) == i and node_less(g, g2, s))
-            n_up = above_add - above_rem
-            _vec_add(out, mu, coeff * LaurentPoly.monomial(n_up))
-    return out
+    return divided_f(i, 1, x, s, e, rows)
 
 
 def e_action(i: int, x: FockVector, s, e: int) -> FockVector:
@@ -168,18 +158,59 @@ def e_action(i: int, x: FockVector, s, e: int) -> FockVector:
     return out
 
 
-def divided_f(i: int, a: int, x: FockVector, s, e: int) -> FockVector:
-    """The divided power f_i^(a) = f_i^a / [a]!, exact by construction."""
-    for _ in range(a):
-        x = f_action(i, x, s, e)
-    fact = quantum_factorial(a)
+def divided_f(i: int, a: int, x: FockVector, s, e: int,
+              rows: dict | None = None) -> FockVector:
+    """
+    The divided power f_i^(a) = f_i^a / [a]!, read from the rows of the
+    bipartitions of x.  rows memoizes those rows; it is only valid for one
+    (s, e), so a caller that keeps it passes the same charge every time.
+    """
+    if rows is None:
+        rows = {}
     out: FockVector = {}
-    for b, c in x.items():
-        try:
-            out[b] = c.divide_exact(fact)
-        except InexactDivision as exc:
-            raise DividedPowerInexact(f"at {b}: {c} / [{a}]!") from exc
+    for lam, c in x.items():
+        for mu, n in _row(i, a, lam, s, e, rows):
+            _vec_add(out, mu, c.shift(n))
     return out
+
+
+def _row(i: int, a: int, lam: Bipartition, s, e: int, rows: dict) -> tuple:
+    """
+    f_i^(a) λ as ((μ, N), ...), meaning Σ v^N μ: its coefficients are
+    monomials.  Built once per (i, a, λ): one step adds each i-node γ with
+    exponent N_i^>; a steps are chained and divided by [a]! once.
+    """
+    key = (i, a, lam)
+    row = rows.get(key)
+    if row is not None:
+        return row
+    if a == 1:
+        adds = [g for g in addable_nodes(lam) if residue(g, s, e) == i]
+        row = []
+        for g in adds:
+            mu = _add_node(lam, g)
+            above_add = sum(1 for g2 in adds if node_less(g, g2, s))
+            above_rem = sum(1 for g2 in removable_nodes(mu)
+                            if residue(g2, s, e) == i and node_less(g, g2, s))
+            row.append((mu, above_add - above_rem))
+    else:
+        x = {lam: LaurentPoly.one()}
+        for _ in range(a):
+            x = f_action(i, x, s, e, rows)
+        fact = quantum_factorial(a)
+        row = []
+        for mu, c in x.items():
+            try:
+                q = c.divide_exact(fact)
+            except InexactDivision as exc:
+                raise DividedPowerInexact(f"at {mu}: {c} / [{a}]!") from exc
+            terms = list(q.items())
+            if len(terms) != 1 or terms[0][1] != 1:
+                raise DividedPowerInexact(
+                    f"at {mu}: {c} / [{a}]! = {q} is not a monomial v^N")
+            row.append((mu, terms[0][0]))
+    row = rows[key] = tuple(row)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +306,14 @@ def canonical_basis(n: int, s, e: int, bound: int = 12) -> dict:
     for b, path in paths.items():
         by_degree.setdefault(len(path), []).append(b)
     out: dict = {((), ()): {((), ()): LaurentPoly.one()}}
+    rows: dict = {}
 
     def candidate(mu, i, a, nu):
-        vec = divided_f(i, a, dict(out[nu]), s, e)
+        vec = divided_f(i, a, out[nu], s, e, rows)
         guard = 0
         while True:
             offenders = [b for b, c in vec.items()
-                         if b != mu and not c.nonpositive_part().is_zero()]
+                         if b != mu and c.min_exp() <= 0]
             if not offenders:
                 break
             guard += 1
@@ -290,9 +322,9 @@ def canonical_basis(n: int, s, e: int, bound: int = 12) -> dict:
             nb = max(offenders, key=_prec_key)
             if nb not in out:
                 return None
-            mult = vec[nb].bar_symmetrize_nonpositive()
+            mult = -vec[nb].bar_symmetrize_nonpositive()
             for b, c in out[nb].items():
-                _vec_add(vec, b, -(c * mult))
+                _vec_add(vec, b, c * mult)
         lead = vec.get(mu)
         if lead is None or not lead.is_one():
             return None
@@ -397,43 +429,61 @@ def decomposition_number(geom: AlcoveGeometry, lam: int, mu: int) -> LaurentPoly
 # ---------------------------------------------------------------------------
 
 
+def _descent_path(b: Bipartition, s, e: int) -> list[int]:
+    """
+    The residues of an f̃-path from ((), ()) to b, read off a walk down
+    from b by any ẽ_i that does not vanish: each step removes one node.
+    In the crystal generated by ((), ()) the walk can only stop at ((), ()).
+    """
+    target, path = b, []
+    for _ in range(sum(map(sum, b))):
+        for i in range(e):
+            nb = crystal_e(i, b, s, e)
+            if nb is not None:
+                break
+        else:
+            raise NotReachable(f"{target} is not reachable at charge {s}")
+        path.append(i)
+        b = nb
+    return path[::-1]
+
+
 def kleshchev_convert(n: int, e: int, m: int, lam: int) -> Bipartition:
     """
     Convert the blob weight λ ∈ Λ_n to the Kleshchev bipartition of the
-    corresponding simple module: find the crystal path of the one-line
+    corresponding simple module: find a crystal path of the one-line
     bipartition of weight λ at the geometric charge s = (m + pe, 0), then
     replay the same residue sequence at an asymptotic charge (s₁', 0) with
     s₁' ≡ m (mod e), s₁' > n - 1 - e, increased by e until the replayed
-    endpoint stabilizes.
+    endpoint stabilizes.  The two charges differ by a multiple of e, so
+    their crystals are isomorphic and every path gives the same endpoint.
     """
     geom = alcove_data(e, m)
     target = partitions.one_line_of_weight(n, lam)
-    paths = crystal_paths(n, geom.s, e)
-    if target not in paths:
-        raise NotReachable(f"{target} is not reachable at charge {geom.s}")
-    path = paths[target]
-    # residues are replayed as integer offsets: shifting the charge by d
-    # shifts every first-component residue by d, so track the path relative
-    # to the geometric charge and re-reduce at the asymptotic one.
+    path = _descent_path(target, geom.s, e)
     s1 = m % e
     while s1 <= n - 1 - e:
         s1 += e
 
     def replay(s1p: int) -> Bipartition:
-        shift = s1p - geom.s[0]
         b = ((), ())
         for r in path:
-            b2 = crystal_f((r + shift) % e, b, (s1p, 0), e)
+            b2 = crystal_f(r, b, (s1p, 0), e)
             if b2 is None:
                 raise NotReachable(
                     f"replay at charge ({s1p}, 0) died for weight {lam}")
             b = b2
         return b
 
+    # Once s₁' > 2n, every component-1 node of a bipartition of size <= n
+    # outranks every component-2 node, so the signatures, and the replay,
+    # no longer depend on s₁'.
     prev = replay(s1)
-    while True:
+    while s1 <= 2 * n + e:
         s1 += e
         cur = replay(s1)
         if cur == prev:
             return cur
         prev = cur
+    raise InvariantViolation(
+        f"replay for weight {lam} did not stabilize by charge ({s1}, 0)")

@@ -121,6 +121,13 @@ class LaurentPoly:
         out._hash = None
         return out
 
+    def shift(self, k: int) -> "LaurentPoly":
+        """v^k times this polynomial: every exponent moves by k."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._c = {e + k: x for e, x in self._c.items()}
+        out._hash = None
+        return out
+
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 

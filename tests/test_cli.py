@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from blobcell import tables
@@ -32,6 +33,20 @@ def test_domino_insert_json_roundtrip():
     res2 = run("domino", "reverse", json.dumps(pair))
     assert res2.exit_code == 0
     assert res2.output.strip() == "2 3 -1"
+
+
+_NON_ADJACENT = '{"dominoes": [[1, [1, 1], [1, 3]]]}'
+
+
+@pytest.mark.parametrize("pair", [
+    "[]",
+    '{"P": [], "Q": []}',
+    '{"P": %s, "Q": %s}' % (_NON_ADJACENT, _NON_ADJACENT),
+], ids=["not-an-object", "tableaux-not-objects", "non-adjacent-cells"])
+def test_domino_reverse_rejects_malformed_pair(pair):
+    res = run("domino", "reverse", pair)
+    assert res.exit_code == 2, res.output
+    assert "invalid tableau pair" in res.output
 
 
 def test_domino_shape():

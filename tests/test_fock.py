@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blobcell import fock, partitions
-from blobcell.laurent import LaurentPoly
+from blobcell.laurent import LaurentPoly, quantum_factorial
+from blobcell.weylb import InvariantViolation
 
 
 S_ANCHOR = (-1, 0)
@@ -54,14 +55,56 @@ def test_f_action_coefficients():
     assert out == {((), (1,)): LaurentPoly.one()}
 
 
+def _ref_f_action(i, x, s, e):
+    """f_i on a vector, one LaurentPoly product per term (the reference)."""
+    out = {}
+    for lam, coeff in x.items():
+        adds = [g for g in fock.addable_nodes(lam)
+                if fock.residue(g, s, e) == i]
+        for g in adds:
+            mu = fock._add_node(lam, g)
+            above_add = sum(1 for h in adds if fock.node_less(g, h, s))
+            above_rem = sum(1 for h in fock.removable_nodes(mu)
+                            if fock.residue(h, s, e) == i
+                            and fock.node_less(g, h, s))
+            fock._vec_add(out, mu, coeff * LaurentPoly.monomial(
+                above_add - above_rem))
+    return out
+
+
+def _ref_divided_f(i, a, x, s, e):
+    for _ in range(a):
+        x = _ref_f_action(i, x, s, e)
+    fact = quantum_factorial(a)
+    return {b: c.divide_exact(fact) for b, c in x.items()}
+
+
 def test_divided_power_exact():
-    s, e = (0, 0), 2
-    vec = {((), ()): LaurentPoly.one()}
-    out = fock.divided_f(0, 2, vec, s, e)
-    assert all(len(c.items()) >= 1 for c in out.values())
-    # f^(2) = f^2/[2]! must stay integral
-    for c in out.values():
-        assert all(isinstance(x, int) for _, x in c.items())
+    lams = [b for n in range(6) for b in partitions.bipartitions_of(n)]
+    weight = LaurentPoly({-1: 2, 3: -1})
+    for e in (2, 3, 4):
+        for s in ((0, 0), (-1, 2)):
+            rows = {}
+            for i in range(e):
+                assert (fock.f_action(i, dict.fromkeys(lams, weight), s, e)
+                        == _ref_f_action(i, dict.fromkeys(lams, weight), s, e))
+                for a in (1, 2, 3):
+                    for lam in lams:
+                        one = {lam: LaurentPoly.one()}
+                        got = fock.divided_f(i, a, one, s, e, rows)
+                        assert got == _ref_divided_f(i, a, one, s, e), (
+                            e, s, i, a, lam)
+                        for c in got.values():
+                            assert len(c.items()) == 1
+                            assert c.coeff(c.min_exp()) == 1
+
+
+def test_divided_power_not_monomial_raises(monkeypatch):
+    # with [2]! replaced by 1, f_0^2 of the empty bipartition at e = 2 has
+    # the coefficient [2] at ((1,), (1,)): not a monomial
+    monkeypatch.setattr(fock, "quantum_factorial", lambda a: LaurentPoly.one())
+    with pytest.raises(fock.DividedPowerInexact):
+        fock.divided_f(0, 2, {((), ()): LaurentPoly.one()}, (0, 0), 2)
 
 
 def test_canonical_basis_unitriangular_small():
@@ -161,3 +204,45 @@ def test_crystal_paths_reach_all_kleshchev(n, em):
     for lam in partitions.lambda_n(n):
         if not geom.is_wall(lam):
             assert partitions.one_line_of_weight(n, lam) in paths
+
+
+def _ref_kleshchev(n, e, m, lam):
+    """The conversion through a BFS path of the whole crystal (reference)."""
+    geom = fock.alcove_data(e, m)
+    target = partitions.one_line_of_weight(n, lam)
+    paths = fock.crystal_paths(n, geom.s, e)
+    if target not in paths:
+        return fock.NotReachable
+    s1 = m % e
+    while s1 <= n - 1 - e:
+        s1 += e
+    ends = []
+    for k in range(n + 3):
+        b = ((), ())
+        for r in paths[target]:
+            b = fock.crystal_f(r, b, (s1 + k * e, 0), e)
+        if ends and ends[-1] == b:
+            return b
+        ends.append(b)
+    raise AssertionError(f"no stable replay for {(n, e, m, lam)}")
+
+
+def test_kleshchev_convert_matches_bfs_replay():
+    for e, m in ((2, 1), (3, 1), (4, 2)):
+        for n in range(1, 11):
+            for lam in partitions.lambda_n(n):
+                want = _ref_kleshchev(n, e, m, lam)
+                if want is fock.NotReachable:
+                    with pytest.raises(fock.NotReachable):
+                        fock.kleshchev_convert(n, e, m, lam)
+                else:
+                    assert fock.kleshchev_convert(n, e, m, lam) == want, (
+                        n, e, m, lam)
+
+
+def test_kleshchev_convert_unstable_replay_raises(monkeypatch):
+    # a replay whose endpoint moves with the charge never stabilizes
+    monkeypatch.setattr(fock, "crystal_f",
+                        lambda i, b, s, e: ((abs(s[0]) + 1,), ()))
+    with pytest.raises(InvariantViolation):
+        fock.kleshchev_convert(4, 3, 2, 2)
