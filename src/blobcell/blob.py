@@ -466,18 +466,17 @@ def regular_representation(n: int, m: int = 2) -> dict:
 
 def _mat_mul(a, b, zero):
     size = len(a)
+    # The nonzero entries of each row of b, as (column, entry).  Most zero
+    # entries are the `zero` object itself, which skips the _is_zero call.
+    b_rows = [[(j, x) for j, x in enumerate(row)
+               if x is not zero and not _is_zero(x)] for row in b]
     out = [[zero] * size for _ in range(size)]
-    for i in range(size):
-        arow = a[i]
-        for k in range(size):
-            c = arow[k]
-            if _is_zero(c):
+    for arow, orow in zip(a, out):
+        for c, brow in zip(arow, b_rows):
+            if not brow or c is zero or _is_zero(c):
                 continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(size):
-                if not _is_zero(brow[j]):
-                    orow[j] = orow[j] + c * brow[j]
+            for j, x in brow:
+                orow[j] = orow[j] + c * x
     return out
 
 
@@ -532,23 +531,43 @@ def verify_presentation(mats: dict, m: int = 2, scalars: dict | None = None,
     return report
 
 
+def _rank(mat) -> int:
+    """
+    The rank over ℚ(v) of a matrix of Laurent polynomials, by fraction-free
+    (Bareiss) elimination in ℤ[v, v⁻¹]: after k pivots every entry left is
+    a (k+1)-minor, so dividing by the previous pivot is exact.
+    """
+    mat = [list(row) for row in mat]
+    rank, prev = 0, LaurentPoly.one()
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat))
+                      if not mat[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        p = top[col]
+        for row in mat[rank + 1:]:
+            c = row[col]
+            for j in range(col + 1, len(row)):
+                row[j] = (p * row[j] - c * top[j]).divide_exact(prev)
+            row[col] = LaurentPoly.zero()
+        prev = p
+        rank += 1
+    return rank
+
+
 def localize_dimension(module: StandardModule):
     """
     The rank of U_{n-1} on Δ_n(λ): this is dim of the localized module
     e·Δ_n(λ) with e = -(1/[2])U_{n-1}, which must equal dim Δ_{n-2}(λ)
-    (and 0 for λ = ±n).  Computed exactly over ℚ(v) via sympy.
+    (and 0 for λ = ±n).  Computed exactly over ℚ(v) by fraction-free
+    elimination (`_rank`), without leaving ℤ[v, v⁻¹].
     """
-    import sympy
-
     two = blob_scalars(module.m)["delta_plain"]
     if two.is_zero():
         raise TwoNotInvertible("[2] = 0 in the scalar ring")
-    v = sympy.Symbol("v")
-    mat = sympy.Matrix([
-        [sum(sympy.Integer(c) * v ** e for e, c in entry.items())
-         for entry in row]
-        for row in module.matrices[module.n - 1]])
-    return mat.rank()
+    return _rank(module.matrices[module.n - 1])
 
 
 # ---------------------------------------------------------------------------

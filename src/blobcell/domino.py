@@ -50,10 +50,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _sorted_domino(a: Cell, b: Cell) -> Domino:
-    return (a, b) if a <= b else (b, a)
-
-
 @dataclass(frozen=True)
 class DominoTableau:
     """A standard domino tableau: map label -> pair of adjacent cells."""
@@ -62,7 +58,8 @@ class DominoTableau:
 
     @staticmethod
     def from_dict(d: dict[int, Domino]) -> "DominoTableau":
-        return DominoTableau(tuple(sorted((k, _sorted_domino(*v)) for k, v in d.items())))
+        return DominoTableau(tuple(sorted(
+            (k, (a, b) if a <= b else (b, a)) for k, (a, b) in d.items())))
 
     def as_dict(self) -> dict[int, Domino]:
         return dict(self.dominoes)
@@ -71,36 +68,29 @@ class DominoTableau:
         return [k for k, _ in self.dominoes]
 
     def cells(self) -> set[Cell]:
-        out: set[Cell] = set()
-        for _, (a, b) in self.dominoes:
-            out.add(a)
-            out.add(b)
-        return out
+        return set(self._label_at())
 
-    def shape(self) -> Partition:
-        counts: dict[int, int] = {}
-        for c in self.cells():
-            counts[c[0]] = counts.get(c[0], 0) + 1
-        rows = [counts.get(r, 0) for r in range(len(counts))]
-        if sorted(counts) != list(range(len(counts))) or any(
-            rows[i] < rows[i + 1] for i in range(len(rows) - 1)
-        ):
-            raise ValueError("cells do not form a partition shape")
-        return tuple(rows)
-
-    def check_standard(self) -> None:
-        """Validate the partition shape and the row/column label increase."""
-        shape = self.shape()
+    def _label_at(self) -> dict[Cell, int]:
         label_at: dict[Cell, int] = {}
         for lab, (a, b) in self.dominoes:
             label_at[a] = lab
             label_at[b] = lab
+        return label_at
+
+    def shape(self) -> Partition:
+        return _shape_of(self._label_at())
+
+    def check_standard(self) -> None:
+        """Validate the partition shape and the row/column label increase."""
+        label_at = self._label_at()
+        shape = _shape_of(label_at)
         for r, width in enumerate(shape):
+            below = shape[r + 1] if r + 1 < len(shape) else 0
             for c in range(width):
                 lab = label_at[(r, c)]
                 if c + 1 < width and label_at[(r, c + 1)] < lab:
                     raise ValueError("labels not increasing along a row")
-                if r + 1 < len(shape) and shape[r + 1] > c and label_at[(r + 1, c)] < lab:
+                if c < below and label_at[(r + 1, c)] < lab:
                     raise ValueError("labels not increasing down a column")
 
     def to_json(self) -> dict:
@@ -143,11 +133,8 @@ class DominoTableau:
     def pretty(self) -> str:
         if not self.dominoes:
             return "(empty)"
-        label_at: dict[Cell, int] = {}
-        for lab, (a, b) in self.dominoes:
-            label_at[a] = lab
-            label_at[b] = lab
-        shape = self.shape()
+        label_at = self._label_at()
+        shape = _shape_of(label_at)
         width = max(len(str(lab)) for lab, _ in self.dominoes)
         lines = []
         for r, rw in enumerate(shape):
@@ -155,6 +142,18 @@ class DominoTableau:
                 " ".join(str(label_at[(r, c)]).rjust(width) for c in range(rw))
             )
         return "\n".join(lines)
+
+
+def _shape_of(cells) -> Partition:
+    """The row lengths of a set of cells; ValueError unless the rows are
+    0, 1, ... with non-increasing lengths."""
+    counts: dict[int, int] = {}
+    for r, _ in cells:
+        counts[r] = counts.get(r, 0) + 1
+    rows = [counts.get(r, 0) for r in range(len(counts))]
+    if 0 in rows or rows != sorted(rows, reverse=True):
+        raise ValueError("cells do not form a partition shape")
+    return tuple(rows)
 
 
 def _is_partition_cells(cells: set[Cell]) -> bool:
@@ -178,11 +177,12 @@ def _col_len(cells: set[Cell], c: int) -> int:
     return sum(1 for cell in cells if cell[1] == c)
 
 
-def _shuffle_position(old: Domino, lam: set[Cell]) -> Domino:
+def _shuffle_position(old: Domino, lam: set[Cell], row_len, col_len) -> Domino:
     """
     The re-placement rule: where a domino at `old` goes once the shape `lam`
-    of the re-placed smaller labels is fixed.  Unmoved if disjoint from lam;
-    a fully covered domino is appended to the next row (horizontal) or column
+    of the re-placed smaller labels is fixed; `row_len` and `col_len` give
+    the row and column lengths of lam.  Unmoved if disjoint from lam; a fully
+    covered domino is appended to the next row (horizontal) or column
     (vertical) of lam; one covered first cell pivots around the free cell.
     """
     (r1, c1), (r2, c2) = old
@@ -196,40 +196,58 @@ def _shuffle_position(old: Domino, lam: set[Cell]) -> Domino:
             if not first_in:
                 raise InvariantViolation(
                     "partial cover must be the first cell")
-            c = _row_len(lam, r1 + 1)
+            c = row_len(r1 + 1)
             return ((r1 + 1, c), (r1 + 1, c + 1))
         return ((r1, c2), (r1 + 1, c2))  # pivot to vertical
     if second_in:  # fully covered: append to the next column of lam
         if not first_in:
             raise InvariantViolation("partial cover must be the first cell")
-        r = _col_len(lam, c1 + 1)
+        r = col_len(c1 + 1)
         return ((r, c1 + 1), (r + 1, c1 + 1))
     return ((r2, c1), (r2, c1 + 1))  # pivot to horizontal
 
 
-def _insert_letter(tab: dict[int, Domino], letter: int) -> dict[int, Domino]:
-    """One insertion step: returns the new tableau as a label -> domino map."""
+def _insert_letter(tab: dict[int, Domino],
+                   letter: int) -> tuple[dict[int, Domino], set[Cell]]:
+    """
+    One insertion step: the new tableau as a label -> domino map, and the
+    set of its cells.  The dominoes are placed in label order, each disjoint
+    from the ones before it, so counting cells per row and column as they
+    are placed gives the lengths of the shape grown so far.
+    """
     j = abs(letter)
-    smaller = {lab: pos for lab, pos in tab.items() if lab < j}
+    items = sorted(tab.items())
+    new_tab: dict[int, Domino] = {}
     covered: set[Cell] = set()
-    for pos in smaller.values():
-        covered.update(pos)
-    if letter > 0:
-        c = _row_len(covered, 0)
-        current: Domino = ((0, c), (0, c + 1))
-    else:
-        r = _col_len(covered, 0)
-        current = ((r, 0), (r + 1, 0))
-    new_tab = dict(smaller)
-    new_tab[j] = current
-    covered.update(current)
-    for lab in sorted(lab for lab in tab if lab > j):
-        pos = _shuffle_position(tab[lab], covered)
-        if (pos[0] in covered or pos[1] in covered) and pos != tab[lab]:
-            raise InvariantViolation("bumping collision")
+    # Row and column lengths of covered.  The new shape has N = 2 len(tab) + 2
+    # cells, so no cell lies past row or column N - 1 and the re-placement
+    # reads at most index N.
+    rows = [0] * (2 * len(tab) + 3)
+    cols = rows[:]
+    # The smaller labels stay, the letter's domino (None here) comes next,
+    # and the larger labels are re-placed in increasing order.
+    order = [x for x in items if x[0] < j]
+    order.append((j, None))
+    order += [x for x in items if x[0] > j]
+    for lab, pos in order:
+        if pos is None:
+            if letter > 0:
+                pos = ((0, rows[0]), (0, rows[0] + 1))
+            else:
+                pos = ((cols[0], 0), (cols[0] + 1, 0))
+        elif lab > j:
+            old, pos = pos, _shuffle_position(pos, covered, rows.__getitem__,
+                                              cols.__getitem__)
+            if (pos[0] in covered or pos[1] in covered) and pos != old:
+                raise InvariantViolation("bumping collision")
         new_tab[lab] = pos
         covered.update(pos)
-    return new_tab
+        (r1, c1), (r2, c2) = pos
+        rows[r1] += 1
+        rows[r2] += 1
+        cols[c1] += 1
+        cols[c2] += 1
+    return new_tab, covered
 
 
 def domino_insert(w: weylb.SignedPermutation) -> tuple[DominoTableau, DominoTableau]:
@@ -239,18 +257,14 @@ def domino_insert(w: weylb.SignedPermutation) -> tuple[DominoTableau, DominoTabl
     """
     p: dict[int, Domino] = {}
     q: dict[int, Domino] = {}
+    cells: set[Cell] = set()
     for step, letter in enumerate(w, start=1):
-        new_p = _insert_letter(p, letter)
-        old_cells: set[Cell] = set()
-        for pos in p.values():
-            old_cells.update(pos)
-        added = sorted(
-            {c for pos in new_p.values() for c in pos} - old_cells
-        )
+        p, new_cells = _insert_letter(p, letter)
+        added = sorted(new_cells - cells)
         if len(added) != 2:
             raise InvariantViolation("insertion must add exactly two cells")
-        q[step] = _sorted_domino(*added)
-        p = new_p
+        q[step] = tuple(added)
+        cells = new_cells
     tp = DominoTableau.from_dict(p)
     tq = DominoTableau.from_dict(q)
     tp.check_standard()
@@ -262,6 +276,27 @@ def domino_shape(w: weylb.SignedPermutation) -> Partition:
     """The shape of P(w)."""
     p, _ = domino_insert(w)
     return p.shape() if p.dominoes else ()
+
+
+def _unbump_candidates(pos: Domino, shape: set[Cell]):
+    """
+    The dominoes that the forward re-placement rule can send to `pos` and
+    whose removal from `shape` can leave a partition: the domino that
+    pivots onto pos, and the domino formed by the last two cells of the
+    row (horizontal pos) or column (vertical pos) before pos in shape,
+    which, fully covered, is appended where pos lies.
+    """
+    (r1, c1), (r2, c2) = pos
+    if r1 == r2:
+        yield ((r1 - 1, c1), (r1, c1))
+        end = max((c for r, c in shape if r == r1 - 1), default=None)
+        if end is not None:
+            yield ((r1 - 1, end - 1), (r1 - 1, end))
+    else:
+        yield ((r1, c1 - 1), (r1, c1))
+        end = max((r for r, c in shape if c == c1 - 1), default=None)
+        if end is not None:
+            yield ((end - 1, c1 - 1), (end, c1 - 1))
 
 
 def _reverse_letter(tab: dict[int, Domino], hole: Domino) -> tuple[dict[int, Domino], int]:
@@ -301,17 +336,15 @@ def _reverse_letter(tab: dict[int, Domino], hole: Domino) -> tuple[dict[int, Dom
         # one minus the hole; the old position is a removable domino in it
         # that the forward rule maps to pos.
         shape_leq = (lam | set(pos)) - hole_cells
-        valid = []
-        for a in shape_leq:
-            for b in (((a[0], a[1] + 1)), ((a[0] + 1, a[1]))):
-                old = (a, b)
-                if (
-                    b in shape_leq
-                    and old != pos
-                    and _is_partition_cells(shape_leq - set(old))
-                    and _shuffle_position(old, lam) == pos
-                ):
-                    valid.append(old)
+        valid = [
+            old for old in _unbump_candidates(pos, shape_leq)
+            if old[0] in shape_leq
+            and old[1] in shape_leq
+            and old != pos
+            and _is_partition_cells(shape_leq - set(old))
+            and _shuffle_position(old, lam, lambda r: _row_len(lam, r),
+                                  lambda c: _col_len(lam, c)) == pos
+        ]
         if len(valid) != 1:
             raise ValueError(f"reverse bumping ambiguous or stuck at label {lab}")
         old = valid[0]
@@ -324,9 +357,7 @@ def _reverse_letter(tab: dict[int, Domino], hole: Domino) -> tuple[dict[int, Dom
 
 def domino_reverse(p: DominoTableau, q: DominoTableau) -> weylb.SignedPermutation:
     """The unique signed permutation w with domino_insert(w) = (p, q)."""
-    if p.shape() != q.shape() if p.dominoes else q.dominoes:
-        raise ShapeMismatch("P and Q must have equal shapes")
-    if p.dominoes and p.shape() != q.shape():
+    if (p.shape() != q.shape()) if p.dominoes else q.dominoes:
         raise ShapeMismatch("P and Q must have equal shapes")
     tab = p.as_dict()
     qd = q.as_dict()

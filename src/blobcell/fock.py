@@ -42,7 +42,7 @@ from .weylb import BoundExceeded, InvariantViolation
 
 __all__ = [
     "residue", "node_key", "node_less", "addable_nodes", "removable_nodes",
-    "f_action", "e_action", "divided_f", "crystal_f", "crystal_e",
+    "f_action", "divided_f", "crystal_f", "crystal_e",
     "crystal_paths", "estrings", "canonical_basis",
     "AlcoveGeometry", "alcove_data", "weyl_element", "decomposition_number",
     "kleshchev_convert",
@@ -141,21 +141,6 @@ def f_action(i: int, x: FockVector, s, e: int,
              rows: dict | None = None) -> FockVector:
     """f_i: add an i-node γ with coefficient v^{N_i^>} (see module doc)."""
     return divided_f(i, 1, x, s, e, rows)
-
-
-def e_action(i: int, x: FockVector, s, e: int) -> FockVector:
-    """e_i: remove an i-node γ with coefficient v^{-N_i^<}."""
-    out: FockVector = {}
-    for mu, coeff in x.items():
-        rems = [g for g in removable_nodes(mu) if residue(g, s, e) == i]
-        for g in rems:
-            lam = _remove_node(mu, g)
-            below_rem = sum(1 for g2 in rems if node_less(g2, g, s))
-            below_add = sum(1 for g2 in addable_nodes(lam)
-                            if residue(g2, s, e) == i and node_less(g2, g, s))
-            n_dn = below_add - below_rem
-            _vec_add(out, lam, coeff * LaurentPoly.monomial(-n_dn))
-    return out
 
 
 def divided_f(i: int, a: int, x: FockVector, s, e: int,

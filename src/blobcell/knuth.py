@@ -108,14 +108,17 @@ def knuth_class(w: weylb.SignedPermutation) -> set[weylb.SignedPermutation]:
 
 
 def knuth_classes(n: int) -> list[set[weylb.SignedPermutation]]:
-    """All plactic classes of W_n, each discovered once."""
-    remaining = set(weylb.enumerate_wn(n))
+    """
+    All plactic classes of W_n, each discovered once, in the order of their
+    smallest elements.
+    """
     classes = []
-    while remaining:
-        w = min(remaining)
-        cls = knuth_class(w)
-        classes.append(cls)
-        remaining -= cls
+    seen: set[weylb.SignedPermutation] = set()
+    for w in sorted(weylb.enumerate_wn(n)):
+        if w not in seen:
+            cls = knuth_class(w)
+            classes.append(cls)
+            seen |= cls
     return classes
 
 

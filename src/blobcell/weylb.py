@@ -225,26 +225,6 @@ def is_in_wb_by_avoidance(w: SignedPermutation) -> bool:
     return not _has_forbidden_word(tuple(w))
 
 
-def _longest_decreasing_at_most_2(word) -> bool:
-    """True iff the sequence has no strictly decreasing subsequence of length 3."""
-    # Patience-style check: tails[k] = largest possible last element of a
-    # decreasing subsequence of length k+1 (greedy maximization).
-    tails: list[int] = []
-    for x in word:
-        placed = False
-        for k in range(len(tails)):
-            if tails[k] > x:
-                continue
-            tails[k] = x
-            placed = True
-            break
-        if not placed:
-            tails.append(x)
-            if len(tails) > 2:
-                return False
-    return True
-
-
 def is_in_wb_by_words(w: SignedPermutation) -> bool:
     """
     Membership in W_b by the window-word criterion: the absolute values of
@@ -254,37 +234,59 @@ def is_in_wb_by_words(w: SignedPermutation) -> bool:
     values, prepended in reverse order, must avoid decreasing subsequences of
     length 3.
 
+    One pass over the window.  The prepended absolute values rise, so a
+    decreasing subsequence of the word uses at most one of them, best the
+    largest (the first negative entry); the 321-test therefore reads that
+    value followed by the positive entries, keeping the two tails of a greedy
+    patience sort.
+
     >>> is_in_wb_by_words((2, 3, -1))
     True
     >>> is_in_wb_by_words((1, -2))
     False
     """
-    negatives = [-x for x in w if x < 0]
-    positives = [x for x in w if x > 0]
-    # a_1 > a_2 > ... > a_l (later negatives are smaller)
-    for i in range(len(negatives) - 1):
-        if not negatives[i] > negatives[i + 1]:
+    first_neg = prev_neg = first_pos = prev_pos = None
+    rising = True  # the positive entries read so far increase
+    # largest possible last entry of a decreasing subsequence of length 1, 2
+    top = low = None
+    for x in w:
+        if x < 0:
+            x = -x
+            if prev_neg is None:
+                first_neg = x
+            elif x > prev_neg:
+                return False
+            prev_neg = x
+            # the positive entries read so far precede a negative one, so
+            # they must rise from above first_neg
+            if not rising or (first_pos is not None and first_pos < first_neg):
+                return False
+            # they rise above first_neg, so only the last of them, or
+            # first_neg when there is none, ends a decreasing subsequence
+            if top is None:
+                top = first_neg
+            continue
+        if prev_pos is None:
+            first_pos = x
+        elif x < prev_pos:
+            rising = False
+        prev_pos = x
+        if top is None or x > top:
+            top = x
+        elif low is None or x > low:
+            low = x
+        else:
             return False
-    if negatives:
-        a1 = negatives[0]
-        last_neg_pos = max(i for i, x in enumerate(w) if x < 0)
-        for i in range(last_neg_pos):
-            if w[i] > 0 and not a1 < w[i]:
-                return False
-        # positives before the last negative must increase (a_1 < i_1 < ...)
-        pref = [x for x in w[:last_neg_pos] if x > 0]
-        for i in range(len(pref) - 1):
-            if not pref[i] < pref[i + 1]:
-                return False
-    modified = list(reversed(negatives)) + positives
-    return _longest_decreasing_at_most_2(modified)
+    return True
 
 
 def enumerate_wn(n: int):
-    """All of W_n, in lexicographic window order."""
+    """
+    All of W_n: for each permutation in lexicographic order, every sign
+    pattern, the positive entry before the negative one in each slot.
+    """
     for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield tuple(s * x for s, x in zip(signs, perm))
+        yield from itertools.product(*[(x, -x) for x in perm])
 
 
 def enumerate_wb(n: int, bound: int | None = None) -> list[SignedPermutation]:

@@ -1,5 +1,10 @@
 """Blob diagrams, the diagram algebra, and its standard modules."""
 
+import os
+import pathlib
+import random
+import subprocess
+import sys
 from math import comb
 
 import pytest
@@ -73,13 +78,67 @@ def test_presentation_on_regular_representation():
 
 
 def test_localization_ranks():
-    for n in (2, 3, 4):
+    for n in range(2, 8):
         for lam in partitions.lambda_n(n):
             mod = standard_module(n, lam)
             rank = blob.localize_dimension(mod)
             expected = 0 if abs(lam) == n else comb(n - 2,
                                                     (n - 2 - lam) // 2)
             assert rank == expected, (n, lam, rank, expected)
+
+
+def _random_poly(rng):
+    if rng.random() < 0.3:
+        return LaurentPoly.zero()
+    return LaurentPoly({rng.randint(-2, 2): rng.choice((-2, -1, 1, 1, 3))
+                        for _ in range(rng.randint(1, 3))})
+
+
+def test_rank_matches_sympy():
+    # Matrices with rows that are Laurent-polynomial combinations of other
+    # rows, so the rank is often deficient; sympy gives the reference rank.
+    import sympy
+
+    v = sympy.Symbol("v")
+    rng = random.Random(7)
+    for _ in range(30):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        mat = [[_random_poly(rng) for _ in range(cols)]
+               for _ in range(rng.randint(1, rows))]
+        while len(mat) < rows:
+            a, b = _random_poly(rng), _random_poly(rng)
+            x, y = rng.choice(mat), rng.choice(mat)
+            mat.append([a * s + b * t for s, t in zip(x, y)])
+        rng.shuffle(mat)
+        ref = sympy.Matrix([[sum(c * v ** e for e, c in x.items())
+                             for x in row] for row in mat]).rank()
+        assert blob._rank(mat) == ref, mat
+
+
+def test_mat_mul_matches_sums():
+    rng = random.Random(3)
+    zero = LaurentPoly.zero()
+    for size in range(1, 6):
+        for _ in range(5):
+            a = [[_random_poly(rng) for _ in range(size)] for _ in range(size)]
+            b = [[_random_poly(rng) for _ in range(size)] for _ in range(size)]
+            want = [[sum((a[i][k] * b[k][j] for k in range(size)), zero)
+                     for j in range(size)] for i in range(size)]
+            assert blob._mat_mul(a, b, zero) == want
+
+
+def test_blob_modules_do_not_import_sympy():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "from blobcell import blob\n"
+            "assert blob.localize_dimension(blob.standard_module(4, 0)) == 2\n"
+            "print('sympy' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cyclotomic_spec():

@@ -50,6 +50,17 @@ def test_coplactic_classes_are_q_fibers_small():
             assert knuth.coplactic_class(w) == fibers[q]
 
 
+def test_classes_partition_in_order_of_minima():
+    # Each class starts at the smallest window not in an earlier class.
+    for n in (2, 3, 4):
+        left = sorted(weylb.enumerate_wn(n))
+        for cls in knuth.knuth_classes(n):
+            assert min(cls) == left[0]
+            assert cls <= set(left)
+            left = [w for w in left if w not in cls]
+        assert not left
+
+
 def test_wb_union_of_classes_small():
     for n in (2, 3, 4):
         wb = set(weylb.enumerate_wb(n))

@@ -1,5 +1,6 @@
 """Signed permutations, lengths, Bruhat order, and the subset W_b."""
 
+import itertools
 import math
 
 import pytest
@@ -88,10 +89,26 @@ def test_wb_counts():
 
 
 def test_wb_two_characterizations_small():
-    for n in range(1, 5):
+    for n in range(1, 7):
         for w in weylb.enumerate_wn(n):
             assert weylb.is_in_wb_by_avoidance(w) \
                 == weylb.is_in_wb_by_words(w)
+
+
+def test_enumerate_wn_reference_order():
+    # Reference: permutations in lexicographic order; within each, the
+    # sign patterns with the first slot varying slowest and + before -.
+    def signs(n):
+        if n == 0:
+            return [()]
+        return [(s,) + rest for s in (1, -1) for rest in signs(n - 1)]
+
+    for n in range(0, 6):
+        want = [tuple(s * x for s, x in zip(sg, perm))
+                for perm in itertools.permutations(range(1, n + 1))
+                for sg in signs(n)]
+        assert list(weylb.enumerate_wn(n)) == want
+        assert len(want) == 2 ** n * math.factorial(n)
 
 
 def test_max_n_env(monkeypatch):
