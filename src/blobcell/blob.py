@@ -33,6 +33,7 @@ from functools import lru_cache
 from math import comb
 
 from .laurent import LaurentPoly
+from .partitions import WeightOutOfRange, check_weight
 from .weylb import BoundExceeded, SizeMismatch
 
 __all__ = [
@@ -52,10 +53,6 @@ class ExposureViolation(RuntimeError):
 
 class TwoNotInvertible(ValueError):
     """Raised when localization needs 1/[2] but [2] is not invertible."""
-
-
-class WeightOutOfRange(ValueError):
-    """Raised for a weight outside Lambda_n."""
 
 
 class SpecializationInvalid(ValueError):
@@ -160,6 +157,54 @@ def blob_algebra_dimension(n: int) -> int:
     return len(all_diagrams(n))
 
 
+def _strands(edges, boundary):
+    """
+    Follow the lines of a stacked picture.  edges are (u, v, blobs) with
+    every point on at most two edges, and the points of `boundary` on one.
+    Returns the open strands as (start, end, blobs), both ends in
+    `boundary`, and the blob count of each closed loop.
+    """
+    adj: dict = {}
+    for u, v, blobs in edges:
+        adj.setdefault(u, []).append((v, blobs))
+        adj.setdefault(v, []).append((u, blobs))
+    seen = set()
+
+    def walk(start):
+        total, prev, cur = 0, None, start
+        while True:
+            seen.add(cur)
+            nxt, blobs = next(e for e in adj[cur] if e[0] != prev)
+            total += blobs
+            prev, cur = cur, nxt
+            if cur == start or cur in boundary:
+                seen.add(cur)
+                return cur, total
+
+    strands, loops = [], []
+    for start in adj:
+        if start in boundary and start not in seen:
+            strands.append((start, *walk(start)))
+    for start in adj:
+        if start not in seen:
+            loops.append(walk(start)[1])
+    return strands, loops
+
+
+def _loop_scalar(loops, merges: int, sc: dict):
+    """
+    (-[m])^merges times each closed loop's factor: -[2] without a blob,
+    [m-1] (-[m])^(k-1) with k blobs.  Multiplies only for merges that happen.
+    """
+    scalar = LaurentPoly.one()
+    for k in loops:
+        scalar = scalar * (sc["blob_loop"] if k else sc["delta_plain"])
+        merges += max(k - 1, 0)
+    for _ in range(merges):
+        scalar = scalar * sc["blob_merge"]
+    return scalar
+
+
 def compose_diagrams(a: BlobDiagram, b: BlobDiagram, m: int = 2,
                      scalars: dict | None = None):
     """
@@ -172,78 +217,24 @@ def compose_diagrams(a: BlobDiagram, b: BlobDiagram, m: int = 2,
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
     n = a.n
     sc = scalars if scalars is not None else blob_scalars(m)
-
-    adj: dict = {}
-    blob_edge: dict = {}
-
-    def connect(u, v, blobbed):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-        blob_edge[frozenset({u, v})] = blobbed
-
-    for l in a.pairing:
-        u, v = sorted(l)
-        connect(("a", u), ("a", v), l in a.blobs)
-    for l in b.pairing:
-        u, v = sorted(l)
-        connect(("b", u), ("b", v), l in b.blobs)
-    # glue a's bottom column j (coord 2n-1-j) to b's top column j (coord j)
-    for j in range(n):
-        connect(("a", 2 * n - 1 - j), ("b", j), False)
-
-    boundary = {("a", c): c for c in range(n)}
-    boundary.update({("b", 2 * n - 1 - j): 2 * n - 1 - j for j in range(n)})
-
-    scalar = LaurentPoly.one()
+    edges = [((t, min(l)), (t, max(l)), l in x.blobs)
+             for t, x in (("a", a), ("b", b)) for l in x.pairing]
+    edges += [(("a", 2 * n - 1 - j), ("b", j), False) for j in range(n)]
+    boundary = ({("a", c) for c in range(n)}
+                | {("b", c) for c in range(n, 2 * n)})
+    strands, loops = _strands(edges, boundary)
     pairs = set()
     blobs = set()
-    seen = set()
-    for start in list(adj):
-        if start in seen:
-            continue
-        if start not in boundary:
-            continue
-        # trace open path from one boundary point to the other
-        path_blobs = 0
-        prev, cur = None, start
-        seen.add(start)
-        while True:
-            nxt = next(p for p in adj[cur] if p != prev)
-            if blob_edge[frozenset({cur, nxt})]:
-                path_blobs += 1
-            prev, cur = cur, nxt
-            seen.add(cur)
-            if cur in boundary:
-                break
-        line = Line({boundary[start], boundary[cur]})
+    merges = 0
+    for start, end, k in strands:
+        line = Line({start[1], end[1]})
         pairs.add(line)
-        if path_blobs:
+        if k:
             blobs.add(line)
-            for _ in range(path_blobs - 1):
-                scalar = scalar * sc["blob_merge"]
-    for start in list(adj):
-        if start in seen:
-            continue
-        # closed loop
-        loop_blobs = 0
-        prev, cur = None, start
-        while True:
-            nxt = next(p for p in adj[cur] if p != prev)
-            if blob_edge[frozenset({cur, nxt})]:
-                loop_blobs += 1
-            prev, cur = cur, nxt
-            seen.add(cur)
-            if cur == start:
-                break
-        if loop_blobs == 0:
-            scalar = scalar * sc["delta_plain"]
-        else:
-            scalar = scalar * sc["blob_loop"]
-            for _ in range(loop_blobs - 1):
-                scalar = scalar * sc["blob_merge"]
+            merges += k - 1
     result = BlobDiagram(n, frozenset(pairs), frozenset(blobs))
     _validate_diagram(result)
-    return scalar, result
+    return _loop_scalar(loops, merges, sc), result
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +268,7 @@ def _arc_exposed_half(arc, arcs, defects) -> bool:
 
 def half_diagrams(n: int, lam: int) -> list[BlobHalfDiagram]:
     """The basis of Δ_n(λ)."""
-    if abs(lam) > n or (n - lam) % 2:
-        raise WeightOutOfRange(f"weight {lam} not in Lambda_{n}")
+    check_weight(n, lam)
     k = (n - abs(lam)) // 2  # number of arcs
     out = []
     for cover in itertools.combinations(range(n), 2 * k):
@@ -300,116 +290,54 @@ def _act_half(d: BlobDiagram, h: BlobHalfDiagram, lam: int, sc: dict):
     """
     d acting on the half-diagram h (d stacked above h).  Returns
     (scalar, BlobHalfDiagram) or None when the term is truncated away.
+    The defect through bottom point p ends at the boundary point ("def", p).
     """
     n = d.n
-    adj: dict = {}
-    blob_edge: dict = {}
-
-    def connect(u, v, blobbed):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-        key = frozenset({u, v})
-        blob_edge[key] = blob_edge.get(key, 0) + (1 if blobbed else 0)
-
-    for l in d.pairing:
-        u, v = sorted(l)
-        connect(("d", u), ("d", v), l in d.blobs)
-    for arc in h.arcs:
-        u, v = sorted(arc)
-        connect(("h", u), ("h", v), arc in h.blobbed_arcs)
     defects = h.defects()
-    for j in range(n):
-        connect(("d", 2 * n - 1 - j), ("h", j), False)
-
-    top = {("d", c): c for c in range(n)}
-    # endpoints of defect lines at the bottom
-    defect_pts = {("def", p): p for p in defects}
-    for p in defects:
-        connect(("h", p), ("def", p), False)
-    leftmost = min(defects) if defects else None
-
-    scalar = LaurentPoly.one()
+    edges = [(("d", min(l)), ("d", max(l)), l in d.blobs) for l in d.pairing]
+    edges += [(("h", min(a)), ("h", max(a)), a in h.blobbed_arcs)
+              for a in h.arcs]
+    edges += [(("d", 2 * n - 1 - j), ("h", j), False) for j in range(n)]
+    edges += [(("h", p), ("def", p), False) for p in defects]
+    boundary = {("d", c) for c in range(n)} | {("def", p) for p in defects}
+    strands, loops = _strands(edges, boundary)
     new_arcs = []
     new_blobbed = []
     new_defects = {}
-    seen = set()
-    boundary = dict(top)
-    boundary.update(defect_pts)
-    for start in list(boundary):
-        if start in seen:
-            continue
-        path_blobs = 0
-        prev, cur = None, start
-        seen.add(cur)
-        while True:
-            nxt = next(p for p in adj[cur] if p != prev)
-            if blob_edge[frozenset({cur, nxt})]:
-                path_blobs += 1
-            prev, cur = cur, nxt
-            seen.add(cur)
-            if cur in boundary:
-                break
-        ends = (start, cur)
-        kinds = sorted(e[0] for e in ends)
-        if kinds == ["def", "def"]:
+    merges = 0
+    for start, end, k in strands:
+        if start[0] == "def":  # start the strand at the top if it reaches it
+            start, end = end, start
+        if start[0] == "def":
             return None  # two defects joined: defect count drops
-        if kinds == ["d", "def"]:
-            # a propagating defect line
-            top_pt = ends[0] if ends[0][0] == "d" else ends[1]
-            def_pt = ends[1] if top_pt is ends[0] else ends[0]
-            new_defects[top[top_pt]] = (def_pt[1], path_blobs)
-        else:  # new arc at the top
-            line = tuple(sorted((top[ends[0]], top[ends[1]])))
-            new_arcs.append(line)
-            if path_blobs:
-                new_blobbed.append(line)
-                for _ in range(path_blobs - 1):
-                    scalar = scalar * sc["blob_merge"]
-    for start in list(adj):
-        if start in seen:
+        if end[0] == "def":  # a propagating defect line
+            new_defects[start[1]] = (end[1], k)
             continue
-        loop_blobs = 0
-        prev, cur = None, start
-        while True:
-            nxt = next(p for p in adj[cur] if p != prev)
-            if blob_edge[frozenset({cur, nxt})]:
-                loop_blobs += 1
-            prev, cur = cur, nxt
-            seen.add(cur)
-            if cur == start:
-                break
-        if loop_blobs == 0:
-            scalar = scalar * sc["delta_plain"]
-        else:
-            scalar = scalar * sc["blob_loop"]
-            for _ in range(loop_blobs - 1):
-                scalar = scalar * sc["blob_merge"]
+        line = Line({start[1], end[1]})  # a new arc at the top
+        new_arcs.append(line)
+        if k:
+            new_blobbed.append(line)
+            merges += k - 1
 
     # defect-blob bookkeeping: only the leftmost defect line may see blobs
     want = lam < 0
+    leftmost = min(defects) if defects else None
     new_leftmost = min(new_defects) if new_defects else None
     for pos, (src, nblobs) in new_defects.items():
-        carried = want and src == leftmost
-        total = nblobs + (1 if carried else 0)
+        total = nblobs + (want and src == leftmost)
         if pos != new_leftmost:
             if total:
                 return None  # a blob on a non-leftmost (non-exposed) defect
-            continue
-        if total == 0:
-            state = False
-        else:
-            for _ in range(total - 1):
-                scalar = scalar * sc["blob_merge"]
-            state = True
-        if state != want:
+        elif bool(total) != want:
             return None  # wrong defect-blob state: truncated
-    result = BlobHalfDiagram(d.n, frozenset(Line(a) for a in new_arcs),
-                             frozenset(Line(a) for a in new_blobbed),
+        elif total:
+            merges += total - 1
+    result = BlobHalfDiagram(n, frozenset(new_arcs), frozenset(new_blobbed),
                              want)
     for arc in result.blobbed_arcs:
         if not _arc_exposed_half(arc, result.arcs, result.defects()):
             raise ExposureViolation(f"blob on non-exposed arc {sorted(arc)}")
-    return scalar, result
+    return _loop_scalar(loops, merges, sc), result
 
 
 class StandardModule:
@@ -467,13 +395,13 @@ def regular_representation(n: int, m: int = 2) -> dict:
 def _mat_mul(a, b, zero):
     size = len(a)
     # The nonzero entries of each row of b, as (column, entry).  Most zero
-    # entries are the `zero` object itself, which skips the _is_zero call.
+    # entries are the `zero` object itself, which skips the is_zero call.
     b_rows = [[(j, x) for j, x in enumerate(row)
-               if x is not zero and not _is_zero(x)] for row in b]
+               if x is not zero and not x.is_zero()] for row in b]
     out = [[zero] * size for _ in range(size)]
     for arow, orow in zip(a, out):
         for c, brow in zip(arow, b_rows):
-            if not brow or c is zero or _is_zero(c):
+            if not brow or c is zero or c.is_zero():
                 continue
             for j, x in brow:
                 orow[j] = orow[j] + c * x
@@ -481,17 +409,11 @@ def _mat_mul(a, b, zero):
 
 
 def _mat_scale(a, c, zero):
-    return [[zero if _is_zero(x) else x * c for x in row] for row in a]
+    return [[zero if x.is_zero() else x * c for x in row] for row in a]
 
 
 def _mat_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _is_zero(x) -> bool:
-    if hasattr(x, "is_zero") and callable(x.is_zero):
-        return x.is_zero()
-    return not x
 
 
 def verify_presentation(mats: dict, m: int = 2, scalars: dict | None = None,

@@ -201,6 +201,8 @@ def domino_reverse_cmd(pair: str, fmt: str) -> None:
             raise ValueError('expected an object {"P": .., "Q": ..}')
         p = domino.DominoTableau.from_json(d["P"])
         q = domino.DominoTableau.from_json(d["Q"])
+        p.check_standard()
+        q.check_standard()
         w = domino.domino_reverse(p, q)
     except (KeyError, ValueError, domino.ShapeMismatch) as exc:
         raise click.UsageError(f"invalid tableau pair: {exc}")
@@ -366,7 +368,7 @@ def blob_standard_cmd(n: int, lam: int, m: int, fmt: str) -> None:
     """The standard module Delta_N(LAM): dimension and action matrices."""
     try:
         mod = blob.standard_module(n, lam, m)
-    except (blob.WeightOutOfRange, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     mats = {str(k): [[x.pretty() for x in row] for row in mat]
             for k, mat in sorted(mod.matrices.items())}
@@ -490,10 +492,6 @@ def fock_grp() -> None:
     """The level-2 v-deformed Fock space."""
 
 
-def _charge(s1: int, s2: int) -> tuple:
-    return (s1, s2)
-
-
 @fock_grp.command("f")
 @click.argument("e", type=int)
 @click.argument("s1", type=int)
@@ -505,7 +503,7 @@ def fock_f_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
     bipartition (the rightmost factor acts first)."""
     if e < 2:
         raise click.UsageError(f"e must be >= 2, got {e}")
-    s = _charge(s1, s2)
+    s = (s1, s2)
     vec = {((), ()): LaurentPoly.one()}
     for i in reversed(residues):
         vec = fock.f_action(i % e, vec, s, e)
@@ -528,7 +526,7 @@ def fock_crystal_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
     bipartition (the rightmost factor acts first)."""
     if e < 2:
         raise click.UsageError(f"e must be >= 2, got {e}")
-    s = _charge(s1, s2)
+    s = (s1, s2)
     b = ((), ())
     for i in reversed(residues):
         nb = fock.crystal_f(i % e, b, s, e)
@@ -553,7 +551,7 @@ def fock_canonical_cmd(n: int, e: int, s1: int, s2: int, fmt: str) -> None:
         raise click.UsageError(f"e must be >= 2, got {e}")
     if n < 0:
         raise click.UsageError(f"n={n} out of range")
-    basis = fock.canonical_basis(n, _charge(s1, s2), e, bound=_cap(12))
+    basis = fock.canonical_basis(n, (s1, s2), e, bound=_cap(12))
     obj = {}
     rows = [["mu", "lambda", "coefficient"]]
     lines = []

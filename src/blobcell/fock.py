@@ -36,7 +36,7 @@ per canonical_basis call, so a monomial A(μ) is a sum of shifted rows.
 from __future__ import annotations
 
 from . import partitions
-from .laurent import InexactDivision, LaurentPoly, quantum_factorial
+from .laurent import InexactDivision, LaurentPoly, add_term, quantum_factorial
 from .partitions import Bipartition
 from .weylb import BoundExceeded, InvariantViolation
 
@@ -128,15 +128,6 @@ def _remove_node(b: Bipartition, node: Node) -> Bipartition:
     return tuple(out)
 
 
-def _vec_add(x: FockVector, b: Bipartition, c: LaurentPoly) -> None:
-    s = x.get(b)
-    s = c if s is None else s + c
-    if s.is_zero():
-        x.pop(b, None)
-    else:
-        x[b] = s
-
-
 def f_action(i: int, x: FockVector, s, e: int,
              rows: dict | None = None) -> FockVector:
     """f_i: add an i-node γ with coefficient v^{N_i^>} (see module doc)."""
@@ -155,7 +146,7 @@ def divided_f(i: int, a: int, x: FockVector, s, e: int,
     out: FockVector = {}
     for lam, c in x.items():
         for mu, n in _row(i, a, lam, s, e, rows):
-            _vec_add(out, mu, c.shift(n))
+            add_term(out, mu, c.shift(n))
     return out
 
 
@@ -309,7 +300,7 @@ def canonical_basis(n: int, s, e: int, bound: int = 12) -> dict:
                 return None
             mult = -vec[nb].bar_symmetrize_nonpositive()
             for b, c in out[nb].items():
-                _vec_add(vec, b, c * mult)
+                add_term(vec, b, c * mult)
         lead = vec.get(mu)
         if lead is None or not lead.is_one():
             return None

@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 
 from . import weylb
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, add_term, gauss
+from .partitions import WeightOutOfRange, check_weight
 from .weylb import BoundExceeded, InvariantViolation, SizeMismatch
 
 __all__ = [
@@ -39,10 +40,6 @@ KL_MAX_N = 4
 
 class NotInWb(ValueError):
     """Raised when a cell-module base point lies outside W_b."""
-
-
-class WeightOutOfRange(ValueError):
-    """Raised for a weight outside Lambda_n."""
 
 
 class Coxeter:
@@ -133,15 +130,6 @@ def type_a(n_points: int) -> Coxeter:
 HeckeElement = dict  # window -> LaurentPoly, no zero values stored
 
 
-def _add_term(x: HeckeElement, w, c: LaurentPoly) -> None:
-    s = x.get(w)
-    s = c if s is None else s + c
-    if s.is_zero():
-        x.pop(w, None)
-    else:
-        x[w] = s
-
-
 def t_gen(cox: Coxeter, k: int) -> HeckeElement:
     return {cox._gen_elts[k]: LaurentPoly.one()}
 
@@ -149,7 +137,7 @@ def t_gen(cox: Coxeter, k: int) -> HeckeElement:
 def c_gen(cox: Coxeter, k: int) -> HeckeElement:
     """C_s = T_s - q_s."""
     out = {cox._gen_elts[k]: LaurentPoly.one()}
-    _add_term(out, cox.identity, -cox.weight(k))
+    add_term(out, cox.identity, -cox.weight(k))
     return out
 
 
@@ -159,9 +147,9 @@ def _mult_gen_right(cox: Coxeter, x: HeckeElement, k: int) -> HeckeElement:
     qk = cox.weight(k)
     twist = qk - LaurentPoly.monomial(-qk.max_exp())
     for w, c in x.items():
-        _add_term(out, cox.apply_right(w, k), c)
+        add_term(out, cox.apply_right(w, k), c)
         if cox.descent(w, k):
-            _add_term(out, w, c * twist)
+            add_term(out, w, c * twist)
     return out
 
 
@@ -171,9 +159,9 @@ def _mult_gen_left(cox: Coxeter, k: int, x: HeckeElement) -> HeckeElement:
     qk = cox.weight(k)
     twist = qk - LaurentPoly.monomial(-qk.max_exp())
     for w, c in x.items():
-        _add_term(out, cox.apply_left(k, w), c)
+        add_term(out, cox.apply_left(k, w), c)
         if cox.descent(cox.inverse(w), k):
-            _add_term(out, w, c * twist)
+            add_term(out, w, c * twist)
     return out
 
 
@@ -183,7 +171,7 @@ def _mult_gen_right_inv(cox: Coxeter, x: HeckeElement, k: int) -> HeckeElement:
     twist = LaurentPoly.monomial(-qk.max_exp()) - qk
     out = _mult_gen_right(cox, x, k)
     for w, c in x.items():
-        _add_term(out, w, c * twist)
+        add_term(out, w, c * twist)
     return out
 
 
@@ -217,7 +205,7 @@ def multiply_t(cox: Coxeter, x: HeckeElement, y: HeckeElement) -> HeckeElement:
         for k in _reduced_word(cox, w):
             acc = _mult_gen_right(cox, acc, k)
         for u, cu in acc.items():
-            _add_term(out, u, cu)
+            add_term(out, u, cu)
     return out
 
 
@@ -227,7 +215,7 @@ def bar_involution(cox: Coxeter, x: HeckeElement) -> HeckeElement:
     for w, c in x.items():
         cb = c.bar()
         for u, cu in _bar_t(cox, w).items():
-            _add_term(out, u, cu * cb)
+            add_term(out, u, cu * cb)
     return out
 
 
@@ -235,7 +223,7 @@ def _sub_scaled(x: HeckeElement, y: HeckeElement, c: LaurentPoly) -> None:
     """x -= c * y, in place."""
     neg = -c
     for w, cw in y.items():
-        _add_term(x, w, cw * neg)
+        add_term(x, w, cw * neg)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +528,9 @@ def type_a_kl_compare(n: int) -> dict:
 # Tensor representation on V^{⊗n}, dim V = 2
 # ---------------------------------------------------------------------------
 #
-# Scalars are pluggable: anything with +, -, * and a `one`; `q`, `q_inv`,
-# `big_q`, `big_q_inv` are passed in a small dict.  The default is the
-# one-variable ring q = v^2, Q = v.
+# Scalars are pluggable: anything with +, -, *, `is_zero()` and a `one`;
+# `q`, `q_inv`, `big_q`, `big_q_inv` are passed in a small dict.  The
+# default is the one-variable ring q = v^2, Q = v.
 
 
 def generic_tensor_scalars() -> dict:
@@ -555,36 +543,8 @@ def generic_tensor_scalars() -> dict:
     }
 
 
-def sympy_tensor_scalars():
-    """Fully independent symbols q, Q (exact rational functions)."""
-    import sympy
-
-    q, big_q = sympy.symbols("q Q")
-    return {"one": sympy.Integer(1), "q": q, "q_inv": 1 / q,
-            "big_q": big_q, "big_q_inv": 1 / big_q}
-
-
 def tensor_identity(word, scalars) -> dict:
     return {tuple(word): scalars["one"]}
-
-
-def _tv_is_zero(s) -> bool:
-    if hasattr(s, "is_zero") and callable(s.is_zero):
-        return s.is_zero()
-    return not s
-
-
-def _tv_add(x: dict, w, c) -> None:
-    s = x.get(w)
-    s = c if s is None else s + c
-    if s.__class__.__module__.split(".")[0] == "sympy":
-        import sympy
-
-        s = sympy.expand(sympy.cancel(s))
-    if _tv_is_zero(s):
-        x.pop(w, None)
-    else:
-        x[w] = s
 
 
 def _apply_r(x: dict, slot: int, sc: dict, inverse: bool = False) -> dict:
@@ -595,20 +555,20 @@ def _apply_r(x: dict, slot: int, sc: dict, inverse: bool = False) -> dict:
     for w, c in x.items():
         a, b = w[slot], w[slot + 1]
         if a == b:
-            _tv_add(out, w, c * (qi if inverse else qq))
+            add_term(out, w, c * (qi if inverse else qq))
         elif (a, b) == (2, 1):
             swapped = w[:slot] + (1, 2) + w[slot + 2:]
             if inverse:
                 # R^{-1} = R - (q - q^{-1}): R(v2⊗v1) = v1⊗v2
-                _tv_add(out, swapped, c)
-                _tv_add(out, w, -c * diff)
+                add_term(out, swapped, c)
+                add_term(out, w, -c * diff)
             else:
-                _tv_add(out, swapped, c)
+                add_term(out, swapped, c)
         else:  # (1, 2)
             swapped = w[:slot] + (2, 1) + w[slot + 2:]
-            _tv_add(out, swapped, c)
+            add_term(out, swapped, c)
             if not inverse:
-                _tv_add(out, w, c * diff)
+                add_term(out, w, c * diff)
     return out
 
 
@@ -617,16 +577,16 @@ def _apply_s(x: dict, k: int, sc: dict) -> dict:
     out: dict = {}
     for w, c in x.items():
         if w[k - 1] == w[k]:
-            _tv_add(out, w, c * sc["q"])
+            add_term(out, w, c * sc["q"])
         else:
-            _tv_add(out, w[:k - 1] + (w[k], w[k - 1]) + w[k + 1:], c)
+            add_term(out, w[:k - 1] + (w[k], w[k - 1]) + w[k + 1:], c)
     return out
 
 
 def _apply_varpi(x: dict, sc: dict) -> dict:
     out: dict = {}
     for w, c in x.items():
-        _tv_add(out, w, c * (sc["big_q"] if w[0] == 1 else -sc["big_q_inv"]))
+        add_term(out, w, c * (sc["big_q"] if w[0] == 1 else -sc["big_q_inv"]))
     return out
 
 
@@ -650,14 +610,13 @@ def tensor_c_action(n: int, gen: int, x: dict, scalars: dict | None = None) -> d
     out = tensor_action(n, gen, x, sc)
     p = sc["big_q"] if gen == 0 else sc["q"]
     for w, c in x.items():
-        _tv_add(out, w, -c * p)
+        add_term(out, w, -c * p)
     return out
 
 
 def permutation_module(n: int, lam: int) -> list[tuple[int, ...]]:
     """Basis words of M_n(λ): #1s - #2s = λ."""
-    if abs(lam) > n or (n - lam) % 2:
-        raise WeightOutOfRange(f"weight {lam} not in Lambda_{n}")
+    check_weight(n, lam)
     ones = (n + lam) // 2
     return sorted(w for w in itertools.product((1, 2), repeat=n)
                   if w.count(1) == ones)
@@ -677,12 +636,12 @@ def tensor_ideal_annihilates(n: int, scalars: dict | None = None) -> bool:
         if n >= 3:
             y = tensor_c_action(n, 1, tensor_c_action(n, 2, dict(c1x), sc), sc)
             for w, c in c1x.items():
-                _tv_add(y, w, -c)
+                add_term(y, w, -c)
             if y:
                 return False
         y = tensor_c_action(n, 1, tensor_c_action(n, 0, dict(c1x), sc), sc)
         for w, c in c1x.items():
-            _tv_add(y, w, -(c * ratio2))
+            add_term(y, w, -(c * ratio2))
         if y:
             return False
     return True
@@ -691,16 +650,25 @@ def tensor_ideal_annihilates(n: int, scalars: dict | None = None) -> bool:
 def ideal_vanish_symbolic(n: int = 3) -> bool:
     """
     The identity C_1 C_0 (v_1⊗v_2 - q v_2⊗v_1) ⊗ v̄ = [2]_{Q/q} (same),
-    with q, Q independent symbols, for every basis word v̄.
-    """
-    import sympy
+    with q, Q independent, for every basis word v̄.
 
-    sc = sympy_tensor_scalars()
-    two = sc["big_q"] / sc["q"] + sc["q"] / sc["big_q"]
+    q and Q are kept apart by the ring map q ↦ v, Q ↦ v^K, which sends
+    q^a Q^b to v^(a+Kb).  It is injective on the monomials whose q-exponents
+    lie in a range of fewer than K values, so the identity holds in ℤ[q^±, Q^±]
+    iff its image holds.  The q-exponents: x has 0 and 1; ϖ adds 0, each of
+    the n-1 S_k adds 0 or 1 and each of the n-1 R^{-1} adds -1, 0 or 1, so
+    C_0 x = T_0 x - Q x lies in [-(n-1), 2n-1]; C_1 = R - q adds -1, 0 or 1,
+    so C_1 C_0 x lies in [-n, 2n], as does [2]_{Q/q} x = (Q/q + q/Q) x.
+    These 3n + 1 values need K > 3n; K = 3n + 1.
+    """
+    big_k = 3 * n + 1
+    v = LaurentPoly.monomial
+    sc = {"one": LaurentPoly.one(), "q": v(1), "q_inv": v(-1),
+          "big_q": v(big_k), "big_q_inv": v(-big_k)}
+    two = gauss(2, sc["big_q"] * sc["q_inv"])
     for tail in itertools.product((1, 2), repeat=n - 2):
         x = {(1, 2) + tail: sc["one"], (2, 1) + tail: -sc["q"]}
         lhs = tensor_c_action(n, 1, tensor_c_action(n, 0, x, sc), sc)
-        rhs = {w: sympy.expand(sympy.cancel(two * c)) for w, c in x.items()}
-        if lhs != rhs:
+        if lhs != {w: two * c for w, c in x.items()}:
             return False
     return True

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "LaurentPoly", "CycloNumber",
+    "LaurentPoly", "CycloNumber", "add_term",
     "gauss", "quantum_integer", "quantum_factorial",
     "specialize", "cyclotomic_root",
     "NegativeN", "InexactDivision", "ConductorOverflow",
@@ -281,6 +281,16 @@ class LaurentPoly:
 
 _ZERO = LaurentPoly({})
 _ONE = LaurentPoly({0: 1})
+
+
+def add_term(x: dict, key, c) -> None:
+    """x[key] += c in a sparse vector x, whose values are never zero."""
+    s = x.get(key)
+    s = c if s is None else s + c
+    if s.is_zero():
+        x.pop(key, None)
+    else:
+        x[key] = s
 
 
 def gauss(n: int, x: LaurentPoly) -> LaurentPoly:

@@ -17,8 +17,8 @@ __all__ = [
     "Partition", "Bipartition",
     "is_partition", "two_core", "two_quotient", "two_quotient_inverse",
     "dominance", "bip_order", "blob_weight_of", "qh_order", "lambda_n",
-    "bipartitions_of", "one_line_bipartitions",
-    "NonEmptyCore", "NotOneLine", "AmbientMismatch",
+    "in_lambda_n", "check_weight", "bipartitions_of", "one_line_bipartitions",
+    "NonEmptyCore", "NotOneLine", "AmbientMismatch", "WeightOutOfRange",
 ]
 
 Partition = tuple[int, ...]
@@ -35,6 +35,10 @@ class NotOneLine(ValueError):
 
 class AmbientMismatch(ValueError):
     """Raised when blob weights from different ambient sizes are compared."""
+
+
+class WeightOutOfRange(ValueError):
+    """Raised for a weight outside Lambda_n."""
 
 
 def is_partition(p) -> bool:
@@ -182,8 +186,7 @@ def blob_weight_of(b: Bipartition) -> int:
 
 def one_line_of_weight(n: int, lam: int) -> Bipartition:
     """The one-line bipartition ((a), (b)) of degree n with a - b = lam."""
-    if abs(lam) > n or (n - lam) % 2:
-        raise ValueError(f"weight {lam} not in Lambda_{n}")
+    check_weight(n, lam)
     a, b = (n + lam) // 2, (n - lam) // 2
     return ((a,) if a else (), (b,) if b else ())
 
@@ -191,6 +194,17 @@ def one_line_of_weight(n: int, lam: int) -> Bipartition:
 def lambda_n(n: int) -> list[int]:
     """Lambda_n = {-n, -n+2, ..., n-2, n}."""
     return list(range(-n, n + 1, 2))
+
+
+def in_lambda_n(n: int, lam: int) -> bool:
+    """Whether lam lies in Lambda_n."""
+    return abs(lam) <= n and (n - lam) % 2 == 0
+
+
+def check_weight(n: int, lam: int) -> None:
+    """Raise WeightOutOfRange unless lam lies in Lambda_n."""
+    if not in_lambda_n(n, lam):
+        raise WeightOutOfRange(f"weight {lam} not in Lambda_{n}")
 
 
 def qh_order(x: int, y: int, n: int) -> str:
@@ -204,7 +218,7 @@ def qh_order(x: int, y: int, n: int) -> str:
     'incomparable'
     """
     for z in (x, y):
-        if abs(z) > n or (n - z) % 2:
+        if not in_lambda_n(n, z):
             raise AmbientMismatch(f"{z} is not in Lambda_{n}")
     if x == y:
         return "equal"

@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from blobcell import blob, partitions
+from blobcell import blob, hecke, partitions
 from blobcell.blob import (
     all_diagrams, blob_algebra_dimension, blob_scalars, compose_diagrams,
     generator_diagram, half_diagrams, identity_diagram,
@@ -61,6 +61,8 @@ def test_standard_module_dims():
             assert len(half_diagrams(n, lam)) == comb(n, (n - lam) // 2)
     with pytest.raises(blob.WeightOutOfRange):
         half_diagrams(3, 2)
+    assert blob.WeightOutOfRange is hecke.WeightOutOfRange \
+        is partitions.WeightOutOfRange
 
 
 def test_presentation_on_standard_modules():
@@ -130,8 +132,10 @@ def test_mat_mul_matches_sums():
 def test_blob_modules_do_not_import_sympy():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     code = ("import sys\n"
-            "from blobcell import blob\n"
+            "from blobcell import blob, hecke\n"
+            "import blobcell.cli\n"
             "assert blob.localize_dimension(blob.standard_module(4, 0)) == 2\n"
+            "assert hecke.ideal_vanish_symbolic(3)\n"
             "print('sympy' in sys.modules)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

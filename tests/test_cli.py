@@ -36,13 +36,22 @@ def test_domino_insert_json_roundtrip():
 
 
 _NON_ADJACENT = '{"dominoes": [[1, [1, 1], [1, 3]]]}'
+# Well-formed dominoes on one shape, but P's labels fall along its first row.
+_NOT_STANDARD = ('{"P": {"dominoes": [[1, [1, 1], [2, 1]], [2, [1, 2], [2, 2]], '
+                 '[3, [1, 4], [2, 4]], [4, [3, 1], [3, 2]], '
+                 '[5, [1, 3], [2, 3]]]}, '
+                 '"Q": {"dominoes": [[1, [1, 1], [1, 2]], [2, [1, 3], [1, 4]], '
+                 '[3, [2, 1], [2, 2]], [4, [3, 1], [3, 2]], '
+                 '[5, [2, 3], [2, 4]]]}}')
 
 
 @pytest.mark.parametrize("pair", [
     "[]",
     '{"P": [], "Q": []}',
     '{"P": %s, "Q": %s}' % (_NON_ADJACENT, _NON_ADJACENT),
-], ids=["not-an-object", "tableaux-not-objects", "non-adjacent-cells"])
+    _NOT_STANDARD,
+], ids=["not-an-object", "tableaux-not-objects", "non-adjacent-cells",
+        "not-standard"])
 def test_domino_reverse_rejects_malformed_pair(pair):
     res = run("domino", "reverse", pair)
     assert res.exit_code == 2, res.output

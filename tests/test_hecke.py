@@ -3,8 +3,9 @@
 import itertools
 
 import pytest
+import sympy
 
-from blobcell import domino, hecke, weylb
+from blobcell import domino, hecke, laurent, weylb
 from blobcell.hecke import (
     bar_involution, c_gen, compute_kl_basis, ideal_jn, left_cells,
     multiply_t, t_gen, type_a, type_b,
@@ -218,6 +219,69 @@ def test_tensor_ideal_small():
     for n in (2, 3):
         assert hecke.tensor_ideal_annihilates(n)
     assert hecke.ideal_vanish_symbolic(3)
+
+
+class _Sym:
+    """A rational function of independent symbols, expanded after each step:
+    the scalars of the symbolic check when it was computed with sympy."""
+
+    def __init__(self, e):
+        self.e = sympy.expand(sympy.cancel(e))
+
+    def __add__(self, other):
+        return _Sym(self.e + other.e)
+
+    def __sub__(self, other):
+        return _Sym(self.e - other.e)
+
+    def __mul__(self, other):
+        return _Sym(self.e * other.e)
+
+    def __neg__(self):
+        return _Sym(-self.e)
+
+    def __eq__(self, other):
+        return self.e == other.e
+
+    def is_zero(self):
+        return self.e == 0
+
+
+def _sympy_ideal_vanish(n, two):
+    """C_1 C_0 x = two(q, Q)·x with q, Q sympy symbols (the reference)."""
+    q, big_q = sympy.symbols("q Q")
+    sc = {"one": _Sym(1), "q": _Sym(q), "q_inv": _Sym(1 / q),
+          "big_q": _Sym(big_q), "big_q_inv": _Sym(1 / big_q)}
+    two = _Sym(two(q, big_q))
+    for tail in itertools.product((1, 2), repeat=n - 2):
+        x = {(1, 2) + tail: sc["one"], (2, 1) + tail: -sc["q"]}
+        lhs = hecke.tensor_c_action(
+            n, 1, hecke.tensor_c_action(n, 0, x, sc), sc)
+        if lhs != {w: two * c for w, c in x.items()}:
+            return False
+    return True
+
+
+# Each candidate scalar s for C_1 C_0 x = s·x: s(q, Q) for the reference,
+# the base that takes the place of Q/q in `ideal_vanish_symbolic`'s
+# gauss(2, Q/q) (q ↦ v there), and whether the identity holds with s.
+_V = LaurentPoly.monomial(1)
+_TWOS = {
+    "[2]_Q/q": (lambda q, big_q: big_q / q + q / big_q, None, True),
+    "[2]_q": (lambda q, big_q: q + 1 / q, lambda x: _V, False),
+    "Q+1/Q": (lambda q, big_q: big_q + 1 / big_q, lambda x: x * _V, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TWOS))
+def test_symbolic_check_matches_sympy_reference(name, monkeypatch):
+    two, base, holds = _TWOS[name]
+    if base is not None:
+        monkeypatch.setattr(hecke, "gauss",
+                            lambda a, x: laurent.gauss(a, base(x)))
+    for n in (2, 3, 4):
+        assert _sympy_ideal_vanish(n, two) is holds
+        assert hecke.ideal_vanish_symbolic(n) is holds
 
 
 def test_permutation_module_dims():

@@ -5,9 +5,10 @@ from hypothesis import given, strategies as st
 
 from blobcell import partitions
 from blobcell.partitions import (
-    NonEmptyCore, bip_order, bipartitions_of, blob_weight_of, dominance,
-    lambda_n, one_line_bipartitions, one_line_of_weight, partitions_of,
-    qh_order, two_core, two_quotient, two_quotient_inverse,
+    AmbientMismatch, NonEmptyCore, WeightOutOfRange, bip_order,
+    bipartitions_of, blob_weight_of, dominance, in_lambda_n, lambda_n,
+    one_line_bipartitions, one_line_of_weight, partitions_of, qh_order,
+    two_core, two_quotient, two_quotient_inverse,
 )
 
 
@@ -76,7 +77,7 @@ def test_blob_weight_and_one_line():
         for lam in lambda_n(n):
             b = one_line_of_weight(n, lam)
             assert blob_weight_of(b) == lam
-    with pytest.raises(ValueError):
+    with pytest.raises(WeightOutOfRange):
         one_line_of_weight(4, 1)
 
 
@@ -86,6 +87,8 @@ def test_qh_order_definition():
     assert qh_order(2, -4, 6) == "greater"
     assert qh_order(4, -4, 6) == "incomparable"
     assert qh_order(2, 2, 6) == "equal"
+    with pytest.raises(AmbientMismatch):
+        qh_order(1, 3, 4)
 
 
 def test_enumerations():
@@ -98,4 +101,6 @@ def test_enumerations():
 def test_lambda_membership_matches_one_line():
     for n in range(1, 7):
         assert sorted(blob_weight_of(b) for b in one_line_bipartitions(n)) \
+            == lambda_n(n)
+        assert [lam for lam in range(-n - 3, n + 4) if in_lambda_n(n, lam)] \
             == lambda_n(n)
