@@ -42,17 +42,12 @@ __all__ = [
     "compose_diagrams", "StandardModule", "standard_module",
     "regular_representation", "verify_presentation", "localize_dimension",
     "compare_cell_to_standard",
-    "ExposureViolation", "TwoNotInvertible", "WeightOutOfRange",
-    "SpecializationInvalid",
+    "ExposureViolation", "WeightOutOfRange", "SpecializationInvalid",
 ]
 
 
 class ExposureViolation(RuntimeError):
     """A blob landed on a non-exposed line (indicates a rule bug)."""
-
-
-class TwoNotInvertible(ValueError):
-    """Raised when localization needs 1/[2] but [2] is not invertible."""
 
 
 class SpecializationInvalid(ValueError):
@@ -70,7 +65,7 @@ def blob_scalars(m: int) -> dict:
         return LaurentPoly({a - 1 - 2 * k: 1 for k in range(a)})
 
     return {"delta_plain": -brk(2), "blob_loop": brk(m - 1),
-            "blob_merge": -brk(m), "bracket": brk}
+            "blob_merge": -brk(m)}
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +481,6 @@ def localize_dimension(module: StandardModule):
     (and 0 for λ = ±n).  Computed exactly over ℚ(v) by fraction-free
     elimination (`_rank`), without leaving ℤ[v, v⁻¹].
     """
-    two = blob_scalars(module.m)["delta_plain"]
-    if two.is_zero():
-        raise TwoNotInvertible("[2] = 0 in the scalar ring")
     return _rank(module.matrices[module.n - 1])
 
 
@@ -518,7 +510,7 @@ def cyclotomic_spec(m: int = 2):
     raise SpecializationInvalid(f"no valid root for m={m}")
 
 
-def compare_cell_to_standard(n: int, m: int = 2, bound: int = 3) -> dict:
+def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4) -> dict:
     """
     For every left cell inside W_b(n): identify the matching standard
     module Δ_n(λ) via the 2-quotient of the cell's domino shape, check
@@ -554,8 +546,7 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 3) -> dict:
         delta = standard_module(n, lam, m)
         dmats = {k: [[specialize(x, q) for x in row] for row in mat]
                  for k, mat in delta.matrices.items()}
-        sc = {k: specialize(vpoly, q)
-              for k, vpoly in blob_scalars(m).items() if k != "bracket"}
+        sc = {k: specialize(vpoly, q) for k, vpoly in blob_scalars(m).items()}
         entry = {
             "cell_min": min(cell),
             "lam": lam,

@@ -429,7 +429,7 @@ def cellcompare_cmd(n: int, m: int, fmt: str) -> None:
     cyclotomic specialization (l = 2(2m-1))."""
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
-    report = blob.compare_cell_to_standard(n, m, bound=_cap(3))
+    report = blob.compare_cell_to_standard(n, m, bound=_cap(4))
     obj = {"n": n, "m": m, "all_match": report["all_match"],
            "cells": [{**e, "cell_min": list(e["cell_min"])}
                      for e in report["cells"]]}

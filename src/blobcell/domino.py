@@ -250,6 +250,20 @@ def _insert_letter(tab: dict[int, Domino],
     return new_tab, covered
 
 
+def _grow(w: weylb.SignedPermutation):
+    """Insert the window of w letter by letter, yielding (P so far, its
+    cells, the two cells added at this step)."""
+    p: dict[int, Domino] = {}
+    cells: set[Cell] = set()
+    for letter in w:
+        p, new_cells = _insert_letter(p, letter)
+        added = new_cells - cells
+        if len(added) != 2:
+            raise InvariantViolation("insertion must add exactly two cells")
+        cells = new_cells
+        yield p, cells, added
+
+
 def domino_insert(w: weylb.SignedPermutation) -> tuple[DominoTableau, DominoTableau]:
     """
     Insert the window of w, returning the pair (P(w), Q(w)); the recording
@@ -257,14 +271,8 @@ def domino_insert(w: weylb.SignedPermutation) -> tuple[DominoTableau, DominoTabl
     """
     p: dict[int, Domino] = {}
     q: dict[int, Domino] = {}
-    cells: set[Cell] = set()
-    for step, letter in enumerate(w, start=1):
-        p, new_cells = _insert_letter(p, letter)
-        added = sorted(new_cells - cells)
-        if len(added) != 2:
-            raise InvariantViolation("insertion must add exactly two cells")
-        q[step] = tuple(added)
-        cells = new_cells
+    for step, (p, _, added) in enumerate(_grow(w), start=1):
+        q[step] = tuple(sorted(added))
     tp = DominoTableau.from_dict(p)
     tq = DominoTableau.from_dict(q)
     tp.check_standard()
@@ -273,9 +281,11 @@ def domino_insert(w: weylb.SignedPermutation) -> tuple[DominoTableau, DominoTabl
 
 
 def domino_shape(w: weylb.SignedPermutation) -> Partition:
-    """The shape of P(w)."""
-    p, _ = domino_insert(w)
-    return p.shape() if p.dominoes else ()
+    """The shape of P(w), read off the insertion without building Q."""
+    cells: set[Cell] = set()
+    for _, cells, _ in _grow(w):
+        pass
+    return _shape_of(cells)
 
 
 def _unbump_candidates(pos: Domino, shape: set[Cell]):

@@ -1,9 +1,11 @@
 """
 Hecke algebras with a Kazhdan-Lusztig C-basis engine, cells and ideals.
 
-The engine works over the ring 𝓐 = ℤ[v, v^{-1}] (module `laurent`) and is
-parameterized by a small Coxeter-group interface so that the same code
-serves two groups:
+The engine works over the ring 𝓐 = ℤ[v, v^{-1}] (module `laurent`).  It
+reads a finite Coxeter group from one object, `Coxeter`, whose tables
+(elements by length, reduced words, inverses, left and right
+multiplication by each generator with its descent set) are built once, so
+that the same code serves two groups:
 
   * the type-B group W_n of signed permutations with unequal parameters
     q_{s_0} = v, q_{s_i} = v^2 for i >= 1 (the Γ = ℤ, a = 2, b = 1 regime);
@@ -44,83 +46,79 @@ class NotInWb(ValueError):
 
 class Coxeter:
     """
-    Minimal Coxeter-group interface for the KL engine: a finite list of
-    generator indices, right/left multiplication on group elements (stored
-    as windows), the inverse, an O(1) right-descent test read from the
-    window, and the parameter q_s of each generator.  It memoizes the
-    reduced words and the bar(T_w) it computes.
+    A finite Coxeter group as tables built once, by a breadth-first walk
+    from the identity over `apply_right(w, k)` = w s_k (as in Geck's PyCox).
+    Elements stay windows, and every table is keyed by window:
+
+      * `elements`, in (length, window) order, and `length[w]`;
+      * `words[w]`, the reduced word of w that ends in its smallest right
+        descent;
+      * `inverse[w]`;
+      * `right[k]` and `left[k]`, each a pair (move, descents): the map
+        w ↦ w s_k (resp. s_k w) and the set of w that it shortens.
+
+    `weight(k)` is the parameter q_s of generator k.  The object also
+    memoizes the bar(T_w) that `bar_involution` computes.
     """
 
-    def __init__(self, name, gens, identity, apply_right, compose, inverse,
-                 descent, weight):
+    def __init__(self, name, gens, identity, apply_right, weight):
         self.name = name
         self.gens = tuple(gens)
         self.identity = identity
-        self.apply_right = apply_right
-        self._compose = compose
-        self.inverse = inverse
-        self.descent = descent  # (w, k) -> whether l(w s_k) < l(w)
         self.weight = weight  # gen index -> LaurentPoly q_s
-        self._gen_elts = {k: apply_right(identity, k) for k in gens}
-        self._words = {identity: ()}
+        moves = {k: {} for k in self.gens}
+        length = self.length = {identity: 0}
+        layer = [identity]
+        while layer:
+            nxt = []
+            for w in layer:
+                for k, move in moves.items():
+                    u = move[w] = apply_right(w, k)
+                    if u not in length:
+                        length[u] = length[w] + 1
+                        nxt.append(u)
+            layer = nxt
+        self.elements = sorted(length, key=lambda w: (length[w], w))
+
+        def shortened(move):
+            return {w for w, u in move.items() if length[u] < length[w]}
+
+        self.right = {k: (move, shortened(move)) for k, move in moves.items()}
+        self.words = {identity: ()}
+        self.inverse = {identity: identity}
+        for w in self.elements[1:]:
+            k = min(k for k in self.gens if w in self.right[k][1])
+            word = self.words[w] = self.words[moves[k][w]] + (k,)
+            w_inv = identity
+            for j in reversed(word):
+                w_inv = moves[j][w_inv]
+            self.inverse[w] = w_inv
+        inv = self.inverse
+        lefts = {k: {w: inv[move[inv[w]]] for w in inv}
+                 for k, move in moves.items()}
+        self.left = {k: (left, shortened(left)) for k, left in lefts.items()}
+        self._gen_elts = {k: moves[k][identity] for k in self.gens}
         self._bars = {identity: {identity: LaurentPoly.one()}}
-
-    def apply_left(self, k, w):
-        return self._compose(self._gen_elts[k], w)
-
-    def right_descents(self, w):
-        return {k for k in self.gens if self.descent(w, k)}
-
-    def left_descents(self, w):
-        return self.right_descents(self.inverse(w))
 
 
 def type_b(n: int) -> Coxeter:
     """W_n with unequal parameters q_{s_0} = v, q_{s_i} = v^2."""
     q = LaurentPoly.monomial(2)
     big_q = LaurentPoly.monomial(1)
-    return Coxeter(
-        name=f"B{n}",
-        gens=range(n),
-        identity=weylb.identity(n),
-        apply_right=weylb.apply_generator,
-        compose=weylb.multiply,
-        inverse=weylb.inverse,
-        descent=lambda w, k: w[0] < 0 if k == 0 else w[k - 1] > w[k],
-        weight=lambda k: big_q if k == 0 else q,
-    )
-
-
-def _sym_apply(w, k):
-    lst = list(w)
-    lst[k - 1], lst[k] = lst[k], lst[k - 1]
-    return tuple(lst)
-
-
-def _sym_multiply(u, w):
-    return tuple(u[x - 1] for x in w)
-
-
-def _sym_inverse(w):
-    out = [0] * len(w)
-    for i, x in enumerate(w, start=1):
-        out[x - 1] = i
-    return tuple(out)
+    return Coxeter(f"B{n}", range(n), weylb.identity(n), weylb.apply_generator,
+                   weight=lambda k: big_q if k == 0 else q)
 
 
 def type_a(n_points: int) -> Coxeter:
-    """The symmetric group S_N with the equal parameter v^2."""
+    """
+    The symmetric group S_N with the equal parameter v^2.  For k >= 1,
+    `weylb.apply_generator` swaps window slots k and k+1, which is right
+    multiplication by s_k on permutations too.
+    """
     q = LaurentPoly.monomial(2)
-    return Coxeter(
-        name=f"A{n_points - 1}",
-        gens=range(1, n_points),
-        identity=tuple(range(1, n_points + 1)),
-        apply_right=_sym_apply,
-        compose=_sym_multiply,
-        inverse=_sym_inverse,
-        descent=lambda w, k: w[k - 1] > w[k],
-        weight=lambda k: q,
-    )
+    return Coxeter(f"A{n_points - 1}", range(1, n_points),
+                   tuple(range(1, n_points + 1)), weylb.apply_generator,
+                   weight=lambda k: q)
 
 
 # ---------------------------------------------------------------------------
@@ -141,56 +139,31 @@ def c_gen(cox: Coxeter, k: int) -> HeckeElement:
     return out
 
 
-def _mult_gen_right(cox: Coxeter, x: HeckeElement, k: int) -> HeckeElement:
-    """x * T_k."""
+def _mult_gen(cox: Coxeter, side: dict, k: int, x: HeckeElement) -> HeckeElement:
+    """x * T_k when `side` is cox.right, T_k * x when it is cox.left."""
+    move, descents = side[k]
     out: HeckeElement = {}
     qk = cox.weight(k)
-    twist = qk - LaurentPoly.monomial(-qk.max_exp())
+    twist = qk - qk.bar()
     for w, c in x.items():
-        add_term(out, cox.apply_right(w, k), c)
-        if cox.descent(w, k):
+        add_term(out, move[w], c)
+        if w in descents:
             add_term(out, w, c * twist)
     return out
-
-
-def _mult_gen_left(cox: Coxeter, k: int, x: HeckeElement) -> HeckeElement:
-    """T_k * x."""
-    out: HeckeElement = {}
-    qk = cox.weight(k)
-    twist = qk - LaurentPoly.monomial(-qk.max_exp())
-    for w, c in x.items():
-        add_term(out, cox.apply_left(k, w), c)
-        if cox.descent(cox.inverse(w), k):
-            add_term(out, w, c * twist)
-    return out
-
-
-def _mult_gen_right_inv(cox: Coxeter, x: HeckeElement, k: int) -> HeckeElement:
-    """x * T_k^{-1}, with T_k^{-1} = T_k - q_k + q_k^{-1}."""
-    qk = cox.weight(k)
-    twist = LaurentPoly.monomial(-qk.max_exp()) - qk
-    out = _mult_gen_right(cox, x, k)
-    for w, c in x.items():
-        add_term(out, w, c * twist)
-    return out
-
-
-def _reduced_word(cox: Coxeter, w) -> tuple[int, ...]:
-    """The reduced word of w ending in its smallest right descent (memoized)."""
-    word = cox._words.get(w)
-    if word is None:
-        k = min(cox.right_descents(w))
-        word = cox._words[w] = _reduced_word(cox, cox.apply_right(w, k)) + (k,)
-    return word
 
 
 def _bar_t(cox: Coxeter, w) -> HeckeElement:
-    """bar(T_w) = bar(T_{ws}) T_s^{-1} for a right descent s (memoized)."""
+    """
+    bar(T_w) = bar(T_{ws}) T_s^{-1} for a right descent s, with
+    T_s^{-1} = T_s - (q_s - q_s^{-1}) (memoized).
+    """
     out = cox._bars.get(w)
     if out is None:
-        s = _reduced_word(cox, w)[-1]
-        out = cox._bars[w] = _mult_gen_right_inv(
-            cox, _bar_t(cox, cox.apply_right(w, s)), s)
+        s = cox.words[w][-1]
+        x = _bar_t(cox, cox.right[s][0][w])
+        out = cox._bars[w] = _mult_gen(cox, cox.right, s, x)
+        qs = cox.weight(s)
+        _sub_scaled(out, x, qs - qs.bar())
     return out
 
 
@@ -202,8 +175,8 @@ def multiply_t(cox: Coxeter, x: HeckeElement, y: HeckeElement) -> HeckeElement:
     out: HeckeElement = {}
     for w, c in y.items():
         acc = {u: cu * c for u, cu in x.items()}
-        for k in _reduced_word(cox, w):
-            acc = _mult_gen_right(cox, acc, k)
+        for k in cox.words[w]:
+            acc = _mult_gen(cox, cox.right, k, acc)
         for u, cu in acc.items():
             add_term(out, u, cu)
     return out
@@ -237,10 +210,9 @@ class KLBasis:
     memoized C-coordinates of every product C_s C_w.
     """
 
-    def __init__(self, cox: Coxeter, elements):
+    def __init__(self, cox: Coxeter):
         self.cox = cox
-        self._length = {w: len(_reduced_word(cox, w)) for w in elements}
-        self.elements = sorted(self._length, key=lambda w: (self._length[w], w))
+        self.elements = cox.elements
         self.c: dict = {}
         self._rows: dict = {}
         self._build()
@@ -251,20 +223,15 @@ class KLBasis:
             if w == cox.identity:
                 self.c[w] = {w: LaurentPoly.one()}
                 continue
-            s = min(cox.left_descents(w))
-            w1 = cox.apply_left(s, w)
-            d = _mult_gen_left(cox, s, self.c[w1])
+            s = min(k for k in cox.gens if w in cox.left[k][1])
+            w1 = cox.left[s][0][w]
+            d = _mult_gen(cox, cox.left, s, self.c[w1])
             _sub_scaled(d, self.c[w1], cox.weight(s))
             for y in sorted((y for y in d if y != w),
-                            key=lambda y: -self._length[y]):
+                            key=lambda y: -cox.length[y]):
                 h = d.get(y)
-                if h is None:
-                    continue
-                low = h.nonpositive_part()
-                if low.is_zero():
-                    continue
-                mu = h.bar_symmetrize_nonpositive()
-                _sub_scaled(d, self.c[y], mu)
+                if h is not None and not h.nonpositive_part().is_zero():
+                    _sub_scaled(d, self.c[y], h.bar_symmetrize_nonpositive())
             if not d.get(w, LaurentPoly.zero()).is_one():
                 raise InvariantViolation(f"C_{w}: T_w coefficient is not 1")
             for y, h in d.items():
@@ -298,7 +265,7 @@ class KLBasis:
         """
         row = self._rows.get((s, w))
         if row is None:
-            prod = _mult_gen_left(self.cox, s, self.c[w])
+            prod = _mult_gen(self.cox, self.cox.left, s, self.c[w])
             _sub_scaled(prod, self.c[w], self.cox.weight(s))
             row = self._rows[s, w] = self.c_coordinates(prod)
         return row
@@ -315,7 +282,7 @@ def compute_kl_basis(n: int, bound: int | None = None) -> KLBasis:
     cap = bound if bound is not None else KL_MAX_N
     if n > cap:
         raise BoundExceeded(f"n={n} exceeds KL bound {cap}")
-    return KLBasis(type_b(n), list(weylb.enumerate_wn(n)))
+    return KLBasis(type_b(n))
 
 
 def _sccs(edges: dict) -> list[frozenset]:
@@ -384,10 +351,9 @@ class IdealJn:
 
     def __init__(self, basis: KLBasis):
         self.basis = basis
-        n = len(basis.cox.identity)
+        self.n = len(basis.cox.identity)
         self.outside = {w for w in basis.elements
                         if not weylb.is_in_wb_by_words(w)}
-        self.n = n
 
     def contains(self, x: HeckeElement) -> bool:
         coords = self.basis.c_coordinates(x)
@@ -401,13 +367,13 @@ class IdealJn:
         the C-coordinates of C_w C_s are {y⁻¹ : y in the row (s, w⁻¹)}.
         """
         basis = self.basis
+        inverse = basis.cox.inverse
         for w in self.outside:
-            w_inv = weylb.inverse(w)
             for s in basis.cox.gens:
                 if not self.outside.issuperset(basis.left_product(s, w)):
                     return False
-                if not all(weylb.inverse(y) in self.outside
-                           for y in basis.left_product(s, w_inv)):
+                if not all(inverse[y] in self.outside
+                           for y in basis.left_product(s, inverse[w])):
                     return False
         return True
 
@@ -474,6 +440,20 @@ def _iota_perm(w) -> tuple[int, ...]:
     return tuple(x + n + 1 if x < 0 else x + n for x in weylb.iota(w))
 
 
+def _iota_s_row(basis_a: KLBasis, n: int, w) -> dict:
+    """
+    The C-coordinates of C̃_{ι(s_{n-1})} C̃_{ι(w)} in S_{2n}.  Since
+    ι(s_{n-1}) = s_1 s_{2n-1} and the two generators commute,
+    C̃_{ι(s_{n-1})} = C̃_{s_1} C̃_{s_{2n-1}}: the row (2n-1, ι(w)) of the
+    W-graph, then the row (1, y) of each of its terms y.
+    """
+    out: dict = {}
+    for y, c in basis_a.left_product(2 * n - 1, _iota_perm(w)).items():
+        for z, d in basis_a.left_product(1, y).items():
+            add_term(out, z, c * d)
+    return out
+
+
 def type_a_kl_compare(n: int) -> dict:
     """
     Structure-constant transfer along ι: for every w ∈ W_b(n), expand
@@ -481,33 +461,24 @@ def type_a_kl_compare(n: int) -> dict:
     equal-parameter algebra of S_{2n}; report each z with a nonzero type-B
     coefficient whose type-A counterpart vanishes (expected: none).  Also
     check that each left cell of W_n inside W_b is ι^{-1} of the ι-image
-    trace of a type-A left cell.  The type-A side multiplies in the T-basis
-    because ι(s_{n-1}) = s_1 s_{2n-1} is not a generator of S_{2n}.
+    trace of a type-A left cell.  Both sides read W-graph rows.
     """
     if n < 2:
         return {"violations": [], "cells_match": True, "pairs_checked": 0}
     if n > 3:
         raise BoundExceeded(f"type-A comparison supported for n <= 3, got {n}")
-    cox_b = type_b(n)
-    basis_b = KLBasis(cox_b, list(weylb.enumerate_wn(n)))
-    cox_a = type_a(2 * n)
-    basis_a = KLBasis(cox_a, list(itertools.permutations(range(1, 2 * n + 1))))
+    basis_b = KLBasis(type_b(n))
+    basis_a = KLBasis(type_a(2 * n))
 
     s = n - 1
-    iota_s = _iota_perm(cox_b._gen_elts[s])
-    cs_a = basis_a.c[iota_s]
-
     violations = []
     pairs = 0
     wb = [w for w in basis_b.elements if weylb.is_in_wb_by_words(w)]
     for w in wb:
-        nb = basis_b.left_product(s, w)
-        na = basis_a.c_coordinates(
-            multiply_t(cox_a, cs_a, basis_a.c[_iota_perm(w)]))
-        for z, coeff in nb.items():
+        na = _iota_s_row(basis_a, n, w)
+        for z, coeff in basis_b.left_product(s, w).items():
             pairs += 1
-            if not coeff.is_zero() and na.get(_iota_perm(z),
-                                              LaurentPoly.zero()).is_zero():
+            if not coeff.is_zero() and _iota_perm(z) not in na:
                 violations.append((w, z))
 
     cells_b = [c for c in left_cells(basis_b) if min(c) in set(wb) and

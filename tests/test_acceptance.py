@@ -181,13 +181,15 @@ def test_criterion_08_tensor_space(report):
 def test_criterion_09_cell_vs_standard(report):
     t = time.time()
     ok = True
-    for n in range(1, 4):
+    for n in range(1, 5):
         rep = blob.compare_cell_to_standard(n)
         ok = ok and rep["all_match"]
         ok = ok and rep.get("identity_cell_lam") == n
         ok = ok and rep.get("s0_cell_lam") == -n
+    ok = ok and len(rep["cells"]) == 16
+    ok = ok and sum(e["dim_cell"] for e in rep["cells"]) == comb(8, 4)
     report(9, ok, f"every left cell in W_b matches its standard module at "
-                  f"the cyclotomic specialization (m=2, l=6), n<=3 "
+                  f"the cyclotomic specialization (m=2, l=6), n<=4 "
                   f"({time.time() - t:.1f}s)")
 
 

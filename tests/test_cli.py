@@ -134,6 +134,11 @@ def test_max_n_not_an_integer_exits_2():
     assert "BLOBCELL_MAX_N" in res.output
 
 
+def test_cellcompare_4():
+    res = run("cellcompare", "4")
+    assert res.exit_code == 0, res.output
+
+
 def test_invalid_specialization_exits_2():
     res = run("cellcompare", "2", "-m", "1")
     assert res.exit_code == 2

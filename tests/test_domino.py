@@ -123,6 +123,12 @@ def test_two_rows_iff_wb():
                 == weylb.is_in_wb_by_words(w)
 
 
+def test_shape_matches_insertion():
+    for n in range(1, 7):
+        for w in weylb.enumerate_wn(n):
+            assert domino.domino_shape(w) == domino_insert(w)[0].shape()
+
+
 def test_json_roundtrip():
     p, _ = domino_insert((3, -1, 2, -4))
     assert DominoTableau.from_json(p.to_json()) == p

@@ -49,19 +49,46 @@ def _inversions(w):
     return sum(w[i] > w[j] for i in range(len(w)) for j in range(i + 1, len(w)))
 
 
+def _perm_compose(u, w):
+    """The permutation x -> u(w(x))."""
+    return tuple(u[x - 1] for x in w)
+
+
+def _perm_inverse(w):
+    out = [0] * len(w)
+    for i, x in enumerate(w, start=1):
+        out[x - 1] = i
+    return tuple(out)
+
+
 @pytest.mark.parametrize("group", ["B4", "S4"])
 def test_window_descents_match_lengths(group):
+    # The group tables against arithmetic written without them.
     if group == "B4":
         cox, length = type_b(4), weylb.length
+        compose, inverse = weylb.multiply, weylb.inverse
         elements = list(weylb.enumerate_wn(4))
     else:
         cox, length = type_a(4), _inversions
+        compose, inverse = _perm_compose, _perm_inverse
         elements = list(itertools.permutations(range(1, 5)))
+    assert sorted(cox.elements) == sorted(elements)
+    assert [cox.length[w] for w in cox.elements] \
+        == sorted(length(w) for w in elements)
+    gen = {k: weylb.evaluate_word(4, (k,)) for k in cox.gens}
     for w in elements:
-        right, left = cox.right_descents(w), cox.left_descents(w)
+        word = cox.words[w]
+        assert weylb.evaluate_word(4, word) == w
+        assert len(word) == cox.length[w] == length(w)
+        assert cox.inverse[w] == inverse(w)
+        shorter = [k for k in cox.gens if length(compose(w, gen[k])) < length(w)]
+        assert word[-1:] == tuple(shorter[:1])
         for k in cox.gens:
-            assert (k in right) == (length(cox.apply_right(w, k)) < length(w))
-            assert (k in left) == (length(cox.apply_left(k, w)) < length(w))
+            (right, right_desc), (left, left_desc) = cox.right[k], cox.left[k]
+            assert right[w] == compose(w, gen[k])
+            assert left[w] == compose(gen[k], w)
+            assert (w in right_desc) == (length(right[w]) < length(w))
+            assert (w in left_desc) == (length(left[w]) < length(w))
 
 
 @pytest.mark.parametrize("group", ["B3", "S4"])
@@ -71,9 +98,8 @@ def test_bar_of_t_w_inverts_t_w_inverse(group):
         cox, inverse = type_b(3), weylb.inverse
         elements = list(weylb.enumerate_wn(3))
     else:
-        cox = type_a(4)
+        cox, inverse = type_a(4), _perm_inverse
         elements = list(itertools.permutations(range(1, 5)))
-        inverse = cox.inverse
     one = {cox.identity: LaurentPoly.one()}
     for w in elements:
         bar_tw = bar_involution(cox, {w: LaurentPoly.one()})
@@ -133,7 +159,7 @@ def test_kl_closed_form_identities():
 def test_left_product_matches_t_basis_reference(group):
     if group == "S4":
         cox = type_a(4)
-        basis = hecke.KLBasis(cox, list(itertools.permutations(range(1, 5))))
+        basis = hecke.KLBasis(cox)
     else:
         basis = compute_kl_basis(int(group[1]))
         cox = basis.cox
@@ -213,6 +239,17 @@ def test_type_a_compare_n2():
     report = hecke.type_a_kl_compare(2)
     assert report["violations"] == []
     assert report["cells_match"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_type_a_two_rows_match_t_basis_product(n):
+    # C̃_{ι(s_{n-1})} C̃_{ι(w)} from two W-graph rows, against the T-basis.
+    cox = type_a(2 * n)
+    basis = hecke.KLBasis(cox)
+    iota_s = hecke._iota_perm(weylb.evaluate_word(n, (n - 1,)))
+    for w in weylb.enumerate_wb(n):
+        product = multiply_t(cox, basis.c[iota_s], basis.c[hecke._iota_perm(w)])
+        assert hecke._iota_s_row(basis, n, w) == basis.c_coordinates(product)
 
 
 def test_tensor_ideal_small():
