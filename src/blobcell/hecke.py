@@ -230,12 +230,12 @@ class KLBasis:
             for y in sorted((y for y in d if y != w),
                             key=lambda y: -cox.length[y]):
                 h = d.get(y)
-                if h is not None and not h.nonpositive_part().is_zero():
+                if h is not None and h.min_exp() <= 0:
                     _sub_scaled(d, self.c[y], h.bar_symmetrize_nonpositive())
             if not d.get(w, LaurentPoly.zero()).is_one():
                 raise InvariantViolation(f"C_{w}: T_w coefficient is not 1")
             for y, h in d.items():
-                if y != w and not h.nonpositive_part().is_zero():
+                if y != w and h.min_exp() <= 0:
                     raise InvariantViolation(f"C_{w}: bad coefficient at {y}")
             self.c[w] = d
 
@@ -261,13 +261,20 @@ class KLBasis:
         """
         The C-coordinates of C_s C_w = T_s C_w - q_s C_w: the row (s, w) of
         the W-graph, computed once and memoized.  Every caller gets the same
-        dict, so none may change it.
+        dict, so none may change it.  When sw < w, T_s C_w = -q_s^{-1} C_w,
+        so the row is {w: -(q_s^{-1} + q_s)} without Hecke arithmetic.
         """
         row = self._rows.get((s, w))
         if row is None:
-            prod = _mult_gen(self.cox, self.cox.left, s, self.c[w])
-            _sub_scaled(prod, self.c[w], self.cox.weight(s))
-            row = self._rows[s, w] = self.c_coordinates(prod)
+            cox = self.cox
+            qs = cox.weight(s)
+            if w in cox.left[s][1]:
+                row = {w: -(qs.bar() + qs)}
+            else:
+                prod = _mult_gen(cox, cox.left, s, self.c[w])
+                _sub_scaled(prod, self.c[w], qs)
+                row = self.c_coordinates(prod)
+            self._rows[s, w] = row
         return row
 
     def left_cell_edges(self) -> dict:

@@ -8,14 +8,17 @@ Two kinds of scalars are used throughout the library:
   specialization ``q = v**2`` and ``Q = v``; the blob algebra uses a second
   instance of the same ring in the variable ``q`` (unit exponent 1).
 * ``CycloNumber`` -- elements of the cyclotomic field Q(zeta_N), represented
-  as rational polynomials modulo the N-th cyclotomic polynomial, so that
-  equality with zero is exactly decidable.
+  as polynomials in zeta of degree < phi(N): phi(N) integer numerators over
+  one positive denominator, in lowest terms.  Equal values have equal
+  representations, so equality (with zero too) is exactly decidable, and
+  sums and products run on Python ints, without Fraction objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 __all__ = [
     "LaurentPoly", "CycloNumber", "add_term",
@@ -352,80 +355,143 @@ def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     return tuple(p.coeff(e) for e in range(p.max_exp() + 1))
 
 
-def _poly_mod(a: list[Fraction], mod: tuple[int, ...]) -> list[Fraction]:
-    """Reduce the rational polynomial a modulo the monic polynomial mod."""
+@lru_cache(maxsize=None)
+def _reducer(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(n) and the nonzero terms (j, c_j), j < phi(n), of the monic Phi_n."""
+    mod = _cyclotomic_coeffs(n)
     deg = len(mod) - 1
-    a = list(a)
+    return deg, tuple((j, c) for j, c in enumerate(mod[:deg]) if c)
+
+
+def _reduce(a: list[int], n: int) -> list[int]:
+    """
+    Reduce the integer polynomial a (ascending, changed in place) modulo the
+    monic Phi_n, top degree first; the result has exactly phi(n) entries.
+    """
+    deg, low = _reducer(n)
     for i in range(len(a) - 1, deg - 1, -1):
         c = a[i]
         if c:
-            for j in range(deg + 1):
-                a[i - deg + j] -= c * mod[j]
+            base = i - deg
+            for j, m in low:
+                a[base + j] -= c * m
     del a[deg:]
-    while len(a) < deg:
-        a.append(Fraction(0))
+    if len(a) < deg:
+        a.extend([0] * (deg - len(a)))
     return a
+
+
+def _lowest_terms(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """num/den (den > 0) divided by gcd(den, *num)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return tuple(num), den
+
+
+def _lowest(n: int, num: list[int], den: int) -> "CycloNumber":
+    """The CycloNumber num/den (num reduced, den > 0), in lowest terms."""
+    out = CycloNumber.__new__(CycloNumber)
+    out.n = n
+    out._num, out._den = _lowest_terms(num, den)
+    out._powers = None
+    return out
+
+
+def _scalar(x) -> tuple[int, int] | None:
+    """An int or Fraction as (numerator, denominator); None for other types."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return None
 
 
 class CycloNumber:
     """
-    An element of the cyclotomic field Q(zeta_N), stored as a rational
-    polynomial in zeta of degree < phi(N).
+    An element of the cyclotomic field Q(zeta_N), stored as phi(N) integer
+    numerators over one positive denominator:
+    (a_0 + a_1 zeta + ... + a_{phi(N)-1} zeta^{phi(N)-1}) / d.  The fraction
+    is kept in lowest terms, gcd(a_0, ..., d) = 1 with zero stored as 0/1,
+    so equal values have equal representations.  Sums and products run on
+    Python ints; a product is an integer convolution reduced modulo the
+    monic integer polynomial Phi_N, over the product of the denominators.
 
     >>> z = cyclotomic_root(4)   # zeta_4 = i
     >>> (z * z).is_minus_one()
     True
+    >>> (1 + z) / 2
+    CycloNumber(4; 1/2*z^0 + 1/2*z^1)
     """
 
-    __slots__ = ("n", "_c")
+    __slots__ = ("n", "_num", "_den", "_powers")
 
     def __init__(self, n: int, coeffs):
         if n > MAX_CONDUCTOR:
             raise ConductorOverflow(f"conductor {n} exceeds bound {MAX_CONDUCTOR}")
+        c = list(coeffs)
+        den = 1
+        if not all(type(x) is int for x in c):
+            c = [Fraction(x) for x in c]
+            den = lcm(*(x.denominator for x in c))
+            c = [x.numerator * (den // x.denominator) for x in c]
         self.n = n
-        mod = _cyclotomic_coeffs(n)
-        c = [Fraction(x) for x in coeffs]
-        self._c = tuple(_poly_mod(c, mod))
+        self._num, self._den = _lowest_terms(_reduce(c, n), den)
+        self._powers = None
 
     @staticmethod
     def const(n: int, value) -> "CycloNumber":
-        return CycloNumber(n, [Fraction(value)])
+        return CycloNumber(n, [value])
 
     def _check(self, other: "CycloNumber"):
         if self.n != other.n:
             raise ValueError(f"conductor mismatch: {self.n} vs {other.n}")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+    def _sum(self, other, sign: int):
+        """self + sign * other, for a CycloNumber, int or Fraction other."""
+        if isinstance(other, CycloNumber):
+            self._check(other)
+        elif isinstance(other, (int, Fraction)):
             other = CycloNumber.const(self.n, other)
-        self._check(other)
-        return CycloNumber(self.n, [a + b for a, b in zip(self._c, other._c)])
+        else:
+            return NotImplemented
+        d, e = self._den, other._den
+        if d == e:
+            return _lowest(self.n, [a + sign * b
+                                    for a, b in zip(self._num, other._num)], d)
+        return _lowest(self.n, [a * e + sign * b * d
+                                for a, b in zip(self._num, other._num)], d * e)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.n, [-a for a in self._c])
+        return _lowest(self.n, [-a for a in self._num], self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNumber.const(self.n, other)
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self)._sum(other, 1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloNumber(self.n, [a * other for a in self._c])
-        self._check(other)
-        deg = len(self._c)
-        prod = [Fraction(0)] * (2 * deg)
-        for i, a in enumerate(self._c):
-            if a:
-                for j, b in enumerate(other._c):
-                    if b:
-                        prod[i + j] += a * b
-        return CycloNumber(self.n, prod)
+        if isinstance(other, CycloNumber):
+            self._check(other)
+            b = other._num
+            prod = [0] * (2 * len(b) - 1)
+            for i, a in enumerate(self._num):
+                if a:
+                    for j, y in enumerate(b, i):
+                        prod[j] += a * y
+            return _lowest(self.n, _reduce(prod, self.n), self._den * other._den)
+        s = _scalar(other)
+        if s is None:
+            return NotImplemented
+        return _lowest(self.n, [a * s[0] for a in self._num], self._den * s[1])
 
     __rmul__ = __mul__
 
@@ -441,74 +507,104 @@ class CycloNumber:
             k >>= 1
         return out
 
+    def _power(self, e: int) -> "CycloNumber":
+        """self**e, memoized on self: each power of a unit is made once."""
+        powers = self._powers
+        if powers is None:
+            powers = self._powers = {}
+        z = powers.get(e)
+        if z is None:
+            if e == -1:
+                z = self.inverse()
+            elif e < 0:
+                z = self._power(-1) ** -e
+            else:
+                z = self ** e
+            powers[e] = z
+        return z
+
     def inverse(self) -> "CycloNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """
+        Multiplicative inverse: d / a for self = a / d, with 1/a from the
+        extended Euclidean algorithm over Fraction against Phi_N.  Each step
+        keeps s_k a = r_k modulo Phi_N; it ends at a constant remainder.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        mod = [Fraction(x) for x in _cyclotomic_coeffs(self.n)]
 
         def trim(p):
             while p and not p[-1]:
                 p.pop()
             return p
 
-        def divmod_poly(a, b):
-            a = list(a)
-            q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-            while len(a) >= len(b) and trim(a):
-                f = a[-1] / b[-1]
-                q[len(a) - len(b)] = f
-                for j in range(len(b)):
-                    a[len(a) - len(b) + j] -= f * b[j]
-                trim(a)
-            return trim(q), a
-
-        r0, r1 = mod, trim(list(self._c))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while trim(list(r1)):
-            q, r = divmod_poly(r0, r1)
-            # s = s0 - q*s1
-            s = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
+        r0 = [Fraction(x) for x in _cyclotomic_coeffs(self.n)]
+        r1 = trim([Fraction(a) for a in self._num])
+        s0, s1 = [], [Fraction(1)]
+        while len(r1) > 1:
+            # r0 = q r1 + r and s = s0 - q s1
+            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
+            r = list(r0)
+            for i in range(len(q) - 1, -1, -1):
+                f = q[i] = r[i + len(r1) - 1] / r1[-1]
+                if f:
+                    for j, c in enumerate(r1):
+                        r[i + j] -= f * c
+            r = trim(r[:len(r1) - 1])
+            if not r:
+                raise ZeroDivisionError("element is a zero divisor (should not happen)")
+            s = s0 + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
             for i, qi in enumerate(q):
                 if qi:
-                    for j, sj in enumerate(s1):
-                        if i + j >= len(s):
-                            s.append(Fraction(0))
-                        s[i + j] -= qi * sj
+                    for j, c in enumerate(s1):
+                        s[i + j] -= qi * c
             r0, r1, s0, s1 = r1, r, s1, trim(s)
-            if len(r1) == 1 or not r1:
-                break
-        if not r1:
-            raise ZeroDivisionError("element is a zero divisor (should not happen)")
-        c = r1[0]
-        inv = [x / c for x in s1]
-        return CycloNumber(self.n, inv)
+        c = r1[0] / self._den
+        return CycloNumber(self.n, [x / c for x in s1])
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloNumber(self.n, [a / other for a in self._c])
-        self._check(other)
-        return self * other.inverse()
+        if isinstance(other, CycloNumber):
+            self._check(other)
+            return self * other.inverse()
+        s = _scalar(other)
+        if s is None:
+            return NotImplemented
+        p, q = s
+        if p == 0:
+            raise ZeroDivisionError("cyclotomic number divided by zero")
+        if p < 0:
+            p, q = -p, -q
+        return _lowest(self.n, [a * q for a in self._num], self._den * p)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self._c)
+        return not any(self._num)
+
+    def _is_integer(self, k: int) -> bool:
+        num = self._num
+        return self._den == 1 and num[0] == k and not any(num[1:])
 
     def is_one(self) -> bool:
-        return self._c[0] == 1 and all(a == 0 for a in self._c[1:])
+        return self._is_integer(1)
 
     def is_minus_one(self) -> bool:
-        return (-self).is_one()
+        return self._is_integer(-1)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = CycloNumber.const(self.n, other)
-        return isinstance(other, CycloNumber) and self.n == other.n and self._c == other._c
+        return (isinstance(other, CycloNumber) and self.n == other.n
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.n, self._c))
+        return hash((self.n, self._num, self._den))
 
     def __repr__(self):
-        terms = [f"{a}*z^{i}" for i, a in enumerate(self._c) if a]
+        d = self._den
+        terms = []
+        for i, a in enumerate(self._num):
+            if a:
+                g = gcd(a, d)
+                coeff = a // g if g == d else f"{a // g}/{d // g}"
+                terms.append(f"{coeff}*z^{i}")
         return f"CycloNumber({self.n}; {' + '.join(terms) or '0'})"
 
 
@@ -519,9 +615,11 @@ def cyclotomic_root(n: int, power: int = 1) -> CycloNumber:
 
 
 def specialize(p: LaurentPoly, zeta: CycloNumber) -> CycloNumber:
-    """Evaluate a Laurent polynomial at v = zeta (a unit), exactly."""
+    """
+    Evaluate a Laurent polynomial at v = zeta (a unit), exactly.  Each power
+    of zeta is computed once and memoized on zeta.
+    """
     acc = CycloNumber.const(zeta.n, 0)
-    inv = zeta.inverse()
     for e, x in p.items():
-        acc = acc + (zeta**e if e >= 0 else inv ** (-e)) * x
+        acc = acc + zeta._power(e) * x
     return acc

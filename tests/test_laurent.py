@@ -1,11 +1,15 @@
 """Exact Laurent-polynomial and cyclotomic arithmetic."""
 
+import math
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from blobcell.laurent import (
-    CycloNumber, InexactDivision, LaurentPoly, cyclotomic_root, gauss,
-    quantum_factorial, quantum_integer, specialize,
+    ConductorOverflow, CycloNumber, InexactDivision, LaurentPoly,
+    cyclotomic_root, gauss, quantum_factorial, quantum_integer, specialize,
 )
 
 polys = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9),
@@ -104,3 +108,169 @@ def test_cyclotomic_coeffs_match_sympy():
     for n in range(1, 201):
         want = Poly(cyclotomic_poly(n, x), x).all_coeffs()
         assert _cyclotomic_coeffs(n) == tuple(int(c) for c in reversed(want))
+
+
+# -- CycloNumber against Fraction lists modulo Phi_N, written here ----------
+
+CONDUCTORS = (1, 2, 3, 4, 5, 8, 12, 15, 20)
+
+
+def _phi(n):
+    """The ascending coefficients of the monic Phi_n (checked against sympy above)."""
+    from blobcell.laurent import _cyclotomic_coeffs
+
+    return _cyclotomic_coeffs(n)
+
+
+def _ref_mod(a, n):
+    """The remainder of the Fraction list a modulo Phi_n, with phi(n) entries."""
+    mod = _phi(n)
+    deg = len(mod) - 1
+    a = list(a) + [Fraction(0)] * max(0, deg - len(a))
+    while len(a) > deg:
+        top = a.pop()
+        for j in range(deg):
+            a[len(a) - deg + j] -= top * mod[j]
+    return a
+
+
+def _ref_mul(a, b, n):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_mod(prod, n)
+
+
+def _ref_one(n):
+    return _ref_mod([Fraction(1)], n)
+
+
+def _value(x):
+    """x as a Fraction list, after checking that x is stored in lowest terms."""
+    num, den = x._num, x._den
+    assert den > 0 and math.gcd(den, *num) == 1, (num, den)
+    return [Fraction(a, den) for a in num]
+
+
+def _random_coeffs(rng, n):
+    deg = len(_phi(n)) - 1
+    size = rng.randrange(1, 2 * deg + 2)  # longer than phi(n) on purpose
+    den = rng.choice((1, 1, 2, 3, 4, 6, 9))
+    return [Fraction(rng.randint(-7, 7), den) if rng.random() < 0.8
+            else Fraction(0) for _ in range(size)]
+
+
+def _random_pairs(n, count=40):
+    rng = random.Random(f"cyclo:{n}")
+    for _ in range(count):
+        a, b = _random_coeffs(rng, n), _random_coeffs(rng, n)
+        yield a, b, CycloNumber(n, a), CycloNumber(n, b)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_cyclo_ring_ops_match_fraction_reference(n):
+    for a, b, x, y in _random_pairs(n):
+        ra, rb = _ref_mod(a, n), _ref_mod(b, n)
+        assert _value(x) == ra and _value(y) == rb
+        assert _value(x + y) == [p + q for p, q in zip(ra, rb)]
+        assert _value(x - y) == [p - q for p, q in zip(ra, rb)]
+        assert _value(-x) == [-p for p in ra]
+        assert _value(x * y) == _ref_mul(ra, rb, n)
+        assert _value(x * x) == _ref_mul(ra, ra, n)
+        assert (x - x).is_zero() and _value(x - x) == [0] * len(ra)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_cyclo_scalars_match_fraction_reference(n):
+    rng = random.Random(f"cyclo-scalar:{n}")
+    for a, _, x, _ in _random_pairs(n):
+        ra = _ref_mod(a, n)
+        for k in (rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))):
+            rk = _ref_mod([Fraction(k)], n)
+            assert _value(x + k) == _value(k + x) == [p + q for p, q in zip(ra, rk)]
+            assert _value(x - k) == [p - q for p, q in zip(ra, rk)]
+            assert _value(k - x) == [q - p for p, q in zip(ra, rk)]
+            assert _value(x * k) == _value(k * x) == [p * k for p in ra]
+            if k:
+                assert _value(x / k) == [p / k for p in ra]
+            assert _value(CycloNumber.const(n, k)) == rk
+            assert (CycloNumber.const(n, k) == k) and (x + k == k + x)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_cyclo_pow_inverse_division_match_fraction_reference(n):
+    one = _ref_one(n)
+    for a, b, x, y in _random_pairs(n, count=15):
+        ra, rb = _ref_mod(a, n), _ref_mod(b, n)
+        power = one
+        for k in range(5):
+            assert _value(x ** k) == power
+            power = _ref_mul(power, ra, n)
+        if x.is_zero() or y.is_zero():
+            continue
+        assert _ref_mul(_value(x.inverse()), ra, n) == one
+        for k in (1, 2, 3):
+            assert _ref_mul(_value(x ** -k), _value(x ** k), n) == one
+        assert _ref_mul(_value(x / y), rb, n) == ra
+        assert (x * y) / y == x
+        assert (x + y) / y == x / y + 1
+        assert x / x == CycloNumber.const(n, 1) and (x / x).is_one()
+        assert (-(x / x)).is_minus_one()
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_cyclo_equal_values_have_equal_hashes(n):
+    for a, b, x, y in _random_pairs(n, count=15):
+        same = [
+            x,
+            CycloNumber(n, _ref_mod(a, n)),
+            x + y - y,
+            (x * 6) / 6,
+            CycloNumber(n, [c * 4 for c in a]) / 4,
+        ]
+        if not y.is_zero():
+            same.append((x * y) / y)
+        for z in same:
+            assert z == x and hash(z) == hash(x) and repr(z) == repr(x)
+    # 1/2 + 1/2 = 1 and 1/2 + 1/3 = 5/6 land on the stored form of the result.
+    half = CycloNumber.const(n, Fraction(1, 2))
+    third = CycloNumber.const(n, Fraction(1, 3))
+    assert half + half == CycloNumber.const(n, 1)
+    assert hash(half + half) == hash(CycloNumber.const(n, 1))
+    assert _value(half + third) == _ref_mod([Fraction(5, 6)], n)
+
+
+def test_cyclo_repr_text():
+    z = cyclotomic_root(12)
+    assert repr(z) == "CycloNumber(12; 1*z^1)"
+    assert repr((z + 2) / 4) == "CycloNumber(12; 1/2*z^0 + 1/4*z^1)"
+    assert repr(-z / 6 + z * 0) == "CycloNumber(12; -1/6*z^1)"
+    assert repr(CycloNumber.const(12, 0)) == "CycloNumber(12; 0)"
+    assert repr(z ** 4) == "CycloNumber(12; -1*z^0 + 1*z^2)"
+
+
+def test_cyclo_conductor_overflow():
+    from blobcell.laurent import MAX_CONDUCTOR
+
+    CycloNumber(MAX_CONDUCTOR, [1, 2])
+    with pytest.raises(ConductorOverflow):
+        CycloNumber(MAX_CONDUCTOR + 1, [1])
+    with pytest.raises(ConductorOverflow):
+        cyclotomic_root(MAX_CONDUCTOR + 1)
+    with pytest.raises(ConductorOverflow):
+        CycloNumber.const(2 * MAX_CONDUCTOR, Fraction(1, 2))
+
+
+def test_specialize_memoizes_unit_powers(monkeypatch):
+    z = cyclotomic_root(12, 7)
+    calls = []
+    real = CycloNumber.inverse
+    monkeypatch.setattr(CycloNumber, "inverse",
+                        lambda self: calls.append(self) or real(self))
+    p = LaurentPoly({3: 2, -1: 1, -3: -4, 0: 5})
+    for _ in range(5):
+        val = specialize(p, z)
+    assert len(calls) == 1
+    zi = real(z)
+    assert val == z ** 3 * 2 + zi + zi ** 3 * -4 + 5
