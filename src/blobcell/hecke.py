@@ -1,21 +1,32 @@
 """
 Hecke algebras with a Kazhdan-Lusztig C-basis engine, cells and ideals.
 
-The engine works over the ring 𝓐 = ℤ[v, v^{-1}] (module `laurent`).  It
-reads a finite Coxeter group from one object, `Coxeter`, whose tables
-(elements by length, reduced words, inverses, left and right
-multiplication by each generator with its descent set) are built once, so
-that the same code serves two groups:
+The engine works over the ring 𝓐 = ℤ[v, v^{-1}].  It reads a finite Coxeter
+group from one object, `Coxeter`, whose tables (elements by length, reduced
+words, inverses, left and right multiplication by each generator with its
+descent set) are built once, on integer indices, so that the same code
+serves two groups:
 
   * the type-B group W_n of signed permutations with unequal parameters
     q_{s_0} = v, q_{s_i} = v^2 for i >= 1 (the Γ = ℤ, a = 2, b = 1 regime);
   * the symmetric group S_N with the equal parameter v^2, used for the
     comparison along the doubling embedding ι : W_n → S_{2n}.
 
-Elements are finitely supported maps window → LaurentPoly in the T-basis.
 T_s satisfies (T_s - q_s)(T_s + q_s^{-1}) = 0 and C_s := T_s - q_s.  The
 C-basis is the unique family with bar(C_w) = C_w and C_w - T_w supported on
 strictly positive powers of v; it is constructed by triangular correction.
+
+Inside the engine an element maps index -> int, each coefficient a
+Kronecker-packed Laurent polynomial (module `kronecker`): p(2^B)·2^{B·off},
+balanced digits in base 2^B.  q_s and q_s - q_s^{-1} are shifts, a product
+with a short polynomial is one int product, and "has an exponent <= 0" is
+a mask test.  Offsets follow the exponents a table can reach (C-basis in
+ℤ[v]: 0; bar(T_w): L(w_0)); the digit width B follows a bound on the
+coefficients read back (24 bits for the C-basis).  A digit read back at or
+beyond the bound 2^{B-2} raises InvariantViolation; it never wraps.
+LaurentPoly appears only at the boundary: elements passed in or out,
+`left_product` rows and `KLBasis.c` (each C_w decoded on first read) map
+windows to LaurentPoly; a window outside the group raises SizeMismatch.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ from __future__ import annotations
 import itertools
 
 from . import weylb
+from .kronecker import (Decoded, add_scaled, bar_symmetric_low, decode, low,
+                        norm, pack, unpack, width)
 from .laurent import LaurentPoly, add_term, gauss
 from .partitions import WeightOutOfRange, check_weight
 from .weylb import BoundExceeded, InvariantViolation, SizeMismatch
@@ -38,6 +51,7 @@ __all__ = [
 ]
 
 KL_MAX_N = 4
+_C_BITS = 24  # digit width of the C-basis table
 
 
 class NotInWb(ValueError):
@@ -48,26 +62,25 @@ class Coxeter:
     """
     A finite Coxeter group as tables built once, by a breadth-first walk
     from the identity over `apply_right(w, k)` = w s_k (as in Geck's PyCox).
-    Elements stay windows, and every table is keyed by window:
+    Elements are numbered in (length, window) order; `elements[i]` is the
+    window of element i and `index` maps a window back.  The tables are
+    lists or sets on those numbers:
 
-      * `elements`, in (length, window) order, and `length[w]`;
-      * `words[w]`, the reduced word of w that ends in its smallest right
-        descent;
-      * `inverse[w]`;
-      * `right[k]` and `left[k]`, each a pair (move, descents): the map
-        w ↦ w s_k (resp. s_k w) and the set of w that it shortens.
+      * `length[i]`, and `words[i]`, the reduced word of i that ends in its
+        smallest right descent;
+      * `inverse[i]`;
+      * `right[k]` and `left[k]`, each a pair (move, descents): the list
+        i ↦ i s_k (resp. s_k i) and the set of i that it shortens.
 
-    `weight(k)` is the parameter q_s of generator k.  The object also
+    `weight(k)` is the parameter q_s = v^a of generator k.  The object also
     memoizes the bar(T_w) that `bar_involution` computes.
     """
 
     def __init__(self, name, gens, identity, apply_right, weight):
-        self.name = name
-        self.gens = tuple(gens)
-        self.identity = identity
+        self.name, self.gens, self.identity = name, tuple(gens), identity
         self.weight = weight  # gen index -> LaurentPoly q_s
         moves = {k: {} for k in self.gens}
-        length = self.length = {identity: 0}
+        length = {identity: 0}
         layer = [identity]
         while layer:
             nxt = []
@@ -78,27 +91,32 @@ class Coxeter:
                         length[u] = length[w] + 1
                         nxt.append(u)
             layer = nxt
-        self.elements = sorted(length, key=lambda w: (length[w], w))
+        els = self.elements = sorted(length, key=lambda w: (length[w], w))
+        index = self.index = {w: i for i, w in enumerate(els)}
+        self.length = [length[w] for w in els]
+        moves = {k: [index[move[w]] for w in els] for k, move in moves.items()}
 
-        def shortened(move):
-            return {w for w, u in move.items() if length[u] < length[w]}
+        def shortened(move):  # a move changes the length by one
+            return {i for i, j in enumerate(move) if j < i}
 
         self.right = {k: (move, shortened(move)) for k, move in moves.items()}
-        self.words = {identity: ()}
-        self.inverse = {identity: identity}
-        for w in self.elements[1:]:
-            k = min(k for k in self.gens if w in self.right[k][1])
-            word = self.words[w] = self.words[moves[k][w]] + (k,)
-            w_inv = identity
-            for j in reversed(word):
-                w_inv = moves[j][w_inv]
-            self.inverse[w] = w_inv
+        self._exps = {k: weight(k).max_exp() for k in self.gens}
+        self.words, self.inverse, wlen = [()], [0], [0]
+        for i in range(1, len(els)):
+            k = min(k for k in self.gens if i in self.right[k][1])
+            self.words.append(self.words[moves[k][i]] + (k,))
+            wlen.append(wlen[moves[k][i]] + self._exps[k])
+            i_inv = 0
+            for j in reversed(self.words[i]):
+                i_inv = moves[j][i_inv]
+            self.inverse.append(i_inv)
+        self._wlen, self._top = wlen, wlen[-1]  # L(w) and L(w_0)
         inv = self.inverse
-        lefts = {k: {w: inv[move[inv[w]]] for w in inv}
+        lefts = {k: [inv[move[inv[i]]] for i in range(len(els))]
                  for k, move in moves.items()}
         self.left = {k: (left, shortened(left)) for k, left in lefts.items()}
-        self._gen_elts = {k: moves[k][identity] for k in self.gens}
-        self._bars = {identity: {identity: LaurentPoly.one()}}
+        self._gen_elts = {k: els[move[0]] for k, move in moves.items()}
+        self._bars: dict = {}  # digit width -> {i: packed bar(T_i)}
 
 
 def type_b(n: int) -> Coxeter:
@@ -139,64 +157,97 @@ def c_gen(cox: Coxeter, k: int) -> HeckeElement:
     return out
 
 
-def _mult_gen(cox: Coxeter, side: dict, k: int, x: HeckeElement) -> HeckeElement:
-    """x * T_k when `side` is cox.right, T_k * x when it is cox.left."""
+def _indexed(cox: Coxeter, x: HeckeElement) -> list:
+    """x as (index, LaurentPoly) terms; SizeMismatch outside the group."""
+    try:
+        return [(cox.index[w], p) for w, p in x.items()]
+    except KeyError as exc:
+        raise SizeMismatch(f"{exc.args[0]} is not an element of {cox.name}") \
+            from None
+
+
+def _mult_gen(cox: Coxeter, side: dict, k: int, x: dict, bits: int,
+              inverse: bool = False) -> dict:
+    """x * T_k^{±1} (side cox.right) or T_k^{±1} * x (cox.left), packed."""
     move, descents = side[k]
-    out: HeckeElement = {}
-    qk = cox.weight(k)
-    twist = qk - qk.bar()
+    a = bits * cox._exps[k]
+    out: dict = {}
+    get = out.get
     for w, c in x.items():
-        add_term(out, move[w], c)
-        if w in descents:
-            add_term(out, w, c * twist)
+        u = move[w]
+        out[u] = get(u, 0) + c
+        if (w in descents) != inverse:  # T_k^{-1} = T_k - (q_k - q_k^{-1})
+            twist = (c << a) - (c >> a)
+            out[w] = get(w, 0) + (-twist if inverse else twist)
     return out
 
 
-def _bar_t(cox: Coxeter, w) -> HeckeElement:
+def _c_s_times(cox: Coxeter, s: int, cw: dict, bits: int, off: int) -> dict:
     """
-    bar(T_w) = bar(T_{ws}) T_s^{-1} for a right descent s, with
-    T_s^{-1} = T_s - (q_s - q_s^{-1}) (memoized).
+    C_s C_w = T_s C_w - q_s C_w from a packed C_w at offset 0, at offset
+    off >= a (q_s = v^a): c T_y goes to c T_{sy} - q_s^{∓1} c T_y.
     """
-    out = cox._bars.get(w)
+    move, descents = cox.left[s]
+    a = cox._exps[s]
+    keep, down, up = bits * off, bits * (off - a), bits * (off + a)
+    out: dict = {}
+    get = out.get
+    for y, c in cw.items():
+        u = move[y]
+        out[u] = get(u, 0) + (c << keep)
+        out[y] = get(y, 0) - (c << (down if y in descents else up))
+    return out
+
+
+def _bar_t(cox: Coxeter, bits: int, w: int) -> dict:
+    """bar(T_w) = bar(T_{ws}) T_s^{-1} at offset L(w_0), memoized per width."""
+    bars = cox._bars.setdefault(bits, {0: {0: 1 << bits * cox._top}})
+    out = bars.get(w)
     if out is None:
         s = cox.words[w][-1]
-        x = _bar_t(cox, cox.right[s][0][w])
-        out = cox._bars[w] = _mult_gen(cox, cox.right, s, x)
-        qs = cox.weight(s)
-        _sub_scaled(out, x, qs - qs.bar())
+        out = bars[w] = _mult_gen(cox, cox.right, s,
+                                  _bar_t(cox, bits, cox.right[s][0][w]),
+                                  bits, inverse=True)
     return out
 
 
 def multiply_t(cox: Coxeter, x: HeckeElement, y: HeckeElement) -> HeckeElement:
-    """The product x*y in the T-basis."""
-    sizes = {len(w) for w in itertools.chain(x, y)}
-    if len(sizes) > 1:
-        raise SizeMismatch(f"mixed window sizes {sorted(sizes)}")
-    out: HeckeElement = {}
-    for w, c in y.items():
-        acc = {u: cu * c for u, cu in x.items()}
-        for k in cox.words[w]:
-            acc = _mult_gen(cox, cox.right, k, acc)
-        for u, cu in acc.items():
-            add_term(out, u, cu)
-    return out
+    """
+    The product x*y in the T-basis.  The factor with fewer terms is walked
+    term by term, as reduced words, over the other: x by left passes
+    T_k (...) over y, or y by right passes over x.  Each T_k at most
+    triples Σ |coefficients|, which bounds the digits.
+    """
+    left = len(x) <= len(y)
+    walk, other = _indexed(cox, x), _indexed(cox, y)
+    if not left:
+        walk, other = other, walk
+    bits = width(sum(norm(p) * 3 ** cox.length[i] for i, p in walk)
+                 * sum(norm(p) for _, p in other))
+    off_w = low(p for _, p in walk)
+    drop = max([0] + [cox._wlen[i] for i, _ in walk])  # v^{-L(u)} at worst
+    off_o = drop + low(p for _, p in other)
+    start = {i: pack(p, bits, off_o) for i, p in other}
+    side = cox.left if left else cox.right
+    out: dict = {}
+    for u, p in walk:
+        acc, word = start, cox.words[u]
+        for k in (reversed(word) if left else word):
+            acc = _mult_gen(cox, side, k, acc, bits)
+        add_scaled(out, acc, pack(p, bits, off_w))
+    return decode(out, cox.elements, bits, off_w + off_o)
 
 
 def bar_involution(cox: Coxeter, x: HeckeElement) -> HeckeElement:
     """T_w ↦ T_{w^{-1}}^{-1}, v ↦ v^{-1}, extended additively."""
-    out: HeckeElement = {}
-    for w, c in x.items():
-        cb = c.bar()
-        for u, cu in _bar_t(cox, w).items():
-            add_term(out, u, cu * cb)
-    return out
-
-
-def _sub_scaled(x: HeckeElement, y: HeckeElement, c: LaurentPoly) -> None:
-    """x -= c * y, in place."""
-    neg = -c
-    for w, cw in y.items():
-        add_term(x, w, cw * neg)
+    terms = _indexed(cox, x)
+    # a multiple of 16 bits, so that few widths need a table of bar(T_w)
+    bits = width(sum(norm(p) * 3 ** cox.length[i] for i, p in terms), 16)
+    off = max([0] + [p.max_exp() for _, p in terms if p])
+    out: dict = {}
+    for w, p in terms:
+        add_scaled(out, _bar_t(cox, bits, w), pack(p, bits, off, -1))
+    return decode(out, cox.elements, bits, off + cox._top)
 
 
 # ---------------------------------------------------------------------------
@@ -207,55 +258,66 @@ def _sub_scaled(x: HeckeElement, y: HeckeElement, c: LaurentPoly) -> None:
 class KLBasis:
     """
     The C-basis {C_w} of the Hecke algebra of `cox`, with the W-graph: the
-    memoized C-coordinates of every product C_s C_w.
+    memoized C-coordinates of every product C_s C_w.  `c` maps w to C_w.
     """
 
     def __init__(self, cox: Coxeter):
-        self.cox = cox
-        self.elements = cox.elements
-        self.c: dict = {}
-        self._rows: dict = {}
+        self.cox, self.elements, self._bits = cox, cox.elements, _C_BITS
+        self._off = max(cox._exps.values())  # working exponents stay >= -off
+        self._rows, self._row_memo = {}, {}  # rows, and their decode memo
         self._build()
+        self._tables = {self._bits: self._c}
+        self.c = Decoded(self._c, self.elements, cox.index, self._bits, 0)
 
     def _build(self) -> None:
-        cox = self.cox
-        for w in self.elements:
-            if w == cox.identity:
-                self.c[w] = {w: LaurentPoly.one()}
-                continue
+        cox, bits, off = self.cox, self._bits, self._off
+        shift, mask = bits * off, (1 << bits * (off + 1)) - 1
+        els = cox.elements
+        c = self._c = [{0: 1}]
+        for w in range(1, len(els)):
             s = min(k for k in cox.gens if w in cox.left[k][1])
-            w1 = cox.left[s][0][w]
-            d = _mult_gen(cox, cox.left, s, self.c[w1])
-            _sub_scaled(d, self.c[w1], cox.weight(s))
-            for y in sorted((y for y in d if y != w),
-                            key=lambda y: -cox.length[y]):
-                h = d.get(y)
-                if h is not None and h.min_exp() <= 0:
-                    _sub_scaled(d, self.c[y], h.bar_symmetrize_nonpositive())
-            if not d.get(w, LaurentPoly.zero()).is_one():
-                raise InvariantViolation(f"C_{w}: T_w coefficient is not 1")
+            d = _c_s_times(cox, s, c[cox.left[s][0][w]], bits, off)
+            for y in sorted((y for y in d if y != w), reverse=True):
+                if d[y] & mask:
+                    add_scaled(d, c[y], -bar_symmetric_low(d[y], bits, off))
+            if d.get(w) != 1 << shift:
+                raise InvariantViolation(
+                    f"C_{els[w]}: T_w coefficient is not 1")
             for y, h in d.items():
-                if y != w and h.min_exp() <= 0:
-                    raise InvariantViolation(f"C_{w}: bad coefficient at {y}")
-            self.c[w] = d
+                if h & mask and y != w:
+                    raise InvariantViolation(
+                        f"C_{els[w]}: bad coefficient at {els[y]}")
+            c.append({y: h >> shift for y, h in d.items() if h})
+
+    @staticmethod
+    def _coords(rest: dict, table: list) -> dict:
+        """C-coordinates of a packed vector (consumed), at its own offset."""
+        out = {}
+        for w in range(max(rest, default=-1), -1, -1):
+            coeff = rest.get(w)
+            if coeff:
+                out[w] = coeff
+                add_scaled(rest, table[w], -coeff)
+            rest.pop(w, None)  # zero now: the T_w coefficient of C_w is 1
+            if not rest:
+                break
+        return out
 
     def check_bar_invariance(self, w) -> bool:
         return bar_involution(self.cox, self.c[w]) == self.c[w]
 
     def c_coordinates(self, x: HeckeElement) -> dict:
         """Expand x in the C-basis (one triangular pass, longest first)."""
-        rest = dict(x)
-        out = {}
-        for w in reversed(self.elements):
-            if not rest:
-                break
-            coeff = rest.get(w)
-            if coeff is not None:
-                out[w] = coeff
-                _sub_scaled(rest, self.c[w], coeff)
-        if rest:
-            raise SizeMismatch(f"{sorted(rest)} lie outside the basis")
-        return out
+        terms = _indexed(self.cox, x)
+        big = max([0] + [norm(p) for _, p in terms])  # 16 bits of headroom
+        bits = max(self._bits, width(big << 16, 8))
+        if bits not in self._tables:  # repack once for large inputs
+            self._tables[bits] = [{y: pack(unpack(c, self._bits, 0), bits, 0)
+                                   for y, c in row.items()} for row in self._c]
+        off = low(p for _, p in terms)
+        rest = {i: pack(p, bits, off) for i, p in terms}
+        return decode(self._coords(rest, self._tables[bits]), self.elements,
+                      bits, off)
 
     def left_product(self, s: int, w) -> dict:
         """
@@ -267,13 +329,14 @@ class KLBasis:
         row = self._rows.get((s, w))
         if row is None:
             cox = self.cox
-            qs = cox.weight(s)
-            if w in cox.left[s][1]:
+            i = cox.index[w]
+            if i in cox.left[s][1]:
+                qs = cox.weight(s)
                 row = {w: -(qs.bar() + qs)}
             else:
-                prod = _mult_gen(cox, cox.left, s, self.c[w])
-                _sub_scaled(prod, self.c[w], qs)
-                row = self.c_coordinates(prod)
+                prod = _c_s_times(cox, s, self._c[i], self._bits, self._off)
+                row = decode(self._coords(prod, self._c), self.elements,
+                             self._bits, self._off, self._row_memo)
             self._rows[s, w] = row
         return row
 
@@ -294,11 +357,9 @@ def compute_kl_basis(n: int, bound: int | None = None) -> KLBasis:
 
 def _sccs(edges: dict) -> list[frozenset]:
     """Strongly connected components (iterative Tarjan)."""
-    index: dict = {}
+    index: dict = {}  # node -> DFS number
     low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    out: list[frozenset] = []
+    on_stack, stack, out = set(), [], []
     counter = itertools.count()
 
     for root in edges:
@@ -373,10 +434,11 @@ class IdealJn:
         T_x ↦ T_{x⁻¹}, which fixes every T_s and so maps C_x to C_{x⁻¹}:
         the C-coordinates of C_w C_s are {y⁻¹ : y in the row (s, w⁻¹)}.
         """
-        basis = self.basis
-        inverse = basis.cox.inverse
+        basis, cox = self.basis, self.basis.cox
+        inverse = dict(zip(cox.elements, map(cox.elements.__getitem__,
+                                             cox.inverse)))
         for w in self.outside:
-            for s in basis.cox.gens:
+            for s in cox.gens:
                 if not self.outside.issuperset(basis.left_product(s, w)):
                     return False
                 if not all(inverse[y] in self.outside
@@ -388,16 +450,14 @@ class IdealJn:
         """C_1C_2C_1 - C_1 and C_1C_0C_1 - [2]_{Q/q} C_1."""
         cox = self.basis.cox
         c1 = c_gen(cox, 1)
-        gens = []
-        if self.n >= 3:
-            g = multiply_t(cox, multiply_t(cox, c1, c_gen(cox, 2)), c1)
-            _sub_scaled(g, c1, LaurentPoly.one())
-            gens.append(g)
         # [2]_{Q/q} = Q/q + q/Q = v^{-1} + v
-        ratio2 = LaurentPoly({1: 1, -1: 1})
-        g = multiply_t(cox, multiply_t(cox, c1, c_gen(cox, 0)), c1)
-        _sub_scaled(g, c1, ratio2)
-        gens.append(g)
+        pairs = [(2, LaurentPoly.one())] if self.n >= 3 else []
+        gens = []
+        for k, scale in pairs + [(0, LaurentPoly({1: 1, -1: 1}))]:
+            g = multiply_t(cox, multiply_t(cox, c1, c_gen(cox, k)), c1)
+            for w, c in c1.items():
+                add_term(g, w, -(c * scale))
+            gens.append(g)
         return gens
 
 
@@ -535,13 +595,10 @@ def _apply_r(x: dict, slot: int, sc: dict, inverse: bool = False) -> dict:
         if a == b:
             add_term(out, w, c * (qi if inverse else qq))
         elif (a, b) == (2, 1):
-            swapped = w[:slot] + (1, 2) + w[slot + 2:]
+            add_term(out, w[:slot] + (1, 2) + w[slot + 2:], c)
             if inverse:
                 # R^{-1} = R - (q - q^{-1}): R(v2⊗v1) = v1⊗v2
-                add_term(out, swapped, c)
                 add_term(out, w, -c * diff)
-            else:
-                add_term(out, swapped, c)
         else:  # (1, 2)
             swapped = w[:slot] + (2, 1) + w[slot + 2:]
             add_term(out, swapped, c)
@@ -609,19 +666,15 @@ def tensor_ideal_annihilates(n: int, scalars: dict | None = None) -> bool:
         raise ValueError("the ideal generators need n >= 2")
     sc = scalars if scalars is not None else generic_tensor_scalars()
     ratio2 = LaurentPoly({1: 1, -1: 1})  # [2]_{Q/q} = v + v^{-1}
+    pairs = ([(2, sc["one"])] if n >= 3 else []) + [(0, ratio2)]
     for word in itertools.product((1, 2), repeat=n):
         c1x = tensor_c_action(n, 1, tensor_identity(word, sc), sc)
-        if n >= 3:
-            y = tensor_c_action(n, 1, tensor_c_action(n, 2, dict(c1x), sc), sc)
+        for k, scale in pairs:  # C_1 C_k C_1 x - scale C_1 x
+            y = tensor_c_action(n, 1, tensor_c_action(n, k, dict(c1x), sc), sc)
             for w, c in c1x.items():
-                add_term(y, w, -c)
+                add_term(y, w, -(c * scale))
             if y:
                 return False
-        y = tensor_c_action(n, 1, tensor_c_action(n, 0, dict(c1x), sc), sc)
-        for w, c in c1x.items():
-            add_term(y, w, -(c * ratio2))
-        if y:
-            return False
     return True
 
 

@@ -595,6 +595,9 @@ class CycloNumber:
                 and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
+        # A rational constant equals its int or Fraction, so it hashes as one.
+        if not any(self._num[1:]):
+            return hash(Fraction(self._num[0], self._den))
         return hash((self.n, self._num, self._den))
 
     def __repr__(self):

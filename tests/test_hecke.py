@@ -1,6 +1,7 @@
 """The unequal-parameter C-basis, cells, the ideal, and the tensor action."""
 
 import itertools
+import random
 
 import pytest
 import sympy
@@ -10,15 +11,104 @@ from blobcell.hecke import (
     bar_involution, c_gen, compute_kl_basis, ideal_jn, left_cells,
     multiply_t, t_gen, type_a, type_b,
 )
-from blobcell.laurent import LaurentPoly
+from blobcell.laurent import LaurentPoly, add_term
+
+# -- Reference T-basis arithmetic on windows --------------------------------
+#
+# The LaurentPoly word walk the engine used before it packed coefficients,
+# written here without the engine's tables: windows, `weylb.apply_generator`,
+# lengths from `weylb.length` (type B) or inversions (type A) and reduced
+# words found by descent search.  The engine is checked against it.
+
+
+def _inversions(w):
+    return sum(w[i] > w[j] for i in range(len(w)) for j in range(i + 1, len(w)))
+
+
+def _spec(group):
+    """(generators, length, q_s) of B<n> (q_0 = v, q_i = v^2) or S<n> (v^2)."""
+    n = int(group[1:])
+    if group[0] == "B":
+        return range(n), weylb.length, \
+            lambda k: LaurentPoly.monomial(1 if k == 0 else 2)
+    return range(1, n), _inversions, lambda k: LaurentPoly.monomial(2)
+
+
+def _ref_word(group, w):
+    gens, length, _ = _spec(group)
+    word = []
+    while length(w):
+        k = next(k for k in gens
+                 if length(weylb.apply_generator(w, k)) < length(w))
+        word.append(k)
+        w = weylb.apply_generator(w, k)
+    return word[::-1]
+
+
+def _ref_times_gen(group, x, k, inverse=False):
+    """x T_k, or x T_k^{-1} = x T_k - (q_k - q_k^{-1}) x."""
+    _, length, q = _spec(group)
+    twist = q(k) - q(k).bar()
+    out = {}
+    for w, c in x.items():
+        u = weylb.apply_generator(w, k)
+        add_term(out, u, c)
+        if length(u) < length(w):
+            add_term(out, w, c * twist)
+        if inverse:
+            add_term(out, w, -(c * twist))
+    return out
+
+
+def _ref_multiply(group, x, y):
+    """x*y: each term of y walked as a reduced word of right passes over x."""
+    out = {}
+    for w, c in y.items():
+        acc = {u: cu * c for u, cu in x.items()}
+        for k in _ref_word(group, w):
+            acc = _ref_times_gen(group, acc, k)
+        for u, cu in acc.items():
+            add_term(out, u, cu)
+    return out
+
+
+def _ref_bar(group, x):
+    """bar(T_w) = T_{k_1}^{-1} ... T_{k_r}^{-1} for w = s_{k_1} ... s_{k_r}."""
+    identity = tuple(range(1, len(next(iter(x))) + 1)) if x else ()
+    out = {}
+    for w, c in x.items():
+        acc = {identity: c.bar()}
+        for k in _ref_word(group, w):
+            acc = _ref_times_gen(group, acc, k, inverse=True)
+        for u, cu in acc.items():
+            add_term(out, u, cu)
+    return out
+
+
+def _random_element(rng, elements, terms, big=False):
+    out = {}
+    for w in rng.sample(elements, terms):
+        coeffs = {rng.randint(-4, 4): rng.choice([-3, -2, -1, 1, 2, 3])
+                  for _ in range(rng.randint(1, 3))}
+        if big:
+            coeffs[rng.randint(-4, 4)] = rng.choice([-1, 1]) * 7 ** 25
+        out[w] = LaurentPoly(coeffs)
+    return out
+
+
+# The relations below run on type B, whose Coxeter names match `_spec`'s.
+PRODUCTS = {"engine": multiply_t,
+            "reference": lambda cox, x, y: _ref_multiply(cox.name, x, y)}
 
 
 def test_quadratic_relations():
-    # T_s^2 = (q_s - q_s^{-1}) T_s + 1 with q_0 = v, q_i = v^2.
-    for n, s in ((2, 0), (2, 1), (3, 2)):
+    # T_s^2 = (q_s - q_s^{-1}) T_s + 1 with q_0 = v, q_i = v^2, for the
+    # engine and for the reference.
+    for (n, s), multiply in itertools.product(((2, 0), (2, 1), (3, 2)),
+                                              PRODUCTS.values()):
         cox = type_b(n)
         ts = t_gen(cox, s)
-        sq = multiply_t(cox, ts, ts)
+        sq = multiply(cox, ts, ts)
         qs = cox.weight(s)
         expected = {cox.identity: LaurentPoly.one()}
         e = cox._gen_elts[s]
@@ -28,13 +118,59 @@ def test_quadratic_relations():
 
 def test_braid_relations():
     cox = type_b(3)
-    for a, b, order in ((0, 1, 4), (1, 2, 3), (0, 2, 2)):
+    for (a, b, order), multiply in itertools.product(
+            ((0, 1, 4), (1, 2, 3), (0, 2, 2)), PRODUCTS.values()):
         x = {cox.identity: LaurentPoly.one()}
         y = {cox.identity: LaurentPoly.one()}
         for k in range(order):
-            x = multiply_t(cox, x, t_gen(cox, a if k % 2 == 0 else b))
-            y = multiply_t(cox, y, t_gen(cox, b if k % 2 == 0 else a))
+            x = multiply(cox, x, t_gen(cox, a if k % 2 == 0 else b))
+            y = multiply(cox, y, t_gen(cox, b if k % 2 == 0 else a))
         assert x == y
+        # and the same words multiplied from the left
+        x = {cox.identity: LaurentPoly.one()}
+        y = {cox.identity: LaurentPoly.one()}
+        for k in range(order):
+            x = multiply(cox, t_gen(cox, a if k % 2 == 0 else b), x)
+            y = multiply(cox, t_gen(cox, b if k % 2 == 0 else a), y)
+        assert x == y
+
+
+@pytest.mark.parametrize("group", ["B3", "S4"])
+def test_multiply_t_matches_reference_on_generator_products(group):
+    # Every C_s C_w and C_w C_s: the engine walks C_s's two terms with
+    # left passes in the first and right passes in the second.
+    cox = type_b(3) if group == "B3" else type_a(4)
+    basis = hecke.KLBasis(cox)
+    for w in basis.elements:
+        for s in cox.gens:
+            cs, cw = c_gen(cox, s), basis.c[w]
+            assert multiply_t(cox, cs, cw) == _ref_multiply(group, cs, cw)
+            assert multiply_t(cox, cw, cs) == _ref_multiply(group, cw, cs)
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_multiply_t_and_bar_match_reference_on_random_elements(big):
+    # Seeded random elements of 2-5 terms in B3; with `big`, one coefficient
+    # of each term is 7^25, far beyond any fixed digit width.
+    cox = type_b(3)
+    elements = list(weylb.enumerate_wn(3))
+    rng = random.Random(f"hecke-random:{big}")
+    for _ in range(40):
+        x = _random_element(rng, elements, rng.randint(2, 5), big)
+        y = _random_element(rng, elements, rng.randint(2, 5), big)
+        assert multiply_t(cox, x, y) == _ref_multiply("B3", x, y)
+        assert multiply_t(cox, y, x) == _ref_multiply("B3", y, x)
+        assert bar_involution(cox, x) == _ref_bar("B3", x)
+
+
+@pytest.mark.parametrize("group", ["B3", "S4"])
+def test_bar_involution_matches_reference(group):
+    cox = type_b(3) if group == "B3" else type_a(4)
+    basis = hecke.KLBasis(cox)
+    for w in basis.elements:
+        t_w = {w: LaurentPoly({1: 2, -3: -1})}
+        assert bar_involution(cox, t_w) == _ref_bar(group, t_w)
+        assert bar_involution(cox, basis.c[w]) == _ref_bar(group, basis.c[w])
 
 
 def test_bar_is_involution():
@@ -43,10 +179,6 @@ def test_bar_is_involution():
     for w in basis.elements:
         x = basis.c[w]
         assert bar_involution(cox, bar_involution(cox, x)) == x
-
-
-def _inversions(w):
-    return sum(w[i] > w[j] for i in range(len(w)) for j in range(i + 1, len(w)))
 
 
 def _perm_compose(u, w):
@@ -72,23 +204,24 @@ def test_window_descents_match_lengths(group):
         cox, length = type_a(4), _inversions
         compose, inverse = _perm_compose, _perm_inverse
         elements = list(itertools.permutations(range(1, 5)))
-    assert sorted(cox.elements) == sorted(elements)
-    assert [cox.length[w] for w in cox.elements] \
-        == sorted(length(w) for w in elements)
+    els = cox.elements  # numbered in (length, window) order
+    assert els == sorted(elements, key=lambda w: (length(w), w))
+    assert [cox.index[w] for w in els] == list(range(len(els)))
+    assert cox.length == [length(w) for w in els]
     gen = {k: weylb.evaluate_word(4, (k,)) for k in cox.gens}
-    for w in elements:
-        word = cox.words[w]
+    for i, w in enumerate(els):
+        word = cox.words[i]
         assert weylb.evaluate_word(4, word) == w
-        assert len(word) == cox.length[w] == length(w)
-        assert cox.inverse[w] == inverse(w)
+        assert len(word) == cox.length[i] == length(w)
+        assert els[cox.inverse[i]] == inverse(w)
         shorter = [k for k in cox.gens if length(compose(w, gen[k])) < length(w)]
         assert word[-1:] == tuple(shorter[:1])
         for k in cox.gens:
             (right, right_desc), (left, left_desc) = cox.right[k], cox.left[k]
-            assert right[w] == compose(w, gen[k])
-            assert left[w] == compose(gen[k], w)
-            assert (w in right_desc) == (length(right[w]) < length(w))
-            assert (w in left_desc) == (length(left[w]) < length(w))
+            assert els[right[i]] == compose(w, gen[k])
+            assert els[left[i]] == compose(gen[k], w)
+            assert (i in right_desc) == (length(els[right[i]]) < length(w))
+            assert (i in left_desc) == (length(els[left[i]]) < length(w))
 
 
 @pytest.mark.parametrize("group", ["B3", "S4"])
@@ -167,12 +300,12 @@ def test_left_product_matches_t_basis_reference(group):
         for s in cox.gens:
             cs = c_gen(cox, s)
             assert basis.left_product(s, w) \
-                == basis.c_coordinates(multiply_t(cox, cs, basis.c[w]))
+                == basis.c_coordinates(_ref_multiply(group, cs, basis.c[w]))
             if group != "S4":
                 right = {weylb.inverse(y): c for y, c in
                          basis.left_product(s, weylb.inverse(w)).items()}
                 assert right \
-                    == basis.c_coordinates(multiply_t(cox, basis.c[w], cs))
+                    == basis.c_coordinates(_ref_multiply(group, basis.c[w], cs))
 
 
 def test_c_coordinates_rejects_keys_outside_basis():
@@ -181,11 +314,58 @@ def test_c_coordinates_rejects_keys_outside_basis():
         basis.c_coordinates({(1, 2, 3): LaurentPoly.one()})
 
 
+_ONE = LaurentPoly.one()
+_OUTSIDE_CALLS = {
+    "multiply_t left": lambda cox, key: multiply_t(cox, {key: _ONE},
+                                                   {(1, 2, 3): _ONE}),
+    "multiply_t right": lambda cox, key: multiply_t(cox, {(1, 2, 3): _ONE},
+                                                    {key: _ONE}),
+    "bar_involution": lambda cox, key: bar_involution(cox, {key: _ONE}),
+    "c_coordinates": lambda cox, key: hecke.KLBasis(cox).c_coordinates(
+        {(2, 1, 3): _ONE, key: _ONE}),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_OUTSIDE_CALLS))
+@pytest.mark.parametrize("key", [(1, 1, 2), (1, 2, 3, 4), (1, 2), (0, 1, 2)])
+def test_keys_outside_the_group_raise(call, key):
+    with pytest.raises(weylb.SizeMismatch):
+        _OUTSIDE_CALLS[call](type_b(3), key)
+
+
+def test_multiply_t_with_plain_int_values_outside_the_group():
+    # Once returned {(1, 1, 2): 1} unchanged.
+    with pytest.raises(weylb.SizeMismatch):
+        multiply_t(type_b(3), {(1, 1, 2): 1}, {(1, 2, 3): 1})
+
+
+def test_c_is_a_read_only_mapping_decoded_on_first_read():
+    basis = compute_kl_basis(3)
+    c = basis.c
+    assert len(c) == 48 and list(c) == basis.elements
+    w = basis.elements[20]
+    assert c[w] is c[w] and dict(c.items())[w] is c[w]
+    assert sum(len(x) for x in c.values()) == 847
+    assert w in c and (1, 1, 2) not in c and (1, 2, 3, 4) not in c
+    with pytest.raises(TypeError):
+        c[w] = {}
+
+
+def test_c_coordinates_exact_beyond_the_table_digit_width():
+    # Coefficients of 2^70 do not fit 24-bit digits: the table is repacked.
+    basis = compute_kl_basis(3)
+    big = LaurentPoly({0: 3 ** 40, -3: -(2 ** 70), 5: 1})
+    for w in basis.elements[::7]:
+        coords = basis.c_coordinates({w: LaurentPoly.one()})
+        assert basis.c_coordinates({w: big}) \
+            == {y: c * big for y, c in coords.items()}
+
+
 def test_broken_build_step_raises(monkeypatch):
-    # Without the bar-symmetric correction some C_w keeps a coefficient
-    # outside v Z[v]; the build must raise, not rely on `assert`.
-    monkeypatch.setattr(LaurentPoly, "bar_symmetrize_nonpositive",
-                        lambda self: LaurentPoly.zero())
+    # Without the bar-symmetric correction (the packed build's
+    # symmetrization step) some C_w keeps a coefficient outside v Z[v]; the
+    # build must raise, not rely on `assert`.
+    monkeypatch.setattr(hecke, "bar_symmetric_low", lambda h, bits, off: 0)
     with pytest.raises(weylb.InvariantViolation):
         compute_kl_basis(3)
 
@@ -248,7 +428,8 @@ def test_type_a_two_rows_match_t_basis_product(n):
     basis = hecke.KLBasis(cox)
     iota_s = hecke._iota_perm(weylb.evaluate_word(n, (n - 1,)))
     for w in weylb.enumerate_wb(n):
-        product = multiply_t(cox, basis.c[iota_s], basis.c[hecke._iota_perm(w)])
+        product = _ref_multiply(f"S{2 * n}", basis.c[iota_s],
+                                basis.c[hecke._iota_perm(w)])
         assert hecke._iota_s_row(basis, n, w) == basis.c_coordinates(product)
 
 

@@ -241,6 +241,20 @@ def test_cyclo_equal_values_have_equal_hashes(n):
     assert _value(half + third) == _ref_mod([Fraction(5, 6)], n)
 
 
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_cyclo_constants_hash_as_their_rational_value(n):
+    # x == k must give hash(x) == hash(k), so dicts and sets find either.
+    rng = random.Random(f"cyclo-const:{n}")
+    values = [0, 1, -1] + [rng.randint(-99, 99) for _ in range(5)] \
+        + [Fraction(rng.randint(-99, 99), rng.randint(2, 30)) for _ in range(5)]
+    for k in values:
+        # the second is Phi_n(zeta) + k: a constant reached by reduction
+        for x in (CycloNumber.const(n, k), CycloNumber(n, _phi(n)) + k):
+            assert x == k and hash(x) == hash(k)
+            assert {x: "x"}.get(k) == "x" and {k: "k"}.get(x) == "k"
+            assert k in {x} and x in {k}
+
+
 def test_cyclo_repr_text():
     z = cyclotomic_root(12)
     assert repr(z) == "CycloNumber(12; 1*z^1)"
