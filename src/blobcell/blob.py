@@ -17,12 +17,16 @@ Composition stacks one diagram over another and straightens.  Scalars, in
   * two blobs meeting on one line merge into one with factor -[m];
   * a closed loop carrying one blob (after merges) contributes [m-1].
 
-Standard modules Δ_n(λ), λ ∈ Λ_n = {-n, -n+2, ..., n}: half-diagrams with
-|λ| defects (unmatched points propagating upward), non-crossing arcs not
-covering any defect, blobs on exposed arcs, and a blob on the leftmost
-defect exactly when λ < 0.  Generators act by stacking on top; any term
-whose defect count drops, or whose defect-blob state disagrees with
-sign(λ), is discarded (cellular truncation).
+Standard modules Δ_n(λ), λ ∈ Λ_n = {-n, -n+2, ..., n}, are the cell
+modules of the diagram basis.  A half-diagram h has |λ| defects (unmatched
+points), non-crossing arcs not covering any defect, blobs on exposed arcs,
+and a blob on the leftmost defect exactly when λ < 0.  It is embedded as
+the full diagram D_h, whose top is h and whose defects run down to bottom
+columns 0..|λ|-1, the other bottom columns closed by adjacent cups.  U_k
+acts by `compose_diagrams(U_k, D_h)`; the product is D_{h'} for a basis
+element h' unless it has fewer than |λ| through-lines or its leftmost
+through-line's blob state disagrees with sign(λ), and those terms are
+discarded (cellular truncation).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, quantum_integer
 from .partitions import WeightOutOfRange, check_weight
 from .weylb import BoundExceeded, SizeMismatch
 
@@ -56,16 +60,9 @@ class SpecializationInvalid(ValueError):
 
 def blob_scalars(m: int) -> dict:
     """Loop scalars over ℤ[q, q^{-1}]: -[2], [m-1], -[m]."""
-
-    def brk(a: int) -> LaurentPoly:
-        if a == 0:
-            return LaurentPoly.zero()
-        if a < 0:
-            return -brk(-a)
-        return LaurentPoly({a - 1 - 2 * k: 1 for k in range(a)})
-
-    return {"delta_plain": -brk(2), "blob_loop": brk(m - 1),
-            "blob_merge": -brk(m)}
+    return {"delta_plain": -quantum_integer(2),
+            "blob_loop": quantum_integer(m - 1),
+            "blob_merge": -quantum_integer(m)}
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +202,23 @@ def compose_diagrams(a: BlobDiagram, b: BlobDiagram, m: int = 2,
     """
     The product a·b (a stacked above b), returning (scalar, BlobDiagram).
 
-    Point labels during straightening: ("a", c) and ("b", c) for circular
-    coordinates of a and b; a's bottom column j is glued to b's top column j.
+    Point labels during straightening: c for a's circular coordinate c and
+    2n + c for b's; a's bottom column j is glued to b's top column j.
     """
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
     n = a.n
     sc = scalars if scalars is not None else blob_scalars(m)
-    edges = [((t, min(l)), (t, max(l)), l in x.blobs)
-             for t, x in (("a", a), ("b", b)) for l in x.pairing]
-    edges += [(("a", 2 * n - 1 - j), ("b", j), False) for j in range(n)]
-    boundary = ({("a", c) for c in range(n)}
-                | {("b", c) for c in range(n, 2 * n)})
+    edges = [(off + min(l), off + max(l), l in x.blobs)
+             for off, x in ((0, a), (2 * n, b)) for l in x.pairing]
+    edges += [(2 * n - 1 - j, 2 * n + j, False) for j in range(n)]
+    boundary = set(range(n)) | set(range(3 * n, 4 * n))
     strands, loops = _strands(edges, boundary)
     pairs = set()
     blobs = set()
     merges = 0
     for start, end, k in strands:
-        line = Line({start[1], end[1]})
+        line = Line({start % (2 * n), end % (2 * n)})
         pairs.add(line)
         if k:
             blobs.add(line)
@@ -253,12 +249,19 @@ class BlobHalfDiagram:
                 sorted(tuple(sorted(a)) for a in self.blobbed_arcs),
                 self.defect_blob)
 
-
-def _arc_exposed_half(arc, arcs, defects) -> bool:
-    i, j = sorted(arc)
-    if any(min(o) < i and j < max(o) for o in arcs if o != arc):
-        return False
-    return not any(d < i for d in defects)
+    def diagram(self) -> BlobDiagram:
+        """
+        D_h: the top is h, defect i runs down to bottom column i (carrying
+        the defect blob if i = 0), and the remaining bottom columns are
+        closed by adjacent cups.
+        """
+        n, defects = self.n, self.defects()
+        through = [Line({p, 2 * n - 1 - i}) for i, p in enumerate(defects)]
+        cups = [Line({2 * n - 1 - j, 2 * n - 2 - j})
+                for j in range(len(defects), n, 2)]
+        blobs = self.blobbed_arcs | ({through[0]} if self.defect_blob
+                                     else frozenset())
+        return BlobDiagram(n, self.arcs | frozenset(through + cups), blobs)
 
 
 def half_diagrams(n: int, lam: int) -> list[BlobHalfDiagram]:
@@ -271,68 +274,36 @@ def half_diagrams(n: int, lam: int) -> list[BlobHalfDiagram]:
         for arcs in _noncrossing_matchings(cover):
             if any(min(a) < d < max(a) for a in arcs for d in defects):
                 continue
-            exposed = sorted((a for a in arcs
-                              if _arc_exposed_half(a, arcs, defects)),
+            bare = BlobHalfDiagram(n, arcs, frozenset(), lam < 0)
+            lines = bare.diagram().pairing
+            exposed = sorted((a for a in arcs if _exposed(a, lines)),
                              key=sorted)
             for r in range(len(exposed) + 1):
                 for sub in itertools.combinations(exposed, r):
-                    out.append(BlobHalfDiagram(
-                        n, frozenset(arcs), frozenset(sub), lam < 0))
+                    out.append(BlobHalfDiagram(n, arcs, frozenset(sub),
+                                               lam < 0))
     return sorted(out, key=lambda h: h.key())
 
 
-def _act_half(d: BlobDiagram, h: BlobHalfDiagram, lam: int, sc: dict):
+def _left_action(n: int, basis: list, sc: dict) -> dict:
     """
-    d acting on the half-diagram h (d stacked above h).  Returns
-    (scalar, BlobHalfDiagram) or None when the term is truncated away.
-    The defect through bottom point p ends at the boundary point ("def", p).
+    The matrices of U_0..U_{n-1} multiplying the diagrams of `basis` from
+    the left.  A product outside `basis` is a zero term: for the diagrams
+    D_h of Δ_n(λ) those are the products with fewer than |λ|
+    through-lines or with the wrong blob state on the leftmost one.
     """
-    n = d.n
-    defects = h.defects()
-    edges = [(("d", min(l)), ("d", max(l)), l in d.blobs) for l in d.pairing]
-    edges += [(("h", min(a)), ("h", max(a)), a in h.blobbed_arcs)
-              for a in h.arcs]
-    edges += [(("d", 2 * n - 1 - j), ("h", j), False) for j in range(n)]
-    edges += [(("h", p), ("def", p), False) for p in defects]
-    boundary = {("d", c) for c in range(n)} | {("def", p) for p in defects}
-    strands, loops = _strands(edges, boundary)
-    new_arcs = []
-    new_blobbed = []
-    new_defects = {}
-    merges = 0
-    for start, end, k in strands:
-        if start[0] == "def":  # start the strand at the top if it reaches it
-            start, end = end, start
-        if start[0] == "def":
-            return None  # two defects joined: defect count drops
-        if end[0] == "def":  # a propagating defect line
-            new_defects[start[1]] = (end[1], k)
-            continue
-        line = Line({start[1], end[1]})  # a new arc at the top
-        new_arcs.append(line)
-        if k:
-            new_blobbed.append(line)
-            merges += k - 1
-
-    # defect-blob bookkeeping: only the leftmost defect line may see blobs
-    want = lam < 0
-    leftmost = min(defects) if defects else None
-    new_leftmost = min(new_defects) if new_defects else None
-    for pos, (src, nblobs) in new_defects.items():
-        total = nblobs + (want and src == leftmost)
-        if pos != new_leftmost:
-            if total:
-                return None  # a blob on a non-leftmost (non-exposed) defect
-        elif bool(total) != want:
-            return None  # wrong defect-blob state: truncated
-        elif total:
-            merges += total - 1
-    result = BlobHalfDiagram(n, frozenset(new_arcs), frozenset(new_blobbed),
-                             want)
-    for arc in result.blobbed_arcs:
-        if not _arc_exposed_half(arc, result.arcs, result.defects()):
-            raise ExposureViolation(f"blob on non-exposed arc {sorted(arc)}")
-    return _loop_scalar(loops, merges, sc), result
+    index = {d: i for i, d in enumerate(basis)}
+    size = len(basis)
+    mats = {}
+    for k in range(n):
+        g = generator_diagram(n, k)
+        mat = [[LaurentPoly.zero()] * size for _ in range(size)]
+        for j, d in enumerate(basis):
+            scalar, out = compose_diagrams(g, d, scalars=sc)
+            if out in index:
+                mat[index[out]][j] = scalar
+        mats[k] = mat
+    return mats
 
 
 class StandardModule:
@@ -342,20 +313,8 @@ class StandardModule:
         self.n, self.lam, self.m = n, lam, m
         self.scalars = blob_scalars(m)
         self.basis = half_diagrams(n, lam)
-        self.index = {h: i for i, h in enumerate(self.basis)}
-        self.matrices = {k: self._matrix(k) for k in range(n)}
-
-    def _matrix(self, k: int):
-        d = generator_diagram(self.n, k)
-        size = len(self.basis)
-        mat = [[LaurentPoly.zero()] * size for _ in range(size)]
-        for j, h in enumerate(self.basis):
-            res = _act_half(d, h, self.lam, self.scalars)
-            if res is None:
-                continue
-            scalar, out = res
-            mat[self.index[out]][j] = mat[self.index[out]][j] + scalar
-        return mat
+        self.matrices = _left_action(
+            n, [h.diagram() for h in self.basis], self.scalars)
 
     def dimension(self) -> int:
         return len(self.basis)
@@ -367,19 +326,7 @@ def standard_module(n: int, lam: int, m: int = 2) -> StandardModule:
 
 def regular_representation(n: int, m: int = 2) -> dict:
     """Left-multiplication matrices of U_0..U_{n-1} on the diagram basis."""
-    diagrams = all_diagrams(n)
-    index = {d: i for i, d in enumerate(diagrams)}
-    sc = blob_scalars(m)
-    mats = {}
-    for k in range(n):
-        g = generator_diagram(n, k)
-        size = len(diagrams)
-        mat = [[LaurentPoly.zero()] * size for _ in range(size)]
-        for j, d in enumerate(diagrams):
-            scalar, out = compose_diagrams(g, d, m, sc)
-            mat[index[out]][j] = mat[index[out]][j] + scalar
-        mats[k] = mat
-    return mats
+    return _left_action(n, all_diagrams(n), blob_scalars(m))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .weylb import InvariantViolation
 
 __all__ = [
     "DominoTableau", "domino_insert", "domino_shape", "domino_reverse",
-    "rsk_type_a", "ShapeMismatch", "DuplicateLetter",
+    "ShapeMismatch",
 ]
 
 Cell = tuple[int, int]
@@ -40,10 +40,6 @@ Domino = tuple[Cell, Cell]
 
 class ShapeMismatch(ValueError):
     """Raised when a tableau pair does not have matching shapes."""
-
-
-class DuplicateLetter(ValueError):
-    """Raised by rsk_type_a on words with repeated letters."""
 
 
 def _is_int(x) -> bool:
@@ -376,34 +372,3 @@ def domino_reverse(p: DominoTableau, q: DominoTableau) -> weylb.SignedPermutatio
         tab, letter = _reverse_letter(tab, qd[step])
         letters.append(letter)
     return tuple(reversed(letters))
-
-
-def rsk_type_a(word) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """
-    Classical Robinson-Schensted row insertion for a word with distinct
-    letters; returns (P, Q) as tuples of rows.
-
-    >>> rsk_type_a([3, 1, 2])
-    (((1, 2), (3,)), ((1, 3), (2,)))
-    """
-    word = list(word)
-    if len(set(word)) != len(word):
-        raise DuplicateLetter("letters must be distinct")
-    p: list[list[int]] = []
-    q: list[list[int]] = []
-    for step, x in enumerate(word, start=1):
-        row = 0
-        while True:
-            if row == len(p):
-                p.append([x])
-                q.append([step])
-                break
-            bigger = [i for i, y in enumerate(p[row]) if y > x]
-            if not bigger:
-                p[row].append(x)
-                q[row].append(step)
-                break
-            i = bigger[0]
-            p[row][i], x = x, p[row][i]
-            row += 1
-    return tuple(tuple(r) for r in p), tuple(tuple(r) for r in q)

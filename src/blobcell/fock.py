@@ -44,7 +44,7 @@ __all__ = [
     "residue", "node_key", "node_less", "addable_nodes", "removable_nodes",
     "f_action", "divided_f", "crystal_f", "crystal_e",
     "crystal_paths", "estrings", "canonical_basis",
-    "AlcoveGeometry", "alcove_data", "weyl_element", "decomposition_number",
+    "AlcoveGeometry", "alcove_data", "decomposition_number",
     "kleshchev_convert",
     "NotUnitriangular", "SingularWeight", "NotReachable",
     "DividedPowerInexact",
@@ -373,11 +373,6 @@ class AlcoveGeometry:
 
 def alcove_data(e: int, m: int) -> AlcoveGeometry:
     return AlcoveGeometry(e, m)
-
-
-def weyl_element(geom: AlcoveGeometry, lam: int) -> int:
-    """The dihedral alcove index i of λ; the element w_λ has length |i|."""
-    return geom.alcove_index(lam)
 
 
 def _dihedral_leq(i: int, j: int) -> bool:

@@ -450,15 +450,22 @@ class IdealJn:
         """C_1C_2C_1 - C_1 and C_1C_0C_1 - [2]_{Q/q} C_1."""
         cox = self.basis.cox
         c1 = c_gen(cox, 1)
-        # [2]_{Q/q} = Q/q + q/Q = v^{-1} + v
-        pairs = [(2, LaurentPoly.one())] if self.n >= 3 else []
         gens = []
-        for k, scale in pairs + [(0, LaurentPoly({1: 1, -1: 1}))]:
+        for k, scale in _ideal_generator_pairs(self.n):
             g = multiply_t(cox, multiply_t(cox, c1, c_gen(cox, k)), c1)
             for w, c in c1.items():
                 add_term(g, w, -(c * scale))
             gens.append(g)
         return gens
+
+
+def _ideal_generator_pairs(n: int) -> list:
+    """
+    The pairs (k, c) whose C_1C_kC_1 - c·C_1 generate J_n: (2, 1) when
+    n >= 3, and (0, [2]_{Q/q}) with [2]_{Q/q} = Q/q + q/Q = v + v⁻¹.
+    """
+    pairs = [(2, LaurentPoly.one())] if n >= 3 else []
+    return pairs + [(0, LaurentPoly({1: 1, -1: 1}))]
 
 
 def ideal_jn(n: int, basis: KLBasis | None = None) -> IdealJn:
@@ -657,19 +664,18 @@ def permutation_module(n: int, lam: int) -> list[tuple[int, ...]]:
                   if w.count(1) == ones)
 
 
-def tensor_ideal_annihilates(n: int, scalars: dict | None = None) -> bool:
+def tensor_ideal_annihilates(n: int) -> bool:
     """
     Both ideal generators C_1C_2C_1 - C_1 and C_1C_0C_1 - [2]_{Q/q} C_1
     kill every basis word of V^{⊗n} (in the one-variable generic ring).
     """
     if n < 2:
         raise ValueError("the ideal generators need n >= 2")
-    sc = scalars if scalars is not None else generic_tensor_scalars()
-    ratio2 = LaurentPoly({1: 1, -1: 1})  # [2]_{Q/q} = v + v^{-1}
-    pairs = ([(2, sc["one"])] if n >= 3 else []) + [(0, ratio2)]
+    sc = generic_tensor_scalars()
     for word in itertools.product((1, 2), repeat=n):
         c1x = tensor_c_action(n, 1, tensor_identity(word, sc), sc)
-        for k, scale in pairs:  # C_1 C_k C_1 x - scale C_1 x
+        for k, scale in _ideal_generator_pairs(n):
+            # C_1 C_k C_1 x - scale C_1 x
             y = tensor_c_action(n, 1, tensor_c_action(n, k, dict(c1x), sc), sc)
             for w, c in c1x.items():
                 add_term(y, w, -(c * scale))

@@ -22,7 +22,8 @@ leaves the insertion tableau unchanged:
 
 Every move preserves the insertion tableau P, so each class is contained in
 a P-fiber; the exhaustive tests verify the converse (each fiber is a single
-class) for n <= 6, together with the dual statements for Q via inverses.
+class) for n <= 5, and the dual statement for Q (each Q-fiber is a single
+coplactic class) for n <= 4.
 """
 
 from __future__ import annotations

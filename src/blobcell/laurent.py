@@ -56,12 +56,11 @@ class LaurentPoly:
     True
     """
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs: dict[int, int] | None = None):
         c = {e: int(x) for e, x in (coeffs or {}).items() if x != 0}
         self._c = c
-        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -76,10 +75,6 @@ class LaurentPoly:
     @staticmethod
     def monomial(exponent: int, coeff: int = 1) -> "LaurentPoly":
         return LaurentPoly({exponent: coeff})
-
-    @staticmethod
-    def const(c: int) -> "LaurentPoly":
-        return LaurentPoly({0: c})
 
     # -- queries -----------------------------------------------------------
 
@@ -115,20 +110,17 @@ class LaurentPoly:
                 del c[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = c
-        out._hash = None
         return out
 
     def __neg__(self) -> "LaurentPoly":
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = {e: -x for e, x in self._c.items()}
-        out._hash = None
         return out
 
     def shift(self, k: int) -> "LaurentPoly":
         """v^k times this polynomial: every exponent moves by k."""
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = {e + k: x for e, x in self._c.items()}
-        out._hash = None
         return out
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -140,7 +132,6 @@ class LaurentPoly:
                 return _ZERO
             out = LaurentPoly.__new__(LaurentPoly)
             out._c = {e: x * other for e, x in self._c.items()}
-            out._hash = None
             return out
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -158,7 +149,6 @@ class LaurentPoly:
                     del c[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = c
-        out._hash = None
         return out
 
     __rmul__ = __mul__
@@ -244,9 +234,7 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self._c == other._c
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._c.items()))
-        return self._hash
+        return hash(frozenset(self._c.items()))
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -273,13 +261,6 @@ class LaurentPoly:
             else:
                 out.append(f"+ {mon}" if x > 0 else f"- {mon}")
         return " ".join(out)
-
-    def to_json(self) -> dict[str, int]:
-        return {str(e): x for e, x in sorted(self._c.items())}
-
-    @staticmethod
-    def from_json(d: dict[str, int]) -> "LaurentPoly":
-        return LaurentPoly({int(e): x for e, x in d.items()})
 
 
 _ZERO = LaurentPoly({})

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 __all__ = [
     "SignedPermutation", "identity", "apply_generator", "length",
-    "right_descents", "left_descents", "reduced_word", "evaluate_word",
+    "right_descents", "reduced_word", "evaluate_word",
     "inverse", "multiply", "bruhat_leq", "iota",
     "is_in_wb_by_avoidance", "is_in_wb_by_words",
     "enumerate_wn", "enumerate_wb", "wb_count_formula",
@@ -130,10 +130,6 @@ def multiply(u: SignedPermutation, w: SignedPermutation) -> SignedPermutation:
         return v[x - 1] if x > 0 else -v[-x - 1]
 
     return tuple(act(u, x) for x in w)
-
-
-def left_descents(w: SignedPermutation) -> set[int]:
-    return right_descents(inverse(w))
 
 
 def reduced_word(w: SignedPermutation) -> CoxeterWord:

@@ -1,5 +1,6 @@
 """Blob diagrams, the diagram algebra, and its standard modules."""
 
+import hashlib
 import os
 import pathlib
 import random
@@ -71,6 +72,32 @@ def test_presentation_on_standard_modules():
             mod = standard_module(n, lam)
             rep = verify_presentation(mod.matrices, 2)
             assert rep["all"], (n, lam, rep)
+
+
+# SHA-256 of the sorted nonzero entries (n, λ, k, row, column, coefficient
+# items) of every Δ_n(λ) with n <= 6.  The values were recorded with a
+# separate half-diagram gluing routine, so they check the compose_diagrams
+# path against an independent computation.
+_STANDARD_MODULE_DIGESTS = {
+    1: "2c63acd676fd9db14a67e71e5b695e461028994bc2ab95028089f6e5b5ad1336",
+    3: "e1fd622a53143a7af8b9e06c491b982539df1caa8616ca90e173dd28aa847e9b",
+    4: "e9158f8a6c19f7035e544ccd28c51f5b4dc703d27337e9cf07f6f455faeeca78",
+}
+
+
+@pytest.mark.parametrize("m", sorted(_STANDARD_MODULE_DIGESTS))
+def test_standard_modules_pinned_beyond_m_2(m):
+    items = []
+    for n in range(1, 7):
+        for lam in partitions.lambda_n(n):
+            mats = standard_module(n, lam, m).matrices
+            assert verify_presentation(mats, m)["all"], (n, lam, m)
+            items += [(n, lam, k, i, j, tuple(sorted(x.items())))
+                      for k, mat in mats.items()
+                      for i, row in enumerate(mat)
+                      for j, x in enumerate(row) if not x.is_zero()]
+    digest = hashlib.sha256(repr(sorted(items)).encode()).hexdigest()
+    assert digest == _STANDARD_MODULE_DIGESTS[m]
 
 
 def test_presentation_on_regular_representation():

@@ -19,6 +19,12 @@ def test_wb_enumerate_count():
     assert res.output.strip() == "6"
 
 
+def test_wb_enumerate_lists_windows():
+    res = run("wb", "enumerate", "1")
+    assert res.exit_code == 0
+    assert res.output == "-1\n1\n"
+
+
 def test_wb_test_ok():
     res = run("wb", "test", "3")
     assert res.exit_code == 0
@@ -71,6 +77,13 @@ def test_knuth_class():
     assert data["size"] >= 1
 
 
+def test_klbasis_1():
+    res = run("klbasis", "1")
+    assert res.exit_code == 0
+    assert res.output == ("C[1] = (1) T[1]\n"
+                          "C[-1] = (1) T[-1] + (-v) T[1]\n")
+
+
 def test_ideal_check():
     res = run("ideal", "check", "2")
     assert res.exit_code == 0
@@ -86,6 +99,18 @@ def test_blob_dims_and_verify():
     assert res.exit_code == 0
 
 
+def test_blob_standard_2_0():
+    res = run("blob", "standard", "2", "0")
+    assert res.exit_code == 0
+    assert res.output == ("dim Delta_2(0) = 2\n"
+                          "U_0:\n"
+                          "  [0, 0]\n"
+                          "  [1, -v - v^-1]\n"
+                          "U_1:\n"
+                          "  [-v - v^-1, 1]\n"
+                          "  [0, 0]\n")
+
+
 def test_tensor_check():
     res = run("tensor", "check", "3")
     assert res.exit_code == 0
@@ -99,6 +124,13 @@ def test_fock_crystal_anchor():
     assert res.output.strip() == "((6,), (4,))"
 
 
+def test_fock_f_on_the_empty_bipartition():
+    # f_1 f_0 applied to the empty bipartition, e = 3, charge (0, 1).
+    res = run("fock", "f", "--", "3", "0", "1", "1", "0")
+    assert res.exit_code == 0
+    assert res.output == "((1,), (1,)): v\n((2,), ()): 1\n"
+
+
 def test_kleshchev_pretty_matches_golden():
     res = run("kleshchev", "10", "3", "2", "--format", "pretty")
     assert res.exit_code == 0
@@ -109,6 +141,18 @@ def test_tables_paper_ok():
     res = run("tables", "--paper")
     assert res.exit_code == 0
     assert "all 44 rows match: True" in res.output
+
+
+def test_tables_prints_the_four_goldens():
+    res = run("tables")
+    assert res.exit_code == 0
+    assert res.output.startswith("e=3 m=2\n"
+                                 "    10  ((10), ())\n"
+                                 "     8  ((9), (1))\n"
+                                 "     6  ((8,1), (1))\n")
+    assert [l for l in res.output.splitlines() if l.startswith("e=")] \
+        == ["e=3 m=2", "e=5 m=3", "e=7 m=4", "e=9 m=5"]
+    assert res.output == tables.format_tables() + "\n"
 
 
 def test_usage_errors_exit_2():

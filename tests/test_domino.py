@@ -134,9 +134,3 @@ def test_json_roundtrip():
     assert DominoTableau.from_json(p.to_json()) == p
 
 
-def test_rsk_type_a():
-    p, q = domino.rsk_type_a((2, 1, 3))
-    assert p == ((1, 3), (2,))
-    assert q == ((1, 3), (2,))
-    p, q = domino.rsk_type_a((3, 2, 1))
-    assert p == ((1,), (2,), (3,))

@@ -34,7 +34,7 @@ def _p_fibers(n):
 
 
 def test_classes_are_p_fibers_small():
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         fibers = {frozenset(c) for c in _p_fibers(n).values()}
         classes = {frozenset(c) for c in knuth.knuth_classes(n)}
         assert classes == fibers
