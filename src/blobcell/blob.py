@@ -475,7 +475,7 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4) -> dict:
     q_inv = q.inverse()
     rescale = (i_unit * (q - q_inv)).inverse()
 
-    basis = hecke.compute_kl_basis(n)
+    basis = hecke.compute_kl_basis(n, bound)
     cells = [c for c in hecke.left_cells(basis)
              if weylb.is_in_wb_by_words(min(c))]
     report = {"cells": [], "all_match": True}

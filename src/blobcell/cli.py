@@ -366,6 +366,8 @@ def blob_dims_cmd(n: int, fmt: str) -> None:
 @_format_option
 def blob_standard_cmd(n: int, lam: int, m: int, fmt: str) -> None:
     """The standard module Delta_N(LAM): dimension and action matrices."""
+    if n > _cap(8):  # the matrices hold N·C(N, N/2)^2 entries
+        raise click.UsageError(f"n={n} exceeds diagram bound {_cap(8)}")
     try:
         mod = blob.standard_module(n, lam, m)
     except ValueError as exc:

@@ -22,11 +22,15 @@ balanced digits in base 2^B.  q_s and q_s - q_s^{-1} are shifts, a product
 with a short polynomial is one int product, and "has an exponent <= 0" is
 a mask test.  Offsets follow the exponents a table can reach (C-basis in
 ℤ[v]: 0; bar(T_w): L(w_0)); the digit width B follows a bound on the
-coefficients read back (24 bits for the C-basis).  A digit read back at or
+coefficients read back (32 bits for the C-basis).  A digit read back at or
 beyond the bound 2^{B-2} raises InvariantViolation; it never wraps.
-LaurentPoly appears only at the boundary: elements passed in or out,
-`left_product` rows and `KLBasis.c` (each C_w decoded on first read) map
-windows to LaurentPoly; a window outside the group raises SizeMismatch.
+
+At the boundary elements map windows to LaurentPoly; a window outside the
+group raises SizeMismatch.  `multiply_t`, `bar_involution` and `KLBasis.c`
+give `kronecker.Packed` vectors, dicts that decode on first read, and
+`multiply_t` and `c_coordinates` read their packed ints: C_s·C_w from `c[w]`
+into `c_coordinates` is never decoded.  `check_bar_invariance` compares
+packed ints, and `left_product` decodes each row once.
 """
 
 from __future__ import annotations
@@ -34,10 +38,12 @@ from __future__ import annotations
 import itertools
 
 from . import weylb
-from .kronecker import (Decoded, add_scaled, bar_symmetric_low, decode, low,
-                        norm, pack, unpack, width)
-from .laurent import LaurentPoly, add_term, gauss
-from .partitions import WeightOutOfRange, check_weight
+from .kronecker import (Decoded, Packed, add_scaled, bar_symmetric_low,
+                        decode, largest_norm, low, norm, pack, repack, width)
+from .laurent import LaurentPoly, add_term, gauss, specialize
+from .partitions import WeightOutOfRange
+from .tensor import (generic_tensor_scalars, permutation_module,
+                     tensor_action, tensor_c_action, tensor_identity)
 from .weylb import BoundExceeded, InvariantViolation, SizeMismatch
 
 __all__ = [
@@ -51,7 +57,7 @@ __all__ = [
 ]
 
 KL_MAX_N = 4
-_C_BITS = 24  # digit width of the C-basis table
+_C_BITS = 32  # digit width of the C-basis table
 
 
 class NotInWb(ValueError):
@@ -152,9 +158,7 @@ def t_gen(cox: Coxeter, k: int) -> HeckeElement:
 
 def c_gen(cox: Coxeter, k: int) -> HeckeElement:
     """C_s = T_s - q_s."""
-    out = {cox._gen_elts[k]: LaurentPoly.one()}
-    add_term(out, cox.identity, -cox.weight(k))
-    return out
+    return {cox._gen_elts[k]: LaurentPoly.one(), cox.identity: -cox.weight(k)}
 
 
 def _indexed(cox: Coxeter, x: HeckeElement) -> list:
@@ -211,23 +215,38 @@ def _bar_t(cox: Coxeter, bits: int, w: int) -> dict:
     return out
 
 
-def multiply_t(cox: Coxeter, x: HeckeElement, y: HeckeElement) -> HeckeElement:
+def _packed(cox: Coxeter, x, bits_for) -> tuple:
     """
-    The product x*y in the T-basis.  The factor with fewer terms is walked
-    term by term, as reduced words, over the other: x by left passes
-    T_k (...) over y, or y by right passes over x.  Each T_k at most
-    triples Σ |coefficients|, which bounds the digits.
+    x as (terms, bits, off, big): index -> int at width bits and offset off,
+    big bounding each Σ|c|.  A Packed x of cox is kept when bits_for(big) <=
+    its width; any other x is packed at bits_for(big).
     """
-    left = len(x) <= len(y)
-    walk, other = _indexed(cox, x), _indexed(cox, y)
-    if not left:
-        walk, other = other, walk
-    bits = width(sum(norm(p) * 3 ** cox.length[i] for i, p in walk)
-                 * sum(norm(p) for _, p in other))
+    if (isinstance(x, Packed) and x.elements is cox.elements
+            and bits_for(x.big) <= x.bits):
+        return x.terms, x.bits, x.off, x.big
+    terms = _indexed(cox, x)
+    big = max([norm(p) for _, p in terms], default=0)
+    bits, off = bits_for(big), low(p for _, p in terms)
+    return {i: pack(p, bits, off) for i, p in terms}, bits, off, big
+
+
+def multiply_t(cox: Coxeter, x: HeckeElement, y: HeckeElement) -> Packed:
+    """
+    The product x*y in the T-basis, as a Packed vector.  The factor with
+    fewer terms is walked term by term, as reduced words, over the other: x
+    by left passes T_k (...) over y, or y by right passes over x.  Each T_k
+    at most triples the largest Σ|c| of a coefficient, which bounds the
+    digits.  The other factor, when it is Packed, is read as it is.
+    """
+    # the sizes of Packed factors without decoding them
+    left = len(getattr(x, "terms", x)) <= len(getattr(y, "terms", y))
+    walk = _indexed(cox, x if left else y)
+    weight = sum(norm(p) * 3 ** cox.length[i] for i, p in walk)
+    other, bits, off_o, big = _packed(cox, y if left else x,
+                                      lambda big: width(weight * big))
     off_w = low(p for _, p in walk)
     drop = max([0] + [cox._wlen[i] for i, _ in walk])  # v^{-L(u)} at worst
-    off_o = drop + low(p for _, p in other)
-    start = {i: pack(p, bits, off_o) for i, p in other}
+    start = {i: c << bits * drop for i, c in other.items()}
     side = cox.left if left else cox.right
     out: dict = {}
     for u, p in walk:
@@ -235,19 +254,22 @@ def multiply_t(cox: Coxeter, x: HeckeElement, y: HeckeElement) -> HeckeElement:
         for k in (reversed(word) if left else word):
             acc = _mult_gen(cox, side, k, acc, bits)
         add_scaled(out, acc, pack(p, bits, off_w))
-    return decode(out, cox.elements, bits, off_w + off_o)
+    return Packed({i: c for i, c in out.items() if c}, cox.elements, bits,
+                  off_w + off_o + drop, weight * big)
 
 
-def bar_involution(cox: Coxeter, x: HeckeElement) -> HeckeElement:
+def bar_involution(cox: Coxeter, x: HeckeElement) -> Packed:
     """T_w ↦ T_{w^{-1}}^{-1}, v ↦ v^{-1}, extended additively."""
     terms = _indexed(cox, x)
+    bound = sum(norm(p) * 3 ** cox.length[i] for i, p in terms)
     # a multiple of 16 bits, so that few widths need a table of bar(T_w)
-    bits = width(sum(norm(p) * 3 ** cox.length[i] for i, p in terms), 16)
+    bits = width(bound, 16)
     off = max([0] + [p.max_exp() for _, p in terms if p])
     out: dict = {}
     for w, p in terms:
         add_scaled(out, _bar_t(cox, bits, w), pack(p, bits, off, -1))
-    return decode(out, cox.elements, bits, off + cox._top)
+    return Packed({i: c for i, c in out.items() if c}, cox.elements, bits,
+                  off + cox._top, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -259,35 +281,77 @@ class KLBasis:
     """
     The C-basis {C_w} of the Hecke algebra of `cox`, with the W-graph: the
     memoized C-coordinates of every product C_s C_w.  `c` maps w to C_w.
+
+    The build makes C_w = C_s C_{sw} - Σ μ_y C_y and keeps {w: 1} ∪ {y: μ_y}
+    as the packed row (s, sw); `_ascent_row` finds the μ of the other rows
+    with su > u, and the rows with su < u have a closed form.
     """
 
     def __init__(self, cox: Coxeter):
         self.cox, self.elements, self._bits = cox, cox.elements, _C_BITS
         self._off = max(cox._exps.values())  # working exponents stay >= -off
-        self._rows, self._row_memo = {}, {}  # rows, and their decode memo
+        # decoded rows, their memo, and the build's packed rows until decoded
+        self._rows, self._row_memo, self._built = {}, {}, {}
         self._build()
         self._tables = {self._bits: self._c}
         self.c = Decoded(self._c, self.elements, cox.index, self._bits, 0)
 
     def _build(self) -> None:
-        cox, bits, off = self.cox, self._bits, self._off
-        shift, mask = bits * off, (1 << bits * (off + 1)) - 1
-        els = cox.elements
+        cox, shift = self.cox, self._bits * self._off
         c = self._c = [{0: 1}]
-        for w in range(1, len(els)):
+        one = {}.setdefault  # one int object per distinct coefficient
+        for w in range(1, len(cox.elements)):
             s = min(k for k in cox.gens if w in cox.left[k][1])
-            d = _c_s_times(cox, s, c[cox.left[s][0][w]], bits, off)
-            for y in sorted((y for y in d if y != w), reverse=True):
-                if d[y] & mask:
-                    add_scaled(d, c[y], -bar_symmetric_low(d[y], bits, off))
-            if d.get(w) != 1 << shift:
+            d, self._built[s, cox.left[s][0][w]] = self._step(s, w)
+            c.append({y: one(h >> shift, h >> shift) for y, h in d.items()
+                      if h})
+
+    def _step(self, s: int, w: int) -> tuple:
+        """
+        Subtract μ_y C_y, longest y first, from the packed C_s C_{sw}
+        (sw < w) until C_w is left: returns (C_w at offset off, the packed
+        row {w: 1} ∪ {y: μ_y}).
+        """
+        cox, bits, off, c = self.cox, self._bits, self._off, self._c
+        shift, mask = bits * off, (1 << bits * (off + 1)) - 1
+        d = _c_s_times(cox, s, c[cox.left[s][0][w]], bits, off)
+        row = {w: 1 << shift}
+        # a μ_y can only sit at a y with sy < y (Lusztig, Theorem 6.6)
+        for y in sorted((d.keys() & cox.left[s][1]) - {w}, reverse=True):
+            if d[y] & mask:
+                mu = row[y] = bar_symmetric_low(d[y], bits, off)
+                add_scaled(d, c[y], -mu)
+        els = cox.elements
+        for y, h in d.items():  # T_w has coefficient 1, every other T_y v·ℤ[v]
+            if h != 1 << shift if y == w else h & mask:
                 raise InvariantViolation(
-                    f"C_{els[w]}: T_w coefficient is not 1")
-            for y, h in d.items():
-                if h & mask and y != w:
-                    raise InvariantViolation(
-                        f"C_{els[w]}: bad coefficient at {els[y]}")
-            c.append({y: h >> shift for y, h in d.items() if h})
+                    f"C_{els[w]}: bad coefficient at {els[y]}")
+        return d, row
+
+    def _ascent_row(self, s: int, u: int) -> dict:
+        """
+        The packed row {su: 1} ∪ {y: μ_y} of C_s C_u, su > u, without
+        forming C_s C_u: for sy < y its T_y coefficient is c_{sy} - q_s^{-1}
+        c_y from C_u, less μ_z p_{y,z} for each μ_z found above y.  μ_y
+        reads only the exponents <= 0, so c_{sy} ∈ vℤ[v] drops out and the
+        rest is taken modulo 2^{B(off+1)}.
+        """
+        cox, bits, off, c = self.cox, self._bits, self._off, self._c
+        move, desc = cox.left[s]
+        keep, down = bits * off, bits * (off - cox._exps[s])
+        mask, cu, w = (1 << bits * (off + 1)) - 1, c[u], move[u]
+        ys = {y if y in desc else move[y] for y in cu} - {w}
+        found, row = [], {}  # (C_z's lookup, μ_z), and z -> μ_z
+        for y in sorted(ys, reverse=True):
+            h = -(cu.get(y, 0) << down)
+            for get, mu in found:
+                h -= mu * (get(y, 0) & mask)
+            if h & mask:
+                if not (c[y].keys() & desc) <= ys:  # C_y reaches further
+                    return self._step(s, w)[1]
+                row[y] = mu = bar_symmetric_low(h, bits, off)
+                found.append((c[y].get, mu))
+        return {w: 1 << keep, **row}
 
     @staticmethod
     def _coords(rest: dict, table: list) -> dict:
@@ -304,27 +368,69 @@ class KLBasis:
         return out
 
     def check_bar_invariance(self, w) -> bool:
-        return bar_involution(self.cox, self.c[w]) == self.c[w]
+        """bar(C_w) = C_w, compared as ints packed at the width of bar(C_w)."""
+        bar = bar_involution(self.cox, self.c[w])
+        return bar.terms == {i: pack(p, bar.bits, bar.off)
+                             for i, p in _indexed(self.cox, self.c[w])}
+
+    def verify_bar_invariance(self) -> dict:
+        """
+        w -> whether bar(C_w) = C_w follows by induction on the length
+        (Lusztig, Hecke algebras with unequal parameters, ch. 5-6), for
+        every w: bar(C_s) = C_s for each s, checked directly; then for the
+        row (s, sw) the build kept, every μ is bar-invariant and sits at an
+        element shorter than w, and C_s C_{sw} = C_w + Σ μ_y C_y holds in the
+        T-basis, with C_s C_{sw} from `multiply_t`.
+        """
+        cox, els, bits = self.cox, self.elements, self._bits
+        big = largest_norm(self._c, bits)  # bounds every Σ|c| of the table
+        base = {s: bar_involution(cox, c_gen(cox, s)) == c_gen(cox, s)
+                for s in cox.gens}
+        ok = [True]
+        for w in range(1, len(els)):
+            s = min(k for k in cox.gens if w in cox.left[k][1])
+            sw = cox.left[s][0][w]
+            row = {cox.index[y]: mu
+                   for y, mu in self.left_product(s, els[sw]).items()}
+            prod = multiply_t(cox, c_gen(cox, s),
+                              Packed(self._c[sw], els, bits, 0, big))
+            off = max([prod.off] + [-mu.min_exp() for mu in row.values()])
+            want: dict = {}  # Σ row_y C_y, packed at offset off
+            for y, mu in row.items():
+                add_scaled(want, self._c[y], pack(mu, bits, off))
+            bound = prod.big + big * sum(map(norm, row.values()))
+            lift = bits * (off - prod.off)
+            ok.append(base[s] and ok[sw] and row.get(w) == LaurentPoly.one()
+                      and all(y == w or (cox.length[y] < cox.length[w]
+                                         and mu.bar() == mu and ok[y])
+                              for y, mu in row.items())
+                      # the ints are equal iff the polynomials are, as long
+                      # as no coefficient reaches the digit bound
+                      and max(prod.bits, width(bound)) <= bits
+                      and {i: repack(h, prod.bits, bits) << lift
+                           for i, h in prod.terms.items()}
+                      == {i: h for i, h in want.items() if h})
+        return dict(zip(els, ok))
 
     def c_coordinates(self, x: HeckeElement) -> dict:
-        """Expand x in the C-basis (one triangular pass, longest first)."""
-        terms = _indexed(self.cox, x)
-        big = max([0] + [norm(p) for _, p in terms])  # 16 bits of headroom
-        bits = max(self._bits, width(big << 16, 8))
-        if bits not in self._tables:  # repack once for large inputs
-            self._tables[bits] = [{y: pack(unpack(c, self._bits, 0), bits, 0)
+        """
+        Expand x in the C-basis (one triangular pass, longest first).  A
+        Packed x of this group that is wide enough is not decoded.
+        """
+        terms, bits, off, _ = _packed(  # 16 bits of headroom
+            self.cox, x, lambda big: max(self._bits, width(big << 16, 8)))
+        if bits not in self._tables:  # repack once for other widths
+            self._tables[bits] = [{y: repack(c, self._bits, bits)
                                    for y, c in row.items()} for row in self._c]
-        off = low(p for _, p in terms)
-        rest = {i: pack(p, bits, off) for i, p in terms}
-        return decode(self._coords(rest, self._tables[bits]), self.elements,
-                      bits, off)
+        return decode(self._coords(dict(terms), self._tables[bits]),
+                      self.elements, bits, off)
 
     def left_product(self, s: int, w) -> dict:
         """
-        The C-coordinates of C_s C_w = T_s C_w - q_s C_w: the row (s, w) of
-        the W-graph, computed once and memoized.  Every caller gets the same
-        dict, so none may change it.  When sw < w, T_s C_w = -q_s^{-1} C_w,
-        so the row is {w: -(q_s^{-1} + q_s)} without Hecke arithmetic.
+        The C-coordinates of C_s C_w: the row (s, w) of the W-graph, decoded
+        once and memoized; every caller gets the same dict, so none may
+        change it.  When sw > w it is the build's row or `_ascent_row`; when
+        sw < w, T_s C_w = -q_s^{-1} C_w gives {w: -(q_s^{-1} + q_s)}.
         """
         row = self._rows.get((s, w))
         if row is None:
@@ -334,8 +440,8 @@ class KLBasis:
                 qs = cox.weight(s)
                 row = {w: -(qs.bar() + qs)}
             else:
-                prod = _c_s_times(cox, s, self._c[i], self._bits, self._off)
-                row = decode(self._coords(prod, self._c), self.elements,
+                row = decode(self._built.pop((s, i), None)
+                             or self._ascent_row(s, i), self.elements,
                              self._bits, self._off, self._row_memo)
             self._rows[s, w] = row
         return row
@@ -356,47 +462,35 @@ def compute_kl_basis(n: int, bound: int | None = None) -> KLBasis:
 
 
 def _sccs(edges: dict) -> list[frozenset]:
-    """Strongly connected components (iterative Tarjan)."""
-    index: dict = {}  # node -> DFS number
-    low: dict = {}
-    on_stack, stack, out = set(), [], []
-    counter = itertools.count()
-
-    for root in edges:
-        if root in index:
-            continue
-        work = [(root, iter(edges[root]))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = next(counter)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(edges[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    u = stack.pop()
-                    on_stack.discard(u)
-                    comp.add(u)
-                    if u == node:
-                        break
-                out.append(frozenset(comp))
+    """Strongly connected components (iterative Kosaraju)."""
+    order, seen = [], set()
+    for root in edges:  # nodes in the order their depth-first walk ends
+        if root not in seen:
+            seen.add(root)
+            stack = [(root, iter(edges[root]))]
+            while stack:
+                node, it = stack[-1]
+                nxt = next((y for y in it if y not in seen), None)
+                if nxt is None:
+                    order.append(stack.pop()[0])
+                else:
+                    seen.add(nxt)
+                    stack.append((nxt, iter(edges[nxt])))
+    back: dict = {w: [] for w in edges}
+    for w, ys in edges.items():
+        for y in ys:
+            back[y].append(w)
+    out, done = [], set()
+    for root in reversed(order):  # each walk back from a root is a component
+        if root not in done:
+            done.add(root)
+            comp, todo = [root], [root]
+            while todo:
+                new = [y for y in back[todo.pop()] if y not in done]
+                done.update(new)
+                comp += new
+                todo += new
+            out.append(frozenset(comp))
     return out
 
 
@@ -452,7 +546,7 @@ class IdealJn:
         c1 = c_gen(cox, 1)
         gens = []
         for k, scale in _ideal_generator_pairs(self.n):
-            g = multiply_t(cox, multiply_t(cox, c1, c_gen(cox, k)), c1)
+            g = multiply_t(cox, multiply_t(cox, c1, c_gen(cox, k)), c1).copy()
             for w, c in c1.items():
                 add_term(g, w, -(c * scale))
             gens.append(g)
@@ -487,8 +581,6 @@ def cell_module(basis: KLBasis, w, spec=None):
     the matrices are specialized, otherwise they stay over ℤ[v, v^{-1}].
     Returns (cell: ordered tuple, matrices: dict gen -> row-major matrix).
     """
-    from .laurent import specialize
-
     if not weylb.is_in_wb_by_words(w):
         raise NotInWb(f"{w} lies outside W_b")
     cell = next(sorted(comp) for comp in left_cells(basis) if w in comp)
@@ -544,9 +636,7 @@ def type_a_kl_compare(n: int) -> dict:
     basis_b = KLBasis(type_b(n))
     basis_a = KLBasis(type_a(2 * n))
 
-    s = n - 1
-    violations = []
-    pairs = 0
+    s, violations, pairs = n - 1, [], 0
     wb = [w for w in basis_b.elements if weylb.is_in_wb_by_words(w)]
     for w in wb:
         na = _iota_s_row(basis_a, n, w)
@@ -570,98 +660,8 @@ def type_a_kl_compare(n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Tensor representation on V^{⊗n}, dim V = 2
+# The ideal on tensor space (the action itself is in module `tensor`)
 # ---------------------------------------------------------------------------
-#
-# Scalars are pluggable: anything with +, -, *, `is_zero()` and a `one`;
-# `q`, `q_inv`, `big_q`, `big_q_inv` are passed in a small dict.  The
-# default is the one-variable ring q = v^2, Q = v.
-
-
-def generic_tensor_scalars() -> dict:
-    return {
-        "one": LaurentPoly.one(),
-        "q": LaurentPoly.monomial(2),
-        "q_inv": LaurentPoly.monomial(-2),
-        "big_q": LaurentPoly.monomial(1),
-        "big_q_inv": LaurentPoly.monomial(-1),
-    }
-
-
-def tensor_identity(word, scalars) -> dict:
-    return {tuple(word): scalars["one"]}
-
-
-def _apply_r(x: dict, slot: int, sc: dict, inverse: bool = False) -> dict:
-    """R (or R^{-1}) acting on tensor slots slot, slot+1 (0-based)."""
-    out: dict = {}
-    qq, qi = sc["q"], sc["q_inv"]
-    diff = qq - qi
-    for w, c in x.items():
-        a, b = w[slot], w[slot + 1]
-        if a == b:
-            add_term(out, w, c * (qi if inverse else qq))
-        elif (a, b) == (2, 1):
-            add_term(out, w[:slot] + (1, 2) + w[slot + 2:], c)
-            if inverse:
-                # R^{-1} = R - (q - q^{-1}): R(v2⊗v1) = v1⊗v2
-                add_term(out, w, -c * diff)
-        else:  # (1, 2)
-            swapped = w[:slot] + (2, 1) + w[slot + 2:]
-            add_term(out, swapped, c)
-            if not inverse:
-                add_term(out, w, c * diff)
-    return out
-
-
-def _apply_s(x: dict, k: int, sc: dict) -> dict:
-    """S_k: multiply by q when letters k-1, k (1-based) agree, else swap."""
-    out: dict = {}
-    for w, c in x.items():
-        if w[k - 1] == w[k]:
-            add_term(out, w, c * sc["q"])
-        else:
-            add_term(out, w[:k - 1] + (w[k], w[k - 1]) + w[k + 1:], c)
-    return out
-
-
-def _apply_varpi(x: dict, sc: dict) -> dict:
-    out: dict = {}
-    for w, c in x.items():
-        add_term(out, w, c * (sc["big_q"] if w[0] == 1 else -sc["big_q_inv"]))
-    return out
-
-
-def tensor_action(n: int, gen: int, x: dict, scalars: dict | None = None) -> dict:
-    """Apply T_gen to the tensor vector x (words over {1,2} of length n)."""
-    sc = scalars if scalars is not None else generic_tensor_scalars()
-    if gen != 0:
-        return _apply_r(x, gen - 1, sc)
-    # T_0 = T_1^{-1} ... T_{n-1}^{-1} S_{n-1} ... S_1 ϖ, rightmost first.
-    x = _apply_varpi(x, sc)
-    for k in range(1, n):
-        x = _apply_s(x, k, sc)
-    for k in range(n - 1, 0, -1):
-        x = _apply_r(x, k - 1, sc, inverse=True)
-    return x
-
-
-def tensor_c_action(n: int, gen: int, x: dict, scalars: dict | None = None) -> dict:
-    """Apply C_gen = T_gen - q_gen."""
-    sc = scalars if scalars is not None else generic_tensor_scalars()
-    out = tensor_action(n, gen, x, sc)
-    p = sc["big_q"] if gen == 0 else sc["q"]
-    for w, c in x.items():
-        add_term(out, w, -c * p)
-    return out
-
-
-def permutation_module(n: int, lam: int) -> list[tuple[int, ...]]:
-    """Basis words of M_n(λ): #1s - #2s = λ."""
-    check_weight(n, lam)
-    ones = (n + lam) // 2
-    return sorted(w for w in itertools.product((1, 2), repeat=n)
-                  if w.count(1) == ones)
 
 
 def tensor_ideal_annihilates(n: int) -> bool:

@@ -11,7 +11,9 @@ These are exact for any coefficients; only reading digits back can go
 wrong, so `digits` raises InvariantViolation on a digit of magnitude
 >= 2^{B-2} (the digit bound) instead of letting it wrap into its
 neighbour.  A caller chooses B with `width` from a bound on the
-coefficients it will read.
+coefficients it will read.  `Packed` carries a vector of packed
+polynomials together with its width, offset and coefficient bound, so that
+one routine can hand it to the next without decoding it.
 
 >>> p = LaurentPoly({-1: 2, 3: -1})
 >>> x = pack(p, 8, 1)
@@ -28,8 +30,9 @@ from collections.abc import Mapping
 from .laurent import LaurentPoly
 from .weylb import InvariantViolation
 
-__all__ = ["pack", "unpack", "digits", "width", "norm", "low",
-           "bar_symmetric_low", "add_scaled", "decode", "Decoded"]
+__all__ = ["pack", "unpack", "repack", "digits", "width", "norm", "low",
+           "bar_symmetric_low", "add_scaled", "decode", "Packed",
+           "largest_norm", "Decoded"]
 
 
 def pack(p: LaurentPoly, bits: int, off: int, sign: int = 1) -> int:
@@ -64,6 +67,13 @@ def unpack(x: int, bits: int, off: int) -> LaurentPoly:
     """The Laurent polynomial packed as x at width `bits` and offset `off`."""
     return LaurentPoly({e - off: d
                         for e, d in enumerate(digits(x, bits)) if d})
+
+
+def repack(x: int, bits: int, new_bits: int) -> int:
+    """The polynomial packed as x at width `bits`, packed at `new_bits`."""
+    if bits == new_bits:
+        return x
+    return sum(d << new_bits * e for e, d in enumerate(digits(x, bits)) if d)
 
 
 def width(bound: int, step: int = 1) -> int:
@@ -121,10 +131,118 @@ def decode(x: dict, keys, bits: int, off: int,
     return out
 
 
+class Packed(dict):
+    """
+    A sparse vector elements[i] -> LaurentPoly held as `terms`, index ->
+    packed int at width `bits` and offset `off`, and decoded into the dict
+    on its first read.  `big` bounds Σ|c| of every coefficient; when it is
+    not given it is found from the decoded coefficients on first use, with
+    `memo` (packed int -> LaurentPoly) and `norms` (packed int -> Σ|c|)
+    shared between vectors.  Routines that take a Packed vector read
+    `terms`.  It is read-only, and pickles and copies as a plain dict.  C
+    code that reads a dict's storage without a method call (json's test
+    for an empty dict) sees it empty until it is first read.
+    """
+
+    __slots__ = ("terms", "elements", "bits", "off", "_big", "_memo",
+                 "_norms", "_read")
+
+    def __init__(self, terms: dict, elements: list, bits: int, off: int,
+                 big: int | None = None, memo: dict | None = None,
+                 norms: dict | None = None):
+        super().__init__()
+        self.terms, self.elements = terms, elements
+        self.bits, self.off, self._big = bits, off, big
+        self._memo = {} if memo is None else memo
+        self._norms = {} if norms is None else norms
+        self._read = False
+
+    @property
+    def big(self) -> int:
+        if self._big is None:
+            norms, memo = self._norms, self._full()._memo
+            for c in self.terms.values():
+                if c and c not in norms:
+                    norms[c] = norm(memo[c])
+            self._big = max([0] + [norms[c] for c in self.terms.values()
+                                   if c])
+        return self._big
+
+    def _full(self) -> "Packed":
+        if not self._read:
+            self._read = True
+            dict.update(self, decode(self.terms, self.elements, self.bits,
+                                     self.off, self._memo))
+        return self
+
+    def __eq__(self, other):
+        if isinstance(other, Packed):
+            other._full()
+        return dict.__eq__(self._full(), other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __len__(self):
+        return dict.__len__(self._full())
+
+    def __iter__(self):
+        return dict.__iter__(self._full())
+
+    def __reversed__(self):
+        return dict.__reversed__(self._full())
+
+    def __contains__(self, key):
+        return dict.__contains__(self._full(), key)
+
+    def __getitem__(self, key):
+        return dict.__getitem__(self._full(), key)
+
+    def __repr__(self):
+        return dict.__repr__(self._full())
+
+    def get(self, key, default=None):
+        return dict.get(self._full(), key, default)
+
+    def keys(self):
+        return dict.keys(self._full())
+
+    def values(self):
+        return dict.values(self._full())
+
+    def items(self):
+        return dict.items(self._full())
+
+    def copy(self) -> dict:
+        return dict(self.items())
+
+    def __or__(self, other):
+        return self.copy() | other
+
+    def __ror__(self, other):
+        return other | self.copy()
+
+    def __reduce__(self):
+        return dict, (self.copy(),)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a Packed vector is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    update = pop = popitem = setdefault = clear = _read_only
+    __hash__ = None  # type: ignore[assignment]
+
+
+def largest_norm(rows: list, bits: int) -> int:
+    """The largest Σ|c| of a coefficient of the packed vectors `rows`."""
+    values = {c for row in rows for c in row.values()}
+    return max([0] + [sum(map(abs, digits(c, bits))) for c in values])
+
+
 class Decoded(Mapping):
     """
-    The read-only map keys[i] -> decode(rows[i]) over a list of packed
-    vectors, each row decoded the first time it is read.
+    The read-only map keys[i] -> the Packed vector rows[i], each decoded the
+    first time it is read.
     """
 
     def __init__(self, rows: list, keys: list, index: dict, bits: int,
@@ -132,14 +250,15 @@ class Decoded(Mapping):
         self._rows, self._keys, self._index = rows, keys, index
         self._bits, self._off = bits, off
         self._done: dict = {}
-        self._memo: dict = {}
+        self._memo: dict = {}  # packed int -> LaurentPoly
+        self._norms: dict = {}  # packed int -> Σ|c|
 
-    def __getitem__(self, key) -> dict:
+    def __getitem__(self, key) -> Packed:
         out = self._done.get(key)
         if out is None:
-            out = self._done[key] = decode(self._rows[self._index[key]],
-                                           self._keys, self._bits, self._off,
-                                           self._memo)
+            out = self._done[key] = Packed(
+                self._rows[self._index[key]], self._keys, self._bits,
+                self._off, None, self._memo, self._norms)._full()
         return out
 
     def __iter__(self):

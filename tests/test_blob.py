@@ -194,3 +194,21 @@ def test_scalars():
     assert sc["delta_plain"] == -(v + v.bar())
     assert sc["blob_loop"] == LaurentPoly.one()   # [m-1] = [1] = 1
     assert sc["blob_merge"] == -(v + v.bar())     # -[m] = -[2]
+
+
+def test_compare_cell_to_standard_builds_its_basis_within_its_bound(monkeypatch):
+    # It once checked n against `bound` but built the C-basis with the
+    # default KL bound 4, so n = 5 could not pass even with bound 5.
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def spy(n, bound=None):
+        seen.append((n, bound))
+        raise Stop
+
+    monkeypatch.setattr(hecke, "compute_kl_basis", spy)
+    with pytest.raises(Stop):
+        blob.compare_cell_to_standard(5, bound=5)
+    assert seen == [(5, 5)]

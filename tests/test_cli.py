@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from blobcell import tables
+from blobcell import blob, tables
 from blobcell.cli import main
 
 
@@ -109,6 +109,21 @@ def test_blob_standard_2_0():
                           "U_1:\n"
                           "  [-v - v^-1, 1]\n"
                           "  [0, 0]\n")
+
+
+def test_blob_standard_past_the_diagram_bound_exits_2(monkeypatch):
+    # Delta_14(0) would hold 14 dense matrices of 3,432 x 3,432 entries.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a standard module was built")
+
+    monkeypatch.setattr(blob, "standard_module", refuse)
+    res = run("blob", "standard", "14", "0")
+    assert res.exit_code == 2
+    assert "n=14 exceeds diagram bound 8" in res.output
+    assert "Traceback" not in res.output
+    # BLOBCELL_MAX_N raises the bound, as for the other commands
+    res = run("blob", "standard", "14", "0", env={"BLOBCELL_MAX_N": "14"})
+    assert isinstance(res.exception, AssertionError)
 
 
 def test_tensor_check():

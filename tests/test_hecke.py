@@ -1,5 +1,6 @@
 """The unequal-parameter C-basis, cells, the ideal, and the tensor action."""
 
+import functools
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from blobcell.hecke import (
     bar_involution, c_gen, compute_kl_basis, ideal_jn, left_cells,
     multiply_t, t_gen, type_a, type_b,
 )
+from blobcell.kronecker import digits
 from blobcell.laurent import LaurentPoly, add_term
 
 # -- Reference T-basis arithmetic on windows --------------------------------
@@ -25,13 +27,17 @@ def _inversions(w):
     return sum(w[i] > w[j] for i in range(len(w)) for j in range(i + 1, len(w)))
 
 
+_B_LENGTH = functools.lru_cache(maxsize=None)(weylb.length)
+_A_LENGTH = functools.lru_cache(maxsize=None)(_inversions)
+
+
 def _spec(group):
     """(generators, length, q_s) of B<n> (q_0 = v, q_i = v^2) or S<n> (v^2)."""
     n = int(group[1:])
     if group[0] == "B":
-        return range(n), weylb.length, \
+        return range(n), _B_LENGTH, \
             lambda k: LaurentPoly.monomial(1 if k == 0 else 2)
-    return range(1, n), _inversions, lambda k: LaurentPoly.monomial(2)
+    return range(1, n), _A_LENGTH, lambda k: LaurentPoly.monomial(2)
 
 
 def _ref_word(group, w):
@@ -60,9 +66,34 @@ def _ref_times_gen(group, x, k, inverse=False):
     return out
 
 
-def _ref_multiply(group, x, y):
-    """x*y: each term of y walked as a reduced word of right passes over x."""
+def _ref_gen_times(group, k, x):
+    """T_k x, with s_k w the product of windows (the twist when s_k w < w)."""
+    _, length, q = _spec(group)
+    twist = q(k) - q(k).bar()
     out = {}
+    for w, c in x.items():
+        gen = weylb.apply_generator(tuple(range(1, len(w) + 1)), k)
+        u = (weylb.multiply if group[0] == "B" else _perm_compose)(gen, w)
+        add_term(out, u, c)
+        if length(u) < length(w):
+            add_term(out, w, c * twist)
+    return out
+
+
+def _ref_multiply(group, x, y):
+    """
+    x*y: each term of the factor with fewer terms walked as a reduced word,
+    of left passes over y (x) or of right passes over x (y).
+    """
+    out = {}
+    if len(x) < len(y):
+        for w, c in x.items():
+            acc = {u: cu * c for u, cu in y.items()}
+            for k in reversed(_ref_word(group, w)):
+                acc = _ref_gen_times(group, k, acc)
+            for u, cu in acc.items():
+                add_term(out, u, cu)
+        return out
     for w, c in y.items():
         acc = {u: cu * c for u, cu in x.items()}
         for k in _ref_word(group, w):
@@ -288,7 +319,7 @@ def test_kl_closed_form_identities():
         == {w: c for w, c in rhs.items() if not c.is_zero()}
 
 
-@pytest.mark.parametrize("group", ["B2", "B3", "S4"])
+@pytest.mark.parametrize("group", ["B2", "B3", "B4", "S4"])
 def test_left_product_matches_t_basis_reference(group):
     if group == "S4":
         cox = type_a(4)
@@ -306,6 +337,145 @@ def test_left_product_matches_t_basis_reference(group):
                          basis.left_product(s, weylb.inverse(w)).items()}
                 assert right \
                     == basis.c_coordinates(_ref_multiply(group, basis.c[w], cs))
+
+
+@pytest.mark.parametrize("group", ["B3", "B4", "S4"])
+def test_ascent_rows_match_the_elimination_step(group):
+    # The μ of every row C_s C_u with su > u, found without forming C_s C_u,
+    # against the build's elimination step on the whole product.
+    cox = type_a(4) if group == "S4" else type_b(int(group[1]))
+    basis = hecke.KLBasis(cox)
+    for u in range(len(basis.elements)):
+        for s in cox.gens:
+            if u not in cox.left[s][1]:
+                assert basis._ascent_row(s, u) \
+                    == basis._step(s, cox.left[s][0][u])[1]
+
+
+def test_c_coordinates_of_packed_products_match_their_dicts():
+    # A product passed straight from multiply_t to c_coordinates stays
+    # packed; the same product as a plain dict is packed again.
+    basis = compute_kl_basis(3)
+    cox = basis.cox
+    for w in basis.elements:
+        for s in cox.gens:
+            for prod in (multiply_t(cox, c_gen(cox, s), basis.c[w]),
+                         multiply_t(cox, basis.c[w], c_gen(cox, s))):
+                assert isinstance(prod, hecke.Packed)
+                assert basis.c_coordinates(prod) \
+                    == basis.c_coordinates(dict(prod))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bar_sweep_agrees_with_the_direct_check(n):
+    basis = compute_kl_basis(n)
+    swept = basis.verify_bar_invariance()
+    assert list(swept) == basis.elements
+    assert swept == {w: basis.check_bar_invariance(w) for w in basis.elements}
+    assert all(swept.values())
+
+
+def _build_row(basis, depth=2):
+    """(s, sw, w) of a build row of w with a μ at an element below w."""
+    cox = basis.cox
+    for w in range(1, len(basis.elements)):
+        s = min(k for k in cox.gens if w in cox.left[k][1])
+        sw = cox.left[s][0][w]
+        if len(basis.left_product(s, basis.elements[sw])) >= depth:
+            return s, sw, w
+    raise AssertionError("no build row with a μ")
+
+
+def test_bar_sweep_fails_on_a_mu_that_is_not_bar_invariant():
+    basis = compute_kl_basis(3)
+    s, sw, w = _build_row(basis)
+    row = basis.left_product(s, basis.elements[sw])  # the memoized row
+    y = next(y for y in row if y != basis.elements[w])
+    row[y] = row[y] + LaurentPoly.monomial(1)
+    assert not all(basis.verify_bar_invariance().values())
+
+
+def test_bar_sweep_fails_on_a_perturbed_coefficient():
+    basis = compute_kl_basis(3)
+    w = basis.elements.index(weylb.evaluate_word(3, (1, 0, 1)))
+    y = min(basis._c[w])  # the identity: its coefficient gains a v
+    basis._c[w][y] += 1 << basis._bits
+    swept = basis.verify_bar_invariance()
+    assert not swept[basis.elements[w]]
+    assert not basis.check_bar_invariance(basis.elements[w])
+
+
+def test_bar_sweep_fails_on_a_row_term_not_below_w():
+    basis = compute_kl_basis(3)
+    s, sw, w = _build_row(basis, depth=1)
+    row = basis.left_product(s, basis.elements[sw])
+    row[basis.elements[-1]] = LaurentPoly.one()  # the longest element
+    assert not basis.verify_bar_invariance()[basis.elements[w]]
+
+
+def _nonpositive_digits(h, bits, off):
+    """The digits of exponent <= 0 of h, not mirrored: μ not bar-invariant."""
+    return sum(d << bits * i for i, d in enumerate(digits(h, bits, off + 1)))
+
+
+def test_bar_sweep_checks_every_mu(monkeypatch):
+    # With μ the nonpositive part alone, the build still ends in T_w plus
+    # v·Z[v] and every row holds; only the μ check sees the fault.
+    monkeypatch.setattr(hecke, "bar_symmetric_low", _nonpositive_digits)
+    basis = compute_kl_basis(3)
+    swept = basis.verify_bar_invariance()
+    direct = {w: basis.check_bar_invariance(w) for w in basis.elements}
+    assert not all(direct.values())
+    assert not any(swept[w] for w, ok in direct.items() if not ok)
+
+
+@pytest.mark.parametrize("broken", [1, 6])
+def test_bar_sweep_rejects_what_rests_on_a_broken_element(broken, monkeypatch):
+    # C_w gains v·T_1 in the build step of the element numbered `broken`;
+    # the elements built on it are consistent with it, so only the
+    # induction rejects them: through a μ-term (1) or through sw (6).
+    real, calls = hecke._c_s_times, []
+
+    def step(cox, s, cw, bits, off):
+        out = real(cox, s, cw, bits, off)
+        calls.append(s)
+        if len(calls) == broken:
+            out[0] = out.get(0, 0) + (1 << bits * (off + 1))
+        return out
+
+    monkeypatch.setattr(hecke, "_c_s_times", step)
+    basis = compute_kl_basis(3)
+    swept = basis.verify_bar_invariance()
+    direct = {w: basis.check_bar_invariance(w) for w in basis.elements}
+    assert sum(not ok for ok in direct.values()) > 1
+    assert not any(swept[w] for w, ok in direct.items() if not ok)
+
+
+def _t_s_times(cox, s, cw, bits, off):
+    """T_s C_w in place of C_s C_w: c T_y goes to c T_{sy} (+ twist)."""
+    move, descents = cox.left[s]
+    a = cox._exps[s]
+    out = {}
+    for y, c in cw.items():
+        out[move[y]] = out.get(move[y], 0) + (c << bits * off)
+        if y in descents:
+            out[y] = out.get(y, 0) + (c << bits * (off + a)) \
+                - (c << bits * (off - a))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bar_sweep_needs_its_base_check(n, monkeypatch):
+    # Built from T_s in place of C_s, the basis is unitriangular with
+    # bar-invariant μ, and every row holds with T_s as the generator; only
+    # bar(T_s) != T_s shows that it is not bar-invariant.
+    monkeypatch.setattr(hecke, "_c_s_times", _t_s_times)
+    monkeypatch.setattr(hecke, "c_gen", t_gen)
+    basis = compute_kl_basis(n)
+    swept = basis.verify_bar_invariance()
+    direct = {w: basis.check_bar_invariance(w) for w in basis.elements}
+    assert not all(direct.values())
+    assert not any(swept[w] for w, ok in direct.items() if not ok)
 
 
 def test_c_coordinates_rejects_keys_outside_basis():

@@ -1,11 +1,14 @@
 """Kronecker-packed Laurent polynomials against LaurentPoly arithmetic."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
 from blobcell.kronecker import (
-    Decoded, bar_symmetric_low, decode, digits, low, norm, pack, unpack, width,
+    Decoded, Packed, bar_symmetric_low, decode, digits, largest_norm, low,
+    norm, pack, repack, unpack, width,
 )
 from blobcell.laurent import LaurentPoly
 from blobcell.weylb import InvariantViolation
@@ -102,3 +105,59 @@ def test_decode_and_decoded_mapping():
     assert dict(table.items()) == {k: decode(r, keys, 24, 6)
                                    for k, r in zip(keys, rows)}
     assert "d" not in table
+
+
+_READS = {
+    "==": lambda x, want: x == want and want == x,
+    "!=": lambda x, want: not (x != want) and not (want != x),
+    "dict": lambda x, want: dict(x) == want and {**x} == want,
+    "copy": lambda x, want: type(x.copy()) is dict and x.copy() == want,
+    "len": lambda x, want: len(x) == len(want) and bool(x) == bool(want),
+    "iter": lambda x, want: sorted(x) == sorted(want),
+    "in": lambda x, want: all(k in x for k in want),
+    "get": lambda x, want: all(x.get(k) == p and x[k] == p
+                               for k, p in want.items()),
+    "items": lambda x, want: dict(x.items()) == want
+    and sorted(x.keys()) == sorted(want) and len(x.values()) == len(want),
+    "repr": lambda x, want: repr(x) == repr(dict(x)),
+    "big": lambda x, want: x.big == max([0] + [norm(p) for p in want.values()]),
+}
+
+
+@pytest.mark.parametrize("read", sorted(_READS))
+def test_packed_decodes_on_its_first_read(read):
+    rng = random.Random("kronecker-packed")
+    keys = list("abcdefgh")
+    for _ in range(20):
+        polys = {i: _random_poly(rng) for i in range(len(keys))}
+        terms = {i: pack(p, 24, 6) for i, p in polys.items() if p}
+        want = {keys[i]: p for i, p in polys.items() if p}
+        x = Packed(terms, keys, 24, 6)
+        assert dict.__len__(x) == 0  # nothing decoded before the read
+        assert _READS[read](x, want)
+
+
+def test_packed_is_read_only():
+    x = Packed({0: pack(LaurentPoly({1: 2}), 16, 0)}, ["a", "b"], 16, 0, 2)
+    for change in (lambda: x.__setitem__("b", LaurentPoly.one()),
+                   lambda: x.update({}), lambda: x.pop("a"),
+                   lambda: x.setdefault("b"), x.clear, x.popitem,
+                   lambda: x.__delitem__("a")):
+        with pytest.raises(TypeError):
+            change()
+    assert x == {"a": LaurentPoly({1: 2})} and x.big == 2
+    for copied in (pickle.loads(pickle.dumps(x)), copy.copy(x)):
+        assert type(copied) is dict and copied == x
+
+
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_repack_and_largest_norm(bits):
+    rng = random.Random(f"kronecker-repack:{bits}")
+    size = min(20, (1 << bits - 2) - 1)
+    rows = [{i: pack(_random_poly(rng, size), bits, 6) for i in range(5)}
+            for _ in range(4)]
+    for row in rows:
+        for c in row.values():
+            assert unpack(repack(c, bits, 40), 40, 6) == unpack(c, bits, 6)
+    assert largest_norm(rows, bits) == max(
+        norm(unpack(c, bits, 6)) for row in rows for c in row.values())
