@@ -28,15 +28,33 @@ bar-invariance these conditions characterize G(μ) uniquely, so the result
 does not depend on the residue chosen or the elimination order.  Elements
 whose candidates are all blocked on a not-yet-computed same-degree G are
 retried after the rest of the layer (the dominance-style order on
-bipartitions is not always compatible with the elimination).  f_i^(a) of a
-single bipartition has monomial coefficients; each such row is built once
-per canonical_basis call, so a monomial A(μ) is a sum of shifted rows.
+bipartitions is not always compatible with the elimination).
+
+Rows.  f_i^(a) of a single bipartition λ has monomial coefficients, Σ v^N μ.
+One table per (s, e) numbers the bipartitions it meets and lists each one's
+addable and removable nodes once, by residue and descending node_key.  The
+a = 1 row is read from that list: N is the number of addable i-nodes above
+γ minus the number of removable i-nodes above γ.  An a >= 2 row chains a
+steps of f_i on packed ints and tests, exactly on the ints, that each
+coefficient is v^N·[a]!.  divided_f and f_action read the same rows.
+
+The elimination runs on Kronecker-packed ints (`blobcell.kronecker`) over
+the numbered bipartitions.  G(ν) is kept at offset 0 and a candidate at an
+offset taken from its rows' lowest exponent, so v^N is a shift, the
+offender test is a mask and the multiplier is `bar_symmetric_low`.  A bound
+on Σ|c| of every candidate coefficient grows with each elimination step,
+and all vectors are widened before it reaches the digit bound.  The basis
+is decoded once, equal coefficients sharing one LaurentPoly.
 """
 
 from __future__ import annotations
 
+from math import factorial
+
 from . import partitions
-from .laurent import InexactDivision, LaurentPoly, add_term, quantum_factorial
+from .kronecker import (add_scaled, bar_symmetric_low, decode, digits, low,
+                        pack, repack, unpack, width)
+from .laurent import LaurentPoly, add_term, quantum_factorial
 from .partitions import Bipartition
 from .weylb import BoundExceeded, InvariantViolation
 
@@ -138,55 +156,111 @@ def divided_f(i: int, a: int, x: FockVector, s, e: int,
               rows: dict | None = None) -> FockVector:
     """
     The divided power f_i^(a) = f_i^a / [a]!, read from the rows of the
-    bipartitions of x.  rows memoizes those rows; it is only valid for one
-    (s, e), so a caller that keeps it passes the same charge every time.
+    bipartitions of x.  rows memoizes those rows, one table per (s, e).
     """
-    if rows is None:
-        rows = {}
+    rows = {} if rows is None else rows
+    table = rows.get((tuple(s), e))
+    if table is None:
+        table = rows[tuple(s), e] = _Rows(s, e)
+    keys, number = table.keys, table.number
     out: FockVector = {}
     for lam, c in x.items():
-        for mu, n in _row(i, a, lam, s, e, rows):
-            add_term(out, mu, c.shift(n))
+        for mu, n in table.row(i, a, number(lam)):
+            add_term(out, keys[mu], c.shift(n))
     return out
 
 
-def _row(i: int, a: int, lam: Bipartition, s, e: int, rows: dict) -> tuple:
+class _Rows:
     """
-    f_i^(a) λ as ((μ, N), ...), meaning Σ v^N μ: its coefficients are
-    monomials.  Built once per (i, a, λ): one step adds each i-node γ with
-    exponent N_i^>; a steps are chained and divided by [a]! once.
+    The rows f_i^(a) λ = Σ v^N μ at one (s, e), on bipartitions numbered in
+    the order they are met: `keys[k]` is bipartition k, `number(λ)` its
+    number, and `row(i, a, k)` the pairs (μ, N).  Each bipartition's
+    addable and removable i-nodes are listed once, by descending node_key.
     """
-    key = (i, a, lam)
-    row = rows.get(key)
-    if row is not None:
+
+    def __init__(self, s, e: int):
+        if e < 2:
+            raise ValueError(f"e must be >= 2, got {e}")
+        self.s, self.e = s, e
+        self.keys: list = []
+        self.index: dict = {}
+        self._nodes: dict = {}  # k -> {i: [(addable?, node), ...]}
+        self._rows: dict = {}  # (i, a, k) -> ((μ, N), ...)
+
+    def number(self, lam: Bipartition) -> int:
+        k = self.index.get(lam)
+        if k is None:
+            k = self.index[lam] = len(self.keys)
+            self.keys.append(lam)
+        return k
+
+    def nodes(self, k: int, i: int) -> list:
+        table = self._nodes.get(k)
+        if table is None:
+            s, lam = self.s, self.keys[k]
+            marked = sorted([(node_key(g, s), True, g)
+                             for g in addable_nodes(lam)]
+                            + [(node_key(g, s), False, g)
+                               for g in removable_nodes(lam)], reverse=True)
+            table = self._nodes[k] = {}
+            for (content, _), addable, g in marked:
+                table.setdefault(content % self.e, []).append((addable, g))
+        return table.get(i, ())
+
+    def row(self, i: int, a: int, k: int) -> tuple:
+        key = (i, a, k)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = (self._first(i, k) if a == 1
+                                     else self._divided(i, a, k))
         return row
-    if a == 1:
-        adds = [g for g in addable_nodes(lam) if residue(g, s, e) == i]
-        row = []
-        for g in adds:
-            mu = _add_node(lam, g)
-            above_add = sum(1 for g2 in adds if node_less(g, g2, s))
-            above_rem = sum(1 for g2 in removable_nodes(mu)
-                            if residue(g2, s, e) == i and node_less(g, g2, s))
-            row.append((mu, above_add - above_rem))
-    else:
-        x = {lam: LaurentPoly.one()}
-        for _ in range(a):
-            x = f_action(i, x, s, e, rows)
+
+    def _first(self, i: int, k: int) -> tuple:
+        """
+        f_i λ: each addable i-node γ with N = #(addable i-nodes above γ) −
+        #(removable i-nodes above γ).  The removable i-nodes of λ + γ above
+        γ are those of λ: adding γ only blocks its neighbours, whose
+        residues are i ± 1 ≠ i as e >= 2.
+        """
+        lam, row, n = self.keys[k], [], 0
+        for addable, g in self.nodes(k, i):
+            if addable:
+                row.append((self.number(_add_node(lam, g)), n))
+                n += 1
+            else:
+                n -= 1
+        return tuple(row)
+
+    def _divided(self, i: int, a: int, k: int) -> tuple:
+        """
+        f_i^(a) λ: a steps of f_i chained on packed ints, each coefficient
+        tested to be exactly v^N·[a]!.  The chained coefficients are >= 0
+        and sum to at most a!, the orders of adding a nodes; each step
+        lowers an exponent by at most the removable i-nodes, fewer than
+        `lift`.
+        """
         fact = quantum_factorial(a)
+        bits = width(factorial(a))
+        lift = a + sum(1 for addable, _ in self.nodes(k, i) if not addable)
+        x = {k: 1}
+        for _ in range(a):
+            y: dict = {}
+            for lam, c in x.items():
+                for mu, n in self.row(i, 1, lam):
+                    y[mu] = y.get(mu, 0) + (c << bits * (n + lift))
+            x = y
+        off = low([fact])
+        f = pack(fact, bits, off)
+        tz = (f & -f).bit_length()
         row = []
         for mu, c in x.items():
-            try:
-                q = c.divide_exact(fact)
-            except InexactDivision as exc:
-                raise DividedPowerInexact(f"at {mu}: {c} / [{a}]!") from exc
-            terms = list(q.items())
-            if len(terms) != 1 or terms[0][1] != 1:
+            t = (c & -c).bit_length() - tz
+            if t < 0 or t % bits or c != f << t:
                 raise DividedPowerInexact(
-                    f"at {mu}: {c} / [{a}]! = {q} is not a monomial v^N")
-            row.append((mu, terms[0][0]))
-    row = rows[key] = tuple(row)
-    return row
+                    f"at {self.keys[mu]}: {unpack(c, bits, a * lift)} is not "
+                    f"v^N·[{a}]! = v^N·({fact})")
+            row.append((mu, t // bits + off - a * lift))
+        return tuple(row)
 
 
 # ---------------------------------------------------------------------------
@@ -281,48 +355,19 @@ def canonical_basis(n: int, s, e: int, bound: int = 12) -> dict:
     by_degree: dict[int, list] = {}
     for b, path in paths.items():
         by_degree.setdefault(len(path), []).append(b)
-    out: dict = {((), ()): {((), ()): LaurentPoly.one()}}
-    rows: dict = {}
-
-    def candidate(mu, i, a, nu):
-        vec = divided_f(i, a, out[nu], s, e, rows)
-        guard = 0
-        while True:
-            offenders = [b for b, c in vec.items()
-                         if b != mu and c.min_exp() <= 0]
-            if not offenders:
-                break
-            guard += 1
-            if guard > 10000:
-                return None
-            nb = max(offenders, key=_prec_key)
-            if nb not in out:
-                return None
-            mult = -vec[nb].bar_symmetrize_nonpositive()
-            for b, c in out[nb].items():
-                add_term(vec, b, c * mult)
-        lead = vec.get(mu)
-        if lead is None or not lead.is_one():
-            return None
-        return vec
-
+    basis = _Basis(_Rows(s, e))
+    index, number = basis.table.index, basis.table.number
     for d in range(1, n + 1):
         pending = sorted(by_degree.get(d, []), key=_prec_key)
         stalled = 0
         while pending:
             mu = pending.pop(0)
-            built = None
             strings = estrings(mu, s, e)
             if not strings:
                 raise NotReachable(
                     f"{mu} is not connected to the empty bipartition")
-            for i, a, nu in strings:
-                if nu not in out:
-                    continue
-                built = candidate(mu, i, a, nu)
-                if built is not None:
-                    break
-            if built is None:
+            if not any(basis.add(number(mu), i, a, index[nu])
+                       for i, a, nu in strings if index.get(nu) in basis.g):
                 pending.append(mu)
                 stalled += 1
                 if stalled > len(pending):
@@ -330,8 +375,101 @@ def canonical_basis(n: int, s, e: int, bound: int = 12) -> dict:
                         f"no admissible candidate for any of {pending}")
                 continue
             stalled = 0
-            out[mu] = built
-    return out
+    return basis.decode()
+
+
+class _Basis:
+    """
+    The canonical basis under construction, on the bipartition numbers of
+    `table`: g[k] is G(k) as k' -> packed int at offset 0 and width `bits`,
+    and big[k] = (largest Σ|c| of a coefficient of G(k), Σ|c| over all its
+    coefficients).  A candidate's coefficients are bounded as it is built,
+    and the width grows before that bound reaches the digit bound.
+    """
+
+    def __init__(self, table: _Rows):
+        self.table = table
+        empty = table.number(((), ()))
+        self.g = {empty: {empty: 1}}
+        self.big = {empty: (1, 1)}
+        self.bits = width(1, 16)
+        self._prec: dict = {}  # k -> _prec_key
+        self._norms: dict = {}  # packed int -> Σ|c|
+
+    def prec(self, k: int):
+        key = self._prec.get(k)
+        if key is None:
+            key = self._prec[k] = _prec_key(self.table.keys[k])
+        return key
+
+    def add(self, mu: int, i: int, a: int, nu: int) -> bool:
+        """
+        Build G(μ) from A(μ) = f_i^(a) G(ν), if every offender has its G
+        already: whether G(μ) was added.
+        """
+        bound = self.big[nu][1]  # Σ|c| of G(ν) bounds every Σ|c| of A(μ)
+        self._fit(bound)
+        row, bits = self.table.row, self.bits
+        terms = [(row(i, a, lam), c) for lam, c in self.g[nu].items()]
+        off = max([0] + [-n for r, _ in terms for _, n in r])
+        vec: dict = {}
+        get = vec.get
+        for r, c in terms:
+            for b, n in r:
+                vec[b] = get(b, 0) + (c << bits * (n + off))
+        mask = (1 << bits * (off + 1)) - 1
+        for _ in range(10000):
+            offenders = [b for b, c in vec.items() if c & mask and b != mu]
+            if not offenders:
+                break
+            nb = max(offenders, key=self.prec)
+            if nb not in self.g:
+                return False
+            mult = bar_symmetric_low(vec[nb], bits, off)
+            bound += self._norm(mult) * self.big[nb][0]
+            old = self._fit(bound)
+            if old != self.bits:
+                bits, mask = self.bits, (1 << self.bits * (off + 1)) - 1
+                vec = {b: repack(c, old, bits) for b, c in vec.items()}
+                mult = repack(mult, old, bits)
+            add_scaled(vec, self.g[nb], -mult)
+        else:
+            return False
+        shift = bits * off
+        if vec.get(mu) != 1 << shift:
+            return False
+        self.g[mu] = out = {b: c >> shift for b, c in vec.items() if c}
+        sizes = [self._norm(c) for c in out.values()]
+        self.big[mu] = (max(sizes), sum(sizes))
+        return True
+
+    def _fit(self, bound: int) -> int:
+        """
+        Widen every G, if need be, so that digits up to `bound` read back:
+        returns the width before.
+        """
+        old = self.bits
+        if bound >> old - 2:
+            self.bits = width(bound, 16)
+            if bound >> self.bits - 2:
+                raise InvariantViolation(
+                    f"digit width {self.bits} cannot hold a coefficient "
+                    f"bound of {bound}")
+            self.g = {k: {b: repack(c, old, self.bits) for b, c in v.items()}
+                      for k, v in self.g.items()}
+            self._norms.clear()
+        return old
+
+    def _norm(self, c: int) -> int:
+        size = self._norms.get(c)
+        if size is None:
+            size = self._norms[c] = sum(map(abs, digits(c, self.bits)))
+        return size
+
+    def decode(self) -> dict:
+        keys, memo = self.table.keys, {}
+        return {keys[k]: decode(v, keys, self.bits, 0, memo)
+                for k, v in self.g.items()}
 
 
 # ---------------------------------------------------------------------------

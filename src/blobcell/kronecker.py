@@ -131,6 +131,9 @@ def decode(x: dict, keys, bits: int, off: int,
     return out
 
 
+_UNREAD = object()  # the placeholder key of an unread Packed vector
+
+
 class Packed(dict):
     """
     A sparse vector elements[i] -> LaurentPoly held as `terms`, index ->
@@ -139,9 +142,10 @@ class Packed(dict):
     not given it is found from the decoded coefficients on first use, with
     `memo` (packed int -> LaurentPoly) and `norms` (packed int -> Σ|c|)
     shared between vectors.  Routines that take a Packed vector read
-    `terms`.  It is read-only, and pickles and copies as a plain dict.  C
-    code that reads a dict's storage without a method call (json's test
-    for an empty dict) sees it empty until it is first read.
+    `terms`.  It is read-only, and pickles and copies as a plain dict.
+    Until the first read its dict storage holds one placeholder entry when
+    `terms` is not empty, so that C code which tests the storage's size
+    before it calls a method (json's encoder) does not see an empty dict.
     """
 
     __slots__ = ("terms", "elements", "bits", "off", "_big", "_memo",
@@ -150,7 +154,7 @@ class Packed(dict):
     def __init__(self, terms: dict, elements: list, bits: int, off: int,
                  big: int | None = None, memo: dict | None = None,
                  norms: dict | None = None):
-        super().__init__()
+        super().__init__({_UNREAD: None} if terms else ())
         self.terms, self.elements = terms, elements
         self.bits, self.off, self._big = bits, off, big
         self._memo = {} if memo is None else memo
@@ -171,6 +175,7 @@ class Packed(dict):
     def _full(self) -> "Packed":
         if not self._read:
             self._read = True
+            dict.clear(self)
             dict.update(self, decode(self.terms, self.elements, self.bits,
                                      self.off, self._memo))
         return self

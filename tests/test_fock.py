@@ -1,9 +1,11 @@
 """The level-2 Fock space: operators, crystal, canonical basis, alcoves."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blobcell import fock, partitions
+from blobcell import fock, kronecker, partitions
 from blobcell.laurent import LaurentPoly, add_term, quantum_factorial
 from blobcell.weylb import InvariantViolation
 
@@ -116,6 +118,144 @@ def test_canonical_basis_unitriangular_small():
             for b, c in vec.items():
                 if b != mu:
                     assert c.nonpositive_part().is_zero()
+
+
+# SHA-256 of the sorted (μ, [(λ, sorted coefficient items)]) text of the
+# canonical basis, recorded with the LaurentPoly elimination the packed
+# engine replaced.
+BASIS_DIGESTS = {
+    (2, (0, 1), 10):
+        "e7eac6bd43f608db314bbed26f9e50a74314e1bca1c7d638b4d8b916d9c2679d",
+    (2, (0, 0), 10):
+        "48565c4da7a1dbcdc60a4144f1f79a98ceef1ce5a0be371735cfb68200ed4067",
+    (3, (-1, 0), 12):
+        "f76fb7924998f4a7b230a4b014f3b83bc72c7cf69095adadd075ea6f36abc7bb",
+    (4, (0, 2), 10):
+        "a73941a86b80bc067ee3d8557683155048829d356bab769f9467f72bb5fdb240",
+    (5, (-2, 0), 10):
+        "0fa174bc37870b061f330f71668b20920744110841243b02dc8334a417567549",
+}
+
+
+def _basis_digest(basis):
+    text = repr(sorted((mu, sorted((b, sorted(c.items()))
+                                   for b, c in vec.items()))
+                       for mu, vec in basis.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("e, s, n", sorted(BASIS_DIGESTS))
+def test_canonical_basis_digest(e, s, n):
+    basis = fock.canonical_basis(n, s, e)
+    assert _basis_digest(basis) == BASIS_DIGESTS[e, s, n]
+
+
+def test_canonical_basis_too_narrow_width_raises(monkeypatch):
+    monkeypatch.setattr(fock, "width", lambda bound, step=1: 3)
+    with pytest.raises(InvariantViolation):
+        fock.canonical_basis(8, (-1, 0), 3)
+
+
+def test_canonical_basis_widens_as_its_bound_grows(monkeypatch):
+    # the least width for each bound: the digits widen several times,
+    # also in the middle of an elimination
+    want = fock.canonical_basis(10, (-1, 0), 3)
+    monkeypatch.setattr(fock, "width",
+                        lambda bound, step=1: kronecker.width(bound))
+    assert fock.canonical_basis(10, (-1, 0), 3) == want
+
+
+class _FakeRows:
+    """Rows given by hand, on ∅, NU, MU, Y, Z (numbers 0-4)."""
+
+    keys = [((), ()), ((1,), ()), ((2,), ()), ((1,), (1,)), ((), (2,))]
+
+    def number(self, lam):
+        return self.keys.index(lam)
+
+    def row(self, i, a, k):
+        return ((2, 0), (3, 0), (3, 0), (4, 1)) if k == 1 else ()
+
+
+def test_elimination_widens_for_what_an_offender_brings():
+    # A(MU) = MU + 2·Y + v·Z from G(NU) = NU; the offender Y has
+    # G(Y) = Y + 100·v·Z, so G(MU) = MU - 199·v·Z needs wider digits than
+    # any G read so far
+    basis = fock._Basis(_FakeRows())
+    basis.bits = kronecker.width(100)
+    basis.g = {1: {1: 1}, 3: {3: 1, 4: 100 << basis.bits}}
+    basis.big = {1: (1, 1), 3: (100, 101)}
+    assert basis.add(2, 0, 1, 1)
+    assert basis.bits >= kronecker.width(199)
+    keys = _FakeRows.keys
+    assert basis.decode()[keys[2]] == {
+        keys[2]: LaurentPoly.one(), keys[4]: LaurentPoly.monomial(1, -199)}
+
+
+def _monomials(n, s, e):
+    """
+    A bar-invariant monomial M(b) = f_{i_1}^(a_1)⋯f_{i_k}^(a_k)·∅ for every
+    b of degree <= n in the crystal, built with the reference operators from
+    a maximal ẽ-string at b: M(b) has coefficient 1 at b, and every other
+    crystal bipartition in its support comes before b in the order of
+    _prec_key.
+    """
+    key = fock._prec_key
+    paths = fock.crystal_paths(n, s, e)
+    mono = {((), ()): {((), ()): LaurentPoly.one()}}
+    for b in sorted(paths, key=lambda b: len(paths[b]))[1:]:
+        for i, a, nu in fock.estrings(b, s, e):
+            m = _ref_divided_f(i, a, mono[nu], s, e)
+            if m.get(b) == LaurentPoly.one() and all(
+                    key(x) < key(b) for x in m if x != b and x in paths):
+                mono[b] = m
+                break
+        else:
+            raise AssertionError(f"no unitriangular monomial at {b}")
+    return mono
+
+
+def _monomial_coefficients(vec, mono):
+    """
+    The coefficients β with vec = Σ β_b M(b), found from the leading
+    crystal bipartition down, or None if vec is not such a sum.
+    """
+    key = fock._prec_key
+    rest, beta = dict(vec), {}
+    while rest:
+        top = [b for b in rest if b in mono]
+        if not top:
+            return None
+        b = max(top, key=key)
+        c = beta[b] = rest[b]
+        for x, m in mono[b].items():
+            add_term(rest, x, -(c * m))
+    return beta
+
+
+@pytest.mark.parametrize("e, m", [(3, 2), (5, 3)])
+def test_canonical_basis_is_bar_invariant(e, m):
+    s = fock.alcove_data(e, m).s
+    mono = _monomials(6, s, e)
+    for mu, vec in fock.canonical_basis(6, s, e).items():
+        beta = _monomial_coefficients(vec, mono)
+        assert beta is not None, mu
+        assert all(c.bar() == c for c in beta.values()), (mu, beta)
+
+
+def test_bar_invariance_check_sees_a_shifted_coefficient():
+    s, e = (-1, 0), 3
+    mono = _monomials(6, s, e)
+    shifted = 0
+    for mu, vec in fock.canonical_basis(6, s, e).items():
+        for b, c in vec.items():
+            if b != mu:
+                bad = {**vec, b: c.shift(1)}
+                beta = _monomial_coefficients(bad, mono)
+                assert beta is None or any(
+                    x.bar() != x for x in beta.values()), (mu, b)
+                shifted += 1
+    assert shifted > 20
 
 
 def test_alcove_geometry_e3_m2():

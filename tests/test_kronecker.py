@@ -1,11 +1,13 @@
 """Kronecker-packed Laurent polynomials against LaurentPoly arithmetic."""
 
 import copy
+import json
 import pickle
 import random
 
 import pytest
 
+from blobcell import hecke
 from blobcell.kronecker import (
     Decoded, Packed, bar_symmetric_low, decode, digits, largest_norm, low,
     norm, pack, repack, unpack, width,
@@ -133,7 +135,7 @@ def test_packed_decodes_on_its_first_read(read):
         terms = {i: pack(p, 24, 6) for i, p in polys.items() if p}
         want = {keys[i]: p for i, p in polys.items() if p}
         x = Packed(terms, keys, 24, 6)
-        assert dict.__len__(x) == 0  # nothing decoded before the read
+        assert dict.keys(x).isdisjoint(want)  # nothing decoded before the read
         assert _READS[read](x, want)
 
 
@@ -148,6 +150,23 @@ def test_packed_is_read_only():
     assert x == {"a": LaurentPoly({1: 2})} and x.big == 2
     for copied in (pickle.loads(pickle.dumps(x)), copy.copy(x)):
         assert type(copied) is dict and copied == x
+
+
+def test_json_sees_an_unread_packed_vector_like_a_read_one():
+    # json's C encoder tests the dict's storage size before it calls items()
+    cox = hecke.type_b(2)
+    errors = []
+    for read in (False, True):
+        x = hecke.multiply_t(cox, hecke.c_gen(cox, 0), hecke.c_gen(cox, 1))
+        assert isinstance(x, Packed) and x.terms
+        if read:
+            assert len(x) == len(x.terms)
+        with pytest.raises(TypeError) as err:
+            json.dumps(x)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert json.dumps(Packed({}, [], 16, 0)) == "{}"
+    assert json.dumps(Packed({0: 0}, ["a"], 16, 0)) == "{}"
 
 
 @pytest.mark.parametrize("bits", WIDTHS)
