@@ -344,9 +344,12 @@ def blob_dims_cmd(n: int, fmt: str) -> None:
     """dim of the algebra and of every standard module at rank N."""
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
+    cap = _cap(8)
+    if n > cap:
+        raise click.UsageError(f"n={n} exceeds diagram bound {cap}")
     lams = partitions.lambda_n(n)
     dims = {lam: len(blob.half_diagrams(n, lam)) for lam in lams}
-    total = blob.blob_algebra_dimension(n)
+    total = len(blob.all_diagrams(n, bound=cap))
     ok = sum(d * d for d in dims.values()) == total
     obj = {"n": n, "algebra_dim": total,
            "standard_dims": {str(l): d for l, d in dims.items()},

@@ -14,8 +14,9 @@ Crystal operators use the signature rule: list all addable and removable
 i-nodes in increasing node order and repeatedly cancel an addable node
 standing immediately to the right of a removable one; f̃_i acts on the
 largest surviving addable node, ẽ_i on the smallest surviving removable
-node.  (The direction is calibrated against anchor sequences checked in
-the test-suite; every competing convention fails at least one anchor.)
+node, and ẽ_i^ε, with ε = ε_i the number of surviving removable nodes, on
+all of them.  (The direction is calibrated against anchor sequences checked
+in the test-suite; every competing convention fails at least one anchor.)
 
 The canonical basis G(μ) of the degree-n layer is computed LLT-style,
 degree by degree: the monomial A(μ) = f_i^(a) G(ν) with ν = ẽ_i^a μ a
@@ -30,13 +31,14 @@ whose candidates are all blocked on a not-yet-computed same-degree G are
 retried after the rest of the layer (the dominance-style order on
 bipartitions is not always compatible with the elimination).
 
-Rows.  f_i^(a) of a single bipartition λ has monomial coefficients, Σ v^N μ.
-One table per (s, e) numbers the bipartitions it meets and lists each one's
-addable and removable nodes once, by residue and descending node_key.  The
-a = 1 row is read from that list: N is the number of addable i-nodes above
-γ minus the number of removable i-nodes above γ.  An a >= 2 row chains a
-steps of f_i on packed ints and tests, exactly on the ints, that each
-coefficient is v^N·[a]!.  divided_f and f_action read the same rows.
+One table.  A table per (s, e) numbers the bipartitions it meets and lists
+each one's addable and removable nodes once, by residue and descending
+node_key.  The signatures and the rows read that list: f_i λ = Σ v^N μ gives
+an addable i-node γ the exponent N = #(addable i-nodes above γ) −
+#(removable i-nodes above γ); an f_i^(a) row chains a steps of f_i on packed
+ints and tests, exactly on the ints, that each coefficient is v^N·[a]!.
+canonical_basis walks the crystal, reads its ẽ-strings and builds its rows
+on one table; every other function builds its own.
 
 The elimination runs on Kronecker-packed ints (`blobcell.kronecker`) over
 the numbered bipartitions.  G(ν) is kept at offset 0 and a candidate at an
@@ -135,33 +137,22 @@ def _add_node(b: Bipartition, node: Node) -> Bipartition:
     return tuple(out)
 
 
-def _remove_node(b: Bipartition, node: Node) -> Bipartition:
-    i, j, c = node
-    p = list(b[c - 1])
-    p[i - 1] -= 1
-    if p[i - 1] == 0:
-        p.pop()
-    out = list(b)
-    out[c - 1] = tuple(p)
-    return tuple(out)
+def _remove_nodes(b: Bipartition, nodes) -> Bipartition:
+    """b without the given removable nodes."""
+    parts = [list(p) for p in b]
+    for i, _, c in nodes:
+        parts[c - 1][i - 1] -= 1
+    return tuple(tuple(x for x in p if x) for p in parts)
 
 
-def f_action(i: int, x: FockVector, s, e: int,
-             rows: dict | None = None) -> FockVector:
+def f_action(i: int, x: FockVector, s, e: int) -> FockVector:
     """f_i: add an i-node γ with coefficient v^{N_i^>} (see module doc)."""
-    return divided_f(i, 1, x, s, e, rows)
+    return divided_f(i, 1, x, s, e)
 
 
-def divided_f(i: int, a: int, x: FockVector, s, e: int,
-              rows: dict | None = None) -> FockVector:
-    """
-    The divided power f_i^(a) = f_i^a / [a]!, read from the rows of the
-    bipartitions of x.  rows memoizes those rows, one table per (s, e).
-    """
-    rows = {} if rows is None else rows
-    table = rows.get((tuple(s), e))
-    if table is None:
-        table = rows[tuple(s), e] = _Rows(s, e)
+def divided_f(i: int, a: int, x: FockVector, s, e: int) -> FockVector:
+    """The divided power f_i^(a) = f_i^a / [a]!, read from the rows."""
+    table = _Table(s, e)
     keys, number = table.keys, table.number
     out: FockVector = {}
     for lam, c in x.items():
@@ -170,12 +161,12 @@ def divided_f(i: int, a: int, x: FockVector, s, e: int,
     return out
 
 
-class _Rows:
+class _Table:
     """
-    The rows f_i^(a) λ = Σ v^N μ at one (s, e), on bipartitions numbered in
-    the order they are met: `keys[k]` is bipartition k, `number(λ)` its
-    number, and `row(i, a, k)` the pairs (μ, N).  Each bipartition's
-    addable and removable i-nodes are listed once, by descending node_key.
+    The bipartitions met at one (s, e), numbered in that order (`keys[k]`,
+    `number(λ)`), each one's addable and removable nodes listed once.  They
+    are read by `signature(k, i)` and by `row(i, a, k)`, the pairs (μ, N) of
+    f_i^(a) λ = Σ v^N μ.
     """
 
     def __init__(self, s, e: int):
@@ -185,6 +176,7 @@ class _Rows:
         self.keys: list = []
         self.index: dict = {}
         self._nodes: dict = {}  # k -> {i: [(addable?, node), ...]}
+        self._signatures: dict = {}  # (k, i) -> (addable, removable)
         self._rows: dict = {}  # (i, a, k) -> ((μ, N), ...)
 
     def number(self, lam: Bipartition) -> int:
@@ -195,17 +187,56 @@ class _Rows:
         return k
 
     def nodes(self, k: int, i: int) -> list:
+        """The i-nodes of k as (addable?, node), by descending node_key."""
         table = self._nodes.get(k)
         if table is None:
             s, lam = self.s, self.keys[k]
-            marked = sorted([(node_key(g, s), True, g)
+            marked = sorted([(*node_key(g, s), True, g)
                              for g in addable_nodes(lam)]
-                            + [(node_key(g, s), False, g)
+                            + [(*node_key(g, s), False, g)
                                for g in removable_nodes(lam)], reverse=True)
             table = self._nodes[k] = {}
-            for (content, _), addable, g in marked:
+            for content, _, addable, g in marked:
                 table.setdefault(content % self.e, []).append((addable, g))
         return table.get(i, ())
+
+    def signature(self, k: int, i: int) -> tuple:
+        """The i-nodes of k left by the signature rule: (addable, removable)."""
+        sig = self._signatures.get((k, i))
+        if sig is None:
+            adds, rems = [], []
+            for addable, g in reversed(self.nodes(k, i)):
+                if not addable:
+                    rems.append(g)
+                elif rems:
+                    rems.pop()
+                else:
+                    adds.append(g)
+            sig = self._signatures[k, i] = (tuple(adds), tuple(rems))
+        return sig
+
+    def paths(self, n: int) -> dict:
+        """crystal_paths on bipartition numbers."""
+        k = self.number(((), ()))
+        paths, layer = {k: ()}, [k]
+        for _ in range(n):
+            nxt = []
+            for k in layer:
+                for i in range(self.e):
+                    adds = self.signature(k, i)[0]
+                    if adds:
+                        fk = self.number(_add_node(self.keys[k], adds[-1]))
+                        if fk not in paths:
+                            paths[fk] = paths[k] + (i,)
+                            nxt.append(fk)
+            layer = nxt
+        return paths
+
+    def estrings(self, k: int) -> list:
+        """estrings on bipartition numbers."""
+        sigs = [(i, self.signature(k, i)[1]) for i in range(self.e)]
+        return [(i, len(r), self.number(_remove_nodes(self.keys[k], r)))
+                for i, r in sigs if r]
 
     def row(self, i: int, a: int, k: int) -> tuple:
         key = (i, a, k)
@@ -268,35 +299,16 @@ class _Rows:
 # ---------------------------------------------------------------------------
 
 
-def _signature(i: int, b: Bipartition, s, e: int):
-    """Surviving (addable, removable) i-nodes after signature cancellation."""
-    marked = [(node_key(g, s), "A", g)
-              for g in addable_nodes(b) if residue(g, s, e) == i]
-    marked += [(node_key(g, s), "R", g)
-               for g in removable_nodes(b) if residue(g, s, e) == i]
-    marked.sort()
-    stack = []
-    for _, kind, g in marked:
-        if kind == "A" and stack and stack[-1][0] == "R":
-            stack.pop()
-        else:
-            stack.append((kind, g))
-    return ([g for k, g in stack if k == "A"],
-            [g for k, g in stack if k == "R"])
-
-
 def crystal_f(i: int, b: Bipartition, s, e: int) -> Bipartition | None:
-    adds, _ = _signature(i, b, s, e)
-    if not adds:
-        return None
-    return _add_node(b, adds[-1])
+    table = _Table(s, e)
+    adds = table.signature(table.number(b), i)[0]
+    return _add_node(b, adds[-1]) if adds else None
 
 
 def crystal_e(i: int, b: Bipartition, s, e: int) -> Bipartition | None:
-    _, rems = _signature(i, b, s, e)
-    if not rems:
-        return None
-    return _remove_node(b, rems[0])
+    table = _Table(s, e)
+    rems = table.signature(table.number(b), i)[1]
+    return _remove_nodes(b, rems[:1]) if rems else None
 
 
 def crystal_paths(n: int, s, e: int) -> dict:
@@ -305,19 +317,15 @@ def crystal_paths(n: int, s, e: int) -> dict:
     maps every reachable bipartition of degree <= n to its residue path
     (the f̃-residue sequence from ((), ())).
     """
-    empty = ((), ())
-    paths = {empty: ()}
-    layer = [empty]
-    for _ in range(n):
-        nxt = []
-        for b in layer:
-            for i in range(e):
-                fb = crystal_f(i, b, s, e)
-                if fb is not None and fb not in paths:
-                    paths[fb] = paths[b] + (i,)
-                    nxt.append(fb)
-        layer = nxt
-    return paths
+    table = _Table(s, e)
+    return {table.keys[k]: path for k, path in table.paths(n).items()}
+
+
+def estrings(b: Bipartition, s, e: int) -> list[tuple[int, int, Bipartition]]:
+    """All maximal ẽ-strings at b: (residue i, length ε_i, endpoint ẽ_i^ε b)."""
+    table = _Table(s, e)
+    return [(i, a, table.keys[nu])
+            for i, a, nu in table.estrings(table.number(b))]
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +338,6 @@ def _prec_key(b: Bipartition):
     return partitions.two_quotient_inverse(b)
 
 
-def estrings(b: Bipartition, s, e: int) -> list[tuple[int, int, Bipartition]]:
-    """All maximal ẽ-strings at b: (residue i, length ε_i, endpoint ẽ_i^ε b)."""
-    out = []
-    for i in range(e):
-        nb = crystal_e(i, b, s, e)
-        a, cur = 0, b
-        while nb is not None:
-            cur, a = nb, a + 1
-            nb = crystal_e(i, cur, s, e)
-        if a:
-            out.append((i, a, cur))
-    return out
-
-
 def canonical_basis(n: int, s, e: int, bound: int = 12) -> dict:
     """
     G(μ) for every μ of degree <= n reachable in the crystal, as
@@ -351,28 +345,28 @@ def canonical_basis(n: int, s, e: int, bound: int = 12) -> dict:
     """
     if n > bound:
         raise BoundExceeded(f"n={n} exceeds Fock bound {bound}")
-    paths = crystal_paths(n, s, e)
+    table = _Table(s, e)
     by_degree: dict[int, list] = {}
-    for b, path in paths.items():
-        by_degree.setdefault(len(path), []).append(b)
-    basis = _Basis(_Rows(s, e))
-    index, number = basis.table.index, basis.table.number
+    for k, path in table.paths(n).items():
+        by_degree.setdefault(len(path), []).append(k)
+    basis = _Basis(table)
     for d in range(1, n + 1):
-        pending = sorted(by_degree.get(d, []), key=_prec_key)
+        pending = sorted(by_degree.get(d, []), key=basis.prec)
         stalled = 0
         while pending:
             mu = pending.pop(0)
-            strings = estrings(mu, s, e)
+            strings = table.estrings(mu)
             if not strings:
-                raise NotReachable(
-                    f"{mu} is not connected to the empty bipartition")
-            if not any(basis.add(number(mu), i, a, index[nu])
-                       for i, a, nu in strings if index.get(nu) in basis.g):
+                raise NotReachable(f"{table.keys[mu]} is not connected to "
+                                   "the empty bipartition")
+            if not any(basis.add(mu, i, a, nu)
+                       for i, a, nu in strings if nu in basis.g):
                 pending.append(mu)
                 stalled += 1
                 if stalled > len(pending):
                     raise NotUnitriangular(
-                        f"no admissible candidate for any of {pending}")
+                        "no admissible candidate for any of "
+                        f"{[table.keys[k] for k in pending]}")
                 continue
             stalled = 0
     return basis.decode()
@@ -387,7 +381,7 @@ class _Basis:
     and the width grows before that bound reaches the digit bound.
     """
 
-    def __init__(self, table: _Rows):
+    def __init__(self, table: _Table):
         self.table = table
         empty = table.number(((), ()))
         self.g = {empty: {empty: 1}}
@@ -544,16 +538,17 @@ def _descent_path(b: Bipartition, s, e: int) -> list[int]:
     from b by any ẽ_i that does not vanish: each step removes one node.
     In the crystal generated by ((), ()) the walk can only stop at ((), ()).
     """
-    target, path = b, []
+    table = _Table(s, e)
+    k, path = table.number(b), []
     for _ in range(sum(map(sum, b))):
         for i in range(e):
-            nb = crystal_e(i, b, s, e)
-            if nb is not None:
+            rems = table.signature(k, i)[1]
+            if rems:
                 break
         else:
-            raise NotReachable(f"{target} is not reachable at charge {s}")
+            raise NotReachable(f"{b} is not reachable at charge {s}")
         path.append(i)
-        b = nb
+        k = table.number(_remove_nodes(table.keys[k], rems[:1]))
     return path[::-1]
 
 

@@ -126,6 +126,22 @@ def test_blob_standard_past_the_diagram_bound_exits_2(monkeypatch):
     assert isinstance(res.exception, AssertionError)
 
 
+def test_blob_dims_past_the_diagram_bound_exits_2(monkeypatch):
+    # b_24 has more diagrams than can be listed; refuse before any work
+    def refuse(*args, **kwargs):
+        raise AssertionError("a half-diagram was built")
+
+    monkeypatch.setattr(blob, "half_diagrams", refuse)
+    monkeypatch.setattr(blob, "all_diagrams", refuse)
+    res = run("blob", "dims", "24")
+    assert res.exit_code == 2
+    assert "n=24 exceeds diagram bound 8" in res.output
+    assert "Traceback" not in res.output
+    # BLOBCELL_MAX_N raises the bound, as for the other commands
+    res = run("blob", "dims", "9", env={"BLOBCELL_MAX_N": "9"})
+    assert isinstance(res.exception, AssertionError)
+
+
 def test_tensor_check():
     res = run("tensor", "check", "3")
     assert res.exit_code == 0

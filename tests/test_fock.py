@@ -40,6 +40,97 @@ def test_crystal_e_inverts_f():
         b = nb
 
 
+def _ref_signature(i, b, s, e):
+    """Surviving (addable, removable) i-nodes after signature cancellation."""
+    marked = [(fock.node_key(g, s), "A", g)
+              for g in fock.addable_nodes(b) if fock.residue(g, s, e) == i]
+    marked += [(fock.node_key(g, s), "R", g)
+               for g in fock.removable_nodes(b) if fock.residue(g, s, e) == i]
+    marked.sort()
+    stack = []
+    for _, kind, g in marked:
+        if kind == "A" and stack and stack[-1][0] == "R":
+            stack.pop()
+        else:
+            stack.append((kind, g))
+    return ([g for k, g in stack if k == "A"],
+            [g for k, g in stack if k == "R"])
+
+
+def _ref_crystal_f(i, b, s, e):
+    adds, _ = _ref_signature(i, b, s, e)
+    return fock._add_node(b, adds[-1]) if adds else None
+
+
+def _ref_crystal_e(i, b, s, e):
+    _, rems = _ref_signature(i, b, s, e)
+    if not rems:
+        return None
+    r, _, c = rems[0]
+    p = list(b[c - 1])
+    p[r - 1] -= 1
+    if not p[-1]:
+        p.pop()
+    return tuple(tuple(p) if d == c else q for d, q in enumerate(b, 1))
+
+
+def _ref_estrings(b, s, e):
+    """Every maximal ẽ-string, walked one ẽ_i step at a time."""
+    out = []
+    for i in range(e):
+        a, cur = 0, b
+        while (nb := _ref_crystal_e(i, cur, s, e)) is not None:
+            a, cur = a + 1, nb
+        if a:
+            out.append((i, a, cur))
+    return out
+
+
+def _ref_crystal_paths(n, s, e):
+    paths, layer = {((), ()): ()}, [((), ())]
+    for _ in range(n):
+        nxt = []
+        for b in layer:
+            for i in range(e):
+                fb = _ref_crystal_f(i, b, s, e)
+                if fb is not None and fb not in paths:
+                    paths[fb] = paths[b] + (i,)
+                    nxt.append(fb)
+        layer = nxt
+    return paths
+
+
+def _ref_descent_path(b, s, e):
+    path = []
+    while b != ((), ()):
+        i, b = next((i, nb) for i in range(e)
+                    if (nb := _ref_crystal_e(i, b, s, e)) is not None)
+        path.append(i)
+    return path[::-1]
+
+
+CHARGES = ((0, 0), (-1, 0), (0, 1), (2, -3), (11, 0), (0, 9))
+
+
+def test_crystal_matches_reference_signature_rule():
+    lams = [b for n in range(7) for b in partitions.bipartitions_of(n)]
+    for e in range(2, 6):
+        for s in CHARGES:
+            for b in lams:
+                for i in range(e):
+                    assert (fock.crystal_f(i, b, s, e)
+                            == _ref_crystal_f(i, b, s, e)), (i, b, s, e)
+                    assert (fock.crystal_e(i, b, s, e)
+                            == _ref_crystal_e(i, b, s, e)), (i, b, s, e)
+                assert fock.estrings(b, s, e) == _ref_estrings(b, s, e)
+            paths = fock.crystal_paths(6, s, e)
+            assert list(paths.items()) == list(
+                _ref_crystal_paths(6, s, e).items()), (s, e)
+            for b in paths:
+                assert (fock._descent_path(b, s, e)
+                        == _ref_descent_path(b, s, e)), (b, s, e)
+
+
 def test_residues_and_node_order():
     s = (-1, 0)
     assert fock.residue((1, 1, 1), s, 3) == 2  # 1 - 1 - 1 mod 3
@@ -86,14 +177,13 @@ def test_divided_power_exact():
     weight = LaurentPoly({-1: 2, 3: -1})
     for e in (2, 3, 4):
         for s in ((0, 0), (-1, 2)):
-            rows = {}
             for i in range(e):
                 assert (fock.f_action(i, dict.fromkeys(lams, weight), s, e)
                         == _ref_f_action(i, dict.fromkeys(lams, weight), s, e))
                 for a in (1, 2, 3):
                     for lam in lams:
                         one = {lam: LaurentPoly.one()}
-                        got = fock.divided_f(i, a, one, s, e, rows)
+                        got = fock.divided_f(i, a, one, s, e)
                         assert got == _ref_divided_f(i, a, one, s, e), (
                             e, s, i, a, lam)
                         for c in got.values():
