@@ -7,11 +7,13 @@ includes a library bound or specialization error.  Negative window entries
 are passed after a `--` sentinel, e.g. `blobcell domino insert -- 2 3 -1`.
 The BLOBCELL_MAX_N environment variable overrides the size caps of every
 command and is passed to the library bounds.
+
+Each command imports the library modules it uses in its own body, so a
+command, `--help` or a usage error loads no module it does not need.
 """
 
 from __future__ import annotations
 
-import csv as _csv
 import io
 import json
 import os
@@ -19,22 +21,27 @@ import sys
 
 import click
 
-from . import blob, domino, fock, hecke, knuth, partitions, tables, weylb
-from .laurent import LaurentPoly
+from . import weylb
 
 MISMATCH = 1
 
 
-def _emit(fmt: str, obj, rows, text: str) -> None:
-    """One payload, three renderings; keys and row order are always sorted."""
+def _emit(fmt: str, obj, rows, text) -> None:
+    """
+    One payload, three renderings; keys and row order are always sorted.
+    `obj`, `rows` and `text` are zero-argument builders of the JSON object,
+    the CSV rows and the pretty text: only the one `fmt` asks for runs.
+    """
     if fmt == "json":
-        click.echo(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        click.echo(json.dumps(obj(), sort_keys=True, separators=(",", ":")))
     elif fmt == "csv":
+        import csv
+
         buf = io.StringIO()
-        _csv.writer(buf, lineterminator="\n").writerows(rows)
+        csv.writer(buf, lineterminator="\n").writerows(rows())
         click.echo(buf.getvalue(), nl=False)
     else:
-        click.echo(text)
+        click.echo(text())
 
 
 def _format_option(f):
@@ -70,12 +77,20 @@ def _check_em(e: int, m: int) -> None:
 
 
 class _Command(click.Command):
-    """A command whose library bound or specialization errors exit 2."""
+    """
+    A command whose library bound or specialization errors exit 2.  Both
+    are ValueErrors; a SpecializationInvalid can only come from `blob`, so
+    it is looked for only if the command loaded blob.
+    """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (weylb.BoundExceeded, blob.SpecializationInvalid) as exc:
+        except ValueError as exc:
+            blob = sys.modules.get("blobcell.blob")
+            if not (isinstance(exc, weylb.BoundExceeded) or blob is not None
+                    and isinstance(exc, blob.SpecializationInvalid)):
+                raise
             raise click.UsageError(str(exc), ctx) from exc
 
 
@@ -122,14 +137,16 @@ def wb_enumerate(n: int, count: bool, fmt: str) -> None:
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
     elements = weylb.enumerate_wb(n, bound=_cap(weylb.DEFAULT_MAX_N))
+    total = len(elements)
     if count:
-        _emit(fmt, {"n": n, "count": len(elements)},
-              [["n", "count"], [n, len(elements)]], str(len(elements)))
+        _emit(fmt, lambda: {"n": n, "count": total},
+              lambda: [["n", "count"], [n, total]], lambda: str(total))
         return
-    obj = {"n": n, "count": len(elements),
-           "elements": [list(w) for w in elements]}
-    rows = [["window"]] + [[_wstr(w)] for w in elements]
-    _emit(fmt, obj, rows, "\n".join(_wstr(w) for w in elements))
+    _emit(fmt,
+          lambda: {"n": n, "count": total,
+                   "elements": [list(w) for w in elements]},
+          lambda: [["window"]] + [[_wstr(w)] for w in elements],
+          lambda: "\n".join(_wstr(w) for w in elements))
 
 
 @wb.command("test")
@@ -137,6 +154,8 @@ def wb_enumerate(n: int, count: bool, fmt: str) -> None:
 @_format_option
 def wb_test(n: int, fmt: str) -> None:
     """Check the three characterizations of W_b(N) against each other."""
+    from . import domino
+
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
     if n > _cap(weylb.DEFAULT_MAX_N):
@@ -154,13 +173,15 @@ def wb_test(n: int, fmt: str) -> None:
     actual = sum(1 for w in weylb.enumerate_wn(n)
                  if weylb.is_in_wb_by_words(w))
     ok = mism == 0 and actual == expected
-    obj = {"n": n, "group_order": total, "mismatches": mism,
-           "wb_count": actual, "wb_count_formula": expected, "ok": ok}
-    rows = [["n", "group_order", "mismatches", "wb_count", "formula", "ok"],
-            [n, total, mism, actual, expected, ok]]
-    _emit(fmt, obj, rows,
-          f"n={n}: {total} elements, {mism} mismatches, "
-          f"|W_b|={actual} (formula {expected}) -> {'ok' if ok else 'FAIL'}")
+    _emit(fmt,
+          lambda: {"n": n, "group_order": total, "mismatches": mism,
+                   "wb_count": actual, "wb_count_formula": expected,
+                   "ok": ok},
+          lambda: [["n", "group_order", "mismatches", "wb_count", "formula",
+                    "ok"], [n, total, mism, actual, expected, ok]],
+          lambda: f"n={n}: {total} elements, {mism} mismatches, "
+                  f"|W_b|={actual} (formula {expected}) -> "
+                  f"{'ok' if ok else 'FAIL'}")
     if not ok:
         sys.exit(MISMATCH)
 
@@ -180,13 +201,16 @@ def domino_grp() -> None:
 @_format_option
 def domino_insert_cmd(entries, fmt: str) -> None:
     """Insert a window; prints the tableau pair (P, Q)."""
+    from . import domino
+
     w = _window(entries)
     p, q = domino.domino_insert(w)
-    obj = {"window": list(w), "P": p.to_json(), "Q": q.to_json()}
-    rows = [["tableau", "json"],
-            ["P", json.dumps(p.to_json(), sort_keys=True)],
-            ["Q", json.dumps(q.to_json(), sort_keys=True)]]
-    _emit(fmt, obj, rows, f"P:\n{p.pretty()}\nQ:\n{q.pretty()}")
+    _emit(fmt,
+          lambda: {"window": list(w), "P": p.to_json(), "Q": q.to_json()},
+          lambda: [["tableau", "json"],
+                   ["P", json.dumps(p.to_json(), sort_keys=True)],
+                   ["Q", json.dumps(q.to_json(), sort_keys=True)]],
+          lambda: f"P:\n{p.pretty()}\nQ:\n{q.pretty()}")
 
 
 @domino_grp.command("reverse")
@@ -194,6 +218,8 @@ def domino_insert_cmd(entries, fmt: str) -> None:
 @_format_option
 def domino_reverse_cmd(pair: str, fmt: str) -> None:
     """Invert insertion; PAIR is the JSON {"P":..,"Q":..} ('-' = stdin)."""
+    from . import domino
+
     raw = sys.stdin.read() if pair == "-" else pair
     try:
         d = json.loads(raw)
@@ -206,7 +232,8 @@ def domino_reverse_cmd(pair: str, fmt: str) -> None:
         w = domino.domino_reverse(p, q)
     except (KeyError, ValueError, domino.ShapeMismatch) as exc:
         raise click.UsageError(f"invalid tableau pair: {exc}")
-    _emit(fmt, {"window": list(w)}, [["window"], [_wstr(w)]], _wstr(w))
+    _emit(fmt, lambda: {"window": list(w)}, lambda: [["window"], [_wstr(w)]],
+          lambda: _wstr(w))
 
 
 @domino_grp.command("shape")
@@ -214,11 +241,13 @@ def domino_reverse_cmd(pair: str, fmt: str) -> None:
 @_format_option
 def domino_shape_cmd(entries, fmt: str) -> None:
     """The shape of the insertion tableau of a window."""
+    from . import domino
+
     w = _window(entries)
     shape = domino.domino_shape(w)
-    _emit(fmt, {"window": list(w), "shape": list(shape)},
-          [["shape"], [" ".join(map(str, shape))]],
-          " ".join(map(str, shape)))
+    text = " ".join(map(str, shape))
+    _emit(fmt, lambda: {"window": list(w), "shape": list(shape)},
+          lambda: [["shape"], [text]], lambda: text)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +265,15 @@ def knuth_grp() -> None:
 @_format_option
 def knuth_class_cmd(entries, fmt: str) -> None:
     """The plactic class of a window."""
+    from . import knuth
+
     w = _window(entries)
     cls = sorted(knuth.knuth_class(w))
-    obj = {"window": list(w), "size": len(cls),
-           "class": [list(u) for u in cls]}
-    rows = [["window"]] + [[_wstr(u)] for u in cls]
-    _emit(fmt, obj, rows, "\n".join(_wstr(u) for u in cls))
+    _emit(fmt,
+          lambda: {"window": list(w), "size": len(cls),
+                   "class": [list(u) for u in cls]},
+          lambda: [["window"]] + [[_wstr(u)] for u in cls],
+          lambda: "\n".join(_wstr(u) for u in cls))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +281,10 @@ def knuth_class_cmd(entries, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _kl_basis_checked(n: int) -> hecke.KLBasis:
+def _kl_basis_checked(n: int):
+    """The hecke.KLBasis of W_N, within the command's bound."""
+    from . import hecke
+
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
     return hecke.compute_kl_basis(n, bound=_cap(hecke.KL_MAX_N))
@@ -261,17 +296,33 @@ def _kl_basis_checked(n: int) -> hecke.KLBasis:
 def klbasis_cmd(n: int, fmt: str) -> None:
     """The C-basis of the Hecke algebra of W_N in the T-basis."""
     basis = _kl_basis_checked(n)
-    obj = {}
-    rows = [["w", "y", "coefficient"]]
-    lines = []
-    for w in basis.elements:
-        terms = {_wstr(y): h.pretty() for y, h in sorted(basis.c[w].items())}
-        obj[_wstr(w)] = terms
-        for y, h in sorted(basis.c[w].items()):
-            rows.append([_wstr(w), _wstr(y), h.pretty()])
-        body = " + ".join(f"({c}) T[{y}]" for y, c in sorted(terms.items()))
-        lines.append(f"C[{_wstr(w)}] = {body}")
-    _emit(fmt, obj, rows, "\n".join(lines))
+    ws = {w: _wstr(w) for w in basis.elements}
+    texts = {}  # id -> pretty: equal coefficients share one decoded object
+
+    def terms(w):
+        """(y, coefficient text) for every T_y term of C_w, unsorted."""
+        for y, h in basis.c[w].items():
+            t = texts.get(id(h))
+            if t is None:
+                t = texts[id(h)] = h.pretty()
+            yield y, t
+
+    def text():
+        lines = []
+        for w in basis.elements:
+            body = " + ".join(f"({t}) T[{y}]" for y, t in
+                              sorted((ws[y], t) for y, t in terms(w)))
+            lines.append(f"C[{ws[w]}] = {body}")
+        return "\n".join(lines)
+
+    # pretty sorts each row's terms by window string, CSV by window tuple
+    _emit(fmt,
+          lambda: {ws[w]: {ws[y]: t for y, t in terms(w)}
+                   for w in basis.elements},
+          lambda: [["w", "y", "coefficient"]]
+                  + [[ws[w], ws[y], t] for w in basis.elements
+                     for y, t in sorted(terms(w))],
+          text)
 
 
 @main.command("cells")
@@ -279,22 +330,25 @@ def klbasis_cmd(n: int, fmt: str) -> None:
 @_format_option
 def cells_cmd(n: int, fmt: str) -> None:
     """Left cells of W_N, each flagged inside/outside W_b."""
+    from . import hecke
+
     basis = _kl_basis_checked(n)
-    cells = hecke.left_cells(basis)
-    obj = []
-    rows = [["cell", "size", "in_wb", "windows"]]
-    lines = []
-    for k, cell in enumerate(cells):
-        members = sorted(cell)
-        in_wb = all(weylb.is_in_wb_by_words(u) for u in members)
-        obj.append({"size": len(members), "in_wb": in_wb,
-                    "members": [list(u) for u in members]})
-        rows.append([k, len(members), in_wb,
-                     "; ".join(_wstr(u) for u in members)])
-        lines.append(f"cell {k} (size {len(members)}, "
-                     f"{'inside' if in_wb else 'outside'} W_b): "
-                     + "; ".join(_wstr(u) for u in members))
-    _emit(fmt, obj, rows, "\n".join(lines))
+    cells = [sorted(cell) for cell in hecke.left_cells(basis)]
+    in_wb = [all(weylb.is_in_wb_by_words(u) for u in members)
+             for members in cells]
+    _emit(fmt,
+          lambda: [{"size": len(members), "in_wb": inside,
+                    "members": [list(u) for u in members]}
+                   for members, inside in zip(cells, in_wb)],
+          lambda: [["cell", "size", "in_wb", "windows"]]
+                  + [[k, len(members), inside,
+                      "; ".join(_wstr(u) for u in members)]
+                     for k, (members, inside) in enumerate(zip(cells, in_wb))],
+          lambda: "\n".join(
+              f"cell {k} (size {len(members)}, "
+              f"{'inside' if inside else 'outside'} W_b): "
+              + "; ".join(_wstr(u) for u in members)
+              for k, (members, inside) in enumerate(zip(cells, in_wb))))
 
 
 @main.group("ideal")
@@ -307,6 +361,8 @@ def ideal_grp() -> None:
 @_format_option
 def ideal_check_cmd(n: int, fmt: str) -> None:
     """Verify the ideal property, the generators, and the corank."""
+    from . import hecke
+
     if n < 2:
         raise click.UsageError(f"n must be >= 2, got {n}")
     basis = _kl_basis_checked(n)
@@ -318,11 +374,11 @@ def ideal_check_cmd(n: int, fmt: str) -> None:
     ok = two_sided and gens_inside and corank == expected
     obj = {"n": n, "two_sided": two_sided, "generators_inside": gens_inside,
            "corank": corank, "corank_formula": expected, "ok": ok}
-    rows = [list(obj.keys()), list(obj.values())]
-    _emit(fmt, obj, rows,
-          f"n={n}: two-sided={two_sided} generators_inside={gens_inside} "
-          f"corank={corank} (formula {expected}) -> "
-          f"{'ok' if ok else 'FAIL'}")
+    _emit(fmt, lambda: obj, lambda: [list(obj.keys()), list(obj.values())],
+          lambda: f"n={n}: two-sided={two_sided} "
+                  f"generators_inside={gens_inside} "
+                  f"corank={corank} (formula {expected}) -> "
+                  f"{'ok' if ok else 'FAIL'}")
     if not ok:
         sys.exit(MISMATCH)
 
@@ -342,6 +398,8 @@ def blob_grp() -> None:
 @_format_option
 def blob_dims_cmd(n: int, fmt: str) -> None:
     """dim of the algebra and of every standard module at rank N."""
+    from . import blob, partitions
+
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
     cap = _cap(8)
@@ -351,13 +409,14 @@ def blob_dims_cmd(n: int, fmt: str) -> None:
     dims = {lam: len(blob.half_diagrams(n, lam)) for lam in lams}
     total = len(blob.all_diagrams(n, bound=cap))
     ok = sum(d * d for d in dims.values()) == total
-    obj = {"n": n, "algebra_dim": total,
-           "standard_dims": {str(l): d for l, d in dims.items()},
-           "sum_of_squares_ok": ok}
-    rows = [["lambda", "dim"]] + [[l, dims[l]] for l in lams]
-    text = "\n".join([f"dim b_{n} = {total}"]
-                     + [f"  dim Delta({l}) = {dims[l]}" for l in lams])
-    _emit(fmt, obj, rows, text)
+    _emit(fmt,
+          lambda: {"n": n, "algebra_dim": total,
+                   "standard_dims": {str(l): d for l, d in dims.items()},
+                   "sum_of_squares_ok": ok},
+          lambda: [["lambda", "dim"]] + [[l, dims[l]] for l in lams],
+          lambda: "\n".join([f"dim b_{n} = {total}"]
+                            + [f"  dim Delta({l}) = {dims[l]}"
+                               for l in lams]))
     if not ok:
         sys.exit(MISMATCH)
 
@@ -369,6 +428,8 @@ def blob_dims_cmd(n: int, fmt: str) -> None:
 @_format_option
 def blob_standard_cmd(n: int, lam: int, m: int, fmt: str) -> None:
     """The standard module Delta_N(LAM): dimension and action matrices."""
+    from . import blob
+
     if n > _cap(8):  # the matrices hold N·C(N, N/2)^2 entries
         raise click.UsageError(f"n={n} exceeds diagram bound {_cap(8)}")
     try:
@@ -377,16 +438,23 @@ def blob_standard_cmd(n: int, lam: int, m: int, fmt: str) -> None:
         raise click.UsageError(str(exc))
     mats = {str(k): [[x.pretty() for x in row] for row in mat]
             for k, mat in sorted(mod.matrices.items())}
-    obj = {"n": n, "lambda": lam, "m": m, "dim": mod.dimension(),
-           "matrices": mats}
-    rows = [["generator", "row", "entries"]]
-    lines = [f"dim Delta_{n}({lam}) = {mod.dimension()}"]
-    for k, mat in sorted(mats.items()):
-        lines.append(f"U_{k}:")
-        for r, row in enumerate(mat):
-            rows.append([k, r, "; ".join(row)])
-            lines.append("  [" + ", ".join(row) + "]")
-    _emit(fmt, obj, rows, "\n".join(lines))
+    dim = mod.dimension()
+
+    def text():
+        lines = [f"dim Delta_{n}({lam}) = {dim}"]
+        for k, mat in sorted(mats.items()):
+            lines.append(f"U_{k}:")
+            lines += ["  [" + ", ".join(row) + "]" for row in mat]
+        return "\n".join(lines)
+
+    _emit(fmt,
+          lambda: {"n": n, "lambda": lam, "m": m, "dim": dim,
+                   "matrices": mats},
+          lambda: [["generator", "row", "entries"]]
+                  + [[k, r, "; ".join(row)]
+                     for k, mat in sorted(mats.items())
+                     for r, row in enumerate(mat)],
+          text)
 
 
 @blob_grp.command("verify")
@@ -396,6 +464,8 @@ def blob_standard_cmd(n: int, lam: int, m: int, fmt: str) -> None:
 def blob_verify_cmd(n: int, m: int, fmt: str) -> None:
     """Check the defining relations on every standard module (and, for
     small N, on the regular representation)."""
+    from . import blob, partitions
+
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
     if n > _cap(6):
@@ -411,11 +481,10 @@ def blob_verify_cmd(n: int, m: int, fmt: str) -> None:
         rep = blob.verify_presentation(blob.regular_representation(n, m), m)
         reports["regular"] = rep["all"]
         ok = ok and rep["all"]
-    obj = {"n": n, "m": m, "reports": reports, "ok": ok}
-    rows = [["module", "relations_ok"]] + sorted(reports.items())
-    text = "\n".join(f"{k}: {'ok' if v else 'FAIL'}"
-                     for k, v in sorted(reports.items()))
-    _emit(fmt, obj, rows, text)
+    _emit(fmt, lambda: {"n": n, "m": m, "reports": reports, "ok": ok},
+          lambda: [["module", "relations_ok"]] + sorted(reports.items()),
+          lambda: "\n".join(f"{k}: {'ok' if v else 'FAIL'}"
+                            for k, v in sorted(reports.items())))
     if not ok:
         sys.exit(MISMATCH)
 
@@ -432,25 +501,28 @@ def blob_verify_cmd(n: int, m: int, fmt: str) -> None:
 def cellcompare_cmd(n: int, m: int, fmt: str) -> None:
     """Match every left cell inside W_b with its standard module at the
     cyclotomic specialization (l = 2(2m-1))."""
+    from . import blob
+
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
     report = blob.compare_cell_to_standard(n, m, bound=_cap(4))
-    obj = {"n": n, "m": m, "all_match": report["all_match"],
-           "cells": [{**e, "cell_min": list(e["cell_min"])}
-                     for e in report["cells"]]}
-    rows = [["cell_min", "lambda", "dim_cell", "dim_delta", "dims_match",
-             "relations", "traces_match"]]
-    lines = []
-    for e in report["cells"]:
-        rows.append([_wstr(e["cell_min"]), e["lam"], e["dim_cell"],
-                     e["dim_delta"], e["dims_match"], e["relations"],
-                     e["traces_match"]])
-        lines.append(f"cell of {_wstr(e['cell_min'])}: lambda={e['lam']} "
-                     f"dims {e['dim_cell']}/{e['dim_delta']} "
-                     f"relations={'ok' if e['relations'] else 'FAIL'} "
-                     f"traces={'ok' if e['traces_match'] else 'FAIL'}")
-    lines.append(f"all_match: {report['all_match']}")
-    _emit(fmt, obj, rows, "\n".join(lines))
+    entries = report["cells"]
+    _emit(fmt,
+          lambda: {"n": n, "m": m, "all_match": report["all_match"],
+                   "cells": [{**e, "cell_min": list(e["cell_min"])}
+                             for e in entries]},
+          lambda: [["cell_min", "lambda", "dim_cell", "dim_delta",
+                    "dims_match", "relations", "traces_match"]]
+                  + [[_wstr(e["cell_min"]), e["lam"], e["dim_cell"],
+                      e["dim_delta"], e["dims_match"], e["relations"],
+                      e["traces_match"]] for e in entries],
+          lambda: "\n".join(
+              [f"cell of {_wstr(e['cell_min'])}: lambda={e['lam']} "
+               f"dims {e['dim_cell']}/{e['dim_delta']} "
+               f"relations={'ok' if e['relations'] else 'FAIL'} "
+               f"traces={'ok' if e['traces_match'] else 'FAIL'}"
+               for e in entries]
+              + [f"all_match: {report['all_match']}"]))
     if not report["all_match"]:
         sys.exit(MISMATCH)
 
@@ -466,6 +538,8 @@ def tensor_grp() -> None:
 def tensor_check_cmd(n: int, fmt: str) -> None:
     """Verify that the ideal generators annihilate V^{(x)N} and that the
     permutation modules have the standard-module dimensions."""
+    from . import blob, hecke, partitions
+
     if n < 2:
         raise click.UsageError(f"n must be >= 2, got {n}")
     if n > _cap(5):
@@ -479,10 +553,9 @@ def tensor_check_cmd(n: int, fmt: str) -> None:
     ok = annihilates and symbolic and dims_ok
     obj = {"n": n, "ideal_annihilates": annihilates,
            "symbolic_identity": symbolic, "dims_match": dims_ok, "ok": ok}
-    rows = [list(obj.keys()), list(obj.values())]
-    _emit(fmt, obj, rows,
-          f"n={n}: annihilates={annihilates} symbolic={symbolic} "
-          f"dims={dims_ok} -> {'ok' if ok else 'FAIL'}")
+    _emit(fmt, lambda: obj, lambda: [list(obj.keys()), list(obj.values())],
+          lambda: f"n={n}: annihilates={annihilates} symbolic={symbolic} "
+                  f"dims={dims_ok} -> {'ok' if ok else 'FAIL'}")
     if not ok:
         sys.exit(MISMATCH)
 
@@ -506,6 +579,9 @@ def fock_grp() -> None:
 def fock_f_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
     """Apply the operator product f_{i1} f_{i2} ... to the empty
     bipartition (the rightmost factor acts first)."""
+    from . import fock
+    from .laurent import LaurentPoly
+
     if e < 2:
         raise click.UsageError(f"e must be >= 2, got {e}")
     s = (s1, s2)
@@ -513,11 +589,10 @@ def fock_f_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
     for i in reversed(residues):
         vec = fock.f_action(i % e, vec, s, e)
     items = sorted(vec.items())
-    obj = {json.dumps(b): c.pretty() for b, c in items}
-    rows = [["bipartition", "coefficient"]]
-    rows += [[json.dumps(b), c.pretty()] for b, c in items]
-    _emit(fmt, obj, rows,
-          "\n".join(f"{b}: {c.pretty()}" for b, c in items))
+    _emit(fmt, lambda: {json.dumps(b): c.pretty() for b, c in items},
+          lambda: [["bipartition", "coefficient"]]
+                  + [[json.dumps(b), c.pretty()] for b, c in items],
+          lambda: "\n".join(f"{b}: {c.pretty()}" for b, c in items))
 
 
 @fock_grp.command("crystal")
@@ -529,6 +604,8 @@ def fock_f_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
 def fock_crystal_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
     """Apply the crystal operator product f~_{i1} f~_{i2} ... to the empty
     bipartition (the rightmost factor acts first)."""
+    from . import fock
+
     if e < 2:
         raise click.UsageError(f"e must be >= 2, got {e}")
     s = (s1, s2)
@@ -540,8 +617,8 @@ def fock_crystal_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
                        err=True)
             sys.exit(MISMATCH)
         b = nb
-    _emit(fmt, {"bipartition": [list(p) for p in b]},
-          [["bipartition"], [json.dumps(b)]], str(b))
+    _emit(fmt, lambda: {"bipartition": [list(p) for p in b]},
+          lambda: [["bipartition"], [json.dumps(b)]], lambda: str(b))
 
 
 @fock_grp.command("canonical")
@@ -552,23 +629,26 @@ def fock_crystal_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
 @_format_option
 def fock_canonical_cmd(n: int, e: int, s1: int, s2: int, fmt: str) -> None:
     """The canonical basis elements of degree N at charge (S1, S2)."""
+    from . import fock
+
     if e < 2:
         raise click.UsageError(f"e must be >= 2, got {e}")
     if n < 0:
         raise click.UsageError(f"n={n} out of range")
     basis = fock.canonical_basis(n, (s1, s2), e, bound=_cap(12))
-    obj = {}
-    rows = [["mu", "lambda", "coefficient"]]
-    lines = []
-    degree_n = sorted(b for b in basis if sum(sum(p) for p in b) == n)
-    for mu in degree_n:
-        terms = sorted(basis[mu].items())
-        obj[json.dumps(mu)] = {json.dumps(b): c.pretty() for b, c in terms}
-        for b, c in terms:
-            rows.append([json.dumps(mu), json.dumps(b), c.pretty()])
-        lines.append(f"G{mu} = "
-                     + " + ".join(f"({c.pretty()})|{b}>" for b, c in terms))
-    _emit(fmt, obj, rows, "\n".join(lines))
+    degree_n = [(mu, sorted(basis[mu].items())) for mu in
+                sorted(b for b in basis if sum(sum(p) for p in b) == n)]
+    _emit(fmt,
+          lambda: {json.dumps(mu): {json.dumps(b): c.pretty()
+                                    for b, c in terms}
+                   for mu, terms in degree_n},
+          lambda: [["mu", "lambda", "coefficient"]]
+                  + [[json.dumps(mu), json.dumps(b), c.pretty()]
+                     for mu, terms in degree_n for b, c in terms],
+          lambda: "\n".join(
+              f"G{mu} = " + " + ".join(f"({c.pretty()})|{b}>"
+                                       for b, c in terms)
+              for mu, terms in degree_n))
 
 
 # ---------------------------------------------------------------------------
@@ -584,16 +664,16 @@ def fock_canonical_cmd(n: int, e: int, s1: int, s2: int, fmt: str) -> None:
 def decomp_cmd(n: int, e: int, m: int, fmt: str) -> None:
     """The decomposition matrix at rank N: canonical-basis coefficients
     cross-checked against the alcove formula (exit 1 on any mismatch)."""
+    from . import fock, partitions
+    from .laurent import LaurentPoly
+
     _check_em(e, m)
     if n < 1:
         raise click.UsageError(f"n={n} out of range")
     geom = fock.alcove_data(e, m)
     basis = fock.canonical_basis(n, geom.s, e, bound=_cap(12))
     lams = [l for l in partitions.lambda_n(n) if not geom.is_wall(l)]
-    ok = True
-    obj = {"n": n, "e": e, "m": m, "charge": list(geom.s), "entries": {}}
-    rows = [["lambda", "mu", "d", "alcove", "match"]]
-    lines = [f"n={n} e={e} m={m} charge={geom.s}"]
+    entries = []  # (lambda, mu, canonical-basis d, alcove d, match)
     for mu_w in lams:
         mu = partitions.one_line_of_weight(n, mu_w)
         vec = basis[mu]
@@ -602,17 +682,27 @@ def decomp_cmd(n: int, e: int, m: int, fmt: str) -> None:
             got = vec.get(lam, LaurentPoly.zero())
             want = (LaurentPoly.one() if lam_w == mu_w
                     else fock.decomposition_number(geom, lam_w, mu_w))
-            match = got == want
-            ok = ok and match
-            obj["entries"][f"{lam_w},{mu_w}"] = got.pretty()
-            rows.append([lam_w, mu_w, got.pretty(), want.pretty(), match])
+            entries.append((lam_w, mu_w, got, want, got == want))
+    ok = all(match for *_, match in entries)
+
+    def text():
+        lines = [f"n={n} e={e} m={m} charge={geom.s}"]
+        for lam_w, mu_w, got, want, match in entries:
             if not got.is_zero() or not match:
                 lines.append(f"  d[{lam_w},{mu_w}] = {got.pretty()}"
                              + ("" if match else
                                 f"  MISMATCH (alcove: {want.pretty()})"))
-    obj["ok"] = ok
-    lines.append("ok" if ok else "FAIL")
-    _emit(fmt, obj, rows, "\n".join(lines))
+        return "\n".join(lines + ["ok" if ok else "FAIL"])
+
+    _emit(fmt,
+          lambda: {"n": n, "e": e, "m": m, "charge": list(geom.s),
+                   "entries": {f"{lam_w},{mu_w}": got.pretty()
+                               for lam_w, mu_w, got, *_ in entries},
+                   "ok": ok},
+          lambda: [["lambda", "mu", "d", "alcove", "match"]]
+                  + [[lam_w, mu_w, got.pretty(), want.pretty(), match]
+                     for lam_w, mu_w, got, want, match in entries],
+          text)
     if not ok:
         sys.exit(MISMATCH)
 
@@ -624,15 +714,17 @@ def decomp_cmd(n: int, e: int, m: int, fmt: str) -> None:
 @_format_option
 def kleshchev_cmd(n: int, e: int, m: int, fmt: str) -> None:
     """The weight -> Kleshchev-bipartition table at rank N."""
+    from . import fock, tables
+
     _check_em(e, m)
     if n < 1 or n > _cap(12):
         raise click.UsageError(f"n={n} out of range")
     computed = [(lam, fock.kleshchev_convert(n, e, m, lam))
                 for lam in range(n, -n - 1, -2)]
-    obj = {str(lam): [list(p) for p in b] for lam, b in computed}
-    rows = [["lambda", "bipartition"]]
-    rows += [[lam, json.dumps(b)] for lam, b in computed]
-    _emit(fmt, obj, rows, tables.format_table(e, m, rows=computed))
+    _emit(fmt, lambda: {str(lam): [list(p) for p in b] for lam, b in computed},
+          lambda: [["lambda", "bipartition"]]
+                  + [[lam, json.dumps(b)] for lam, b in computed],
+          lambda: tables.format_table(e, m, rows=computed))
 
 
 @main.command("tables")
@@ -642,35 +734,36 @@ def kleshchev_cmd(n: int, e: int, m: int, fmt: str) -> None:
 @_format_option
 def tables_cmd(paper: bool, fmt: str) -> None:
     """Print the four golden weight/bipartition tables."""
+    from . import tables
+
+    keys = sorted(tables.KLESHCHEV_TABLES)
     if not paper:
         _emit(fmt,
-              {f"{e},{m}": {str(l): [list(p) for p in b]
-                            for l, b in tables.table_rows(e, m)}
-               for (e, m) in sorted(tables.KLESHCHEV_TABLES)},
-              [["e", "m", "lambda", "bipartition"]]
-              + [[e, m, l, json.dumps(b)]
-                 for (e, m) in sorted(tables.KLESHCHEV_TABLES)
-                 for l, b in tables.table_rows(e, m)],
-              tables.format_tables())
+              lambda: {f"{e},{m}": {str(l): [list(p) for p in b]
+                                    for l, b in tables.table_rows(e, m)}
+                       for (e, m) in keys},
+              lambda: [["e", "m", "lambda", "bipartition"]]
+                      + [[e, m, l, json.dumps(b)] for (e, m) in keys
+                         for l, b in tables.table_rows(e, m)],
+              tables.format_tables)
         return
-    ok = True
-    diffs = []
-    blocks = []
-    for (e, m) in sorted(tables.KLESHCHEV_TABLES):
-        computed = [(lam, fock.kleshchev_convert(10, e, m, lam))
-                    for lam in range(10, -11, -2)]
-        golden = tables.table_rows(e, m)
-        blocks.append(tables.format_table(e, m, rows=computed))
-        for (lam, got), (_, want) in zip(computed, golden):
-            if got != want:
-                ok = False
-                diffs.append({"e": e, "m": m, "lambda": lam,
-                              "computed": [list(p) for p in got],
-                              "golden": [list(p) for p in want]})
-    obj = {"rows_checked": 44, "ok": ok, "diffs": diffs}
-    rows = [["rows_checked", "ok", "diffs"], [44, ok, len(diffs)]]
-    text = "\n".join(blocks + [f"all 44 rows match: {ok}"])
-    _emit(fmt, obj, rows, text)
+    from . import fock
+
+    computed = {(e, m): [(lam, fock.kleshchev_convert(10, e, m, lam))
+                         for lam in range(10, -11, -2)] for (e, m) in keys}
+    diffs = [{"e": e, "m": m, "lambda": lam,
+              "computed": [list(p) for p in got],
+              "golden": [list(p) for p in want]}
+             for (e, m) in keys
+             for (lam, got), (_, want) in zip(computed[e, m],
+                                              tables.table_rows(e, m))
+             if got != want]
+    ok = not diffs
+    _emit(fmt, lambda: {"rows_checked": 44, "ok": ok, "diffs": diffs},
+          lambda: [["rows_checked", "ok", "diffs"], [44, ok, len(diffs)]],
+          lambda: "\n".join([tables.format_table(e, m, rows=computed[e, m])
+                             for (e, m) in keys]
+                            + [f"all 44 rows match: {ok}"]))
     if not ok:
         sys.exit(MISMATCH)
 

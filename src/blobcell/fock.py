@@ -476,10 +476,7 @@ class AlcoveGeometry:
 
     def __init__(self, e: int, m: int):
         self.e, self.m = e, m
-        p = -((m + e - 1) // e)  # largest p with m + pe <= 0
-        while m + (p + 1) * e <= 0:
-            p += 1
-        self.p = p
+        p = self.p = -((m + e - 1) // e)  # largest p with m + pe <= 0
         self.s = (m + p * e, 0)
         self.m_minus = -(m + (p + 1) * e)
         self.m_plus = self.m_minus + e

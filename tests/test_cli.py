@@ -1,10 +1,15 @@
 """The command-line interface: output contracts and exit codes."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import blobcell
 from blobcell import blob, tables
 from blobcell.cli import main
 
@@ -241,3 +246,214 @@ def test_decomp_exit_zero():
     res = run("decomp", "5", "5", "3")
     assert res.exit_code == 0
     assert res.output.strip().endswith("ok")
+
+
+# The insertion pair of the window 2 3 -1, for `domino reverse`.
+_PAIR = ('{"P": {"dominoes": [[1, [1, 1], [2, 1]], [2, [1, 2], [2, 2]], '
+         '[3, [1, 3], [1, 4]]], "shape": [4, 2]}, '
+         '"Q": {"dominoes": [[1, [1, 1], [1, 2]], [2, [1, 3], [1, 4]], '
+         '[3, [2, 1], [2, 2]]], "shape": [4, 2]}}')
+
+# SHA-256 of the stdout of every command in each format, recorded when
+# every command still built all three renderings; "PAIR" stands for _PAIR.
+STDOUT_DIGESTS = {
+    ("wb enumerate 3", "json"):
+        "885c1d5546dcd56abe98c9be8c7121cabc2978cd30bb84343b8485d6cb8252c1",
+    ("wb enumerate 3", "csv"):
+        "9d17899d4bdd7facfcf4e12001acc30ceeceeb8ab73e0c9f54ad59b8d4acebc6",
+    ("wb enumerate 3", "pretty"):
+        "63c89e3f3307c6afa53bd307d0797e72d48aa0478b6b1d33765a3b5a403c54f8",
+    ("wb enumerate 4 --count", "json"):
+        "44025277f66ca4b9a7fdf6caa1f5da3494732ddb51f3ba639fd00436d557c1b5",
+    ("wb enumerate 4 --count", "csv"):
+        "942ff73a867af33210254f9084d40cce1aaebfbaa3ce05dc63126c914b81d155",
+    ("wb enumerate 4 --count", "pretty"):
+        "6442bc26a7c562f5afe6467dab36365c709909f6a81afcecfc0c25cff0f1bab0",
+    ("wb test 3", "json"):
+        "c6d78d893f34fa618f906de9b8d6cef949363713b1f153871fd436061daf7182",
+    ("wb test 3", "csv"):
+        "ca204dab080499961ee922a86ba573dd75d7d158d794c7d4b4f63e7dd97da190",
+    ("wb test 3", "pretty"):
+        "3f0540daa523a712c98917fe2588587b2ca4c041ff6b3b4956bd7f0f50befe33",
+    ("domino insert -- 2 3 -1", "json"):
+        "3a52564a5303c47b00c6d6fc89ee35d3406ad27143ca5c0d0b7407cf4c00dcae",
+    ("domino insert -- 2 3 -1", "csv"):
+        "5260d91e0f124f9a9f0c789c6d86a179df1eef70881fe3751d5663d9933d0077",
+    ("domino insert -- 2 3 -1", "pretty"):
+        "447f3dc60d52014eb347255a30ea3bab2d3587ce1abfdb323b7c3a455dc74af2",
+    ("domino reverse PAIR", "json"):
+        "1c1b2d1ac714aa03f445ac44378ef41d523530901c665b784cd4e621a5e4df78",
+    ("domino reverse PAIR", "csv"):
+        "cd83c97b5034ec7931e04227aedc8ffb88223a30ce709fc78b3d95c7542ab65d",
+    ("domino reverse PAIR", "pretty"):
+        "cfc3f1de8d64c4b46406d663408cd933246d415d2d60ac9aa2086027e04fa1b9",
+    ("domino shape -- 2 -3 1", "json"):
+        "b5afc0bb9b8b7d43e186d501a5ee4e83eca774cb4ba20cc98088c2d5578ecc5d",
+    ("domino shape -- 2 -3 1", "csv"):
+        "01d9470f4e44b8d47f1429f33ad39ab2c7f4a527aa72e28db345ffb971529984",
+    ("domino shape -- 2 -3 1", "pretty"):
+        "96c671dff08033e909e8744500506f9033e60dfcef58d9aa7b9d49e7499f1b35",
+    ("knuth class -- 2 -3 1", "json"):
+        "5781eb4ad848e0d444bd60773644468d978c399405990f0b9eda1b96205645bb",
+    ("knuth class -- 2 -3 1", "csv"):
+        "734d68218b9b864eecb248745b75bc0dab8ddae9ce2bb915232ea3e754ce3b69",
+    ("knuth class -- 2 -3 1", "pretty"):
+        "aef8463bf17ed2b27cf2f0124be7c761f849f6606f80b214bad99c2b67ae609f",
+    ("klbasis 2", "json"):
+        "69507c1f4998c3cd2e3e12aa14e97b2384e2aafc576e567bf88196053695a7a2",
+    ("klbasis 2", "csv"):
+        "d326029a876c7d878b0ed3690fbfc5f8f5dc3d3e9e3c142dc128be4717e7613f",
+    ("klbasis 2", "pretty"):
+        "902292226642082fab19de7964cf7a28d2345a42c23f08e03f25e7c6b4609e02",
+    ("klbasis 3", "json"):
+        "c63c8837a6874d5fb3f7aa8fec641f4bfcb615b220b4a4894b6f2794aada0786",
+    ("klbasis 3", "csv"):
+        "93fb909733dcb74bbe611839579226fe896c63537b81a4812a6c6a0d7be75079",
+    ("klbasis 3", "pretty"):
+        "97a213249e59ca83de1c94d917a4656f571b51a5ba2999ec635c9bcf3971564c",
+    ("cells 3", "json"):
+        "ce7ef31a21be37c74b6704ea82147bde367f2a860a9f3071cf6fc59c8d47709e",
+    ("cells 3", "csv"):
+        "fe324c5bb52f728ffb7a59e1a9f6f45a44b813d6fa20651ad1f6bd7706230f5c",
+    ("cells 3", "pretty"):
+        "cef2bc82c12a7d8e5ff2460ea551a26735212231781fa4e58973b562f87a7ba4",
+    ("ideal check 3", "json"):
+        "e272cb2604d66bbe2d7babc7827e90d42cec8818da36c26cfb31b0831b00a970",
+    ("ideal check 3", "csv"):
+        "b707fca8310079469a09703e6a50f016d9e0d711a607822e0759bbac2b5b0e64",
+    ("ideal check 3", "pretty"):
+        "85c3b53f17d7a199108b6299ce88b1d347003ca67fe39f37cc14fffc48a2795d",
+    ("blob dims 4", "json"):
+        "37b5c4bba38e92bb69b6aca7731d6e9e15f0813b494ad659211674569d078337",
+    ("blob dims 4", "csv"):
+        "685b3ba9a4a97377817da341e264c8b7ec550c6e44ab968c2903d055fd2048c6",
+    ("blob dims 4", "pretty"):
+        "c091933519fa277d882bd6a3216d622b0c636c223804b22c16d3d2148cbca9ed",
+    ("blob standard 3 1", "json"):
+        "1eda5ac2ced4cb9a403a4e1cc5646c631eaaeeaff4901a90cadee6a137fc37ac",
+    ("blob standard 3 1", "csv"):
+        "03c3e9d61b3b2c9f57dafd881b61366cd3ec7d1b2bec5eece34c78e26c9f541c",
+    ("blob standard 3 1", "pretty"):
+        "6d6f81f639bfc82bcd117a135020b2b7392d3634f2b56a64fb3f413d3c2272a7",
+    ("blob verify 3", "json"):
+        "a670b6ae97387227a27198e024707d3c4f10cd1361f93fc200f8c096a817c96e",
+    ("blob verify 3", "csv"):
+        "03ae1f5ecd4009b4018bd56177fdf95386c3a87334dce4cb67578b8ac2cf7276",
+    ("blob verify 3", "pretty"):
+        "96f05d985aede966a9a0699456e515e2e50fe5423daa43a6cc5be54d07e2b3ae",
+    ("cellcompare 2", "json"):
+        "7e915fb07a9b51adf38f35c07732c22399d4558af9092aed7afcd3fe0be5dd07",
+    ("cellcompare 2", "csv"):
+        "3fbe5fdc3f4e9e01f389bc210610cad7d7aadc09f645a4873bb4935932b171e2",
+    ("cellcompare 2", "pretty"):
+        "6c9f2e3db835e0980eeb54d9bdf5a8527395ebcd21db377f57826b657bd42787",
+    ("tensor check 3", "json"):
+        "fcfe1bebf1d8f2bb0b103aba7271756dad77a93d2e69144fdfda9ba9b4e2afa7",
+    ("tensor check 3", "csv"):
+        "c151d14869c238d29916884b295f35ed576efe77bafa99bbda31d3fedf23be72",
+    ("tensor check 3", "pretty"):
+        "86eaaa4aa8c6665087d40f21fea3f9aa310ba1674536f7f291c987e1c3981776",
+    ("fock f -- 3 0 1 1 0 2 1 0", "json"):
+        "2fab4038feb1a7ae6d5a807fedcab82825957f233453952bd0b2ba0dbcc3a344",
+    ("fock f -- 3 0 1 1 0 2 1 0", "csv"):
+        "e12824012b2284269466c8c89e6824894ebd0fd26a8f8a0e59df43eb8afe22da",
+    ("fock f -- 3 0 1 1 0 2 1 0", "pretty"):
+        "501f6fcf6f04a8d7358fcc29efdb95603e05b8058ffbecded08e62caf28b0f8b",
+    ("fock crystal -- 3 -1 0 0 1 0 2 2 1 1 0 0 2", "json"):
+        "34f3e319eb0ac6f64f0492ceabe660242cd6813768e6cfdaa66db28ab4079dcd",
+    ("fock crystal -- 3 -1 0 0 1 0 2 2 1 1 0 0 2", "csv"):
+        "de829956da314d600510a31b05cc3349469861517f5ffcf340e7f6464cce2dc2",
+    ("fock crystal -- 3 -1 0 0 1 0 2 2 1 1 0 0 2", "pretty"):
+        "4a7ac637dda0c238ad8234de621e0acd45ab4d91e8b57bf561a03eb0bb813b6e",
+    ("fock canonical -- 6 3 -1 0", "json"):
+        "2d7347015d239eb1dc3e730c1c02f94733623e0c2e67ea5ee77c98c46a62fefb",
+    ("fock canonical -- 6 3 -1 0", "csv"):
+        "59eaf6288cb1b281c18e024986a4b79f6a5e7472bc728e26dba7cb76d3ea5249",
+    ("fock canonical -- 6 3 -1 0", "pretty"):
+        "4ef45bbb19905edd332988e517614878b351c9ea253449cf7ce71922b32566db",
+    ("decomp 4 3 2", "json"):
+        "f8adec853e297f5021278dd1d72ec9fb3041701f747f0d4b776aa15994348454",
+    ("decomp 4 3 2", "csv"):
+        "3a24f15eb33106790adc644f6e950307ced1d6b47b25fff0ac1c407007b2edfb",
+    ("decomp 4 3 2", "pretty"):
+        "7579852e586603c39155677d8200aeb0c79fa6aa6cf587604a142e3fa7219f59",
+    ("kleshchev 6 3 2", "json"):
+        "cbd6aaaeb2ffd65a50fec399e3a6dbc7542fc4ecd6027985673645d074924cad",
+    ("kleshchev 6 3 2", "csv"):
+        "f213a141e178a965bfaaa412aa75ff35a81ebb16c43ce3dcca6ecf77af73f5f4",
+    ("kleshchev 6 3 2", "pretty"):
+        "1ebd0250bfbb226f9a2be3c33f72136a15ff803fbeca74c74de6948fb977c77f",
+    ("tables", "json"):
+        "d0e716e43f4075f5be1be850a5ab77be3cc044206f68d0fb3f5ea2d68d77599b",
+    ("tables", "csv"):
+        "8bb8474653912046b15a5816e5d363394ca160b99a44bb1df19bbeeb2e86532d",
+    ("tables", "pretty"):
+        "7c4ff5f718a72095df7e8af88874c579924efe70c8b6b1da0e7b414f8f507066",
+    ("tables --paper", "json"):
+        "92db40b084404ae445896141886a4654e33c98b3bddff62bcf26679bdae61171",
+    ("tables --paper", "csv"):
+        "82cc29d879aa87d7228b4782fd03698de18fb89ba6ddf17d5cb4605dfdd133b5",
+    ("tables --paper", "pretty"):
+        "92e6488c88d1ddf2fe524cf4e1265ea645a49c2718956e6c22c788a5a166533f",
+}
+
+
+@pytest.mark.parametrize("cmd, fmt", sorted(STDOUT_DIGESTS))
+def test_stdout_digest(cmd, fmt):
+    head, sep, tail = cmd.partition(" -- ")
+    args = [_PAIR if a == "PAIR" else a for a in head.split()]
+    res = run(*args, "--format", fmt, *(["--", *tail.split()] if sep else []))
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() \
+        == STDOUT_DIGESTS[cmd, fmt]
+
+
+# A fresh `blobcell` process that reports on stderr, last, which blobcell
+# modules it loaded.
+_FRESH = """
+import sys
+from blobcell.cli import main
+try:
+    main(sys.argv[1:], prog_name="blobcell")
+finally:
+    print(" ".join(m for m in sys.modules if m.startswith("blobcell.")),
+          file=sys.stderr)
+"""
+
+
+def run_fresh(*args, env=None):
+    """(exit code, stderr lines, blobcell modules loaded) of a new process."""
+    src = os.path.dirname(os.path.dirname(blobcell.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FRESH, *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path, **(env or {})})
+    *lines, loaded = proc.stderr.splitlines()
+    return proc.returncode, lines, set(loaded.split())
+
+
+_HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
+
+
+@pytest.mark.parametrize("args, code, unloaded", [
+    (["--help"], 0, _HEAVY),
+    (["wb", "enumerate", "4", "--count"], 0, _HEAVY),
+    (["wb", "enumerate", "0"], 2, _HEAVY),
+    (["klbasis", "2"], 0, {"fock", "blob", "domino"}),
+], ids=["help", "wb-count", "usage-error", "klbasis"])
+def test_command_loads_only_the_modules_it_uses(args, code, unloaded):
+    got, lines, loaded = run_fresh(*args)
+    assert got == code, lines
+    assert "blobcell.weylb" in loaded
+    assert not loaded & {f"blobcell.{m}" for m in unloaded}
+
+
+@pytest.mark.parametrize("args, env, message", [
+    (["cellcompare", "2", "-m", "1"], None, "no valid root"),
+    (["klbasis", "4"], {"BLOBCELL_MAX_N": "3"}, "exceeds KL bound 3"),
+], ids=["specialization-invalid", "bound-exceeded"])
+def test_library_errors_exit_2_in_a_fresh_process(args, env, message):
+    code, lines, _ = run_fresh(*args, env=env)
+    assert code == 2
+    assert not any("Traceback" in l for l in lines)
+    assert message in lines[-1]

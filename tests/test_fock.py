@@ -348,6 +348,15 @@ def test_bar_invariance_check_sees_a_shifted_coefficient():
     assert shifted > 20
 
 
+@pytest.mark.parametrize("e", range(2, 12))
+def test_alcove_shift_is_the_largest_with_m_plus_pe_nonpositive(e):
+    for m in range(-40, 41):
+        geom = fock.AlcoveGeometry(e, m)
+        assert m + geom.p * e <= 0 < m + (geom.p + 1) * e, (e, m)
+        assert geom.s == (m + geom.p * e, 0)
+        assert geom.m_minus < 0 <= geom.m_plus
+
+
 def test_alcove_geometry_e3_m2():
     geom = fock.alcove_data(3, 2)
     assert geom.s == (-1, 0)
