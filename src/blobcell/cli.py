@@ -8,8 +8,9 @@ are passed after a `--` sentinel, e.g. `blobcell domino insert -- 2 3 -1`.
 The BLOBCELL_MAX_N environment variable overrides the size caps of every
 command and is passed to the library bounds.
 
-Each command imports the library modules it uses in its own body, so a
-command, `--help` or a usage error loads no module it does not need.
+Each command imports the library modules it uses in its own body, after
+its own argument checks, so a command, `--help` or a usage error loads no
+module it does not need.
 """
 
 from __future__ import annotations
@@ -154,12 +155,12 @@ def wb_enumerate(n: int, count: bool, fmt: str) -> None:
 @_format_option
 def wb_test(n: int, fmt: str) -> None:
     """Check the three characterizations of W_b(N) against each other."""
-    from . import domino
-
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
     if n > _cap(weylb.DEFAULT_MAX_N):
         raise click.UsageError(f"n={n} exceeds enumeration bound")
+    from . import domino
+
     mism = 0
     total = 0
     for w in weylb.enumerate_wn(n):
@@ -227,8 +228,6 @@ def domino_reverse_cmd(pair: str, fmt: str) -> None:
             raise ValueError('expected an object {"P": .., "Q": ..}')
         p = domino.DominoTableau.from_json(d["P"])
         q = domino.DominoTableau.from_json(d["Q"])
-        p.check_standard()
-        q.check_standard()
         w = domino.domino_reverse(p, q)
     except (KeyError, ValueError, domino.ShapeMismatch) as exc:
         raise click.UsageError(f"invalid tableau pair: {exc}")
@@ -283,10 +282,10 @@ def knuth_class_cmd(entries, fmt: str) -> None:
 
 def _kl_basis_checked(n: int):
     """The hecke.KLBasis of W_N, within the command's bound."""
-    from . import hecke
-
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
+    from . import hecke
+
     return hecke.compute_kl_basis(n, bound=_cap(hecke.KL_MAX_N))
 
 
@@ -330,9 +329,9 @@ def klbasis_cmd(n: int, fmt: str) -> None:
 @_format_option
 def cells_cmd(n: int, fmt: str) -> None:
     """Left cells of W_N, each flagged inside/outside W_b."""
+    basis = _kl_basis_checked(n)
     from . import hecke
 
-    basis = _kl_basis_checked(n)
     cells = [sorted(cell) for cell in hecke.left_cells(basis)]
     in_wb = [all(weylb.is_in_wb_by_words(u) for u in members)
              for members in cells]
@@ -361,11 +360,11 @@ def ideal_grp() -> None:
 @_format_option
 def ideal_check_cmd(n: int, fmt: str) -> None:
     """Verify the ideal property, the generators, and the corank."""
-    from . import hecke
-
     if n < 2:
         raise click.UsageError(f"n must be >= 2, got {n}")
     basis = _kl_basis_checked(n)
+    from . import hecke
+
     ideal = hecke.ideal_jn(n, basis)
     two_sided = ideal.verify_two_sided()
     gens_inside = all(ideal.contains(g) for g in ideal.generators())
@@ -398,13 +397,13 @@ def blob_grp() -> None:
 @_format_option
 def blob_dims_cmd(n: int, fmt: str) -> None:
     """dim of the algebra and of every standard module at rank N."""
-    from . import blob, partitions
-
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
     cap = _cap(8)
     if n > cap:
         raise click.UsageError(f"n={n} exceeds diagram bound {cap}")
+    from . import blob, partitions
+
     lams = partitions.lambda_n(n)
     dims = {lam: len(blob.half_diagrams(n, lam)) for lam in lams}
     total = len(blob.all_diagrams(n, bound=cap))
@@ -428,10 +427,12 @@ def blob_dims_cmd(n: int, fmt: str) -> None:
 @_format_option
 def blob_standard_cmd(n: int, lam: int, m: int, fmt: str) -> None:
     """The standard module Delta_N(LAM): dimension and action matrices."""
-    from . import blob
-
+    if n < 1:
+        raise click.UsageError(f"n must be >= 1, got {n}")
     if n > _cap(8):  # the matrices hold N·C(N, N/2)^2 entries
         raise click.UsageError(f"n={n} exceeds diagram bound {_cap(8)}")
+    from . import blob
+
     try:
         mod = blob.standard_module(n, lam, m)
     except ValueError as exc:
@@ -464,12 +465,12 @@ def blob_standard_cmd(n: int, lam: int, m: int, fmt: str) -> None:
 def blob_verify_cmd(n: int, m: int, fmt: str) -> None:
     """Check the defining relations on every standard module (and, for
     small N, on the regular representation)."""
-    from . import blob, partitions
-
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
     if n > _cap(6):
         raise click.UsageError(f"n={n} exceeds verification bound")
+    from . import blob, partitions
+
     reports = {}
     ok = True
     for lam in partitions.lambda_n(n):
@@ -501,10 +502,10 @@ def blob_verify_cmd(n: int, m: int, fmt: str) -> None:
 def cellcompare_cmd(n: int, m: int, fmt: str) -> None:
     """Match every left cell inside W_b with its standard module at the
     cyclotomic specialization (l = 2(2m-1))."""
-    from . import blob
-
     if n < 1:
         raise click.UsageError(f"n must be >= 1, got {n}")
+    from . import blob
+
     report = blob.compare_cell_to_standard(n, m, bound=_cap(4))
     entries = report["cells"]
     _emit(fmt,
@@ -538,12 +539,12 @@ def tensor_grp() -> None:
 def tensor_check_cmd(n: int, fmt: str) -> None:
     """Verify that the ideal generators annihilate V^{(x)N} and that the
     permutation modules have the standard-module dimensions."""
-    from . import blob, hecke, partitions
-
     if n < 2:
         raise click.UsageError(f"n must be >= 2, got {n}")
     if n > _cap(5):
         raise click.UsageError(f"n={n} exceeds tensor bound")
+    from . import blob, hecke, partitions
+
     annihilates = hecke.tensor_ideal_annihilates(n)
     symbolic = hecke.ideal_vanish_symbolic(min(n, 3))
     dims_ok = all(
@@ -579,11 +580,11 @@ def fock_grp() -> None:
 def fock_f_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
     """Apply the operator product f_{i1} f_{i2} ... to the empty
     bipartition (the rightmost factor acts first)."""
+    if e < 2:
+        raise click.UsageError(f"e must be >= 2, got {e}")
     from . import fock
     from .laurent import LaurentPoly
 
-    if e < 2:
-        raise click.UsageError(f"e must be >= 2, got {e}")
     s = (s1, s2)
     vec = {((), ()): LaurentPoly.one()}
     for i in reversed(residues):
@@ -604,10 +605,10 @@ def fock_f_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
 def fock_crystal_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
     """Apply the crystal operator product f~_{i1} f~_{i2} ... to the empty
     bipartition (the rightmost factor acts first)."""
-    from . import fock
-
     if e < 2:
         raise click.UsageError(f"e must be >= 2, got {e}")
+    from . import fock
+
     s = (s1, s2)
     b = ((), ())
     for i in reversed(residues):
@@ -629,12 +630,12 @@ def fock_crystal_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
 @_format_option
 def fock_canonical_cmd(n: int, e: int, s1: int, s2: int, fmt: str) -> None:
     """The canonical basis elements of degree N at charge (S1, S2)."""
-    from . import fock
-
     if e < 2:
         raise click.UsageError(f"e must be >= 2, got {e}")
     if n < 0:
         raise click.UsageError(f"n={n} out of range")
+    from . import fock
+
     basis = fock.canonical_basis(n, (s1, s2), e, bound=_cap(12))
     degree_n = [(mu, sorted(basis[mu].items())) for mu in
                 sorted(b for b in basis if sum(sum(p) for p in b) == n)]
@@ -664,12 +665,12 @@ def fock_canonical_cmd(n: int, e: int, s1: int, s2: int, fmt: str) -> None:
 def decomp_cmd(n: int, e: int, m: int, fmt: str) -> None:
     """The decomposition matrix at rank N: canonical-basis coefficients
     cross-checked against the alcove formula (exit 1 on any mismatch)."""
-    from . import fock, partitions
-    from .laurent import LaurentPoly
-
     _check_em(e, m)
     if n < 1:
         raise click.UsageError(f"n={n} out of range")
+    from . import fock, partitions
+    from .laurent import LaurentPoly
+
     geom = fock.alcove_data(e, m)
     basis = fock.canonical_basis(n, geom.s, e, bound=_cap(12))
     lams = [l for l in partitions.lambda_n(n) if not geom.is_wall(l)]
@@ -714,11 +715,11 @@ def decomp_cmd(n: int, e: int, m: int, fmt: str) -> None:
 @_format_option
 def kleshchev_cmd(n: int, e: int, m: int, fmt: str) -> None:
     """The weight -> Kleshchev-bipartition table at rank N."""
-    from . import fock, tables
-
     _check_em(e, m)
     if n < 1 or n > _cap(12):
         raise click.UsageError(f"n={n} out of range")
+    from . import fock, tables
+
     computed = [(lam, fock.kleshchev_convert(n, e, m, lam))
                 for lam in range(n, -n - 1, -2)]
     _emit(fmt, lambda: {str(lam): [list(p) for p in b] for lam, b in computed},

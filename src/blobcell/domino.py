@@ -18,6 +18,14 @@ sign-change generator to a single vertical domino, the displayed two-row
 preimage words produce two-row tableaux, and insertion is a bijection onto
 shape-matched pairs with Q(w) = P(w^{-1}).
 
+Shapes are kept as row/column length arrays: a cell (r, c) lies in a shape
+iff c < rows[r].  Insertion makes one pass over the labels per letter,
+against the lengths of the dominoes placed so far; `check_standard` adds the
+dominoes in label order, each addable to the shape of the smaller labels; the
+reverse peels labels off in decreasing order and reads the un-bump candidates
+and the forward rule's image from the lengths of the smaller labels.
+`domino_reverse` raises ValueError unless P and Q are standard of one shape.
+
 Cells are (row, col), 0-based internally, 1-based in JSON.
 """
 
@@ -74,20 +82,44 @@ class DominoTableau:
         return label_at
 
     def shape(self) -> Partition:
-        return _shape_of(self._label_at())
+        cell_rows = [r for _, dom in self.dominoes for r, _ in dom]
+        return _shape_of([cell_rows.count(r)
+                          for r in range(max(cell_rows, default=-1) + 1)])
 
-    def check_standard(self) -> None:
-        """Validate the partition shape and the row/column label increase."""
+    def check_standard(self) -> tuple[list[int], list[int]]:
+        """
+        Validate that the cells form a partition with labels increasing
+        along rows and down columns: in label order, each domino must be
+        addable to the shape of the smaller labels.  The error names the
+        first violation in reading order.  Returns the row and column
+        lengths of the shape, padded with zeros; a partition of 2k cells has
+        fewer than 2k rows, so no index past 2k is read or written.
+        """
+        size = 2 * len(self.dominoes) + 2
+        rows, cols = [0] * size, [0] * size
+        try:
+            for _, ((r, c), (r2, c2)) in self.dominoes:
+                if not (r2 == r and c2 == c + 1 and rows[r] == c
+                        and (r == 0 or rows[r - 1] > c2)
+                        or c2 == c and r2 == r + 1 and cols[c] == r
+                        and (c == 0 or cols[c - 1] > r2)):
+                    break
+                rows[r] += 1
+                rows[r2] += 1
+                cols[c] += 1
+                cols[c2] += 1
+            else:
+                return rows, cols
+        except IndexError:
+            pass
         label_at = self._label_at()
-        shape = _shape_of(label_at)
-        for r, width in enumerate(shape):
-            below = shape[r + 1] if r + 1 < len(shape) else 0
-            for c in range(width):
-                lab = label_at[(r, c)]
-                if c + 1 < width and label_at[(r, c + 1)] < lab:
-                    raise ValueError("labels not increasing along a row")
-                if c < below and label_at[(r + 1, c)] < lab:
-                    raise ValueError("labels not increasing down a column")
+        self.shape()  # ValueError unless the row lengths form a partition
+        for (r, c), lab in sorted(label_at.items()):
+            if label_at.get((r, c + 1), lab) < lab:
+                raise ValueError("labels not increasing along a row")
+            if label_at.get((r + 1, c), lab) < lab:
+                raise ValueError("labels not increasing down a column")
+        raise ValueError("cells do not form a partition shape")
 
     def to_json(self) -> dict:
         return {
@@ -130,7 +162,7 @@ class DominoTableau:
         if not self.dominoes:
             return "(empty)"
         label_at = self._label_at()
-        shape = _shape_of(label_at)
+        shape = self.shape()
         width = max(len(str(lab)) for lab, _ in self.dominoes)
         lines = []
         for r, rw in enumerate(shape):
@@ -140,124 +172,86 @@ class DominoTableau:
         return "\n".join(lines)
 
 
-def _shape_of(cells) -> Partition:
-    """The row lengths of a set of cells; ValueError unless the rows are
-    0, 1, ... with non-increasing lengths."""
-    counts: dict[int, int] = {}
-    for r, _ in cells:
-        counts[r] = counts.get(r, 0) + 1
-    rows = [counts.get(r, 0) for r in range(len(counts))]
-    if 0 in rows or rows != sorted(rows, reverse=True):
+def _shape_of(rows: list[int]) -> Partition:
+    """The row lengths `rows` without trailing zeros; ValueError unless they
+    are non-increasing, so that no empty row is left between them."""
+    k = len(rows)
+    while k and not rows[k - 1]:
+        k -= 1
+    if any(rows[i] < rows[i + 1] for i in range(k - 1)):
         raise ValueError("cells do not form a partition shape")
-    return tuple(rows)
+    return tuple(rows[:k])
 
 
-def _is_partition_cells(cells: set[Cell]) -> bool:
-    """Whether a set of cells is the Young diagram of a partition."""
-    rows: dict[int, int] = {}
-    for r, _ in cells:
-        rows[r] = rows.get(r, 0) + 1
-    if sorted(rows) != list(range(len(rows))):
-        return False
-    lens = [rows[r] for r in sorted(rows)]
-    if any(lens[i] < lens[i + 1] for i in range(len(lens) - 1)):
-        return False
-    return all((r, c) in cells for r in rows for c in range(rows[r]))
-
-
-def _row_len(cells: set[Cell], r: int) -> int:
-    return sum(1 for c in cells if c[0] == r)
-
-
-def _col_len(cells: set[Cell], c: int) -> int:
-    return sum(1 for cell in cells if cell[1] == c)
-
-
-def _shuffle_position(old: Domino, lam: set[Cell], row_len, col_len) -> Domino:
+def _shuffle_position(old: Domino, rows: list[int], cols: list[int]) -> Domino:
     """
-    The re-placement rule: where a domino at `old` goes once the shape `lam`
-    of the re-placed smaller labels is fixed; `row_len` and `col_len` give
-    the row and column lengths of lam.  Unmoved if disjoint from lam; a fully
+    The re-placement rule: where a domino at `old` goes once the shape lam
+    of the re-placed smaller labels is fixed; `rows` and `cols` are the row
+    and column lengths of lam.  Unmoved if disjoint from lam; a fully
     covered domino is appended to the next row (horizontal) or column
     (vertical) of lam; one covered first cell pivots around the free cell.
     """
     (r1, c1), (r2, c2) = old
-    first_in = old[0] in lam
-    second_in = old[1] in lam
-    if not first_in and not second_in:
+    first_in = c1 < rows[r1]
+    second_in = c2 < rows[r2]
+    if not first_in:
+        if second_in:
+            raise InvariantViolation("partial cover must be the first cell")
         return old
-    horizontal = r1 == r2
-    if horizontal:
+    if r1 == r2:
         if second_in:  # fully covered: append to the next row of lam
-            if not first_in:
-                raise InvariantViolation(
-                    "partial cover must be the first cell")
-            c = row_len(r1 + 1)
+            c = rows[r1 + 1]
             return ((r1 + 1, c), (r1 + 1, c + 1))
         return ((r1, c2), (r1 + 1, c2))  # pivot to vertical
     if second_in:  # fully covered: append to the next column of lam
-        if not first_in:
-            raise InvariantViolation("partial cover must be the first cell")
-        r = col_len(c1 + 1)
+        r = cols[c1 + 1]
         return ((r, c1 + 1), (r + 1, c1 + 1))
     return ((r2, c1), (r2, c1 + 1))  # pivot to horizontal
 
 
-def _insert_letter(tab: dict[int, Domino],
-                   letter: int) -> tuple[dict[int, Domino], set[Cell]]:
-    """
-    One insertion step: the new tableau as a label -> domino map, and the
-    set of its cells.  The dominoes are placed in label order, each disjoint
-    from the ones before it, so counting cells per row and column as they
-    are placed gives the lengths of the shape grown so far.
-    """
-    j = abs(letter)
-    items = sorted(tab.items())
-    new_tab: dict[int, Domino] = {}
-    covered: set[Cell] = set()
-    # Row and column lengths of covered.  The new shape has N = 2 len(tab) + 2
-    # cells, so no cell lies past row or column N - 1 and the re-placement
-    # reads at most index N.
-    rows = [0] * (2 * len(tab) + 3)
-    cols = rows[:]
-    # The smaller labels stay, the letter's domino (None here) comes next,
-    # and the larger labels are re-placed in increasing order.
-    order = [x for x in items if x[0] < j]
-    order.append((j, None))
-    order += [x for x in items if x[0] > j]
-    for lab, pos in order:
-        if pos is None:
-            if letter > 0:
-                pos = ((0, rows[0]), (0, rows[0] + 1))
-            else:
-                pos = ((cols[0], 0), (cols[0] + 1, 0))
-        elif lab > j:
-            old, pos = pos, _shuffle_position(pos, covered, rows.__getitem__,
-                                              cols.__getitem__)
-            if (pos[0] in covered or pos[1] in covered) and pos != old:
-                raise InvariantViolation("bumping collision")
-        new_tab[lab] = pos
-        covered.update(pos)
-        (r1, c1), (r2, c2) = pos
-        rows[r1] += 1
-        rows[r2] += 1
-        cols[c1] += 1
-        cols[c2] += 1
-    return new_tab, covered
-
-
 def _grow(w: weylb.SignedPermutation):
-    """Insert the window of w letter by letter, yielding (P so far, its
-    cells, the two cells added at this step)."""
-    p: dict[int, Domino] = {}
-    cells: set[Cell] = set()
+    """
+    Insert the window of w letter by letter, yielding (the positions of P
+    so far, indexed by label; its row lengths; the two cells added at this
+    step).  A step passes over the labels in increasing order: the smaller
+    ones stay, the letter's domino comes next, the larger ones are re-placed.
+    """
+    n = len(w)
+    pos: list = [None] * (n + 1)
+    # The shape has at most 2n cells, so no cell lies past row or column
+    # 2n - 1 and the re-placement reads at most index 2n.
+    size = 2 * n + 1
+    prev = [0] * size
     for letter in w:
-        p, new_cells = _insert_letter(p, letter)
-        added = new_cells - cells
+        j = abs(letter)
+        rows, cols = [0] * size, [0] * size
+        for lab in range(1, n + 1):
+            p = pos[lab]
+            if lab == j:
+                p = pos[j] = (((0, rows[0]), (0, rows[0] + 1)) if letter > 0
+                              else ((cols[0], 0), (cols[0] + 1, 0)))
+                gained = list(p)  # the cells that dominoes moved onto
+            elif p is None:
+                continue
+            elif lab > j:
+                new = _shuffle_position(p, rows, cols)
+                if new is not p:
+                    (a, b), (c, d) = new
+                    if b < rows[a] or d < rows[c]:
+                        raise InvariantViolation("bumping collision")
+                    p = pos[lab] = new
+                    gained += new
+            (a, b), (c, d) = p
+            rows[a] += 1
+            rows[c] += 1
+            cols[b] += 1
+            cols[d] += 1
+        # Only cells that a domino moved onto can lie outside the old shape.
+        added = sorted(x for x in gained if x[1] >= prev[x[0]])
         if len(added) != 2:
             raise InvariantViolation("insertion must add exactly two cells")
-        cells = new_cells
-        yield p, cells, added
+        prev = rows
+        yield pos, rows, added
 
 
 def domino_insert(w: weylb.SignedPermutation) -> tuple[DominoTableau, DominoTableau]:
@@ -265,12 +259,12 @@ def domino_insert(w: weylb.SignedPermutation) -> tuple[DominoTableau, DominoTabl
     Insert the window of w, returning the pair (P(w), Q(w)); the recording
     tableau Q marks with label k the two cells added at step k.
     """
-    p: dict[int, Domino] = {}
-    q: dict[int, Domino] = {}
-    for step, (p, _, added) in enumerate(_grow(w), start=1):
-        q[step] = tuple(sorted(added))
-    tp = DominoTableau.from_dict(p)
-    tq = DominoTableau.from_dict(q)
+    pos: list = [None]
+    q = []
+    for step, (pos, _, added) in enumerate(_grow(w), start=1):
+        q.append((step, tuple(added)))
+    tp = DominoTableau(tuple(enumerate(pos))[1:])
+    tq = DominoTableau(tuple(q))
     tp.check_standard()
     tq.check_standard()
     return tp, tq
@@ -278,37 +272,49 @@ def domino_insert(w: weylb.SignedPermutation) -> tuple[DominoTableau, DominoTabl
 
 def domino_shape(w: weylb.SignedPermutation) -> Partition:
     """The shape of P(w), read off the insertion without building Q."""
-    cells: set[Cell] = set()
-    for _, cells, _ in _grow(w):
+    rows: list[int] = []
+    for _, rows, _ in _grow(w):
         pass
-    return _shape_of(cells)
+    return _shape_of(rows)
 
 
-def _unbump_candidates(pos: Domino, shape: set[Cell]):
+def _transpose(dom: Domino) -> Domino:
+    (a, b), (c, d) = dom
+    return ((b, a), (d, c))
+
+
+def _unbump(pos: Domino, hole, rows: list[int], cols: list[int]) -> list[Domino]:
     """
-    The dominoes that the forward re-placement rule can send to `pos` and
-    whose removal from `shape` can leave a partition: the domino that
-    pivots onto pos, and the domino formed by the last two cells of the
-    row (horizontal pos) or column (vertical pos) before pos in shape,
-    which, fully covered, is appended where pos lies.
+    The old positions of a label now at the horizontal domino `pos`: the
+    dominoes removable from the pre-insertion shape lam + pos - hole that
+    the forward rule, against lam (row lengths `rows`, column lengths
+    `cols`), sends to pos.  Only two can: the vertical domino that pivots
+    onto pos, and the last two cells of the row above, which, fully
+    covered, are appended where pos lies.
     """
-    (r1, c1), (r2, c2) = pos
-    if r1 == r2:
-        yield ((r1 - 1, c1), (r1, c1))
-        end = max((c for r, c in shape if r == r1 - 1), default=None)
-        if end is not None:
-            yield ((r1 - 1, end - 1), (r1 - 1, end))
-    else:
-        yield ((r1, c1 - 1), (r1, c1))
-        end = max((r for r, c in shape if c == c1 - 1), default=None)
-        if end is not None:
-            yield ((end - 1, c1 - 1), (end, c1 - 1))
+    (r, c), _ = pos
+    if r == 0:
+        return []
+    (h, i), (k, l) = hole
+    found = []
+    # Lengths of lam + pos - hole: column c must end at row r, column c + 1
+    # above row r - 1, so that the vertical domino at its end is removable.
+    if (cols[c] + 1 - (i == c) - (l == c) == r + 1
+            and cols[c + 1] + 1 - (i == c + 1) - (l == c + 1) < r):
+        found.append(((r - 1, c), (r, c)))
+    e = rows[r - 1] - (h == r - 1) - (k == r - 1)  # the row above ends at e
+    if e >= 2 and rows[r] + 2 - (h == r) - (k == r) <= e - 2:
+        found.append(((r - 1, e - 2), (r - 1, e - 1)))
+    return [old for old in found if _shuffle_position(old, rows, cols) == pos]
 
 
-def _reverse_letter(tab: dict[int, Domino], hole: Domino) -> tuple[dict[int, Domino], int]:
+def _reverse_letter(tab: dict[int, Domino], labels: list[int], hole: set[Cell],
+                    rows: list[int], cols: list[int]) -> int:
     """
-    Undo one insertion step.  `hole` is the pair of cells that were added;
-    returns the previous tableau and the inserted (signed) letter.
+    Undo one insertion step in place: remove the inserted label from `tab`
+    and from `labels` (its keys in increasing order) and return the signed
+    letter.  `hole` is the pair of cells that were added; `rows` and `cols`
+    are the lengths of the tableau's shape, on entry and on return.
 
     `hole` tracks the two cells by which the shape of the labels >= the
     current one exceeds its pre-insertion shape; a label was moved by the
@@ -317,58 +323,52 @@ def _reverse_letter(tab: dict[int, Domino], hole: Domino) -> tuple[dict[int, Dom
     to this one, that the forward re-placement rule sends to the observed
     position.
     """
-    tab = dict(tab)
-    hole_cells = set(hole)
-    lam: set[Cell] = set()
-    for pos in tab.values():
-        lam.update(pos)
-    for lab in sorted(tab, reverse=True):
+    for k in range(len(labels) - 1, -1, -1):
+        lab = labels[k]
         pos = tab[lab]
-        lam -= set(pos)  # lam = shape of labels < lab in the inserted tableau
-        if not (pos[0] in hole_cells or pos[1] in hole_cells):
+        for r, c in pos:  # rows, cols: the shape lam of the labels < lab
+            rows[r] -= 1
+            cols[c] -= 1
+        if pos[0] not in hole and pos[1] not in hole:
             continue
         (r1, c1), (r2, c2) = pos
         horizontal = r1 == r2
         # The inserted domino itself sits exactly in the hole, appended to
-        # row 0 (horizontal) or column 0 (vertical) of the smaller shape.
-        if set(pos) == hole_cells:
-            if horizontal and r1 == 0 and c1 == _row_len(lam, 0):
-                del tab[lab]
-                return tab, lab
-            if not horizontal and c1 == 0 and r1 == _col_len(lam, 0):
-                del tab[lab]
-                return tab, -lab
-        # Un-bump: the pre-insertion shape of labels <= lab is the current
-        # one minus the hole; the old position is a removable domino in it
-        # that the forward rule maps to pos.
-        shape_leq = (lam | set(pos)) - hole_cells
-        valid = [
-            old for old in _unbump_candidates(pos, shape_leq)
-            if old[0] in shape_leq
-            and old[1] in shape_leq
-            and old != pos
-            and _is_partition_cells(shape_leq - set(old))
-            and _shuffle_position(old, lam, lambda r: _row_len(lam, r),
-                                  lambda c: _col_len(lam, c)) == pos
-        ]
+        # row 0 (horizontal) or column 0 (vertical) of lam.
+        if set(pos) == hole and (r1, c1) == ((0, rows[0]) if horizontal
+                                             else (cols[0], 0)):
+            del tab[lab], labels[k]
+            for above in labels[k:]:  # back to the whole tableau's shape
+                for r, c in tab[above]:
+                    rows[r] += 1
+                    cols[c] += 1
+            return lab if horizontal else -lab
+        if horizontal:
+            valid = _unbump(pos, hole, rows, cols)
+        else:
+            valid = [_transpose(old) for old in _unbump(
+                _transpose(pos), {(c, r) for r, c in hole}, cols, rows)]
         if len(valid) != 1:
             raise ValueError(f"reverse bumping ambiguous or stuck at label {lab}")
-        old = valid[0]
-        tab[lab] = old
-        hole_cells = lam - (shape_leq - set(old))
-        if len(hole_cells) != 2:
+        old = tab[lab] = valid[0]
+        # The new hole: the cells of lam outside its pre-insertion shape
+        # lam + pos - hole - old.
+        hole = {x for x in (*hole, *old) if x[1] < rows[x[0]]}
+        if len(hole) != 2:
             raise InvariantViolation("reverse bumping must leave two cells")
     raise ValueError("no inserted letter found during reverse insertion")
 
 
 def domino_reverse(p: DominoTableau, q: DominoTableau) -> weylb.SignedPermutation:
-    """The unique signed permutation w with domino_insert(w) = (p, q)."""
-    if (p.shape() != q.shape()) if p.dominoes else q.dominoes:
+    """
+    The unique signed permutation w with domino_insert(w) = (p, q);
+    ValueError unless p and q are standard tableaux of one shape.
+    """
+    rows, cols = p.check_standard()
+    if q.check_standard()[0] != rows:
         raise ShapeMismatch("P and Q must have equal shapes")
     tab = p.as_dict()
-    qd = q.as_dict()
-    letters: list[int] = []
-    for step in sorted(qd, reverse=True):
-        tab, letter = _reverse_letter(tab, qd[step])
-        letters.append(letter)
+    labels = p.labels()
+    letters = [_reverse_letter(tab, labels, set(hole), rows, cols)
+               for _, hole in reversed(q.dominoes)]
     return tuple(reversed(letters))

@@ -95,6 +95,17 @@ def test_ideal_check():
     assert "-> ok" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["blob", "dims", "0"],
+    ["blob", "verify", "0"],
+    ["blob", "standard", "0", "0"],
+], ids=["dims", "verify", "standard"])
+def test_blob_rejects_rank_0(args):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert "n must be >= 1, got 0" in res.output
+
+
 def test_blob_dims_and_verify():
     res = run("blob", "dims", "3", "--format", "json")
     assert res.exit_code == 0
@@ -440,7 +451,21 @@ _HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
     (["wb", "enumerate", "4", "--count"], 0, _HEAVY),
     (["wb", "enumerate", "0"], 2, _HEAVY),
     (["klbasis", "2"], 0, {"fock", "blob", "domino"}),
-], ids=["help", "wb-count", "usage-error", "klbasis"])
+    (["kleshchev", "4", "4", "2"], 2, _HEAVY | {"partitions", "tables"}),
+    (["decomp", "10", "4", "2"], 2, _HEAVY | {"partitions"}),
+    (["fock", "canonical", "--", "10", "1", "0", "0"], 2, _HEAVY),
+    (["fock", "crystal", "1", "0", "0", "0"], 2, _HEAVY),
+    (["klbasis", "0"], 2, _HEAVY | {"tensor", "partitions"}),
+    (["cells", "0"], 2, _HEAVY),
+    (["ideal", "check", "0"], 2, _HEAVY),
+    (["tensor", "check", "0"], 2, _HEAVY),
+    (["cellcompare", "0"], 2, _HEAVY | {"partitions"}),
+    (["blob", "standard", "0", "0"], 2, _HEAVY | {"partitions"}),
+], ids=["help", "wb-count", "usage-error", "klbasis", "kleshchev-usage-error",
+        "decomp-usage-error", "fock-canonical-usage-error",
+        "fock-crystal-usage-error", "klbasis-usage-error", "cells-usage-error",
+        "ideal-usage-error", "tensor-usage-error", "cellcompare-usage-error",
+        "blob-standard-usage-error"])
 def test_command_loads_only_the_modules_it_uses(args, code, unloaded):
     got, lines, loaded = run_fresh(*args)
     assert got == code, lines

@@ -1,5 +1,6 @@
 """Domino insertion, its inverse, and the two-row shape criterion."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -89,7 +90,7 @@ def _standard_domino_tableaux(n):
 def test_insert_inverts_reverse_on_every_pair():
     # Every pair (P, Q) of same-shape standard domino tableaux, enumerated
     # without the insertion, is reached exactly once.
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         by_shape = {}
         for t in _standard_domino_tableaux(n):
             by_shape.setdefault(t.shape(), []).append(t)
@@ -101,6 +102,102 @@ def test_insert_inverts_reverse_on_every_pair():
                     assert domino_insert(w) == (p, q)
                     windows_seen.add(w)
         assert windows_seen == set(weylb.enumerate_wn(n))
+
+
+def _label_swaps(n_max=4):
+    """(t, s) for every standard tableau t with n <= n_max and every s
+    obtained from t by exchanging two of its labels."""
+    for n in range(2, n_max + 1):
+        for t in _standard_domino_tableaux(n):
+            d = t.as_dict()
+            for i, j in itertools.combinations(d, 2):
+                yield t, DominoTableau.from_dict({**d, i: d[j], j: d[i]})
+
+
+def _reference_violation(t):
+    """None if the labels of t increase along its rows and down its columns,
+    else the message naming the first violation in reading order (rows top
+    to bottom, each left to right; at one cell the row before the column).
+    The shape of t must be a partition."""
+    label_at = {cell: lab for lab, dom in t.dominoes for cell in dom}
+    shape = t.shape()
+    for r, width in enumerate(shape):
+        for c in range(width):
+            lab = label_at[r, c]
+            if c + 1 < width and label_at[r, c + 1] < lab:
+                return "labels not increasing along a row"
+            if (r + 1 < len(shape) and c < shape[r + 1]
+                    and label_at[r + 1, c] < lab):
+                return "labels not increasing down a column"
+    return None
+
+
+def test_check_standard_matches_reference_on_label_swaps():
+    verdicts = set()
+    for _, s in _label_swaps():
+        want = _reference_violation(s)
+        verdicts.add(want)
+        if want is None:
+            s.check_standard()
+        else:
+            with pytest.raises(ValueError) as exc:
+                s.check_standard()
+            assert str(exc.value) == want
+    assert verdicts == {None, "labels not increasing along a row",
+                        "labels not increasing down a column"}
+
+
+def test_check_standard_rejects_cells_off_a_partition():
+    gap = DominoTableau.from_dict({1: ((0, 0), (1, 0)), 2: ((0, 2), (1, 2))})
+    with pytest.raises(ValueError, match="partition shape"):
+        gap.check_standard()
+
+
+def test_reverse_rejects_non_standard_tableaux():
+    rejected = 0
+    for t, s in _label_swaps():
+        if _reference_violation(s) is None:
+            continue
+        for p, q in ((s, t), (t, s)):
+            with pytest.raises(ValueError):
+                domino_reverse(p, q)
+        rejected += 1
+    assert rejected > 0
+
+
+# SHA-256 of the sorted repr lines (w, P.dominoes, Q.dominoes) over all of
+# W_1..W_6, and of the sorted lines (w, domino_shape(w)) over W_6.
+_INSERT_DIGEST = \
+    "327eda56ad9c9dd8e15d56b3acd1ed23d157d421bef2eea10cae779386452426"
+_SHAPE_DIGEST = \
+    "7815f7c41485200191bdae2a8042ed20f8895bb7366465cfc8187a2dd1e53e3a"
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def inserted_up_to_6():
+    """(w, domino_shape(w), the shape of P(w), the repr of (w, P.dominoes,
+    Q.dominoes)) for every w in W_1..W_6."""
+    out = []
+    for n in range(1, 7):
+        for w in weylb.enumerate_wn(n):
+            p, q = domino_insert(w)
+            out.append((w, domino.domino_shape(w), p.shape(),
+                        repr((w, p.dominoes, q.dominoes))))
+    return out
+
+
+def test_insert_digest_up_to_6(inserted_up_to_6):
+    assert len(inserted_up_to_6) == 50362
+    assert _digest(line for *_, line in inserted_up_to_6) == _INSERT_DIGEST
+
+
+def test_shape_digest_6(inserted_up_to_6):
+    assert _digest(repr((w, shape)) for w, shape, *_ in inserted_up_to_6
+                   if len(w) == 6) == _SHAPE_DIGEST
 
 
 def test_reverse_rejects_unequal_shapes():
@@ -123,10 +220,9 @@ def test_two_rows_iff_wb():
                 == weylb.is_in_wb_by_words(w)
 
 
-def test_shape_matches_insertion():
-    for n in range(1, 7):
-        for w in weylb.enumerate_wn(n):
-            assert domino.domino_shape(w) == domino_insert(w)[0].shape()
+def test_shape_matches_insertion(inserted_up_to_6):
+    for w, shape, p_shape, _ in inserted_up_to_6:
+        assert shape == p_shape, w
 
 
 def test_json_roundtrip():
