@@ -478,6 +478,8 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4) -> dict:
     basis = hecke.compute_kl_basis(n, bound)
     cells = [c for c in hecke.left_cells(basis)
              if weylb.is_in_wb_by_words(min(c))]
+    sc = {k: specialize(vpoly, q) for k, vpoly in blob_scalars(m).items()}
+    deltas: dict = {}  # λ -> (dim Δ_n(λ), traces of its words at q)
     report = {"cells": [], "all_match": True}
     for cell in cells:
         shapes = {domino.domino_shape(w) for w in cell}
@@ -486,24 +488,25 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4) -> dict:
                 f"left cell of {min(cell)} has domino shapes {sorted(shapes)}")
         bip = partitions.two_quotient(next(iter(shapes)))
         lam = partitions.blob_weight_of(bip)
+        if lam not in deltas:
+            delta = standard_module(n, lam, m)
+            dmats = {k: [[specialize(x, q) for x in row] for row in mat]
+                     for k, mat in delta.matrices.items()}
+            deltas[lam] = (delta.dimension(),
+                           _word_traces(dmats, n, zero, one))
+        dim_delta, dtraces = deltas[lam]
         _, cmats = hecke.cell_module(basis, min(cell), spec=zeta_v)
-        umats = {0: [[x * rescale for x in row] for row in cmats[0]]}
-        for k in range(1, n):
-            umats[k] = cmats[k]
-        delta = standard_module(n, lam, m)
-        dmats = {k: [[specialize(x, q) for x in row] for row in mat]
-                 for k, mat in delta.matrices.items()}
-        sc = {k: specialize(vpoly, q) for k, vpoly in blob_scalars(m).items()}
+        umats = {**cmats, 0: [[x * rescale for x in row] for row in cmats[0]]}
         entry = {
             "cell_min": min(cell),
             "lam": lam,
             "dim_cell": len(cmats[0]),
-            "dim_delta": delta.dimension(),
+            "dim_delta": dim_delta,
         }
         entry["dims_match"] = entry["dim_cell"] == entry["dim_delta"]
         entry["relations"] = verify_presentation(
             umats, m, scalars=sc, zero=zero)["all"]
-        entry["traces_match"] = _traces_match(umats, dmats, n, zero, one)
+        entry["traces_match"] = _word_traces(umats, n, zero, one) == dtraces
         report["cells"].append(entry)
         report["all_match"] = report["all_match"] and all(
             entry[k] for k in ("dims_match", "relations", "traces_match"))
@@ -514,20 +517,15 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4) -> dict:
     return report
 
 
-def _traces_match(umats, dmats, n, zero, one) -> bool:
-    def trace_words(mats):
-        """Traces of all words of length <= 4, each word's matrix built
-        from the matrix of its prefix."""
-        size = len(mats[0])
-        eye = [[one if i == j else zero for j in range(size)]
-               for i in range(size)]
-        prods = {(): eye}
-        out = {}
-        for length in range(1, 5):
-            for word in itertools.product(range(n), repeat=length):
-                acc = prods[word] = _mat_mul(prods[word[:-1]], mats[word[-1]],
-                                             zero)
-                out[word] = sum((acc[i][i] for i in range(size)), zero)
-        return out
-
-    return trace_words(umats) == trace_words(dmats)
+def _word_traces(mats, n, zero, one) -> dict:
+    """Traces of all words of length <= 4 in the matrices, each word's
+    matrix built from the matrix of its prefix."""
+    size = len(mats[0])
+    eye = [[one if i == j else zero for j in range(size)] for i in range(size)]
+    prods = {(): eye}
+    out = {}
+    for length in range(1, 5):
+        for word in itertools.product(range(n), repeat=length):
+            acc = prods[word] = _mat_mul(prods[word[:-1]], mats[word[-1]], zero)
+            out[word] = sum((acc[i][i] for i in range(size)), zero)
+    return out

@@ -3,20 +3,21 @@ Command-line frontend: every computation of the library behind one binary
 with deterministic JSON/CSV/pretty output.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, which
-includes a library bound or specialization error.  Negative window entries
-are passed after a `--` sentinel, e.g. `blobcell domino insert -- 2 3 -1`.
+includes any library ValueError (a bound, a specialization, an argument
+the library rejects).  Negative window entries are passed after a `--`
+sentinel, e.g. `blobcell domino insert -- 2 3 -1`.
 The BLOBCELL_MAX_N environment variable overrides the size caps of every
 command and is passed to the library bounds.
 
 Each command imports the library modules it uses in its own body, after
 its own argument checks, so a command, `--help` or a usage error loads no
-module it does not need.
+module it does not need; `json` is imported only by the output that
+writes or reads it.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import os
 import sys
 
@@ -27,6 +28,13 @@ from . import weylb
 MISMATCH = 1
 
 
+def _dumps(obj, **kwargs) -> str:
+    """json.dumps, with json imported only by the output that needs it."""
+    import json
+
+    return json.dumps(obj, **kwargs)
+
+
 def _emit(fmt: str, obj, rows, text) -> None:
     """
     One payload, three renderings; keys and row order are always sorted.
@@ -34,7 +42,7 @@ def _emit(fmt: str, obj, rows, text) -> None:
     the CSV rows and the pretty text: only the one `fmt` asks for runs.
     """
     if fmt == "json":
-        click.echo(json.dumps(obj(), sort_keys=True, separators=(",", ":")))
+        click.echo(_dumps(obj(), sort_keys=True, separators=(",", ":")))
     elif fmt == "csv":
         import csv
 
@@ -79,19 +87,14 @@ def _check_em(e: int, m: int) -> None:
 
 class _Command(click.Command):
     """
-    A command whose library bound or specialization errors exit 2.  Both
-    are ValueErrors; a SpecializationInvalid can only come from `blob`, so
-    it is looked for only if the command loaded blob.
+    A command whose library ValueErrors (bounds, specializations, invalid
+    arguments) exit 2.  RuntimeError invariants still propagate.
     """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except ValueError as exc:
-            blob = sys.modules.get("blobcell.blob")
-            if not (isinstance(exc, weylb.BoundExceeded) or blob is not None
-                    and isinstance(exc, blob.SpecializationInvalid)):
-                raise
             raise click.UsageError(str(exc), ctx) from exc
 
 
@@ -209,8 +212,8 @@ def domino_insert_cmd(entries, fmt: str) -> None:
     _emit(fmt,
           lambda: {"window": list(w), "P": p.to_json(), "Q": q.to_json()},
           lambda: [["tableau", "json"],
-                   ["P", json.dumps(p.to_json(), sort_keys=True)],
-                   ["Q", json.dumps(q.to_json(), sort_keys=True)]],
+                   ["P", _dumps(p.to_json(), sort_keys=True)],
+                   ["Q", _dumps(q.to_json(), sort_keys=True)]],
           lambda: f"P:\n{p.pretty()}\nQ:\n{q.pretty()}")
 
 
@@ -219,6 +222,8 @@ def domino_insert_cmd(entries, fmt: str) -> None:
 @_format_option
 def domino_reverse_cmd(pair: str, fmt: str) -> None:
     """Invert insertion; PAIR is the JSON {"P":..,"Q":..} ('-' = stdin)."""
+    import json
+
     from . import domino
 
     raw = sys.stdin.read() if pair == "-" else pair
@@ -433,10 +438,7 @@ def blob_standard_cmd(n: int, lam: int, m: int, fmt: str) -> None:
         raise click.UsageError(f"n={n} exceeds diagram bound {_cap(8)}")
     from . import blob
 
-    try:
-        mod = blob.standard_module(n, lam, m)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    mod = blob.standard_module(n, lam, m)
     mats = {str(k): [[x.pretty() for x in row] for row in mat]
             for k, mat in sorted(mod.matrices.items())}
     dim = mod.dimension()
@@ -590,9 +592,9 @@ def fock_f_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
     for i in reversed(residues):
         vec = fock.f_action(i % e, vec, s, e)
     items = sorted(vec.items())
-    _emit(fmt, lambda: {json.dumps(b): c.pretty() for b, c in items},
+    _emit(fmt, lambda: {_dumps(b): c.pretty() for b, c in items},
           lambda: [["bipartition", "coefficient"]]
-                  + [[json.dumps(b), c.pretty()] for b, c in items],
+                  + [[_dumps(b), c.pretty()] for b, c in items],
           lambda: "\n".join(f"{b}: {c.pretty()}" for b, c in items))
 
 
@@ -619,7 +621,7 @@ def fock_crystal_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
             sys.exit(MISMATCH)
         b = nb
     _emit(fmt, lambda: {"bipartition": [list(p) for p in b]},
-          lambda: [["bipartition"], [json.dumps(b)]], lambda: str(b))
+          lambda: [["bipartition"], [_dumps(b)]], lambda: str(b))
 
 
 @fock_grp.command("canonical")
@@ -640,11 +642,10 @@ def fock_canonical_cmd(n: int, e: int, s1: int, s2: int, fmt: str) -> None:
     degree_n = [(mu, sorted(basis[mu].items())) for mu in
                 sorted(b for b in basis if sum(sum(p) for p in b) == n)]
     _emit(fmt,
-          lambda: {json.dumps(mu): {json.dumps(b): c.pretty()
-                                    for b, c in terms}
+          lambda: {_dumps(mu): {_dumps(b): c.pretty() for b, c in terms}
                    for mu, terms in degree_n},
           lambda: [["mu", "lambda", "coefficient"]]
-                  + [[json.dumps(mu), json.dumps(b), c.pretty()]
+                  + [[_dumps(mu), _dumps(b), c.pretty()]
                      for mu, terms in degree_n for b, c in terms],
           lambda: "\n".join(
               f"G{mu} = " + " + ".join(f"({c.pretty()})|{b}>"
@@ -724,7 +725,7 @@ def kleshchev_cmd(n: int, e: int, m: int, fmt: str) -> None:
                 for lam in range(n, -n - 1, -2)]
     _emit(fmt, lambda: {str(lam): [list(p) for p in b] for lam, b in computed},
           lambda: [["lambda", "bipartition"]]
-                  + [[lam, json.dumps(b)] for lam, b in computed],
+                  + [[lam, _dumps(b)] for lam, b in computed],
           lambda: tables.format_table(e, m, rows=computed))
 
 
@@ -744,7 +745,7 @@ def tables_cmd(paper: bool, fmt: str) -> None:
                                     for l, b in tables.table_rows(e, m)}
                        for (e, m) in keys},
               lambda: [["e", "m", "lambda", "bipartition"]]
-                      + [[e, m, l, json.dumps(b)] for (e, m) in keys
+                      + [[e, m, l, _dumps(b)] for (e, m) in keys
                          for l, b in tables.table_rows(e, m)],
               tables.format_tables)
         return

@@ -24,7 +24,8 @@ against the lengths of the dominoes placed so far; `check_standard` adds the
 dominoes in label order, each addable to the shape of the smaller labels; the
 reverse peels labels off in decreasing order and reads the un-bump candidates
 and the forward rule's image from the lengths of the smaller labels.
-`domino_reverse` raises ValueError unless P and Q are standard of one shape.
+`domino_reverse` raises ValueError unless P and Q are standard of one shape
+and labelled 1..n.
 
 Cells are (row, col), 0-based internally, 1-based in JSON.
 """
@@ -362,8 +363,12 @@ def _reverse_letter(tab: dict[int, Domino], labels: list[int], hole: set[Cell],
 def domino_reverse(p: DominoTableau, q: DominoTableau) -> weylb.SignedPermutation:
     """
     The unique signed permutation w with domino_insert(w) = (p, q);
-    ValueError unless p and q are standard tableaux of one shape.
+    ValueError unless p and q are standard tableaux of one shape, both
+    labelled 1..n.
     """
+    for t in (p, q):
+        if t.labels() != list(range(1, len(t.dominoes) + 1)):
+            raise ValueError(f"labels {t.labels()} are not 1..n")
     rows, cols = p.check_standard()
     if q.check_standard()[0] != rows:
         raise ShapeMismatch("P and Q must have equal shapes")

@@ -38,7 +38,10 @@ an addable i-node γ the exponent N = #(addable i-nodes above γ) −
 #(removable i-nodes above γ); an f_i^(a) row chains a steps of f_i on packed
 ints and tests, exactly on the ints, that each coefficient is v^N·[a]!.
 canonical_basis walks the crystal, reads its ẽ-strings and builds its rows
-on one table; every other function builds its own.
+on one table; every other function builds its own.  kleshchev_convert walks
+one ẽ-descent at the geometric charge and replays it once with f̃ at the
+least charge past 2n in the residue class of m, where the endpoint no
+longer depends on the charge.
 
 The elimination runs on Kronecker-packed ints (`blobcell.kronecker`) over
 the numbered bipartitions.  G(ν) is kept at offset 0 and a candidate at an
@@ -554,37 +557,23 @@ def kleshchev_convert(n: int, e: int, m: int, lam: int) -> Bipartition:
     Convert the blob weight λ ∈ Λ_n to the Kleshchev bipartition of the
     corresponding simple module: find a crystal path of the one-line
     bipartition of weight λ at the geometric charge s = (m + pe, 0), then
-    replay the same residue sequence at an asymptotic charge (s₁', 0) with
-    s₁' ≡ m (mod e), s₁' > n - 1 - e, increased by e until the replayed
-    endpoint stabilizes.  The two charges differ by a multiple of e, so
-    their crystals are isomorphic and every path gives the same endpoint.
+    replay the same residue sequence once at the asymptotic charge
+    (s₁', 0), s₁' the least integer ≡ m (mod e) with s₁' > 2n.  The two
+    charges differ by a multiple of e, so their crystals are isomorphic and
+    every path gives the same endpoint.  Every node of a bipartition of
+    size <= n has content >= s₁' - n in component 1 and <= n in component
+    2, so past 2n every component-1 node outranks every component-2 node:
+    the signatures, and hence the endpoint, no longer depend on s₁'.
     """
     geom = alcove_data(e, m)
-    target = partitions.one_line_of_weight(n, lam)
-    path = _descent_path(target, geom.s, e)
-    s1 = m % e
-    while s1 <= n - 1 - e:
-        s1 += e
-
-    def replay(s1p: int) -> Bipartition:
-        b = ((), ())
-        for r in path:
-            b2 = crystal_f(r, b, (s1p, 0), e)
-            if b2 is None:
-                raise NotReachable(
-                    f"replay at charge ({s1p}, 0) died for weight {lam}")
-            b = b2
-        return b
-
-    # Once s₁' > 2n, every component-1 node of a bipartition of size <= n
-    # outranks every component-2 node, so the signatures, and the replay,
-    # no longer depend on s₁'.
-    prev = replay(s1)
-    while s1 <= 2 * n + e:
-        s1 += e
-        cur = replay(s1)
-        if cur == prev:
-            return cur
-        prev = cur
-    raise InvariantViolation(
-        f"replay for weight {lam} did not stabilize by charge ({s1}, 0)")
+    path = _descent_path(partitions.one_line_of_weight(n, lam), geom.s, e)
+    s1 = 2 * n + 1 + (m - 2 * n - 1) % e
+    table = _Table((s1, 0), e)
+    k = table.number(((), ()))
+    for i in path:
+        adds = table.signature(k, i)[0]
+        if not adds:
+            raise NotReachable(
+                f"replay at charge ({s1}, 0) died for weight {lam}")
+        k = table.number(_add_node(table.keys[k], adds[-1]))
+    return table.keys[k]

@@ -61,8 +61,12 @@ _NOT_STANDARD = ('{"P": {"dominoes": [[1, [1, 1], [2, 1]], [2, [1, 2], [2, 2]], 
     '{"P": [], "Q": []}',
     '{"P": %s, "Q": %s}' % (_NON_ADJACENT, _NON_ADJACENT),
     _NOT_STANDARD,
+    '{"P": {"dominoes": [[1, [1, 1], [1, 2]], [3, [1, 3], [1, 4]]]}, '
+    '"Q": {"dominoes": [[1, [1, 1], [1, 2]], [2, [1, 3], [1, 4]]]}}',
+    '{"P": {"dominoes": [[5, [1, 1], [1, 2]]]}, '
+    '"Q": {"dominoes": [[7, [1, 1], [1, 2]]]}}',
 ], ids=["not-an-object", "tableaux-not-objects", "non-adjacent-cells",
-        "not-standard"])
+        "not-standard", "labels-1-3", "label-5-against-7"])
 def test_domino_reverse_rejects_malformed_pair(pair):
     res = run("domino", "reverse", pair)
     assert res.exit_code == 2, res.output
@@ -420,20 +424,21 @@ def test_stdout_digest(cmd, fmt):
 
 
 # A fresh `blobcell` process that reports on stderr, last, which blobcell
-# modules it loaded.
+# modules it loaded (without the package prefix), and json if it did.
 _FRESH = """
 import sys
 from blobcell.cli import main
 try:
     main(sys.argv[1:], prog_name="blobcell")
 finally:
-    print(" ".join(m for m in sys.modules if m.startswith("blobcell.")),
+    print(" ".join(m.removeprefix("blobcell.") for m in sys.modules
+                   if m.startswith("blobcell.") or m == "json"),
           file=sys.stderr)
 """
 
 
 def run_fresh(*args, env=None):
-    """(exit code, stderr lines, blobcell modules loaded) of a new process."""
+    """(exit code, stderr lines, modules loaded) of a new process."""
     src = os.path.dirname(os.path.dirname(blobcell.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _FRESH, *args],
@@ -448,7 +453,7 @@ _HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
 
 @pytest.mark.parametrize("args, code, unloaded", [
     (["--help"], 0, _HEAVY),
-    (["wb", "enumerate", "4", "--count"], 0, _HEAVY),
+    (["wb", "enumerate", "4", "--count"], 0, _HEAVY | {"json"}),
     (["wb", "enumerate", "0"], 2, _HEAVY),
     (["klbasis", "2"], 0, {"fock", "blob", "domino"}),
     (["kleshchev", "4", "4", "2"], 2, _HEAVY | {"partitions", "tables"}),
@@ -469,14 +474,15 @@ _HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
 def test_command_loads_only_the_modules_it_uses(args, code, unloaded):
     got, lines, loaded = run_fresh(*args)
     assert got == code, lines
-    assert "blobcell.weylb" in loaded
-    assert not loaded & {f"blobcell.{m}" for m in unloaded}
+    assert "weylb" in loaded
+    assert not loaded & unloaded
 
 
 @pytest.mark.parametrize("args, env, message", [
     (["cellcompare", "2", "-m", "1"], None, "no valid root"),
     (["klbasis", "4"], {"BLOBCELL_MAX_N": "3"}, "exceeds KL bound 3"),
-], ids=["specialization-invalid", "bound-exceeded"])
+    (["cellcompare", "2", "-m", "16"], None, "conductor 124 exceeds bound 120"),
+], ids=["specialization-invalid", "bound-exceeded", "conductor-overflow"])
 def test_library_errors_exit_2_in_a_fresh_process(args, env, message):
     code, lines, _ = run_fresh(*args, env=env)
     assert code == 2

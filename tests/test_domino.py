@@ -213,6 +213,16 @@ def test_reverse_rejects_unequal_shapes():
     assert domino_reverse(DominoTableau(()), DominoTableau(())) == ()
 
 
+@pytest.mark.parametrize("p, q", [
+    ({1: ((0, 0), (0, 1)), 3: ((0, 2), (0, 3))},
+     {1: ((0, 0), (0, 1)), 2: ((0, 2), (0, 3))}),
+    ({5: ((0, 0), (0, 1))}, {7: ((0, 0), (0, 1))}),
+], ids=["labels-1-3", "label-5-against-7"])
+def test_reverse_rejects_labels_other_than_1_to_n(p, q):
+    with pytest.raises(ValueError, match="not 1..n"):
+        domino_reverse(DominoTableau.from_dict(p), DominoTableau.from_dict(q))
+
+
 def test_two_rows_iff_wb():
     for n in (1, 2, 3, 4):
         for w in weylb.enumerate_wn(n):
