@@ -438,14 +438,14 @@ finally:
 
 
 def run_fresh(*args, env=None):
-    """(exit code, stderr lines, modules loaded) of a new process."""
+    """(exit code, stdout, stderr lines, modules loaded) of a new process."""
     src = os.path.dirname(os.path.dirname(blobcell.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _FRESH, *args],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path, **(env or {})})
     *lines, loaded = proc.stderr.splitlines()
-    return proc.returncode, lines, set(loaded.split())
+    return proc.returncode, proc.stdout, lines, set(loaded.split())
 
 
 _HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
@@ -472,7 +472,7 @@ _HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
         "ideal-usage-error", "tensor-usage-error", "cellcompare-usage-error",
         "blob-standard-usage-error"])
 def test_command_loads_only_the_modules_it_uses(args, code, unloaded):
-    got, lines, loaded = run_fresh(*args)
+    got, _, lines, loaded = run_fresh(*args)
     assert got == code, lines
     assert "weylb" in loaded
     assert not loaded & unloaded
@@ -484,7 +484,37 @@ def test_command_loads_only_the_modules_it_uses(args, code, unloaded):
     (["cellcompare", "2", "-m", "16"], None, "conductor 124 exceeds bound 120"),
 ], ids=["specialization-invalid", "bound-exceeded", "conductor-overflow"])
 def test_library_errors_exit_2_in_a_fresh_process(args, env, message):
-    code, lines, _ = run_fresh(*args, env=env)
+    code, _, lines, _ = run_fresh(*args, env=env)
     assert code == 2
     assert not any("Traceback" in l for l in lines)
     assert message in lines[-1]
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["wb"],
+    ["wb", "enumerate"],
+    ["wb", "enumerate", "abc"],
+    ["wb", "enumerate", "3", "--format", "xml"],
+    ["wb", "enumerate", "3", "--bogus"],
+    ["domino", "insert", "2", "3", "-1"],
+    ["cellcompare", "3", "-m", "x"],
+], ids=["no-arguments", "group-without-command", "missing-argument",
+        "not-an-integer", "bad-format", "unknown-option",
+        "negative-entry-before-sentinel", "option-not-an-integer"])
+def test_malformed_invocation_exits_2_in_a_fresh_process(args):
+    code, out, lines, _ = run_fresh(*args)
+    assert code == 2, lines
+    assert out == ""
+    assert not any("Traceback" in l for l in lines)
+
+
+@pytest.mark.parametrize("args, shown", [
+    (["--help"], ["wb", "klbasis", "tables"]),
+    (["wb", "--help"], ["enumerate", "test"]),
+    (["wb", "enumerate", "--help"], ["--count", "--format"]),
+], ids=["top-level", "group", "command"])
+def test_help_exits_0_in_a_fresh_process(args, shown):
+    code, out, lines, _ = run_fresh(*args)
+    assert code == 0, lines
+    assert all(word in out for word in shown)
