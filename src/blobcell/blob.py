@@ -457,12 +457,14 @@ def cyclotomic_spec(m: int = 2):
     raise SpecializationInvalid(f"no valid root for m={m}")
 
 
-def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4) -> dict:
+def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4,
+                             basis=None) -> dict:
     """
     For every left cell inside W_b(n): identify the matching standard
     module Δ_n(λ) via the 2-quotient of the cell's domino shape, check
     dimensions, the blob relations after rescaling C_0 by 1/(i(q - q^{-1})),
-    and traces of all generator words of length <= 4.
+    and traces of all generator words of length <= 4.  `basis`, a built
+    hecke.KLBasis of W_n, is used instead of building one.
     """
     from . import domino, hecke, partitions, weylb
     from .laurent import CycloNumber, specialize
@@ -475,7 +477,11 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4) -> dict:
     q_inv = q.inverse()
     rescale = (i_unit * (q - q_inv)).inverse()
 
-    basis = hecke.compute_kl_basis(n, bound)
+    if basis is None:
+        basis = hecke.compute_kl_basis(n, bound)
+    elif len(basis.cox.gens) != n:
+        raise ValueError(
+            f"the basis is of rank {len(basis.cox.gens)}, not {n}")
     cells = [c for c in hecke.left_cells(basis)
              if weylb.is_in_wb_by_words(min(c))]
     sc = {k: specialize(vpoly, q) for k, vpoly in blob_scalars(m).items()}
@@ -517,15 +523,37 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4) -> dict:
     return report
 
 
+def _trace_of_product(a, b, zero):
+    """tr(AB) = Σ_ij A_ij B_ji, without forming AB."""
+    total = zero
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x is zero or x.is_zero():
+                continue
+            y = b[j][i]
+            if y is not zero and not y.is_zero():
+                total = total + x * y
+    return total
+
+
 def _word_traces(mats, n, zero, one) -> dict:
-    """Traces of all words of length <= 4 in the matrices, each word's
-    matrix built from the matrix of its prefix."""
+    """Traces of all words of length <= 4 in the matrices.  Only the n²
+    products of two generators are built: a word splits into two factors,
+    each the identity, a generator or such a product, whose tr(AB) needs
+    no AB; the rotations of a word share its trace."""
     size = len(mats[0])
-    eye = [[one if i == j else zero for j in range(size)] for i in range(size)]
-    prods = {(): eye}
+    parts = {(): [[one if i == j else zero for j in range(size)]
+                  for i in range(size)]}
+    parts.update(((k,), mats[k]) for k in range(n))
+    parts.update(((i, j), _mat_mul(mats[i], mats[j], zero))
+                 for i in range(n) for j in range(n))
     out = {}
     for length in range(1, 5):
         for word in itertools.product(range(n), repeat=length):
-            acc = prods[word] = _mat_mul(prods[word[:-1]], mats[word[-1]], zero)
-            out[word] = sum((acc[i][i] for i in range(size)), zero)
+            if word not in out:
+                cut = (length + 1) // 2
+                t = _trace_of_product(parts[word[:cut]], parts[word[cut:]],
+                                      zero)
+                for k in range(length):
+                    out[word[k:] + word[:k]] = t
     return out

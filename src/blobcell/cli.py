@@ -1,18 +1,17 @@
 """
 Command-line frontend: every computation of the library behind one binary
-with deterministic JSON/CSV/pretty output.
+with deterministic JSON/CSV/pretty output, on the standard library alone.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, which
-includes any library ValueError (a bound, a specialization, an argument
-the library rejects).  Negative window entries are passed after a `--`
-sentinel, e.g. `blobcell domino insert -- 2 3 -1`.
+includes any ValueError a command raises (a bound, a specialization, an
+argument the library rejects).  Negative window entries are passed after a
+`--` sentinel, e.g. `blobcell domino insert -- 2 3 -1`.
 The BLOBCELL_MAX_N environment variable overrides the size caps of every
 command and is passed to the library bounds.
 
-Each command imports the library modules it uses in its own body, after
-its own argument checks, so a command, `--help` or a usage error loads no
-module it does not need; `json` is imported only by the output that
-writes or reads it.
+Only the invoked command gets an argparse parser.  Each command imports
+the library modules it uses after its own argument checks, so a command,
+`--help` or a usage error loads no module it does not need.
 """
 
 from __future__ import annotations
@@ -21,11 +20,135 @@ import io
 import os
 import sys
 
-import click
-
 from . import weylb
 
 MISMATCH = 1
+
+_COMMANDS: dict = {}  # "group name" or "name" -> (function, argument specs)
+_GROUPS = {
+    "wb": "The two-row subset W_b of the signed permutations.",
+    "domino": "Domino insertion and its inverse.",
+    "knuth": "Plactic classes from the signed Knuth moves.",
+    "ideal": "The two-sided ideal spanned by the C_w outside W_b.",
+    "blob": "The blob diagram algebra and its standard modules.",
+    "tensor": "The two-dimensional tensor-space representation.",
+    "fock": "The level-2 v-deformed Fock space.",
+}
+_OPTIONS = {  # option -> argparse keywords; every command also has --format
+    "--count": {"action": "store_true", "help": "Print only the cardinality."},
+    "--paper": {"action": "store_true",
+                "help": "Recompute all four rank-10 tables and diff against "
+                        "the embedded golden copies."},
+    "-m": {"type": int, "default": 2, "help": "Blob parameter m."},
+}
+
+
+def _command(path: str, *specs: str):
+    """Register a command.  A spec is an `_OPTIONS` key or a positional:
+    an int, a str for `entries` and `pair`, variadic if it ends in `*`."""
+    def register(func):
+        _COMMANDS[path] = (func, specs)
+        return func
+    return register
+
+
+def _below(path: str) -> dict:
+    """{name: help line} of the commands and groups in the group `path`."""
+    below = {}
+    for key, (func, _) in _COMMANDS.items():
+        *group, name = key.split()
+        if group == path.split():
+            below[name] = " ".join(func.__doc__.split())
+        elif not path:
+            below[group[0]] = _GROUPS[group[0]]
+    return below
+
+
+def _usage(prog: str, path: str, error: str | None = None):
+    """The command list of the group `path` ("" for the top): on stdout
+    for `--help` (exit 0), else on stderr followed by `error` (exit 2)."""
+    where, below = f"{prog} {path}".rstrip(), _below(path)
+    out, width = sys.stderr if error else sys.stdout, max(map(len, below))
+    print(f"usage: {where} [--help] COMMAND [ARGS]...\n",
+          _GROUPS.get(path) or " ".join(main.__doc__.split()), "\ncommands:",
+          *(f"  {k:<{width}}  {below[k]}" for k in sorted(below)),
+          sep="\n", file=out)
+    if error:
+        print(f"\n{where}: error: {error}", file=out)
+    sys.exit(2 if error else 0)
+
+
+def _parser(prog: str, path: str):
+    """The argparse parser of the one command invoked."""
+    import argparse
+
+    func, specs = _COMMANDS[path]
+    parser = argparse.ArgumentParser(prog=f"{prog} {path}", add_help=False,
+                                     description=func.__doc__,
+                                     allow_abbrev=False)
+    for spec in specs:
+        name = spec.rstrip("*")
+        if spec in _OPTIONS:
+            parser.add_argument(spec, **_OPTIONS[spec])
+        else:
+            parser.add_argument(name, metavar=name.upper(),
+                                nargs="*" if spec != name else None,
+                                type=str if name in ("entries", "pair")
+                                else int)
+    parser.add_argument("--format", dest="fmt", default="pretty",
+                        choices=("json", "csv", "pretty"),
+                        help="Output format.")
+    parser.add_argument("--help", action="help",
+                        help="Show this message and exit.")
+    return parser
+
+
+def main(args=None, prog_name=None) -> None:
+    """Exact computations for two-row signed-permutation combinatorics,
+    the unequal-parameter C-basis, the blob diagram algebra and the
+    level-2 Fock space."""
+    argv = sys.argv[1:] if args is None else list(args)
+    prog = prog_name or os.path.basename(sys.argv[0])
+    path = ""
+    while path not in _COMMANDS:  # walk the group names to one command
+        tok = argv.pop(0) if argv else None
+        if tok == "--help":
+            _usage(prog, path)
+        if tok not in _below(path):
+            _usage(prog, path, "missing command" if tok is None else
+                   f"no such {'option' if tok[:1] == '-' else 'command'} "
+                   f"{tok!r}")
+        try:
+            weylb.max_n(default=None)
+        except ValueError:
+            _usage(prog, "", "BLOBCELL_MAX_N must be an integer, got "
+                             f"{os.environ['BLOBCELL_MAX_N']!r}")
+        path = f"{path} {tok}".lstrip()
+    parser = _parser(prog, path)
+    # After the first `--` all is positional; before it a negative number
+    # is an unknown option, where argparse would read a positional.
+    cut = argv.index("--") if "--" in argv else len(argv)
+    for k, tok in enumerate(argv):
+        number = tok[1:].isdigit()
+        value = argv[k - 1:k] in (["-m"], ["--format"])  # of the option
+        if tok[:1] == "-" and (number and k < cut and not value
+                               or not number and k > cut and tok != "-"):
+            parser.error(f"unexpected {tok!r} (negative numbers go after "
+                         "`--`, options before it)")
+    del argv[cut:cut + 1]
+    kwargs = vars(parser.parse_intermixed_args(argv))
+    try:  # RuntimeError invariants propagate
+        _COMMANDS[path][0](**kwargs)
+        sys.stdout.flush()
+    except ValueError as exc:
+        parser.error(str(exc))
+    except BrokenPipeError:  # the reader went away, as in `| head`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
+    sys.exit(0)
 
 
 def _dumps(obj, **kwargs) -> str:
@@ -42,33 +165,26 @@ def _emit(fmt: str, obj, rows, text) -> None:
     the CSV rows and the pretty text: only the one `fmt` asks for runs.
     """
     if fmt == "json":
-        click.echo(_dumps(obj(), sort_keys=True, separators=(",", ":")))
+        print(_dumps(obj(), sort_keys=True, separators=(",", ":")))
     elif fmt == "csv":
         import csv
 
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows())
-        click.echo(buf.getvalue(), nl=False)
+        sys.stdout.write(buf.getvalue())
     else:
-        click.echo(text())
-
-
-def _format_option(f):
-    return click.option("--format", "fmt",
-                        type=click.Choice(["json", "csv", "pretty"]),
-                        default="pretty", help="Output format.")(f)
+        print(text())
 
 
 def _window(entries) -> tuple:
     if not entries:
-        raise click.UsageError("empty window (entries go after `--`)")
+        raise ValueError("empty window (entries go after `--`)")
     try:
         w = tuple(int(x) for x in entries)
     except ValueError as exc:
-        raise click.UsageError(f"invalid window {list(entries)}: {exc}")
+        raise ValueError(f"invalid window {list(entries)}: {exc}")
     if sorted(abs(x) for x in w) != list(range(1, len(w) + 1)):
-        raise click.UsageError(
-            f"invalid window {list(w)}: not a signed permutation")
+        raise ValueError(f"invalid window {list(w)}: not a signed permutation")
     return w
 
 
@@ -77,69 +193,28 @@ def _wstr(w) -> str:
 
 
 def _check_em(e: int, m: int) -> None:
-    if e < 2:
-        raise click.UsageError(f"e must be >= 2, got {e}")
+    _at_least(e, 2, "e")
     if e != 2 * m - 1:
-        raise click.UsageError(
+        raise ValueError(
             f"parameter consistency: e = 2m - 1 required (l = 2(2m-1)), "
             f"got e={e}, m={m}")
 
 
-class _Command(click.Command):
-    """
-    A command whose library ValueErrors (bounds, specializations, invalid
-    arguments) exit 2.  RuntimeError invariants still propagate.
-    """
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ValueError as exc:
-            raise click.UsageError(str(exc), ctx) from exc
-
-
-class _Group(click.Group):
-    command_class = _Command
-    group_class = type  # subgroups are _Groups too
+def _at_least(value: int, low: int, name: str = "n") -> None:
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _cap(default: int) -> int:
-    """BLOBCELL_MAX_N as parsed by `main`, else the command's default."""
-    cap = click.get_current_context().obj
+    """BLOBCELL_MAX_N, which `main` has checked, else the command's default."""
+    cap = weylb.max_n(default=None)
     return default if cap is None else cap
 
 
-@click.group(cls=_Group)
-@click.pass_context
-def main(ctx) -> None:
-    """Exact computations for two-row signed-permutation combinatorics,
-    the unequal-parameter C-basis, the blob diagram algebra and the
-    level-2 Fock space."""
-    try:
-        ctx.obj = weylb.max_n(default=None)
-    except ValueError:
-        raise click.UsageError("BLOBCELL_MAX_N must be an integer, got "
-                               f"{os.environ['BLOBCELL_MAX_N']!r}")
-
-
-# ---------------------------------------------------------------------------
-# wb
-# ---------------------------------------------------------------------------
-
-
-@main.group()
-def wb() -> None:
-    """The two-row subset W_b of the signed permutations."""
-
-
-@wb.command("enumerate")
-@click.argument("n", type=int)
-@click.option("--count", is_flag=True, help="Print only the cardinality.")
-@_format_option
+@_command("wb enumerate", "n", "--count")
 def wb_enumerate(n: int, count: bool, fmt: str) -> None:
     """List (or count) the elements of W_b(N)."""
-    if n < 1:
-        raise click.UsageError(f"n must be >= 1, got {n}")
+    _at_least(n, 1)
     elements = weylb.enumerate_wb(n, bound=_cap(weylb.DEFAULT_MAX_N))
     total = len(elements)
     if count:
@@ -153,29 +228,21 @@ def wb_enumerate(n: int, count: bool, fmt: str) -> None:
           lambda: "\n".join(_wstr(w) for w in elements))
 
 
-@wb.command("test")
-@click.argument("n", type=int)
-@_format_option
+@_command("wb test", "n")
 def wb_test(n: int, fmt: str) -> None:
     """Check the three characterizations of W_b(N) against each other."""
-    if n < 1:
-        raise click.UsageError(f"n must be >= 1, got {n}")
+    _at_least(n, 1)
     if n > _cap(weylb.DEFAULT_MAX_N):
-        raise click.UsageError(f"n={n} exceeds enumeration bound")
+        raise ValueError(f"n={n} exceeds enumeration bound")
     from . import domino
 
-    mism = 0
-    total = 0
+    mism = total = actual = 0
     for w in weylb.enumerate_wn(n):
-        total += 1
-        a = weylb.is_in_wb_by_avoidance(w)
         b = weylb.is_in_wb_by_words(w)
-        c = len(domino.domino_shape(w)) <= 2
-        if not (a == b == c):
-            mism += 1
+        total, actual = total + 1, actual + b
+        mism += not (weylb.is_in_wb_by_avoidance(w) == b
+                     == (len(domino.domino_shape(w)) <= 2))
     expected = weylb.wb_count_formula(n)
-    actual = sum(1 for w in weylb.enumerate_wn(n)
-                 if weylb.is_in_wb_by_words(w))
     ok = mism == 0 and actual == expected
     _emit(fmt,
           lambda: {"n": n, "group_order": total, "mismatches": mism,
@@ -190,19 +257,7 @@ def wb_test(n: int, fmt: str) -> None:
         sys.exit(MISMATCH)
 
 
-# ---------------------------------------------------------------------------
-# domino
-# ---------------------------------------------------------------------------
-
-
-@main.group("domino")
-def domino_grp() -> None:
-    """Domino insertion and its inverse."""
-
-
-@domino_grp.command("insert")
-@click.argument("entries", nargs=-1)
-@_format_option
+@_command("domino insert", "entries*")
 def domino_insert_cmd(entries, fmt: str) -> None:
     """Insert a window; prints the tableau pair (P, Q)."""
     from . import domino
@@ -217,9 +272,7 @@ def domino_insert_cmd(entries, fmt: str) -> None:
           lambda: f"P:\n{p.pretty()}\nQ:\n{q.pretty()}")
 
 
-@domino_grp.command("reverse")
-@click.argument("pair", type=str)
-@_format_option
+@_command("domino reverse", "pair")
 def domino_reverse_cmd(pair: str, fmt: str) -> None:
     """Invert insertion; PAIR is the JSON {"P":..,"Q":..} ('-' = stdin)."""
     import json
@@ -235,14 +288,12 @@ def domino_reverse_cmd(pair: str, fmt: str) -> None:
         q = domino.DominoTableau.from_json(d["Q"])
         w = domino.domino_reverse(p, q)
     except (KeyError, ValueError, domino.ShapeMismatch) as exc:
-        raise click.UsageError(f"invalid tableau pair: {exc}")
+        raise ValueError(f"invalid tableau pair: {exc}")
     _emit(fmt, lambda: {"window": list(w)}, lambda: [["window"], [_wstr(w)]],
           lambda: _wstr(w))
 
 
-@domino_grp.command("shape")
-@click.argument("entries", nargs=-1)
-@_format_option
+@_command("domino shape", "entries*")
 def domino_shape_cmd(entries, fmt: str) -> None:
     """The shape of the insertion tableau of a window."""
     from . import domino
@@ -254,19 +305,7 @@ def domino_shape_cmd(entries, fmt: str) -> None:
           lambda: [["shape"], [text]], lambda: text)
 
 
-# ---------------------------------------------------------------------------
-# knuth
-# ---------------------------------------------------------------------------
-
-
-@main.group("knuth")
-def knuth_grp() -> None:
-    """Plactic classes from the signed Knuth moves."""
-
-
-@knuth_grp.command("class")
-@click.argument("entries", nargs=-1)
-@_format_option
+@_command("knuth class", "entries*")
 def knuth_class_cmd(entries, fmt: str) -> None:
     """The plactic class of a window."""
     from . import knuth
@@ -280,23 +319,15 @@ def knuth_class_cmd(entries, fmt: str) -> None:
           lambda: "\n".join(_wstr(u) for u in cls))
 
 
-# ---------------------------------------------------------------------------
-# klbasis / cells / ideal
-# ---------------------------------------------------------------------------
-
-
 def _kl_basis_checked(n: int):
     """The hecke.KLBasis of W_N, within the command's bound."""
-    if n < 1:
-        raise click.UsageError(f"n must be >= 1, got {n}")
+    _at_least(n, 1)
     from . import hecke
 
     return hecke.compute_kl_basis(n, bound=_cap(hecke.KL_MAX_N))
 
 
-@main.command("klbasis")
-@click.argument("n", type=int)
-@_format_option
+@_command("klbasis", "n")
 def klbasis_cmd(n: int, fmt: str) -> None:
     """The C-basis of the Hecke algebra of W_N in the T-basis."""
     basis = _kl_basis_checked(n)
@@ -329,9 +360,7 @@ def klbasis_cmd(n: int, fmt: str) -> None:
           text)
 
 
-@main.command("cells")
-@click.argument("n", type=int)
-@_format_option
+@_command("cells", "n")
 def cells_cmd(n: int, fmt: str) -> None:
     """Left cells of W_N, each flagged inside/outside W_b."""
     basis = _kl_basis_checked(n)
@@ -355,18 +384,10 @@ def cells_cmd(n: int, fmt: str) -> None:
               for k, (members, inside) in enumerate(zip(cells, in_wb))))
 
 
-@main.group("ideal")
-def ideal_grp() -> None:
-    """The two-sided ideal spanned by the C_w outside W_b."""
-
-
-@ideal_grp.command("check")
-@click.argument("n", type=int)
-@_format_option
+@_command("ideal check", "n")
 def ideal_check_cmd(n: int, fmt: str) -> None:
     """Verify the ideal property, the generators, and the corank."""
-    if n < 2:
-        raise click.UsageError(f"n must be >= 2, got {n}")
+    _at_least(n, 2)
     basis = _kl_basis_checked(n)
     from . import hecke
 
@@ -387,26 +408,13 @@ def ideal_check_cmd(n: int, fmt: str) -> None:
         sys.exit(MISMATCH)
 
 
-# ---------------------------------------------------------------------------
-# blob
-# ---------------------------------------------------------------------------
-
-
-@main.group("blob")
-def blob_grp() -> None:
-    """The blob diagram algebra and its standard modules."""
-
-
-@blob_grp.command("dims")
-@click.argument("n", type=int)
-@_format_option
+@_command("blob dims", "n")
 def blob_dims_cmd(n: int, fmt: str) -> None:
     """dim of the algebra and of every standard module at rank N."""
-    if n < 1:
-        raise click.UsageError(f"n must be >= 1, got {n}")
+    _at_least(n, 1)
     cap = _cap(8)
     if n > cap:
-        raise click.UsageError(f"n={n} exceeds diagram bound {cap}")
+        raise ValueError(f"n={n} exceeds diagram bound {cap}")
     from . import blob, partitions
 
     lams = partitions.lambda_n(n)
@@ -425,17 +433,12 @@ def blob_dims_cmd(n: int, fmt: str) -> None:
         sys.exit(MISMATCH)
 
 
-@blob_grp.command("standard")
-@click.argument("n", type=int)
-@click.argument("lam", type=int)
-@click.option("-m", "m", type=int, default=2, help="Blob parameter m.")
-@_format_option
+@_command("blob standard", "n", "lam", "-m")
 def blob_standard_cmd(n: int, lam: int, m: int, fmt: str) -> None:
     """The standard module Delta_N(LAM): dimension and action matrices."""
-    if n < 1:
-        raise click.UsageError(f"n must be >= 1, got {n}")
+    _at_least(n, 1)
     if n > _cap(8):  # the matrices hold N·C(N, N/2)^2 entries
-        raise click.UsageError(f"n={n} exceeds diagram bound {_cap(8)}")
+        raise ValueError(f"n={n} exceeds diagram bound {_cap(8)}")
     from . import blob
 
     mod = blob.standard_module(n, lam, m)
@@ -460,30 +463,22 @@ def blob_standard_cmd(n: int, lam: int, m: int, fmt: str) -> None:
           text)
 
 
-@blob_grp.command("verify")
-@click.argument("n", type=int)
-@click.option("-m", "m", type=int, default=2, help="Blob parameter m.")
-@_format_option
+@_command("blob verify", "n", "-m")
 def blob_verify_cmd(n: int, m: int, fmt: str) -> None:
     """Check the defining relations on every standard module (and, for
     small N, on the regular representation)."""
-    if n < 1:
-        raise click.UsageError(f"n must be >= 1, got {n}")
+    _at_least(n, 1)
     if n > _cap(6):
-        raise click.UsageError(f"n={n} exceeds verification bound")
+        raise ValueError(f"n={n} exceeds verification bound")
     from . import blob, partitions
 
-    reports = {}
-    ok = True
-    for lam in partitions.lambda_n(n):
-        mod = blob.standard_module(n, lam, m)
-        rep = blob.verify_presentation(mod.matrices, m)
-        reports[f"delta({lam})"] = rep["all"]
-        ok = ok and rep["all"]
+    reports = {f"delta({lam})": blob.verify_presentation(
+        blob.standard_module(n, lam, m).matrices, m)["all"]
+        for lam in partitions.lambda_n(n)}
     if n <= 4:
-        rep = blob.verify_presentation(blob.regular_representation(n, m), m)
-        reports["regular"] = rep["all"]
-        ok = ok and rep["all"]
+        reports["regular"] = blob.verify_presentation(
+            blob.regular_representation(n, m), m)["all"]
+    ok = all(reports.values())
     _emit(fmt, lambda: {"n": n, "m": m, "reports": reports, "ok": ok},
           lambda: [["module", "relations_ok"]] + sorted(reports.items()),
           lambda: "\n".join(f"{k}: {'ok' if v else 'FAIL'}"
@@ -492,20 +487,11 @@ def blob_verify_cmd(n: int, m: int, fmt: str) -> None:
         sys.exit(MISMATCH)
 
 
-# ---------------------------------------------------------------------------
-# cellcompare / tensor
-# ---------------------------------------------------------------------------
-
-
-@main.command("cellcompare")
-@click.argument("n", type=int)
-@click.option("-m", "m", type=int, default=2, help="Blob parameter m.")
-@_format_option
+@_command("cellcompare", "n", "-m")
 def cellcompare_cmd(n: int, m: int, fmt: str) -> None:
     """Match every left cell inside W_b with its standard module at the
     cyclotomic specialization (l = 2(2m-1))."""
-    if n < 1:
-        raise click.UsageError(f"n must be >= 1, got {n}")
+    _at_least(n, 1)
     from . import blob
 
     report = blob.compare_cell_to_standard(n, m, bound=_cap(4))
@@ -530,21 +516,13 @@ def cellcompare_cmd(n: int, m: int, fmt: str) -> None:
         sys.exit(MISMATCH)
 
 
-@main.group("tensor")
-def tensor_grp() -> None:
-    """The two-dimensional tensor-space representation."""
-
-
-@tensor_grp.command("check")
-@click.argument("n", type=int)
-@_format_option
+@_command("tensor check", "n")
 def tensor_check_cmd(n: int, fmt: str) -> None:
     """Verify that the ideal generators annihilate V^{(x)N} and that the
     permutation modules have the standard-module dimensions."""
-    if n < 2:
-        raise click.UsageError(f"n must be >= 2, got {n}")
+    _at_least(n, 2)
     if n > _cap(5):
-        raise click.UsageError(f"n={n} exceeds tensor bound")
+        raise ValueError(f"n={n} exceeds tensor bound")
     from . import blob, hecke, partitions
 
     annihilates = hecke.tensor_ideal_annihilates(n)
@@ -563,27 +541,11 @@ def tensor_check_cmd(n: int, fmt: str) -> None:
         sys.exit(MISMATCH)
 
 
-# ---------------------------------------------------------------------------
-# fock
-# ---------------------------------------------------------------------------
-
-
-@main.group("fock")
-def fock_grp() -> None:
-    """The level-2 v-deformed Fock space."""
-
-
-@fock_grp.command("f")
-@click.argument("e", type=int)
-@click.argument("s1", type=int)
-@click.argument("s2", type=int)
-@click.argument("residues", nargs=-1, type=int)
-@_format_option
+@_command("fock f", "e", "s1", "s2", "residues*")
 def fock_f_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
     """Apply the operator product f_{i1} f_{i2} ... to the empty
     bipartition (the rightmost factor acts first)."""
-    if e < 2:
-        raise click.UsageError(f"e must be >= 2, got {e}")
+    _at_least(e, 2, "e")
     from . import fock
     from .laurent import LaurentPoly
 
@@ -598,17 +560,11 @@ def fock_f_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
           lambda: "\n".join(f"{b}: {c.pretty()}" for b, c in items))
 
 
-@fock_grp.command("crystal")
-@click.argument("e", type=int)
-@click.argument("s1", type=int)
-@click.argument("s2", type=int)
-@click.argument("residues", nargs=-1, type=int)
-@_format_option
+@_command("fock crystal", "e", "s1", "s2", "residues*")
 def fock_crystal_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
     """Apply the crystal operator product f~_{i1} f~_{i2} ... to the empty
     bipartition (the rightmost factor acts first)."""
-    if e < 2:
-        raise click.UsageError(f"e must be >= 2, got {e}")
+    _at_least(e, 2, "e")
     from . import fock
 
     s = (s1, s2)
@@ -616,26 +572,20 @@ def fock_crystal_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
     for i in reversed(residues):
         nb = fock.crystal_f(i % e, b, s, e)
         if nb is None:
-            click.echo(f"crystal operator f~_{i % e} vanishes at {b}",
-                       err=True)
+            print(f"crystal operator f~_{i % e} vanishes at {b}",
+                  file=sys.stderr)
             sys.exit(MISMATCH)
         b = nb
     _emit(fmt, lambda: {"bipartition": [list(p) for p in b]},
           lambda: [["bipartition"], [_dumps(b)]], lambda: str(b))
 
 
-@fock_grp.command("canonical")
-@click.argument("n", type=int)
-@click.argument("e", type=int)
-@click.argument("s1", type=int)
-@click.argument("s2", type=int)
-@_format_option
+@_command("fock canonical", "n", "e", "s1", "s2")
 def fock_canonical_cmd(n: int, e: int, s1: int, s2: int, fmt: str) -> None:
     """The canonical basis elements of degree N at charge (S1, S2)."""
-    if e < 2:
-        raise click.UsageError(f"e must be >= 2, got {e}")
+    _at_least(e, 2, "e")
     if n < 0:
-        raise click.UsageError(f"n={n} out of range")
+        raise ValueError(f"n={n} out of range")
     from . import fock
 
     basis = fock.canonical_basis(n, (s1, s2), e, bound=_cap(12))
@@ -653,22 +603,13 @@ def fock_canonical_cmd(n: int, e: int, s1: int, s2: int, fmt: str) -> None:
               for mu, terms in degree_n))
 
 
-# ---------------------------------------------------------------------------
-# decomp / kleshchev / tables
-# ---------------------------------------------------------------------------
-
-
-@main.command("decomp")
-@click.argument("n", type=int)
-@click.argument("e", type=int)
-@click.argument("m", type=int)
-@_format_option
+@_command("decomp", "n", "e", "m")
 def decomp_cmd(n: int, e: int, m: int, fmt: str) -> None:
     """The decomposition matrix at rank N: canonical-basis coefficients
     cross-checked against the alcove formula (exit 1 on any mismatch)."""
     _check_em(e, m)
     if n < 1:
-        raise click.UsageError(f"n={n} out of range")
+        raise ValueError(f"n={n} out of range")
     from . import fock, partitions
     from .laurent import LaurentPoly
 
@@ -709,16 +650,12 @@ def decomp_cmd(n: int, e: int, m: int, fmt: str) -> None:
         sys.exit(MISMATCH)
 
 
-@main.command("kleshchev")
-@click.argument("n", type=int)
-@click.argument("e", type=int)
-@click.argument("m", type=int)
-@_format_option
+@_command("kleshchev", "n", "e", "m")
 def kleshchev_cmd(n: int, e: int, m: int, fmt: str) -> None:
     """The weight -> Kleshchev-bipartition table at rank N."""
     _check_em(e, m)
     if n < 1 or n > _cap(12):
-        raise click.UsageError(f"n={n} out of range")
+        raise ValueError(f"n={n} out of range")
     from . import fock, tables
 
     computed = [(lam, fock.kleshchev_convert(n, e, m, lam))
@@ -729,11 +666,7 @@ def kleshchev_cmd(n: int, e: int, m: int, fmt: str) -> None:
           lambda: tables.format_table(e, m, rows=computed))
 
 
-@main.command("tables")
-@click.option("--paper", is_flag=True,
-              help="Recompute all four rank-10 tables and diff against the "
-                   "embedded golden copies.")
-@_format_option
+@_command("tables", "--paper")
 def tables_cmd(paper: bool, fmt: str) -> None:
     """Print the four golden weight/bipartition tables."""
     from . import tables

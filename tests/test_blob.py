@@ -1,6 +1,7 @@
 """Blob diagrams, the diagram algebra, and its standard modules."""
 
 import hashlib
+import itertools
 import os
 import pathlib
 import random
@@ -186,6 +187,52 @@ def test_compare_cell_to_standard_n2():
     assert report["all_match"]
     assert report["identity_cell_lam"] == 2
     assert report["s0_cell_lam"] == -2
+
+
+def _word_traces_by_products(mats, n, zero, one):
+    """Reference: the trace of every word of length <= 4 from its own
+    matrix product, each built from the matrix of its prefix."""
+    size = len(mats[0])
+    prods = {(): [[one if i == j else zero for j in range(size)]
+                  for i in range(size)]}
+    out = {}
+    for length in range(1, 5):
+        for word in itertools.product(range(n), repeat=length):
+            acc = prods[word] = blob._mat_mul(prods[word[:-1]],
+                                              mats[word[-1]], zero)
+            out[word] = sum((acc[i][i] for i in range(size)), zero)
+    return out
+
+
+def _random_matrices(n, size, rng):
+    # no anti-involution relates these, so tr(w) and tr(reversed w) differ
+    return {k: [[LaurentPoly.monomial(rng.randint(-2, 2), rng.randint(-3, 3))
+                 for _ in range(size)] for _ in range(size)]
+            for k in range(n)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_word_traces_match_the_products(n):
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    modules = [standard_module(n, lam).matrices
+               for lam in partitions.lambda_n(n)]
+    for mats in modules + [_random_matrices(n, 3, random.Random(n))]:
+        got = blob._word_traces(mats, n, zero, one)
+        assert got == _word_traces_by_products(mats, n, zero, one)
+        assert len(got) == sum(n ** k for k in range(1, 5))
+
+
+def test_compare_cell_to_standard_takes_a_built_basis(monkeypatch):
+    basis = hecke.compute_kl_basis(3)
+    expected = blob.compare_cell_to_standard(3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a C-basis was built")
+
+    monkeypatch.setattr(hecke, "compute_kl_basis", refuse)
+    assert blob.compare_cell_to_standard(3, basis=basis) == expected
+    with pytest.raises(ValueError, match="rank 3, not 2"):
+        blob.compare_cell_to_standard(2, basis=basis)
 
 
 def test_scalars():

@@ -1,21 +1,64 @@
 """The command-line interface: output contracts and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import pytest
-from click.testing import CliRunner
 
 import blobcell
 from blobcell import blob, tables
 from blobcell.cli import main
 
 
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+    @property
+    def stdout_bytes(self) -> bytes:
+        return self.stdout.encode()
+
+
+def _setenv(values: dict) -> None:
+    for k, v in values.items():
+        if v is None:
+            os.environ.pop(k, None)
+        else:
+            os.environ[k] = v
+
+
 def run(*args, env=None):
-    return CliRunner().invoke(main, list(args), env=env)
+    """`blobcell ARGS` in this process, under `env` (a None value unsets a
+    variable); any exception but SystemExit is caught with exit code 1."""
+    saved = {k: os.environ.get(k) for k in env or {}}
+    out, err = io.StringIO(), io.StringIO()
+    code, exception = 0, None
+    try:
+        _setenv(env or {})
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main(list(args), prog_name="blobcell")
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) \
+            else int(exc.code is not None)
+        exception = exc if code else None
+    except Exception as exc:
+        code, exception = 1, exc
+    finally:
+        _setenv(saved)
+    return Result(code, out.getvalue(), err.getvalue(), exception)
 
 
 def test_wb_enumerate_count():
@@ -424,7 +467,8 @@ def test_stdout_digest(cmd, fmt):
 
 
 # A fresh `blobcell` process that reports on stderr, last, which blobcell
-# modules it loaded (without the package prefix), and json if it did.
+# modules it loaded (without the package prefix), and json, argparse and
+# click if it did.
 _FRESH = """
 import sys
 from blobcell.cli import main
@@ -432,7 +476,8 @@ try:
     main(sys.argv[1:], prog_name="blobcell")
 finally:
     print(" ".join(m.removeprefix("blobcell.") for m in sys.modules
-                   if m.startswith("blobcell.") or m == "json"),
+                   if m.startswith("blobcell.")
+                   or m in ("json", "argparse", "click")),
           file=sys.stderr)
 """
 
@@ -452,7 +497,7 @@ _HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
 
 
 @pytest.mark.parametrize("args, code, unloaded", [
-    (["--help"], 0, _HEAVY),
+    (["--help"], 0, _HEAVY | {"argparse"}),
     (["wb", "enumerate", "4", "--count"], 0, _HEAVY | {"json"}),
     (["wb", "enumerate", "0"], 2, _HEAVY),
     (["klbasis", "2"], 0, {"fock", "blob", "domino"}),
@@ -475,7 +520,7 @@ def test_command_loads_only_the_modules_it_uses(args, code, unloaded):
     got, _, lines, loaded = run_fresh(*args)
     assert got == code, lines
     assert "weylb" in loaded
-    assert not loaded & unloaded
+    assert not loaded & (unloaded | {"click"})
 
 
 @pytest.mark.parametrize("args, env, message", [
