@@ -23,6 +23,7 @@ import sys
 from . import weylb
 
 MISMATCH = 1
+BLOB_MAX_M = 64  # `blob standard` and `blob verify` reject a larger |m|
 
 _COMMANDS: dict = {}  # "group name" or "name" -> (function, argument specs)
 _GROUPS = {
@@ -419,7 +420,7 @@ def blob_dims_cmd(n: int, fmt: str) -> None:
 
     lams = partitions.lambda_n(n)
     dims = {lam: len(blob.half_diagrams(n, lam)) for lam in lams}
-    total = len(blob.all_diagrams(n, bound=cap))
+    total = blob.blob_algebra_dimension(n, bound=cap)
     ok = sum(d * d for d in dims.values()) == total
     _emit(fmt,
           lambda: {"n": n, "algebra_dim": total,
@@ -433,10 +434,20 @@ def blob_dims_cmd(n: int, fmt: str) -> None:
         sys.exit(MISMATCH)
 
 
+def _check_blob_m(m: int) -> None:
+    """The entries are polynomials of about |m| terms and the relation
+    checks multiply them, so the time grows fast with |m| (`blob verify 2
+    -m 2000` took 16 s on a 2-vCPU Xeon): |m| is capped."""
+    if abs(m) > BLOB_MAX_M:
+        raise ValueError(f"m={m} exceeds the blob parameter bound "
+                         f"|m| <= {BLOB_MAX_M}")
+
+
 @_command("blob standard", "n", "lam", "-m")
 def blob_standard_cmd(n: int, lam: int, m: int, fmt: str) -> None:
     """The standard module Delta_N(LAM): dimension and action matrices."""
     _at_least(n, 1)
+    _check_blob_m(m)
     if n > _cap(8):  # the matrices hold N·C(N, N/2)^2 entries
         raise ValueError(f"n={n} exceeds diagram bound {_cap(8)}")
     from . import blob
@@ -468,6 +479,7 @@ def blob_verify_cmd(n: int, m: int, fmt: str) -> None:
     """Check the defining relations on every standard module (and, for
     small N, on the regular representation)."""
     _at_least(n, 1)
+    _check_blob_m(m)
     if n > _cap(6):
         raise ValueError(f"n={n} exceeds verification bound")
     from . import blob, partitions

@@ -18,12 +18,80 @@ from blobcell.blob import (
     regular_representation, standard_module, verify_presentation,
 )
 from blobcell.laurent import LaurentPoly
+from blobcell.weylb import BoundExceeded, SizeMismatch
 
 
 def test_dimension_formula():
-    for n in (1, 2, 3, 4, 5):
+    for n in range(1, 8):
         assert len(all_diagrams(n)) == blob_algebra_dimension(n) \
             == comb(2 * n, n)
+    with pytest.raises(BoundExceeded, match="n=9 exceeds diagram bound 8"):
+        blob_algebra_dimension(9)
+    assert blob_algebra_dimension(9, bound=9) == comb(18, 9)
+
+
+def _reference_compose(a, b, m=2):
+    """a·b by the frozenset straightening that `compose_diagrams` used
+    before it ran on arrays: points c of a and 2n + c of b, a's bottom
+    column j (2n-1-j) joined to b's top column j, and every strand and
+    loop followed through adjacency lists."""
+    n, sc = a.n, blob_scalars(m)
+    edges = [(off + min(l), off + max(l), l in x.blobs)
+             for off, x in ((0, a), (2 * n, b)) for l in x.pairing]
+    edges += [(2 * n - 1 - j, 2 * n + j, False) for j in range(n)]
+    boundary = set(range(n)) | set(range(3 * n, 4 * n))
+    adj = {}
+    for u, v, blobs in edges:
+        adj.setdefault(u, []).append((v, blobs))
+        adj.setdefault(v, []).append((u, blobs))
+    seen = set()
+
+    def walk(start):
+        total, prev, cur = 0, None, start
+        while True:
+            seen.add(cur)
+            nxt, blobs = next(e for e in adj[cur] if e[0] != prev)
+            total += blobs
+            prev, cur = cur, nxt
+            if cur == start or cur in boundary:
+                seen.add(cur)
+                return cur, total
+
+    pairs, blobbed, scalar = set(), set(), LaurentPoly.one()
+    for start in sorted(boundary):
+        if start not in seen:
+            end, k = walk(start)
+            line = frozenset({start % (2 * n), end % (2 * n)})
+            pairs.add(line)
+            if k:
+                blobbed.add(line)
+                scalar = scalar * sc["blob_merge"] ** (k - 1)
+    for start in adj:
+        if start not in seen:
+            k = walk(start)[1]
+            scalar = scalar * (sc["blob_loop"] * sc["blob_merge"] ** (k - 1)
+                               if k else sc["delta_plain"])
+    return scalar, blob.BlobDiagram(n, frozenset(pairs), frozenset(blobbed))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_compose_matches_the_frozenset_reference(m):
+    pairs = [(a, b) for n in (1, 2, 3) for a in all_diagrams(n)
+             for b in all_diagrams(n)]
+    gens = [generator_diagram(4, k) for k in range(4)]
+    pairs += [p for g in gens for d in all_diagrams(4) for p in ((g, d), (d, g))]
+    for a, b in pairs:
+        assert compose_diagrams(a, b, m) == _reference_compose(a, b, m), (a, b)
+
+
+def test_a_blob_on_a_nested_line_raises():
+    # the identity on 2 strands with a blob on its inner line {1, 2},
+    # which {0, 3} encloses: its product with anything keeps that blob
+    inner = frozenset({1, 2})
+    bad = blob.BlobDiagram(2, identity_diagram(2).pairing, frozenset({inner}))
+    for a, b in ((bad, identity_diagram(2)), (identity_diagram(2), bad)):
+        with pytest.raises(blob.ExposureViolation):
+            compose_diagrams(a, b)
 
 
 def test_identity_neutral():
@@ -99,6 +167,25 @@ def test_standard_modules_pinned_beyond_m_2(m):
                       for j, x in enumerate(row) if not x.is_zero()]
     digest = hashlib.sha256(repr(sorted(items)).encode()).hexdigest()
     assert digest == _STANDARD_MODULE_DIGESTS[m]
+
+
+def test_verify_presentation_rejects_unequal_or_ragged_shapes():
+    z = LaurentPoly.zero()
+    for mats in ({0: [[z]], 1: [[z, z], [z, z]]},
+                 {0: [[z, z], [z]], 1: [[z, z], [z, z]]},
+                 {0: [[z, z]], 1: [[z, z]]}):
+        with pytest.raises(SizeMismatch, match="not all square of one size"):
+            verify_presentation(mats)
+
+
+def test_verify_presentation_sees_one_wrong_entry():
+    # each relation family fails once a single entry of Δ_3(1) is changed
+    mats = standard_module(3, 1).matrices
+    for k, mat in mats.items():
+        for i, j in itertools.product(range(len(mat)), repeat=2):
+            wrong = {**mats, k: [list(row) for row in mat]}
+            wrong[k][i][j] = mat[i][j] + LaurentPoly.one()
+            assert not verify_presentation(wrong)["all"], (k, i, j)
 
 
 def test_presentation_on_regular_representation():

@@ -189,6 +189,24 @@ def test_blob_standard_past_the_diagram_bound_exits_2(monkeypatch):
     assert isinstance(res.exception, AssertionError)
 
 
+def test_blob_m_is_bounded_before_any_library_work(monkeypatch):
+    # the cost grows fast with |m|: `blob verify 2 -m 2000` took 16 s on a
+    # 2-vCPU Xeon, and `-m 10000` over two minutes
+    def refuse(*args, **kwargs):
+        raise AssertionError("a standard module was built")
+
+    monkeypatch.setattr(blob, "standard_module", refuse)
+    for args in (["verify", "2"], ["standard", "2", "0"]):
+        for m in ("65", "-65", "10000"):
+            res = run("blob", *args, "-m", m)
+            assert res.exit_code == 2, (args, m)
+            assert f"m={m} exceeds the blob parameter bound |m| <= 64" \
+                in res.output
+        for m in ("64", "-64"):  # the bound itself is allowed
+            res = run("blob", *args, "-m", m)
+            assert isinstance(res.exception, AssertionError), (args, m)
+
+
 def test_blob_dims_past_the_diagram_bound_exits_2(monkeypatch):
     # b_24 has more diagrams than can be listed; refuse before any work
     def refuse(*args, **kwargs):
@@ -511,11 +529,13 @@ _HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
     (["tensor", "check", "0"], 2, _HEAVY),
     (["cellcompare", "0"], 2, _HEAVY | {"partitions"}),
     (["blob", "standard", "0", "0"], 2, _HEAVY | {"partitions"}),
+    (["blob", "verify", "3"], 0,
+     {"hecke", "fock", "domino", "kronecker", "tensor"}),
 ], ids=["help", "wb-count", "usage-error", "klbasis", "kleshchev-usage-error",
         "decomp-usage-error", "fock-canonical-usage-error",
         "fock-crystal-usage-error", "klbasis-usage-error", "cells-usage-error",
         "ideal-usage-error", "tensor-usage-error", "cellcompare-usage-error",
-        "blob-standard-usage-error"])
+        "blob-standard-usage-error", "blob-verify"])
 def test_command_loads_only_the_modules_it_uses(args, code, unloaded):
     got, _, lines, loaded = run_fresh(*args)
     assert got == code, lines
@@ -527,7 +547,12 @@ def test_command_loads_only_the_modules_it_uses(args, code, unloaded):
     (["cellcompare", "2", "-m", "1"], None, "no valid root"),
     (["klbasis", "4"], {"BLOBCELL_MAX_N": "3"}, "exceeds KL bound 3"),
     (["cellcompare", "2", "-m", "16"], None, "conductor 124 exceeds bound 120"),
-], ids=["specialization-invalid", "bound-exceeded", "conductor-overflow"])
+    (["blob", "verify", "2", "-m", "100000"], None,
+     "m=100000 exceeds the blob parameter bound |m| <= 64"),
+    (["blob", "standard", "2", "0", "-m", "-65"], None,
+     "m=-65 exceeds the blob parameter bound |m| <= 64"),
+], ids=["specialization-invalid", "bound-exceeded", "conductor-overflow",
+        "blob-verify-huge-m", "blob-standard-negative-m"])
 def test_library_errors_exit_2_in_a_fresh_process(args, env, message):
     code, _, lines, _ = run_fresh(*args, env=env)
     assert code == 2
