@@ -169,6 +169,46 @@ def test_standard_modules_pinned_beyond_m_2(m):
     assert digest == _STANDARD_MODULE_DIGESTS[m]
 
 
+def _pairs(lines):
+    return sorted(tuple(sorted(l)) for l in lines)
+
+
+def _basis_items(family):
+    """What the pins below read: each diagram of `all_diagrams(n)` as
+    (lines, blobbed lines), each half-diagram of Δ_n(λ) as (arcs, blobbed
+    arcs), and each nonzero entry of the regular representation's U_k."""
+    if family == "all_diagrams":
+        return [(n, d.lines(), _pairs(d.blobs))
+                for n in range(1, 7) for d in all_diagrams(n)]
+    if family == "half_diagrams":
+        return [(n, lam, _pairs(h.arcs), _pairs(h.blobbed_arcs))
+                for n in range(1, 7) for lam in partitions.lambda_n(n)
+                for h in half_diagrams(n, lam)]
+    return [(n, m, k, i, j, tuple(sorted(x.items())))
+            for n in range(1, 5) for m in (1, 2, 3)
+            for k, mat in regular_representation(n, m).items()
+            for i, row in enumerate(mat)
+            for j, x in enumerate(row) if not x.is_zero()]
+
+
+# SHA-256 of `_basis_items`, in basis order: the relations alone would
+# still hold on a permuted basis.
+_BASIS_ORDER_DIGESTS = {
+    "all_diagrams":
+        "7af02ae425f3a65237f827d996771758da4c29a7a28c366d03f9ddf95e4ef22e",
+    "half_diagrams":
+        "39e7bca62ce24311306ce186d962d61e09aea1affd13f3425e988ddc9cf739c3",
+    "regular_representation":
+        "d2ac1c52e25ee654bdfd9c1a94e7a0a920302706e45385155f40e7ba7c460d94",
+}
+
+
+@pytest.mark.parametrize("family", sorted(_BASIS_ORDER_DIGESTS))
+def test_basis_orders_pinned(family):
+    digest = hashlib.sha256(repr(_basis_items(family)).encode()).hexdigest()
+    assert digest == _BASIS_ORDER_DIGESTS[family]
+
+
 def test_verify_presentation_rejects_unequal_or_ragged_shapes():
     z = LaurentPoly.zero()
     for mats in ({0: [[z]], 1: [[z, z], [z, z]]},
