@@ -10,12 +10,12 @@ together with a set of blobbed lines; a line {a, b} with a < b is *exposed*
 (deformable to the left wall) iff no other line {c, d} satisfies c < a and
 b < d, and only exposed lines may carry a blob (at most one each).
 
-Inside this module a diagram is a pair of arrays: the tuple `partner`,
-partner[c] the other end of c's line, and the int `blobs`, with bit c set
-at both ends of every blobbed line.  `BlobDiagram`, with frozensets, is
-the public form: `compose_diagrams` converts its factors and its product,
-`_left_action` its basis once.  `_straighten`, a walk along the strands
-of two stacked arrays, is the one straightening routine; every product it
+A diagram has one form, `BlobDiagram`: the tuple `partner`, partner[c]
+the other end of c's line, and the int `blobs`, with bit c set at both
+ends of every blobbed line; it equals the plain (partner, blobs) pair.
+Enumeration, products, half-diagram bases and standard modules all build
+and read this form.  `_straighten`, a walk along the strands of two
+stacked diagrams, is the one straightening routine; every product it
 makes passes the exposure check, one pass over the product's array.
 
 Composition stacks one diagram over another and straightens.  Scalars, in
@@ -28,10 +28,10 @@ Composition stacks one diagram over another and straightens.  Scalars, in
 Standard modules Δ_n(λ), λ ∈ Λ_n = {-n, -n+2, ..., n}, are the cell
 modules of the diagram basis.  A half-diagram h has |λ| defects (unmatched
 points), non-crossing arcs not covering any defect, blobs on exposed arcs,
-and a blob on the leftmost defect exactly when λ < 0.  It is embedded as
+and a blob on the leftmost defect exactly when λ < 0.  It is stored as
 the full diagram D_h, whose top is h and whose defects run down to bottom
 columns 0..|λ|-1, the other bottom columns closed by adjacent cups.  U_k
-acts by `compose_diagrams(U_k, D_h)`; the product is D_{h'} for a basis
+acts by straightening U_k over D_h; the product is D_{h'} for a basis
 element h' unless it has fewer than |λ| through-lines or its leftmost
 through-line's blob state disagrees with sign(λ), and those terms are
 discarded (cellular truncation).
@@ -40,7 +40,7 @@ discarded (cellular truncation).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .laurent import LaurentPoly, quantum_integer
@@ -48,7 +48,7 @@ from .partitions import WeightOutOfRange, check_weight
 from .weylb import BoundExceeded, SizeMismatch
 
 __all__ = [
-    "BlobDiagram", "BlobHalfDiagram", "blob_scalars",
+    "BlobDiagram", "blob_scalars",
     "generator_diagram", "all_diagrams", "blob_algebra_dimension",
     "compose_diagrams", "StandardModule", "standard_module",
     "regular_representation", "verify_presentation", "localize_dimension",
@@ -73,20 +73,23 @@ def blob_scalars(m: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Full diagrams
+# Diagrams
 # ---------------------------------------------------------------------------
 
-Line = frozenset
 
+class BlobDiagram(namedtuple("BlobDiagram", "partner blobs")):
+    """partner[c] is the other end of c's line; bit c of `blobs` is set at
+    both ends of every blobbed line.  Equal to the plain (partner, blobs)."""
 
-@dataclass(frozen=True)
-class BlobDiagram:
-    n: int
-    pairing: frozenset  # of frozenset({a, b}) circular coordinates
-    blobs: frozenset  # subset of pairing
+    __slots__ = ()
 
-    def lines(self):
-        return sorted(tuple(sorted(l)) for l in self.pairing)
+    @property
+    def n(self) -> int:
+        return len(self.partner) // 2
+
+    def lines(self) -> list:
+        """The lines (a, b) with a < b, by increasing a."""
+        return [(a, b) for a, b in enumerate(self.partner) if a < b]
 
 
 def _partners(pairing, size: int) -> tuple:
@@ -95,18 +98,6 @@ def _partners(pairing, size: int) -> tuple:
     for a, b in pairing:
         partner[a], partner[b] = b, a
     return tuple(partner)
-
-
-def _array(d: BlobDiagram) -> tuple:
-    """The (partner, blobs) arrays of d."""
-    return (_partners(d.pairing, 2 * d.n),
-            sum(1 << c for line in d.blobs for c in line))
-
-
-def _diagram(n: int, partner, blobs: int) -> BlobDiagram:
-    lines = [Line((a, b)) for a, b in enumerate(partner) if a < b]
-    return BlobDiagram(n, frozenset(lines),
-                       frozenset(l for l in lines if blobs >> min(l) & 1))
 
 
 def _exposed_mask(partner) -> int:
@@ -124,7 +115,7 @@ def _exposed_mask(partner) -> int:
 
 
 def identity_diagram(n: int) -> BlobDiagram:
-    return _diagram(n, range(2 * n - 1, -1, -1), 0)
+    return BlobDiagram(tuple(range(2 * n - 1, -1, -1)), 0)
 
 
 def generator_diagram(n: int, k: int) -> BlobDiagram:
@@ -133,36 +124,46 @@ def generator_diagram(n: int, k: int) -> BlobDiagram:
     if k:  # the cap on top columns k-1, k and the cup on bottom columns k, k-1
         for c in (k - 1, 2 * n - 1 - k):
             partner[c], partner[c + 1] = c + 1, c
-    return _diagram(n, partner, 0 if k else 1 | 1 << 2 * n - 1)
+    return BlobDiagram(tuple(partner), 0 if k else 1 | 1 << 2 * n - 1)
 
 
 @lru_cache(maxsize=None)
 def _noncrossing_matchings(points: tuple) -> tuple:
+    """The non-crossing perfect matchings of `points` (increasing), each
+    a tuple of pairs a < b."""
     if not points:
-        return (frozenset(),)
+        return ((),)
     a = points[0]
-    return tuple(mi | mo | {Line({a, points[idx]})}
+    return tuple(((a, points[idx]),) + mi + mo
                  for idx in range(1, len(points), 2)
                  for mi in _noncrossing_matchings(points[1:idx])
                  for mo in _noncrossing_matchings(points[idx + 1:]))
 
 
 def _blob_choices(lines, partner) -> list:
-    """Every set of exposed lines among `lines`: the blobs they may carry."""
+    """The blob mask of every set of exposed lines among `lines`."""
     mask = _exposed_mask(partner)
-    exposed = sorted((l for l in lines if mask >> min(l) & 1), key=sorted)
-    return [frozenset(sub) for r in range(len(exposed) + 1)
+    exposed = [1 << a | 1 << b for a, b in lines if mask >> a & 1]
+    return [sum(sub) for r in range(len(exposed) + 1)
             for sub in itertools.combinations(exposed, r)]
 
 
+def _order(d: BlobDiagram, top: int) -> tuple:
+    """d's lines on the points < top, then the blobbed ones among them."""
+    lines = [(a, b) for a, b in enumerate(d.partner) if a < b < top]
+    return lines, [(a, b) for a, b in lines if d.blobs >> a & 1]
+
+
 def all_diagrams(n: int, bound: int = 8) -> list[BlobDiagram]:
-    """Every blob diagram on n strands (enumerated, exposure-decorated)."""
+    """Every blob diagram on n strands, by lines, then blobbed lines."""
     if n > bound:
         raise BoundExceeded(f"n={n} exceeds diagram bound {bound}")
-    out = [BlobDiagram(n, pairing, blobs)
-           for pairing in _noncrossing_matchings(tuple(range(2 * n)))
-           for blobs in _blob_choices(pairing, _partners(pairing, 2 * n))]
-    return sorted(out, key=lambda d: (d.lines(), sorted(map(sorted, d.blobs))))
+    size = 2 * n
+    out = [BlobDiagram(partner, blobs)
+           for pairing in _noncrossing_matchings(tuple(range(size)))
+           for partner in (_partners(pairing, size),)
+           for blobs in _blob_choices(pairing, partner)]
+    return sorted(out, key=lambda d: _order(d, size))
 
 
 def blob_algebra_dimension(n: int, bound: int = 8) -> int:
@@ -231,14 +232,12 @@ def _scalar(key, sc: dict, memo: dict):
     return memo[key]
 
 
-def compose_diagrams(a: BlobDiagram, b: BlobDiagram, m: int = 2,
-                     scalars: dict | None = None):
+def compose_diagrams(a: BlobDiagram, b: BlobDiagram, m: int = 2):
     """The product a·b (a stacked above b), returning (scalar, BlobDiagram)."""
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    sc = scalars if scalars is not None else blob_scalars(m)
-    partner, blobs, key = _straighten(*_array(a), *_array(b))
-    return _scalar(key, sc, {}), _diagram(a.n, partner, blobs)
+    partner, blobs, key = _straighten(*a, *b)
+    return _scalar(key, blob_scalars(m), {}), BlobDiagram(partner, blobs)
 
 
 # ---------------------------------------------------------------------------
@@ -246,61 +245,40 @@ def compose_diagrams(a: BlobDiagram, b: BlobDiagram, m: int = 2,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlobHalfDiagram:
-    n: int
-    arcs: frozenset  # of frozenset({i, j}) on 0..n-1
-    blobbed_arcs: frozenset
-    defect_blob: bool  # blob on the leftmost defect
-
-    def defects(self) -> tuple:
-        covered = {p for arc in self.arcs for p in arc}
-        return tuple(p for p in range(self.n) if p not in covered)
-
-    def key(self):
-        return (sorted(tuple(sorted(a)) for a in self.arcs),
-                sorted(tuple(sorted(a)) for a in self.blobbed_arcs),
-                self.defect_blob)
-
-    def diagram(self) -> BlobDiagram:
-        """D_h: the top is h, defect i runs down to bottom column i (with
-        the defect blob if i = 0), the other bottom columns close in cups."""
-        n, defects = self.n, self.defects()
-        through = [Line({p, 2 * n - 1 - i}) for i, p in enumerate(defects)]
-        cups = [Line({2 * n - 1 - j, 2 * n - 2 - j})
-                for j in range(len(defects), n, 2)]
-        blobs = self.blobbed_arcs | ({through[0]} if self.defect_blob
-                                     else frozenset())
-        return BlobDiagram(n, self.arcs | frozenset(through + cups), blobs)
-
-
-def half_diagrams(n: int, lam: int) -> list[BlobHalfDiagram]:
-    """The basis of Δ_n(λ)."""
+def half_diagrams(n: int, lam: int) -> list[BlobDiagram]:
+    """
+    The basis of Δ_n(λ), by arcs, then blobbed arcs: for each half-diagram
+    h the diagram D_h, whose top is h, defect i runs down to bottom column
+    i (with the defect blob if i = 0 and λ < 0) and the other bottom
+    columns close in cups.
+    """
     check_weight(n, lam)
-    k = (n - abs(lam)) // 2  # number of arcs
+    size, k = 2 * n, abs(lam)
+    cups = tuple((size - 2 - j, size - 1 - j) for j in range(k, n, 2))
     out = []
-    for cover in itertools.combinations(range(n), 2 * k):
-        defects = tuple(p for p in range(n) if p not in cover)
+    for cover in itertools.combinations(range(n), n - k):
+        defects = [p for p in range(n) if p not in cover]
+        through = tuple((p, size - 1 - i) for i, p in enumerate(defects))
+        defect_blob = 1 << defects[0] | 1 << size - 1 if lam < 0 else 0
         for arcs in _noncrossing_matchings(cover):
-            if any(min(a) < d < max(a) for a in arcs for d in defects):
+            if any(a < d < b for a, b in arcs for d in defects):
                 continue
-            bare = BlobHalfDiagram(n, arcs, frozenset(), lam < 0)
-            out += [BlobHalfDiagram(n, arcs, blobs, lam < 0) for blobs
-                    in _blob_choices(arcs, _array(bare.diagram())[0])]
-    return sorted(out, key=lambda h: h.key())
+            partner = _partners(arcs + through + cups, size)
+            out += [BlobDiagram(partner, blobs | defect_blob)
+                    for blobs in _blob_choices(arcs, partner)]
+    return sorted(out, key=lambda d: _order(d, n))
 
 
 def _left_action(n: int, basis: list, sc: dict) -> dict:
     """The matrices of U_0..U_{n-1} on `basis`, from the left.  A product
     outside `basis` is a zero term: for the D_h of Δ_n(λ), one with fewer
     than |λ| through-lines or the wrong blob on the leftmost of them."""
-    arrays = [_array(d) for d in basis]
-    index = {x: i for i, x in enumerate(arrays)}
+    index = {d: i for i, d in enumerate(basis)}
     size, memo, mats = len(basis), {}, {}
     for k in range(n):
-        g = _array(generator_diagram(n, k))
+        g = generator_diagram(n, k)
         mat = [[LaurentPoly.zero()] * size for _ in range(size)]
-        for j, d in enumerate(arrays):
+        for j, d in enumerate(basis):
             partner, blobs, key = _straighten(*g, *d)
             i = index.get((partner, blobs))
             if i is not None:
@@ -316,8 +294,7 @@ class StandardModule:
         self.n, self.lam, self.m = n, lam, m
         self.scalars = blob_scalars(m)
         self.basis = half_diagrams(n, lam)
-        self.matrices = _left_action(
-            n, [h.diagram() for h in self.basis], self.scalars)
+        self.matrices = _left_action(n, self.basis, self.scalars)
 
     def dimension(self) -> int:
         return len(self.basis)

@@ -31,13 +31,13 @@ def test_dimension_formula():
 
 
 def _reference_compose(a, b, m=2):
-    """a·b by the frozenset straightening that `compose_diagrams` used
-    before it ran on arrays: points c of a and 2n + c of b, a's bottom
-    column j (2n-1-j) joined to b's top column j, and every strand and
-    loop followed through adjacency lists."""
+    """a·b by the adjacency-list straightening that `compose_diagrams`
+    used before it walked the strands of the arrays: points c of a and
+    2n + c of b, a's bottom column j (2n-1-j) joined to b's top column j,
+    and every strand and loop followed through adjacency lists."""
     n, sc = a.n, blob_scalars(m)
-    edges = [(off + min(l), off + max(l), l in x.blobs)
-             for off, x in ((0, a), (2 * n, b)) for l in x.pairing]
+    edges = [(off + p, off + q, x.blobs >> p & 1)
+             for off, x in ((0, a), (2 * n, b)) for p, q in x.lines()]
     edges += [(2 * n - 1 - j, 2 * n + j, False) for j in range(n)]
     boundary = set(range(n)) | set(range(3 * n, 4 * n))
     adj = {}
@@ -57,21 +57,21 @@ def _reference_compose(a, b, m=2):
                 seen.add(cur)
                 return cur, total
 
-    pairs, blobbed, scalar = set(), set(), LaurentPoly.one()
+    partner, blobbed, scalar = [0] * (2 * n), 0, LaurentPoly.one()
     for start in sorted(boundary):
         if start not in seen:
             end, k = walk(start)
-            line = frozenset({start % (2 * n), end % (2 * n)})
-            pairs.add(line)
+            p, q = start % (2 * n), end % (2 * n)
+            partner[p], partner[q] = q, p
             if k:
-                blobbed.add(line)
+                blobbed |= 1 << p | 1 << q
                 scalar = scalar * sc["blob_merge"] ** (k - 1)
     for start in adj:
         if start not in seen:
             k = walk(start)[1]
             scalar = scalar * (sc["blob_loop"] * sc["blob_merge"] ** (k - 1)
                                if k else sc["delta_plain"])
-    return scalar, blob.BlobDiagram(n, frozenset(pairs), frozenset(blobbed))
+    return scalar, blob.BlobDiagram(tuple(partner), blobbed)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -87,8 +87,7 @@ def test_compose_matches_the_frozenset_reference(m):
 def test_a_blob_on_a_nested_line_raises():
     # the identity on 2 strands with a blob on its inner line {1, 2},
     # which {0, 3} encloses: its product with anything keeps that blob
-    inner = frozenset({1, 2})
-    bad = blob.BlobDiagram(2, identity_diagram(2).pairing, frozenset({inner}))
+    bad = blob.BlobDiagram(identity_diagram(2).partner, 1 << 1 | 1 << 2)
     for a, b in ((bad, identity_diagram(2)), (identity_diagram(2), bad)):
         with pytest.raises(blob.ExposureViolation):
             compose_diagrams(a, b)
@@ -169,8 +168,10 @@ def test_standard_modules_pinned_beyond_m_2(m):
     assert digest == _STANDARD_MODULE_DIGESTS[m]
 
 
-def _pairs(lines):
-    return sorted(tuple(sorted(l)) for l in lines)
+def _lines(d, top):
+    """d's lines on the points < top, and the blobbed ones among them."""
+    lines = [l for l in d.lines() if l[1] < top]
+    return lines, [l for l in lines if d.blobs >> l[0] & 1]
 
 
 def _basis_items(family):
@@ -178,10 +179,10 @@ def _basis_items(family):
     (lines, blobbed lines), each half-diagram of Δ_n(λ) as (arcs, blobbed
     arcs), and each nonzero entry of the regular representation's U_k."""
     if family == "all_diagrams":
-        return [(n, d.lines(), _pairs(d.blobs))
+        return [(n, *_lines(d, 2 * n))
                 for n in range(1, 7) for d in all_diagrams(n)]
     if family == "half_diagrams":
-        return [(n, lam, _pairs(h.arcs), _pairs(h.blobbed_arcs))
+        return [(n, lam, *_lines(h, n))
                 for n in range(1, 7) for lam in partitions.lambda_n(n)
                 for h in half_diagrams(n, lam)]
     return [(n, m, k, i, j, tuple(sorted(x.items())))

@@ -495,7 +495,7 @@ try:
 finally:
     print(" ".join(m.removeprefix("blobcell.") for m in sys.modules
                    if m.startswith("blobcell.")
-                   or m in ("json", "argparse", "click")),
+                   or m in ("json", "argparse", "click", "dataclasses")),
           file=sys.stderr)
 """
 
@@ -530,7 +530,7 @@ _HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
     (["cellcompare", "0"], 2, _HEAVY | {"partitions"}),
     (["blob", "standard", "0", "0"], 2, _HEAVY | {"partitions"}),
     (["blob", "verify", "3"], 0,
-     {"hecke", "fock", "domino", "kronecker", "tensor"}),
+     {"hecke", "fock", "domino", "kronecker", "tensor", "dataclasses"}),
 ], ids=["help", "wb-count", "usage-error", "klbasis", "kleshchev-usage-error",
         "decomp-usage-error", "fock-canonical-usage-error",
         "fock-crystal-usage-error", "klbasis-usage-error", "cells-usage-error",
