@@ -33,10 +33,10 @@ bipartitions is not always compatible with the elimination).
 
 One table.  A table per (s, e) numbers the bipartitions it meets and lists
 each one's addable and removable nodes once, by residue and descending
-node_key.  The signatures and the rows read that list: f_i λ = Σ v^N μ gives
-an addable i-node γ the exponent N = #(addable i-nodes above γ) −
-#(removable i-nodes above γ); an f_i^(a) row chains a steps of f_i on packed
-ints and tests, exactly on the ints, that each coefficient is v^N·[a]!.
+node_key.  The signatures and the rows read that list: f_i^(a) λ = Σ v^N μ
+runs over the a-sets S of addable i-nodes, μ = λ + S, with the
+Lascoux-Leclerc-Thibon exponent N = Σ_{γ∈S} (#(addable i-nodes above γ not
+in S) − #(removable i-nodes above γ)); a = 1 is the action of f_i.
 canonical_basis walks the crystal, reads its ẽ-strings and builds its rows
 on one table; every other function builds its own.  kleshchev_convert walks
 one ẽ-descent at the geometric charge and replays it once with f̃ at the
@@ -54,12 +54,12 @@ is decoded once, equal coefficients sharing one LaurentPoly.
 
 from __future__ import annotations
 
-from math import factorial
+from itertools import combinations
 
 from . import partitions
-from .kronecker import (add_scaled, bar_symmetric_low, decode, digits, low,
-                        pack, repack, unpack, width)
-from .laurent import LaurentPoly, add_term, quantum_factorial
+from .kronecker import (add_scaled, bar_symmetric_low, decode, digits,
+                        repack, width)
+from .laurent import LaurentPoly, add_term
 from .partitions import Bipartition
 from .weylb import BoundExceeded, InvariantViolation
 
@@ -70,7 +70,6 @@ __all__ = [
     "AlcoveGeometry", "alcove_data", "decomposition_number",
     "kleshchev_convert",
     "NotUnitriangular", "SingularWeight", "NotReachable",
-    "DividedPowerInexact",
 ]
 
 Node = tuple  # (i, j, c)
@@ -87,10 +86,6 @@ class SingularWeight(ValueError):
 
 class NotReachable(ValueError):
     """The requested bipartition is not in the crystal of the submodule."""
-
-
-class DividedPowerInexact(ArithmeticError):
-    """Division by a quantum factorial was inexact (must not happen)."""
 
 
 def residue(node: Node, s, e: int) -> int:
@@ -242,59 +237,31 @@ class _Table:
                 for i, r in sigs if r]
 
     def row(self, i: int, a: int, k: int) -> tuple:
+        """
+        f_i^(a) λ: λ + S for each a-set S of addable i-nodes, with N the sum
+        over γ ∈ S of #(addable i-nodes above γ not in S) − #(removable
+        i-nodes above γ).  Adding an i-node changes only its neighbours,
+        whose residues are i ± 1 ≠ i as e >= 2, so adding S in each of its
+        a! orders gives exponents that sum to v^N·[a]!.
+        """
         key = (i, a, k)
         row = self._rows.get(key)
         if row is None:
-            row = self._rows[key] = (self._first(i, k) if a == 1
-                                     else self._divided(i, a, k))
+            adds, above = [], 0  # (addable i-node, removable i-nodes above)
+            for addable, g in self.nodes(k, i):
+                if addable:
+                    adds.append((g, above))
+                else:
+                    above += 1
+            row = []
+            for chosen in combinations(range(len(adds)), a):
+                mu, n = self.keys[k], 0
+                for t, j in enumerate(chosen):  # j - t addable above, not in S
+                    g, rem = adds[j]
+                    mu, n = _add_node(mu, g), n + j - t - rem
+                row.append((self.number(mu), n))
+            row = self._rows[key] = tuple(row)
         return row
-
-    def _first(self, i: int, k: int) -> tuple:
-        """
-        f_i λ: each addable i-node γ with N = #(addable i-nodes above γ) −
-        #(removable i-nodes above γ).  The removable i-nodes of λ + γ above
-        γ are those of λ: adding γ only blocks its neighbours, whose
-        residues are i ± 1 ≠ i as e >= 2.
-        """
-        lam, row, n = self.keys[k], [], 0
-        for addable, g in self.nodes(k, i):
-            if addable:
-                row.append((self.number(_add_node(lam, g)), n))
-                n += 1
-            else:
-                n -= 1
-        return tuple(row)
-
-    def _divided(self, i: int, a: int, k: int) -> tuple:
-        """
-        f_i^(a) λ: a steps of f_i chained on packed ints, each coefficient
-        tested to be exactly v^N·[a]!.  The chained coefficients are >= 0
-        and sum to at most a!, the orders of adding a nodes; each step
-        lowers an exponent by at most the removable i-nodes, fewer than
-        `lift`.
-        """
-        fact = quantum_factorial(a)
-        bits = width(factorial(a))
-        lift = a + sum(1 for addable, _ in self.nodes(k, i) if not addable)
-        x = {k: 1}
-        for _ in range(a):
-            y: dict = {}
-            for lam, c in x.items():
-                for mu, n in self.row(i, 1, lam):
-                    y[mu] = y.get(mu, 0) + (c << bits * (n + lift))
-            x = y
-        off = low([fact])
-        f = pack(fact, bits, off)
-        tz = (f & -f).bit_length()
-        row = []
-        for mu, c in x.items():
-            t = (c & -c).bit_length() - tz
-            if t < 0 or t % bits or c != f << t:
-                raise DividedPowerInexact(
-                    f"at {self.keys[mu]}: {unpack(c, bits, a * lift)} is not "
-                    f"v^N·[{a}]! = v^N·({fact})")
-            row.append((mu, t // bits + off - a * lift))
-        return tuple(row)
 
 
 # ---------------------------------------------------------------------------

@@ -191,14 +191,6 @@ def test_divided_power_exact():
                             assert c.coeff(c.min_exp()) == 1
 
 
-def test_divided_power_not_monomial_raises(monkeypatch):
-    # with [2]! replaced by 1, f_0^2 of the empty bipartition at e = 2 has
-    # the coefficient [2] at ((1,), (1,)): not a monomial
-    monkeypatch.setattr(fock, "quantum_factorial", lambda a: LaurentPoly.one())
-    with pytest.raises(fock.DividedPowerInexact):
-        fock.divided_f(0, 2, {((), ()): LaurentPoly.one()}, (0, 0), 2)
-
-
 def test_canonical_basis_unitriangular_small():
     for e, m in ((3, 2), (5, 3)):
         geom = fock.alcove_data(e, m)
