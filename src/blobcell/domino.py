@@ -292,6 +292,13 @@ def _unbump(pos: Domino, hole, rows: list[int], cols: list[int]) -> list[Domino]
     `cols`), sends to pos.  Only two can: the vertical domino that pivots
     onto pos, and the last two cells of the row above, which, fully
     covered, are appended where pos lies.
+
+    Both candidates found below are sent to pos, so none is filtered out.
+    The vertical candidate's upper cell lies in lam + pos - hole but not
+    in pos, so it lies in lam; its lower cell is a cell of pos, so it is
+    not in lam, and the domino pivots onto pos.  The row-above candidate
+    lies wholly in lam; it is appended at column rows[r], which is c
+    because lam ∪ pos is a shape.
     """
     (r, c), _ = pos
     if r == 0:
@@ -306,7 +313,7 @@ def _unbump(pos: Domino, hole, rows: list[int], cols: list[int]) -> list[Domino]
     e = rows[r - 1] - (h == r - 1) - (k == r - 1)  # the row above ends at e
     if e >= 2 and rows[r] + 2 - (h == r) - (k == r) <= e - 2:
         found.append(((r - 1, e - 2), (r - 1, e - 1)))
-    return [old for old in found if _shuffle_position(old, rows, cols) == pos]
+    return found
 
 
 def _reverse_letter(tab: dict[int, Domino], labels: list[int], hole: set[Cell],
