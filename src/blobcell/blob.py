@@ -150,7 +150,7 @@ def _blob_choices(lines, partner) -> list:
 
 def _order(d: BlobDiagram, top: int) -> tuple:
     """d's lines on the points < top, then the blobbed ones among them."""
-    lines = [(a, b) for a, b in enumerate(d.partner) if a < b < top]
+    lines = [(a, b) for a, b in d.lines() if b < top]
     return lines, [(a, b) for a, b in lines if d.blobs >> a & 1]
 
 
@@ -246,12 +246,8 @@ def compose_diagrams(a: BlobDiagram, b: BlobDiagram, m: int = 2):
 
 
 def half_diagrams(n: int, lam: int) -> list[BlobDiagram]:
-    """
-    The basis of Δ_n(λ), by arcs, then blobbed arcs: for each half-diagram
-    h the diagram D_h, whose top is h, defect i runs down to bottom column
-    i (with the defect blob if i = 0 and λ < 0) and the other bottom
-    columns close in cups.
-    """
+    """The basis of Δ_n(λ): the diagram D_h of each half-diagram h (see the
+    module docstring), by arcs, then blobbed arcs."""
     check_weight(n, lam)
     size, k = 2 * n, abs(lam)
     cups = tuple((size - 2 - j, size - 1 - j) for j in range(k, n, 2))
