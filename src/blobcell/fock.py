@@ -241,8 +241,8 @@ class _Table:
         f_i^(a) λ: λ + S for each a-set S of addable i-nodes, with N the sum
         over γ ∈ S of #(addable i-nodes above γ not in S) − #(removable
         i-nodes above γ).  Adding an i-node changes only its neighbours,
-        whose residues are i ± 1 ≠ i as e >= 2, so adding S in each of its
-        a! orders gives exponents that sum to v^N·[a]!.
+        whose residues are i ± 1 ≠ i as e >= 2, so the a! orders of adding
+        S give monomials that sum to v^N·[a]!.
         """
         key = (i, a, k)
         row = self._rows.get(key)
