@@ -412,24 +412,20 @@ def localize_dimension(module: StandardModule):
 # ---------------------------------------------------------------------------
 
 
-def cyclotomic_spec(m: int = 2):
+def cyclotomic_spec(m: int = 2) -> tuple[int, int]:
     """
-    The specialization for l = 2(2m-1): v ↦ ζ_{2l}^{?} chosen so that
-    q = v², Q = v satisfy q^l = 1, Q = i·q^m, q = -q^{2m}.  For m = 2,
-    l = 6 this is v ↦ ζ₁₂⁷ in ℚ(ζ₁₂).  Returns (zeta_v, q, i_unit, N).
+    The specialization v ↦ ζ_N^k, l = 2(2m-1) and N = 2l, chosen so that
+    q = v², Q = v satisfy q^l = 1, q² ≠ 1, Q = i·q^m and q = -q^{2m}.  As
+    i = ζ_N^{N/4} and -1 = ζ_N^{N/2}, these read on exponents mod N:
+    q^l = ζ_N^{kN} = 1 for every k, 4k ≢ 0, k ≡ N/4 + 2km and
+    2k ≡ N/2 + 4km.  k is the least solution; for m = 2, l = 6 this is
+    v ↦ ζ₁₂⁷.  Returns (N, k).
     """
-    from .laurent import cyclotomic_root
-
-    l = 2 * (2 * m - 1)
-    big_n = 2 * l
-    i_power = big_n // 4
+    big_n = 4 * (2 * m - 1)
     for k in range(1, big_n):
-        zeta_v = cyclotomic_root(big_n, k)
-        q = zeta_v * zeta_v
-        if (q ** l).is_one() and not (q * q).is_one():
-            i_unit = cyclotomic_root(big_n, i_power)
-            if zeta_v == i_unit * q ** m and q == -(q ** (2 * m)):
-                return zeta_v, q, i_unit, big_n
+        if (4 * k % big_n and (k - big_n // 4 - 2 * k * m) % big_n == 0
+                and (2 * k - big_n // 2 - 4 * k * m) % big_n == 0):
+            return big_n, k
     raise SpecializationInvalid(f"no valid root for m={m}")
 
 
@@ -437,21 +433,23 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4,
                              basis=None) -> dict:
     """
     For every left cell inside W_b(n): identify the matching standard
-    module Δ_n(λ) via the 2-quotient of the cell's domino shape, check
-    dimensions, the blob relations after rescaling C_0 by 1/(i(q - q^{-1})),
-    and traces of all generator words of length <= 4.  `basis`, a built
+    module Δ_n(λ) via the 2-quotient of the cell's domino shape, and check
+    dimensions, the blob relations and the traces of all generator words
+    of length <= 4, at v = ζ_N^k (`cyclotomic_spec`).  C_0 acts on the cell
+    as d·U_0 with the unit d = i(q - q^{-1}), so the cell matrices are
+    checked against the scalars -[2], d·[m-1], -d·[m], and their traces
+    against those of Δ_n(λ) with U_0 multiplied by d.  `basis`, a built
     hecke.KLBasis of W_n, is used instead of building one.
     """
     from . import domino, hecke, partitions, weylb
-    from .laurent import CycloNumber, specialize
+    from .laurent import CycloNumber, cyclotomic_root, specialize
 
     if n > bound:
         raise BoundExceeded(f"n={n} exceeds comparison bound {bound}")
-    zeta_v, q, i_unit, big_n = cyclotomic_spec(m)
-    one = CycloNumber.const(big_n, 1)
-    zero = CycloNumber.const(big_n, 0)
-    q_inv = q.inverse()
-    rescale = (i_unit * (q - q_inv)).inverse()
+    big_n, k = cyclotomic_spec(m)
+    one, zero = CycloNumber.const(big_n, 1), CycloNumber.const(big_n, 0)
+    i, q = cyclotomic_root(big_n, big_n // 4), cyclotomic_root(big_n, 2 * k)
+    d = i * (q - cyclotomic_root(big_n, -2 * k))
 
     if basis is None:
         basis = hecke.compute_kl_basis(n, bound)
@@ -460,8 +458,15 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4,
             f"the basis is of rank {len(basis.cox.gens)}, not {n}")
     cells = [c for c in hecke.left_cells(basis)
              if weylb.is_in_wb_by_words(min(c))]
-    sc = {k: specialize(vpoly, q) for k, vpoly in blob_scalars(m).items()}
-    deltas: dict = {}  # λ -> (dim Δ_n(λ), traces of its words at q)
+
+    def at(mat, e):  # the matrix at v = ζ_N^e
+        return [[specialize(x, big_n, e) for x in row] for row in mat]
+
+    sc = {key: specialize(x, big_n, 2 * k)
+          for key, x in blob_scalars(m).items()}
+    sc["blob_loop"] *= d
+    sc["blob_merge"] *= d
+    deltas: dict = {}  # λ -> (dim Δ_n(λ), its word traces with U_0 times d)
     report = {"cells": [], "all_match": True}
     for cell in cells:
         shapes = {domino.domino_shape(w) for w in cell}
@@ -472,22 +477,22 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4,
         lam = partitions.blob_weight_of(bip)
         if lam not in deltas:
             delta = standard_module(n, lam, m)
-            dmats = {k: [[specialize(x, q) for x in row] for row in mat]
-                     for k, mat in delta.matrices.items()}
+            dmats = {s: at(mat, 2 * k) for s, mat in delta.matrices.items()}
+            dmats[0] = [[x * d for x in row] for row in dmats[0]]
             deltas[lam] = (delta.dimension(),
                            _word_traces(dmats, n, zero, one))
         dim_delta, dtraces = deltas[lam]
-        _, cmats = hecke.cell_module(basis, min(cell), spec=zeta_v)
-        umats = {**cmats, 0: [[x * rescale for x in row] for row in cmats[0]]}
+        cmats = {s: at(mat, k)
+                 for s, mat in hecke.cell_module(basis, min(cell))[1].items()}
         entry = {"cell_min": min(cell), "lam": lam,
                  "dim_cell": len(cmats[0]), "dim_delta": dim_delta}
         entry["dims_match"] = entry["dim_cell"] == entry["dim_delta"]
         entry["relations"] = verify_presentation(
-            umats, m, scalars=sc, zero=zero)["all"]
-        entry["traces_match"] = _word_traces(umats, n, zero, one) == dtraces
+            cmats, m, scalars=sc, zero=zero)["all"]
+        entry["traces_match"] = _word_traces(cmats, n, zero, one) == dtraces
         report["cells"].append(entry)
         report["all_match"] = report["all_match"] and all(
-            entry[k] for k in ("dims_match", "relations", "traces_match"))
+            entry[key] for key in ("dims_match", "relations", "traces_match"))
         if len(cell) == 1 and min(cell) == weylb.identity(n):
             report["identity_cell_lam"] = lam
         if len(cell) == 1 and min(cell) == (-1,) + tuple(range(2, n + 1)):

@@ -40,7 +40,7 @@ import itertools
 from . import weylb
 from .kronecker import (Decoded, Packed, add_scaled, bar_symmetric_low,
                         decode, largest_norm, low, norm, pack, repack, width)
-from .laurent import LaurentPoly, add_term, gauss, specialize
+from .laurent import LaurentPoly, add_term, gauss
 from .partitions import WeightOutOfRange
 from .tensor import (generic_tensor_scalars, permutation_module,
                      tensor_action, tensor_c_action, tensor_identity)
@@ -368,7 +368,14 @@ class KLBasis:
         return out
 
     def check_bar_invariance(self, w) -> bool:
-        """bar(C_w) = C_w, compared as ints packed at the width of bar(C_w)."""
+        """
+        bar(C_w) = C_w, compared as ints packed at the width of bar(C_w).
+        It sums bar(c_y)·bar(T_y) over every y <= w, and `_bar_t` keeps
+        each bar(T_y) on the Coxeter, one table per digit width, so the
+        cost and memory grow with the Bruhat interval below w: checking 96
+        elements of B5 took 109-120 s and about 1.5 GB.  Whole-basis
+        callers use `verify_bar_invariance`.
+        """
         bar = bar_involution(self.cox, self.c[w])
         return bar.terms == {i: pack(p, bar.bits, bar.off)
                              for i, p in _indexed(self.cox, self.c[w])}
@@ -565,7 +572,12 @@ def _ideal_generator_pairs(n: int) -> list:
 def ideal_jn(n: int, basis: KLBasis | None = None) -> IdealJn:
     if n < 2:
         raise ValueError("the ideal needs n >= 2")
-    return IdealJn(basis if basis is not None else compute_kl_basis(n))
+    if basis is None:
+        basis = compute_kl_basis(n)
+    elif len(basis.cox.gens) != n:
+        raise ValueError(
+            f"the basis is of rank {len(basis.cox.gens)}, not {n}")
+    return IdealJn(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -573,14 +585,15 @@ def ideal_jn(n: int, basis: KLBasis | None = None) -> IdealJn:
 # ---------------------------------------------------------------------------
 
 
-def cell_module(basis: KLBasis, w, spec=None):
+def cell_module(basis: KLBasis, w):
     """
     The left cell module of w in W_b: ordered basis {C_z : z ~_L w} and the
     matrix of each C_s acting by left multiplication, with coordinates
-    outside the cell discarded.  `spec` maps v to a CycloNumber; when given
-    the matrices are specialized, otherwise they stay over ℤ[v, v^{-1}].
+    outside the cell discarded, over ℤ[v, v^{-1}].  SizeMismatch if w is
+    not an element of the basis's group.
     Returns (cell: ordered tuple, matrices: dict gen -> row-major matrix).
     """
+    _indexed(basis.cox, {w: None})
     if not weylb.is_in_wb_by_words(w):
         raise NotInWb(f"{w} lies outside W_b")
     cell = next(sorted(comp) for comp in left_cells(basis) if w in comp)
@@ -588,10 +601,8 @@ def cell_module(basis: KLBasis, w, spec=None):
     mats = {}
     for s in basis.cox.gens:
         rows = [basis.left_product(s, z) for z in cell]
-        mat = [[rows[j].get(y, zero) for j in range(len(cell))] for y in cell]
-        if spec is not None:
-            mat = [[specialize(entry, spec) for entry in row] for row in mat]
-        mats[s] = mat
+        mats[s] = [[rows[j].get(y, zero) for j in range(len(cell))]
+                   for y in cell]
     return tuple(cell), mats
 
 

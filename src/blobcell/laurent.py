@@ -7,18 +7,17 @@ Two kinds of scalars are used throughout the library:
   The Hecke-algebra parameters are hard-wired to the one-variable
   specialization ``q = v**2`` and ``Q = v``; the blob algebra uses a second
   instance of the same ring in the variable ``q`` (unit exponent 1).
-* ``CycloNumber`` -- elements of the cyclotomic field Q(zeta_N), represented
-  as polynomials in zeta of degree < phi(N): phi(N) integer numerators over
-  one positive denominator, in lowest terms.  Equal values have equal
-  representations, so equality (with zero too) is exactly decidable, and
-  sums and products run on Python ints, without Fraction objects.
+* ``CycloNumber`` -- elements of the ring Z[zeta_N] of cyclotomic
+  integers, represented as polynomials in zeta of degree < phi(N) with
+  integer coefficients.  Equal values have equal representations, so
+  equality (with zero too) is exactly decidable.  Laurent polynomials
+  reach it through ``specialize``, v -> zeta_N^k, with no division.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from operator import index
 
 __all__ = [
     "LaurentPoly", "CycloNumber", "add_term",
@@ -362,88 +361,58 @@ def _reduce(a: list[int], n: int) -> list[int]:
     return a
 
 
-def _lowest_terms(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    """num/den (den > 0) divided by gcd(den, *num)."""
-    if den != 1:
-        g = gcd(den, *num)
-        if g != 1:
-            num = [x // g for x in num]
-            den //= g
-    return tuple(num), den
-
-
-def _lowest(n: int, num: list[int], den: int) -> "CycloNumber":
-    """The CycloNumber num/den (num reduced, den > 0), in lowest terms."""
-    out = CycloNumber.__new__(CycloNumber)
-    out.n = n
-    out._num, out._den = _lowest_terms(num, den)
-    out._powers = None
-    return out
-
-
-def _scalar(x) -> tuple[int, int] | None:
-    """An int or Fraction as (numerator, denominator); None for other types."""
-    if isinstance(x, int):
-        return x, 1
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    return None
+def _check_conductor(n: int) -> None:
+    if n > MAX_CONDUCTOR:
+        raise ConductorOverflow(f"conductor {n} exceeds bound {MAX_CONDUCTOR}")
 
 
 class CycloNumber:
     """
-    An element of the cyclotomic field Q(zeta_N), stored as phi(N) integer
-    numerators over one positive denominator:
-    (a_0 + a_1 zeta + ... + a_{phi(N)-1} zeta^{phi(N)-1}) / d.  The fraction
-    is kept in lowest terms, gcd(a_0, ..., d) = 1 with zero stored as 0/1,
-    so equal values have equal representations.  Sums and products run on
-    Python ints; a product is an integer convolution reduced modulo the
-    monic integer polynomial Phi_N, over the product of the denominators.
+    An element of the ring Z[zeta_N], stored as phi(N) integer
+    coefficients: a_0 + a_1 zeta + ... + a_{phi(N)-1} zeta^{phi(N)-1}.
+    Powers of zeta form a basis of Z[zeta_N] over Z, so equal values have
+    equal representations.  A product is an integer convolution reduced
+    modulo the monic integer polynomial Phi_N.  There is no division: a
+    power of zeta is inverted as zeta^(N-k) (`cyclotomic_root`).
 
     >>> z = cyclotomic_root(4)   # zeta_4 = i
     >>> (z * z).is_minus_one()
     True
-    >>> (1 + z) / 2
-    CycloNumber(4; 1/2*z^0 + 1/2*z^1)
+    >>> (1 + z) * (1 - z)
+    CycloNumber(4; 2*z^0)
     """
 
-    __slots__ = ("n", "_num", "_den", "_powers")
+    __slots__ = ("n", "_c")
 
     def __init__(self, n: int, coeffs):
-        if n > MAX_CONDUCTOR:
-            raise ConductorOverflow(f"conductor {n} exceeds bound {MAX_CONDUCTOR}")
-        c = list(coeffs)
-        den = 1
-        if not all(type(x) is int for x in c):
-            c = [Fraction(x) for x in c]
-            den = lcm(*(x.denominator for x in c))
-            c = [x.numerator * (den // x.denominator) for x in c]
+        _check_conductor(n)
         self.n = n
-        self._num, self._den = _lowest_terms(_reduce(c, n), den)
-        self._powers = None
+        self._c = tuple(_reduce([index(x) for x in coeffs], n))
 
     @staticmethod
-    def const(n: int, value) -> "CycloNumber":
+    def const(n: int, value: int) -> "CycloNumber":
         return CycloNumber(n, [value])
+
+    def _new(self, coeffs) -> "CycloNumber":
+        """A number of this conductor from phi(N) reduced coefficients."""
+        out = CycloNumber.__new__(CycloNumber)
+        out.n = self.n
+        out._c = tuple(coeffs)
+        return out
 
     def _check(self, other: "CycloNumber"):
         if self.n != other.n:
             raise ValueError(f"conductor mismatch: {self.n} vs {other.n}")
 
     def _sum(self, other, sign: int):
-        """self + sign * other, for a CycloNumber, int or Fraction other."""
+        """self + sign * other, for a CycloNumber or int other."""
         if isinstance(other, CycloNumber):
             self._check(other)
-        elif isinstance(other, (int, Fraction)):
+        elif isinstance(other, int):
             other = CycloNumber.const(self.n, other)
         else:
             return NotImplemented
-        d, e = self._den, other._den
-        if d == e:
-            return _lowest(self.n, [a + sign * b
-                                    for a, b in zip(self._num, other._num)], d)
-        return _lowest(self.n, [a * e + sign * b * d
-                                for a, b in zip(self._num, other._num)], d * e)
+        return self._new([a + sign * b for a, b in zip(self._c, other._c)])
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -451,7 +420,7 @@ class CycloNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        return _lowest(self.n, [-a for a in self._num], self._den)
+        return self._new([-a for a in self._c])
 
     def __sub__(self, other):
         return self._sum(other, -1)
@@ -462,23 +431,22 @@ class CycloNumber:
     def __mul__(self, other):
         if isinstance(other, CycloNumber):
             self._check(other)
-            b = other._num
+            b = other._c
             prod = [0] * (2 * len(b) - 1)
-            for i, a in enumerate(self._num):
+            for i, a in enumerate(self._c):
                 if a:
                     for j, y in enumerate(b, i):
                         prod[j] += a * y
-            return _lowest(self.n, _reduce(prod, self.n), self._den * other._den)
-        s = _scalar(other)
-        if s is None:
-            return NotImplemented
-        return _lowest(self.n, [a * s[0] for a in self._num], self._den * s[1])
+            return self._new(_reduce(prod, self.n))
+        if isinstance(other, int):
+            return self._new([a * other for a in self._c])
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
-            return self.inverse() ** (-k)
+            raise ValueError("negative power: Z[zeta_N] has no division here")
         out = CycloNumber.const(self.n, 1)
         base = self
         while k:
@@ -488,80 +456,12 @@ class CycloNumber:
             k >>= 1
         return out
 
-    def _power(self, e: int) -> "CycloNumber":
-        """self**e, memoized on self: each power of a unit is made once."""
-        powers = self._powers
-        if powers is None:
-            powers = self._powers = {}
-        z = powers.get(e)
-        if z is None:
-            if e == -1:
-                z = self.inverse()
-            elif e < 0:
-                z = self._power(-1) ** -e
-            else:
-                z = self ** e
-            powers[e] = z
-        return z
-
-    def inverse(self) -> "CycloNumber":
-        """
-        Multiplicative inverse: d / a for self = a / d, with 1/a from the
-        extended Euclidean algorithm over Fraction against Phi_N.  Each step
-        keeps s_k a = r_k modulo Phi_N; it ends at a constant remainder.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        r0 = [Fraction(x) for x in _cyclotomic_coeffs(self.n)]
-        r1 = trim([Fraction(a) for a in self._num])
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            # r0 = q r1 + r and s = s0 - q s1
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            r = list(r0)
-            for i in range(len(q) - 1, -1, -1):
-                f = q[i] = r[i + len(r1) - 1] / r1[-1]
-                if f:
-                    for j, c in enumerate(r1):
-                        r[i + j] -= f * c
-            r = trim(r[:len(r1) - 1])
-            if not r:
-                raise ZeroDivisionError("element is a zero divisor (should not happen)")
-            s = s0 + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, c in enumerate(s1):
-                        s[i + j] -= qi * c
-            r0, r1, s0, s1 = r1, r, s1, trim(s)
-        c = r1[0] / self._den
-        return CycloNumber(self.n, [x / c for x in s1])
-
-    def __truediv__(self, other):
-        if isinstance(other, CycloNumber):
-            self._check(other)
-            return self * other.inverse()
-        s = _scalar(other)
-        if s is None:
-            return NotImplemented
-        p, q = s
-        if p == 0:
-            raise ZeroDivisionError("cyclotomic number divided by zero")
-        if p < 0:
-            p, q = -p, -q
-        return _lowest(self.n, [a * q for a in self._num], self._den * p)
-
     def is_zero(self) -> bool:
-        return not any(self._num)
+        return not any(self._c)
 
     def _is_integer(self, k: int) -> bool:
-        num = self._num
-        return self._den == 1 and num[0] == k and not any(num[1:])
+        c = self._c
+        return c[0] == k and not any(c[1:])
 
     def is_one(self) -> bool:
         return self._is_integer(1)
@@ -570,40 +470,35 @@ class CycloNumber:
         return self._is_integer(-1)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CycloNumber.const(self.n, other)
+        if isinstance(other, int):
+            return self._is_integer(other)
         return (isinstance(other, CycloNumber) and self.n == other.n
-                and self._den == other._den and self._num == other._num)
+                and self._c == other._c)
 
     def __hash__(self):
-        # A rational constant equals its int or Fraction, so it hashes as one.
-        if not any(self._num[1:]):
-            return hash(Fraction(self._num[0], self._den))
-        return hash((self.n, self._num, self._den))
+        # An integer constant equals its int, so it hashes as one.
+        if not any(self._c[1:]):
+            return hash(self._c[0])
+        return hash((self.n, self._c))
 
     def __repr__(self):
-        d = self._den
-        terms = []
-        for i, a in enumerate(self._num):
-            if a:
-                g = gcd(a, d)
-                coeff = a // g if g == d else f"{a // g}/{d // g}"
-                terms.append(f"{coeff}*z^{i}")
+        terms = [f"{a}*z^{i}" for i, a in enumerate(self._c) if a]
         return f"CycloNumber({self.n}; {' + '.join(terms) or '0'})"
 
 
 def cyclotomic_root(n: int, power: int = 1) -> CycloNumber:
-    """The root of unity zeta_n**power in Q(zeta_n)."""
-    z = CycloNumber(n, [0, 1])
-    return z ** (power % n)
+    """The root of unity zeta_n**power in Z[zeta_n], for any integer power."""
+    return specialize(LaurentPoly.monomial(1), n, power)
 
 
-def specialize(p: LaurentPoly, zeta: CycloNumber) -> CycloNumber:
+def specialize(p: LaurentPoly, n: int, k: int) -> CycloNumber:
     """
-    Evaluate a Laurent polynomial at v = zeta (a unit), exactly.  Each power
-    of zeta is computed once and memoized on zeta.
+    Evaluate a Laurent polynomial at v = zeta_n^k, exactly: each c_e goes
+    into slot k*e mod n, so a negative exponent needs no division, and the
+    sum is reduced once modulo Phi_n.
     """
-    acc = CycloNumber.const(zeta.n, 0)
+    _check_conductor(n)
+    slots = [0] * n
     for e, x in p.items():
-        acc = acc + zeta._power(e) * x
-    return acc
+        slots[k * e % n] += x
+    return CycloNumber(n, slots)

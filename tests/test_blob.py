@@ -17,7 +17,7 @@ from blobcell.blob import (
     generator_diagram, half_diagrams, identity_diagram,
     regular_representation, standard_module, verify_presentation,
 )
-from blobcell.laurent import LaurentPoly
+from blobcell.laurent import LaurentPoly, cyclotomic_root
 from blobcell.weylb import BoundExceeded, SizeMismatch
 
 
@@ -302,12 +302,28 @@ def test_blob_modules_do_not_import_sympy():
 
 
 def test_cyclotomic_spec():
-    zeta_v, q, i_unit, big_n = blob.cyclotomic_spec(2)
-    assert big_n == 12  # the field is Q(zeta_12) for l = 6
-    assert (q ** 6).is_one()
-    assert not (q * q).is_one()
-    assert zeta_v == i_unit * q ** 2
-    assert zeta_v * zeta_v == q
+    # v = zeta_N^k with q = v^2 and Q = v: q^l = 1, q^2 != 1, Q = i q^m and
+    # q = -q^(2m), at l = 2(2m - 1), N = 2l.
+    assert blob.cyclotomic_spec(2) == (12, 7)  # v = zeta_12^7 for l = 6
+    for m in range(2, 16):
+        big_n, k = blob.cyclotomic_spec(m)
+        l = 2 * (2 * m - 1)
+        assert big_n == 2 * l
+        v, q = cyclotomic_root(big_n, k), cyclotomic_root(big_n, 2 * k)
+        i = cyclotomic_root(big_n, big_n // 4)
+        assert (i * i).is_minus_one()
+        assert (q ** l).is_one()
+        assert not (q * q).is_one()
+        assert v == i * q ** m
+        assert q == -(q ** (2 * m))
+        # k is the least exponent with these four properties
+        for j in range(1, k):
+            qj = cyclotomic_root(big_n, 2 * j)
+            assert (qj * qj).is_one() or cyclotomic_root(big_n, j) \
+                != i * qj ** m or qj != -(qj ** (2 * m))
+    for m in (-1, 0, 1):
+        with pytest.raises(blob.SpecializationInvalid, match="no valid root"):
+            blob.cyclotomic_spec(m)
 
 
 def test_compare_cell_to_standard_n2():
@@ -361,6 +377,23 @@ def test_compare_cell_to_standard_takes_a_built_basis(monkeypatch):
     assert blob.compare_cell_to_standard(3, basis=basis) == expected
     with pytest.raises(ValueError, match="rank 3, not 2"):
         blob.compare_cell_to_standard(2, basis=basis)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_compare_cell_to_standard_sees_the_wrong_standard_module(n,
+                                                                 monkeypatch):
+    # Negative control: every cell with λ != 0 compared with Δ_n(-λ), of the
+    # same dimension and relations, must fail on its traces.
+    basis = hecke.compute_kl_basis(n)
+    assert blob.compare_cell_to_standard(n, basis=basis)["all_match"]
+    real = blob.standard_module
+    monkeypatch.setattr(blob, "standard_module",
+                        lambda n, lam, m=2: real(n, -lam, m))
+    report = blob.compare_cell_to_standard(n, basis=basis)
+    assert not report["all_match"]
+    for entry in report["cells"]:
+        assert entry["dims_match"] and entry["relations"]
+        assert entry["traces_match"] == (entry["lam"] == 0)
 
 
 def test_scalars():

@@ -485,8 +485,8 @@ def test_stdout_digest(cmd, fmt):
 
 
 # A fresh `blobcell` process that reports on stderr, last, which blobcell
-# modules it loaded (without the package prefix), and json, argparse and
-# click if it did.
+# modules it loaded (without the package prefix), and json, argparse,
+# click, dataclasses, fractions and decimal if it did.
 _FRESH = """
 import sys
 from blobcell.cli import main
@@ -495,7 +495,8 @@ try:
 finally:
     print(" ".join(m.removeprefix("blobcell.") for m in sys.modules
                    if m.startswith("blobcell.")
-                   or m in ("json", "argparse", "click", "dataclasses")),
+                   or m in ("json", "argparse", "click", "dataclasses",
+                            "fractions", "decimal")),
           file=sys.stderr)
 """
 
@@ -518,7 +519,7 @@ _HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
     (["--help"], 0, _HEAVY | {"argparse"}),
     (["wb", "enumerate", "4", "--count"], 0, _HEAVY | {"json"}),
     (["wb", "enumerate", "0"], 2, _HEAVY),
-    (["klbasis", "2"], 0, {"fock", "blob", "domino"}),
+    (["klbasis", "2"], 0, {"fock", "blob", "domino", "fractions", "decimal"}),
     (["kleshchev", "4", "4", "2"], 2, _HEAVY | {"partitions", "tables"}),
     (["decomp", "10", "4", "2"], 2, _HEAVY | {"partitions"}),
     (["fock", "canonical", "--", "10", "1", "0", "0"], 2, _HEAVY),
@@ -530,7 +531,8 @@ _HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
     (["cellcompare", "0"], 2, _HEAVY | {"partitions"}),
     (["blob", "standard", "0", "0"], 2, _HEAVY | {"partitions"}),
     (["blob", "verify", "3"], 0,
-     {"hecke", "fock", "domino", "kronecker", "tensor", "dataclasses"}),
+     {"hecke", "fock", "domino", "kronecker", "tensor", "dataclasses",
+      "fractions", "decimal"}),
 ], ids=["help", "wb-count", "usage-error", "klbasis", "kleshchev-usage-error",
         "decomp-usage-error", "fock-canonical-usage-error",
         "fock-crystal-usage-error", "klbasis-usage-error", "cells-usage-error",

@@ -585,6 +585,18 @@ def test_cell_module_dimensions():
     assert set(mats) == {0, 1, 2}
 
 
+@pytest.mark.parametrize("w", [(1, 2), (1, 2, 4)])
+def test_cell_module_rejects_a_window_outside_the_group(w):
+    basis = compute_kl_basis(3)
+    with pytest.raises(weylb.SizeMismatch, match="is not an element of B3"):
+        hecke.cell_module(basis, w)
+
+
+def test_ideal_jn_rejects_a_basis_of_another_rank():
+    with pytest.raises(ValueError, match="the basis is of rank 3, not 2"):
+        ideal_jn(2, compute_kl_basis(3))
+
+
 def test_type_a_compare_n2():
     report = hecke.type_a_kl_compare(2)
     assert report["violations"] == []
