@@ -26,11 +26,11 @@ coefficients read back (32 bits for the C-basis).  A digit read back at or
 beyond the bound 2^{B-2} raises InvariantViolation; it never wraps.
 
 At the boundary elements map windows to LaurentPoly; a window outside the
-group raises SizeMismatch.  `multiply_t`, `bar_involution` and `KLBasis.c`
-give `kronecker.Packed` vectors, dicts that decode on first read, and
-`multiply_t` and `c_coordinates` read their packed ints: C_s·C_w from `c[w]`
-into `c_coordinates` is never decoded.  `check_bar_invariance` compares
-packed ints, and `left_product` decodes each row once.
+group raises SizeMismatch.  `multiply_t` and `bar_involution` return
+`kronecker.Packed` vectors, which `decode()` turns into dicts; `KLBasis.c[w]`
+and the rows of `left_product` are read-only `kronecker.Frozen` dicts, and
+`c[w]` keeps its Packed form: C_s·C_w from `c[w]` into `c_coordinates` is
+never decoded.  `check_bar_invariance` compares packed ints.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ from __future__ import annotations
 import itertools
 
 from . import weylb
-from .kronecker import (Decoded, Packed, add_scaled, bar_symmetric_low,
-                        decode, largest_norm, low, norm, pack, repack, width)
+from .kronecker import (Decoded, Frozen, Packed, add_scaled,
+                        bar_symmetric_low, decode, largest_norm, low, norm,
+                        pack, repack, width)
 from .laurent import LaurentPoly, add_term, gauss
 from .partitions import WeightOutOfRange
 from .tensor import (generic_tensor_scalars, permutation_module,
@@ -161,8 +162,10 @@ def c_gen(cox: Coxeter, k: int) -> HeckeElement:
     return {cox._gen_elts[k]: LaurentPoly.one(), cox.identity: -cox.weight(k)}
 
 
-def _indexed(cox: Coxeter, x: HeckeElement) -> list:
+def _indexed(cox: Coxeter, x: HeckeElement | Packed) -> list:
     """x as (index, LaurentPoly) terms; SizeMismatch outside the group."""
+    if isinstance(x, Packed):
+        x = x.decode()
     try:
         return [(cox.index[w], p) for w, p in x.items()]
     except KeyError as exc:
@@ -218,25 +221,31 @@ def _bar_t(cox: Coxeter, bits: int, w: int) -> dict:
 def _packed(cox: Coxeter, x, bits_for) -> tuple:
     """
     x as (terms, bits, off, big): index -> int at width bits and offset off,
-    big bounding each Σ|c|.  A Packed x of cox is kept when bits_for(big) <=
-    its width; any other x is packed at bits_for(big).
+    big bounding each Σ|c|.  A Packed x of cox, or the packed form of a c[w],
+    is kept when bits_for(big) <= its width; the rest is packed at that.
     """
-    if (isinstance(x, Packed) and x.elements is cox.elements
-            and bits_for(x.big) <= x.bits):
-        return x.terms, x.bits, x.off, x.big
+    p = x if isinstance(x, Packed) else getattr(x, "packed", None)
+    if (p is not None and p.elements is cox.elements
+            and bits_for(p.big) <= p.bits):
+        return p.terms, p.bits, p.off, p.big
     terms = _indexed(cox, x)
     big = max([norm(p) for _, p in terms], default=0)
     bits, off = bits_for(big), low(p for _, p in terms)
     return {i: pack(p, bits, off) for i, p in terms}, bits, off, big
 
 
-def multiply_t(cox: Coxeter, x: HeckeElement, y: HeckeElement) -> Packed:
+def multiply_t(cox: Coxeter, x: HeckeElement | Packed,
+               y: HeckeElement | Packed) -> Packed:
     """
     The product x*y in the T-basis, as a Packed vector.  The factor with
     fewer terms is walked term by term, as reduced words, over the other: x
     by left passes T_k (...) over y, or y by right passes over x.  Each T_k
     at most triples the largest Σ|c| of a coefficient, which bounds the
-    digits.  The other factor, when it is Packed, is read as it is.
+    digits.  The other factor, when it is Packed or a c[w], is read packed.
+
+    >>> cox = type_b(2)
+    >>> multiply_t(cox, t_gen(cox, 0), t_gen(cox, 0)).decode()
+    {(1, 2): LaurentPoly({0: 1}), (-1, 2): LaurentPoly({-1: -1, 1: 1})}
     """
     # the sizes of Packed factors without decoding them
     left = len(getattr(x, "terms", x)) <= len(getattr(y, "terms", y))
@@ -258,8 +267,8 @@ def multiply_t(cox: Coxeter, x: HeckeElement, y: HeckeElement) -> Packed:
                   off_w + off_o + drop, weight * big)
 
 
-def bar_involution(cox: Coxeter, x: HeckeElement) -> Packed:
-    """T_w ↦ T_{w^{-1}}^{-1}, v ↦ v^{-1}, extended additively."""
+def bar_involution(cox: Coxeter, x: HeckeElement | Packed) -> Packed:
+    """T_w ↦ T_{w^{-1}}^{-1}, v ↦ v^{-1}, extended additively: Packed."""
     terms = _indexed(cox, x)
     bound = sum(norm(p) * 3 ** cox.length[i] for i, p in terms)
     # a multiple of 16 bits, so that few widths need a table of bar(T_w)
@@ -374,8 +383,9 @@ class KLBasis:
         each bar(T_y) on the Coxeter, one table per digit width, so the
         cost and memory grow with the Bruhat interval below w: checking 96
         elements of B5 took 109-120 s and about 1.5 GB.  Whole-basis
-        callers use `verify_bar_invariance`.
+        callers use `verify_bar_invariance`.  SizeMismatch outside the group.
         """
+        _indexed(self.cox, {w: None})
         bar = bar_involution(self.cox, self.c[w])
         return bar.terms == {i: pack(p, bar.bits, bar.off)
                              for i, p in _indexed(self.cox, self.c[w])}
@@ -391,7 +401,7 @@ class KLBasis:
         """
         cox, els, bits = self.cox, self.elements, self._bits
         big = largest_norm(self._c, bits)  # bounds every Σ|c| of the table
-        base = {s: bar_involution(cox, c_gen(cox, s)) == c_gen(cox, s)
+        base = {s: bar_involution(cox, c_gen(cox, s)).decode() == c_gen(cox, s)
                 for s in cox.gens}
         ok = [True]
         for w in range(1, len(els)):
@@ -419,10 +429,10 @@ class KLBasis:
                       == {i: h for i, h in want.items() if h})
         return dict(zip(els, ok))
 
-    def c_coordinates(self, x: HeckeElement) -> dict:
+    def c_coordinates(self, x: HeckeElement | Packed) -> dict:
         """
         Expand x in the C-basis (one triangular pass, longest first).  A
-        Packed x of this group that is wide enough is not decoded.
+        Packed x of this group, or a c[w], that is wide enough is not decoded.
         """
         terms, bits, off, _ = _packed(  # 16 bits of headroom
             self.cox, x, lambda big: max(self._bits, width(big << 16, 8)))
@@ -432,17 +442,19 @@ class KLBasis:
         return decode(self._coords(dict(terms), self._tables[bits]),
                       self.elements, bits, off)
 
-    def left_product(self, s: int, w) -> dict:
+    def left_product(self, s: int, w) -> Frozen:
         """
-        The C-coordinates of C_s C_w: the row (s, w) of the W-graph, decoded
-        once and memoized; every caller gets the same dict, so none may
-        change it.  When sw > w it is the build's row or `_ascent_row`; when
-        sw < w, T_s C_w = -q_s^{-1} C_w gives {w: -(q_s^{-1} + q_s)}.
+        The row (s, w) of the W-graph, C_s C_w in C-coordinates, as a memoized
+        read-only dict: the build's row or `_ascent_row` when sw > w, and
+        {w: -(q_s^{-1} + q_s)} from T_s C_w = -q_s^{-1} C_w when sw < w.
+        SizeMismatch or IndexOutOfRange for a w or s outside the group.
         """
         row = self._rows.get((s, w))
         if row is None:
             cox = self.cox
-            i = cox.index[w]
+            [(i, _)] = _indexed(cox, {w: None})
+            if s not in cox.left:
+                raise weylb.IndexOutOfRange(f"no generator {s} in {cox.name}")
             if i in cox.left[s][1]:
                 qs = cox.weight(s)
                 row = {w: -(qs.bar() + qs)}
@@ -450,7 +462,7 @@ class KLBasis:
                 row = decode(self._built.pop((s, i), None)
                              or self._ascent_row(s, i), self.elements,
                              self._bits, self._off, self._row_memo)
-            self._rows[s, w] = row
+            row = self._rows[s, w] = Frozen(row)
         return row
 
     def left_cell_edges(self) -> dict:
@@ -553,7 +565,7 @@ class IdealJn:
         c1 = c_gen(cox, 1)
         gens = []
         for k, scale in _ideal_generator_pairs(self.n):
-            g = multiply_t(cox, multiply_t(cox, c1, c_gen(cox, k)), c1).copy()
+            g = multiply_t(cox, multiply_t(cox, c1, c_gen(cox, k)), c1).decode()
             for w, c in c1.items():
                 add_term(g, w, -(c * scale))
             gens.append(g)

@@ -13,7 +13,8 @@ wrong, so `digits` raises InvariantViolation on a digit of magnitude
 neighbour.  A caller chooses B with `width` from a bound on the
 coefficients it will read.  `Packed` carries a vector of packed
 polynomials together with its width, offset and coefficient bound, so that
-one routine can hand it to the next without decoding it.
+one routine can hand it to the next without decoding it; a `Frozen` dict
+keeps it beside the decoded vector.
 
 >>> p = LaurentPoly({-1: 2, 3: -1})
 >>> x = pack(p, 8, 1)
@@ -32,7 +33,7 @@ from .weylb import InvariantViolation
 
 __all__ = ["pack", "unpack", "repack", "digits", "width", "norm", "low",
            "bar_symmetric_low", "add_scaled", "decode", "Packed",
-           "largest_norm", "Decoded"]
+           "Frozen", "largest_norm", "Decoded"]
 
 
 def pack(p: LaurentPoly, bits: int, off: int, sign: int = 1) -> int:
@@ -131,111 +132,40 @@ def decode(x: dict, keys, bits: int, off: int,
     return out
 
 
-_UNREAD = object()  # the placeholder key of an unread Packed vector
-
-
-class Packed(dict):
+class Packed:
     """
     A sparse vector elements[i] -> LaurentPoly held as `terms`, index ->
-    packed int at width `bits` and offset `off`, and decoded into the dict
-    on its first read.  `big` bounds Σ|c| of every coefficient; when it is
-    not given it is found from the decoded coefficients on first use, with
-    `memo` (packed int -> LaurentPoly) and `norms` (packed int -> Σ|c|)
-    shared between vectors.  Routines that take a Packed vector read
-    `terms`.  It is read-only, and pickles and copies as a plain dict.
-    Until the first read its dict storage holds one placeholder entry when
-    `terms` is not empty, so that C code which tests the storage's size
-    before it calls a method (json's encoder) does not see an empty dict.
+    packed int at width `bits` and offset `off`; `big` bounds Σ|c| of every
+    coefficient.  Routines that take a Packed vector read `terms`;
+    `decode()` gives the vector as a dict.
     """
 
-    __slots__ = ("terms", "elements", "bits", "off", "_big", "_memo",
-                 "_norms", "_read")
+    __slots__ = ("terms", "elements", "bits", "off", "big")
 
     def __init__(self, terms: dict, elements: list, bits: int, off: int,
-                 big: int | None = None, memo: dict | None = None,
-                 norms: dict | None = None):
-        super().__init__({_UNREAD: None} if terms else ())
+                 big: int):
         self.terms, self.elements = terms, elements
-        self.bits, self.off, self._big = bits, off, big
-        self._memo = {} if memo is None else memo
-        self._norms = {} if norms is None else norms
-        self._read = False
+        self.bits, self.off, self.big = bits, off, big
 
-    @property
-    def big(self) -> int:
-        if self._big is None:
-            norms, memo = self._norms, self._full()._memo
-            for c in self.terms.values():
-                if c and c not in norms:
-                    norms[c] = norm(memo[c])
-            self._big = max([0] + [norms[c] for c in self.terms.values()
-                                   if c])
-        return self._big
+    def decode(self, memo: dict | None = None) -> dict:
+        """The vector as elements[i] -> LaurentPoly, zeros dropped."""
+        return decode(self.terms, self.elements, self.bits, self.off, memo)
 
-    def _full(self) -> "Packed":
-        if not self._read:
-            self._read = True
-            dict.clear(self)
-            dict.update(self, decode(self.terms, self.elements, self.bits,
-                                     self.off, self._memo))
-        return self
 
-    def __eq__(self, other):
-        if isinstance(other, Packed):
-            other._full()
-        return dict.__eq__(self._full(), other)
+class Frozen(dict):
+    """A read-only dict, pickled and copied as a plain dict.  Its `packed`,
+    when it is set, is the Packed vector that the dict was decoded from."""
 
-    def __ne__(self, other):
-        return not self == other
-
-    def __len__(self):
-        return dict.__len__(self._full())
-
-    def __iter__(self):
-        return dict.__iter__(self._full())
-
-    def __reversed__(self):
-        return dict.__reversed__(self._full())
-
-    def __contains__(self, key):
-        return dict.__contains__(self._full(), key)
-
-    def __getitem__(self, key):
-        return dict.__getitem__(self._full(), key)
-
-    def __repr__(self):
-        return dict.__repr__(self._full())
-
-    def get(self, key, default=None):
-        return dict.get(self._full(), key, default)
-
-    def keys(self):
-        return dict.keys(self._full())
-
-    def values(self):
-        return dict.values(self._full())
-
-    def items(self):
-        return dict.items(self._full())
-
-    def copy(self) -> dict:
-        return dict(self.items())
-
-    def __or__(self, other):
-        return self.copy() | other
-
-    def __ror__(self, other):
-        return other | self.copy()
+    __slots__ = ("packed",)
 
     def __reduce__(self):
-        return dict, (self.copy(),)
+        return dict, (dict(self),)
 
     def _read_only(self, *args, **kwargs):
-        raise TypeError("a Packed vector is read-only")
+        raise TypeError("a Frozen dict is read-only")
 
     __setitem__ = __delitem__ = __ior__ = _read_only
     update = pop = popitem = setdefault = clear = _read_only
-    __hash__ = None  # type: ignore[assignment]
 
 
 def largest_norm(rows: list, bits: int) -> int:
@@ -246,8 +176,8 @@ def largest_norm(rows: list, bits: int) -> int:
 
 class Decoded(Mapping):
     """
-    The read-only map keys[i] -> the Packed vector rows[i], each decoded the
-    first time it is read.
+    The read-only map keys[i] -> the vector rows[i] as a Frozen dict, made
+    the first time it is read; its `packed` form carries the largest Σ|c|.
     """
 
     def __init__(self, rows: list, keys: list, index: dict, bits: int,
@@ -258,12 +188,18 @@ class Decoded(Mapping):
         self._memo: dict = {}  # packed int -> LaurentPoly
         self._norms: dict = {}  # packed int -> Σ|c|
 
-    def __getitem__(self, key) -> Packed:
+    def __getitem__(self, key) -> Frozen:
         out = self._done.get(key)
         if out is None:
-            out = self._done[key] = Packed(
-                self._rows[self._index[key]], self._keys, self._bits,
-                self._off, None, self._memo, self._norms)._full()
+            memo, norms = self._memo, self._norms
+            terms = self._rows[self._index[key]]
+            out = self._done[key] = Frozen(
+                decode(terms, self._keys, self._bits, self._off, memo))
+            for c in terms.values():
+                if c and c not in norms:
+                    norms[c] = norm(memo[c])
+            big = max([0] + [norms[c] for c in terms.values() if c])
+            out.packed = Packed(terms, self._keys, self._bits, self._off, big)
         return out
 
     def __iter__(self):

@@ -128,7 +128,7 @@ def _random_element(rng, elements, terms, big=False):
 
 
 # The relations below run on type B, whose Coxeter names match `_spec`'s.
-PRODUCTS = {"engine": multiply_t,
+PRODUCTS = {"engine": lambda cox, x, y: multiply_t(cox, x, y).decode(),
             "reference": lambda cox, x, y: _ref_multiply(cox.name, x, y)}
 
 
@@ -175,8 +175,10 @@ def test_multiply_t_matches_reference_on_generator_products(group):
     for w in basis.elements:
         for s in cox.gens:
             cs, cw = c_gen(cox, s), basis.c[w]
-            assert multiply_t(cox, cs, cw) == _ref_multiply(group, cs, cw)
-            assert multiply_t(cox, cw, cs) == _ref_multiply(group, cw, cs)
+            assert multiply_t(cox, cs, cw).decode() \
+                == _ref_multiply(group, cs, cw)
+            assert multiply_t(cox, cw, cs).decode() \
+                == _ref_multiply(group, cw, cs)
 
 
 @pytest.mark.parametrize("big", [False, True])
@@ -189,9 +191,9 @@ def test_multiply_t_and_bar_match_reference_on_random_elements(big):
     for _ in range(40):
         x = _random_element(rng, elements, rng.randint(2, 5), big)
         y = _random_element(rng, elements, rng.randint(2, 5), big)
-        assert multiply_t(cox, x, y) == _ref_multiply("B3", x, y)
-        assert multiply_t(cox, y, x) == _ref_multiply("B3", y, x)
-        assert bar_involution(cox, x) == _ref_bar("B3", x)
+        assert multiply_t(cox, x, y).decode() == _ref_multiply("B3", x, y)
+        assert multiply_t(cox, y, x).decode() == _ref_multiply("B3", y, x)
+        assert bar_involution(cox, x).decode() == _ref_bar("B3", x)
 
 
 @pytest.mark.parametrize("group", ["B3", "S4"])
@@ -200,8 +202,9 @@ def test_bar_involution_matches_reference(group):
     basis = hecke.KLBasis(cox)
     for w in basis.elements:
         t_w = {w: LaurentPoly({1: 2, -3: -1})}
-        assert bar_involution(cox, t_w) == _ref_bar(group, t_w)
-        assert bar_involution(cox, basis.c[w]) == _ref_bar(group, basis.c[w])
+        assert bar_involution(cox, t_w).decode() == _ref_bar(group, t_w)
+        assert bar_involution(cox, basis.c[w]).decode() \
+            == _ref_bar(group, basis.c[w])
 
 
 def test_bar_is_involution():
@@ -209,7 +212,7 @@ def test_bar_is_involution():
     basis = compute_kl_basis(2)
     for w in basis.elements:
         x = basis.c[w]
-        assert bar_involution(cox, bar_involution(cox, x)) == x
+        assert bar_involution(cox, bar_involution(cox, x)).decode() == x
 
 
 def _perm_compose(u, w):
@@ -267,7 +270,8 @@ def test_bar_of_t_w_inverts_t_w_inverse(group):
     one = {cox.identity: LaurentPoly.one()}
     for w in elements:
         bar_tw = bar_involution(cox, {w: LaurentPoly.one()})
-        assert multiply_t(cox, bar_tw, {inverse(w): LaurentPoly.one()}) == one
+        assert multiply_t(cox, bar_tw,
+                          {inverse(w): LaurentPoly.one()}).decode() == one
 
 
 def test_bar_is_additive_and_bars_coefficients():
@@ -277,12 +281,12 @@ def test_bar_is_additive_and_bars_coefficients():
     c1 = LaurentPoly({3: 2, -1: -1})
     c2 = LaurentPoly({2: 1, 0: 5})
     x = {w1: c1, w2: c2}
-    expected = dict(bar_involution(cox, {w1: c1}))
-    for u, c in bar_involution(cox, {w2: c2}).items():
+    expected = bar_involution(cox, {w1: c1}).decode()
+    for u, c in bar_involution(cox, {w2: c2}).decode().items():
         expected[u] = expected.get(u, LaurentPoly.zero()) + c
-    assert bar_involution(cox, x) \
+    assert bar_involution(cox, x).decode() \
         == {u: c for u, c in expected.items() if not c.is_zero()}
-    assert bar_involution(cox, bar_involution(cox, x)) == x
+    assert bar_involution(cox, bar_involution(cox, x)).decode() == x
 
 
 def test_kl_basis_defining_properties():
@@ -302,7 +306,7 @@ def test_kl_closed_form_identities():
     basis = compute_kl_basis(3)
     c0, c1, c2 = (c_gen(cox, k) for k in range(3))
     s1s2s1 = weylb.evaluate_word(3, (1, 2, 1))
-    lhs = multiply_t(cox, multiply_t(cox, c1, c2), c1)
+    lhs = multiply_t(cox, multiply_t(cox, c1, c2), c1).decode()
     rhs = dict(basis.c[s1s2s1])
     for w, c in c1.items():
         rhs[w] = rhs.get(w, LaurentPoly.zero()) + c
@@ -310,7 +314,7 @@ def test_kl_closed_form_identities():
         == {w: c for w, c in rhs.items() if not c.is_zero()}
 
     s1s0s1 = weylb.evaluate_word(3, (1, 0, 1))
-    lhs = multiply_t(cox, multiply_t(cox, c1, c0), c1)
+    lhs = multiply_t(cox, multiply_t(cox, c1, c0), c1).decode()
     ratio2 = LaurentPoly({1: 1, -1: 1})
     rhs = dict(basis.c[s1s0s1])
     for w, c in c1.items():
@@ -361,9 +365,57 @@ def test_c_coordinates_of_packed_products_match_their_dicts():
         for s in cox.gens:
             for prod in (multiply_t(cox, c_gen(cox, s), basis.c[w]),
                          multiply_t(cox, basis.c[w], c_gen(cox, s))):
-                assert isinstance(prod, hecke.Packed)
                 assert basis.c_coordinates(prod) \
-                    == basis.c_coordinates(dict(prod))
+                    == basis.c_coordinates(prod.decode())
+
+
+def test_products_of_c_w_reach_c_coordinates_packed(monkeypatch):
+    # multiply_t reads c[w] through its packed form, and c_coordinates reads
+    # the packed product, so `_indexed` only ever sees C_s (2 terms).  C_e
+    # and the C_s have at most 2 terms and may be walked over C_s instead.
+    basis = compute_kl_basis(3)
+    cox, indexed, sizes = basis.cox, hecke._indexed, []
+
+    def spy(cox, x):
+        sizes.append(len(x.terms if isinstance(x, hecke.Packed) else x))
+        return indexed(cox, x)
+
+    monkeypatch.setattr(hecke, "_indexed", spy)
+    for w in basis.elements:
+        if len(basis.c[w]) <= 2:
+            continue
+        for s in cox.gens:
+            for factors in ((c_gen(cox, s), basis.c[w]),
+                            (basis.c[w], c_gen(cox, s))):
+                sizes.clear()
+                basis.c_coordinates(multiply_t(cox, *factors))
+                assert sizes == [2], (w, s)
+
+
+def test_left_product_rows_are_read_only():
+    basis = compute_kl_basis(3)
+    for w in basis.elements:
+        for s in basis.cox.gens:  # rows with sw < w and with sw > w
+            row = basis.left_product(s, w)
+            want = dict(row)
+            for change in (lambda: row.__setitem__(w, LaurentPoly.one()),
+                           lambda: row.update({w: LaurentPoly.one()}),
+                           lambda: row.pop(w), row.clear, row.popitem,
+                           lambda: row.setdefault(basis.elements[-1]),
+                           lambda: row.__delitem__(w)):
+                with pytest.raises(TypeError):
+                    change()
+            again = basis.left_product(s, w)
+            assert again is row and again == want
+
+
+@pytest.mark.parametrize("group", ["B3", "S4"])
+def test_left_product_rejects_a_generator_outside_the_group(group):
+    basis = hecke.KLBasis(type_b(3) if group == "B3" else type_a(4))
+    w = basis.elements[5]
+    for s in (-1, 4, 1.5) + ((0,) if group == "S4" else (3,)):
+        with pytest.raises(weylb.IndexOutOfRange):
+            basis.left_product(s, w)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -389,9 +441,11 @@ def _build_row(basis, depth=2):
 def test_bar_sweep_fails_on_a_mu_that_is_not_bar_invariant():
     basis = compute_kl_basis(3)
     s, sw, w = _build_row(basis)
-    row = basis.left_product(s, basis.elements[sw])  # the memoized row
+    key = s, basis.elements[sw]
+    row = basis.left_product(*key)
     y = next(y for y in row if y != basis.elements[w])
-    row[y] = row[y] + LaurentPoly.monomial(1)
+    # the memoized rows are read-only: replace this one with a changed copy
+    basis._rows[key] = {**row, y: row[y] + LaurentPoly.monomial(1)}
     assert not all(basis.verify_bar_invariance().values())
 
 
@@ -408,8 +462,9 @@ def test_bar_sweep_fails_on_a_perturbed_coefficient():
 def test_bar_sweep_fails_on_a_row_term_not_below_w():
     basis = compute_kl_basis(3)
     s, sw, w = _build_row(basis, depth=1)
-    row = basis.left_product(s, basis.elements[sw])
-    row[basis.elements[-1]] = LaurentPoly.one()  # the longest element
+    key = s, basis.elements[sw]
+    basis._rows[key] = {**basis.left_product(*key),  # the memoized row
+                        basis.elements[-1]: LaurentPoly.one()}  # the longest
     assert not basis.verify_bar_invariance()[basis.elements[w]]
 
 
@@ -493,6 +548,9 @@ _OUTSIDE_CALLS = {
     "bar_involution": lambda cox, key: bar_involution(cox, {key: _ONE}),
     "c_coordinates": lambda cox, key: hecke.KLBasis(cox).c_coordinates(
         {(2, 1, 3): _ONE, key: _ONE}),
+    "left_product": lambda cox, key: hecke.KLBasis(cox).left_product(0, key),
+    "check_bar_invariance":
+        lambda cox, key: hecke.KLBasis(cox).check_bar_invariance(key),
 }
 
 
@@ -697,5 +755,5 @@ def test_permutation_module_dims():
 def test_type_a_coxeter_sanity():
     cox = type_a(4)
     ts = t_gen(cox, 1)
-    sq = multiply_t(cox, ts, ts)
+    sq = multiply_t(cox, ts, ts).decode()
     assert sq[cox.identity].is_one()

@@ -4,13 +4,13 @@ import copy
 import json
 import pickle
 import random
+from collections.abc import Mapping
 
 import pytest
 
-from blobcell import hecke
 from blobcell.kronecker import (
-    Decoded, Packed, bar_symmetric_low, decode, digits, largest_norm, low,
-    norm, pack, repack, unpack, width,
+    Decoded, Frozen, Packed, bar_symmetric_low, decode, digits, largest_norm,
+    low, norm, pack, repack, unpack, width,
 )
 from blobcell.laurent import LaurentPoly
 from blobcell.weylb import InvariantViolation
@@ -99,74 +99,40 @@ def test_decode_and_decoded_mapping():
         want = {k: p for k, p in zip(keys, row) if p}
         assert decode(packed, keys, 24, 6) == want
         assert decode(packed, keys, 24, 6, memo) == want
+        assert Packed(packed, keys, 24, 6, 0).decode(memo) == want
     assert all(memo[x] == unpack(x, 24, 6) for x in memo)
     table = Decoded(rows, keys, {k: i for i, k in enumerate(keys)}, 24, 6)
     assert len(table) == 3 and list(table) == keys
-    assert table["b"] is table["b"]
+    assert table["b"] is table["b"] and type(table["b"]) is Frozen
     assert table["b"] == decode(rows[1], keys, 24, 6)
     assert dict(table.items()) == {k: decode(r, keys, 24, 6)
                                    for k, r in zip(keys, rows)}
     assert "d" not in table
-
-
-_READS = {
-    "==": lambda x, want: x == want and want == x,
-    "!=": lambda x, want: not (x != want) and not (want != x),
-    "dict": lambda x, want: dict(x) == want and {**x} == want,
-    "copy": lambda x, want: type(x.copy()) is dict and x.copy() == want,
-    "len": lambda x, want: len(x) == len(want) and bool(x) == bool(want),
-    "iter": lambda x, want: sorted(x) == sorted(want),
-    "in": lambda x, want: all(k in x for k in want),
-    "get": lambda x, want: all(x.get(k) == p and x[k] == p
-                               for k, p in want.items()),
-    "items": lambda x, want: dict(x.items()) == want
-    and sorted(x.keys()) == sorted(want) and len(x.values()) == len(want),
-    "repr": lambda x, want: repr(x) == repr(dict(x)),
-    "big": lambda x, want: x.big == max([0] + [norm(p) for p in want.values()]),
-}
-
-
-@pytest.mark.parametrize("read", sorted(_READS))
-def test_packed_decodes_on_its_first_read(read):
-    rng = random.Random("kronecker-packed")
-    keys = list("abcdefgh")
-    for _ in range(20):
-        polys = {i: _random_poly(rng) for i in range(len(keys))}
-        terms = {i: pack(p, 24, 6) for i, p in polys.items() if p}
-        want = {keys[i]: p for i, p in polys.items() if p}
-        x = Packed(terms, keys, 24, 6)
-        assert dict.keys(x).isdisjoint(want)  # nothing decoded before the read
-        assert _READS[read](x, want)
+    for key, row, coeffs in zip(keys, rows, polys):
+        packed = table[key].packed  # the row itself, with its largest Σ|c|
+        assert packed.terms is row and (packed.bits, packed.off) == (24, 6)
+        assert packed.big == max([0] + [norm(p) for p in coeffs])
 
 
 def test_packed_is_read_only():
-    x = Packed({0: pack(LaurentPoly({1: 2}), 16, 0)}, ["a", "b"], 16, 0, 2)
+    packed = Packed({0: pack(LaurentPoly({1: 2}), 16, 0)}, ["a", "b"], 16, 0,
+                    2)
+    assert not isinstance(packed, (dict, Mapping))
+    x = Frozen(packed.decode())
+    x.packed = packed
     for change in (lambda: x.__setitem__("b", LaurentPoly.one()),
                    lambda: x.update({}), lambda: x.pop("a"),
                    lambda: x.setdefault("b"), x.clear, x.popitem,
-                   lambda: x.__delitem__("a")):
+                   lambda: x.__delitem__("a"), lambda: x.__ior__({})):
         with pytest.raises(TypeError):
             change()
-    assert x == {"a": LaurentPoly({1: 2})} and x.big == 2
-    for copied in (pickle.loads(pickle.dumps(x)), copy.copy(x)):
+    assert x == {"a": LaurentPoly({1: 2})} and x.packed is packed
+    for copied in (pickle.loads(pickle.dumps(x)), copy.copy(x),
+                   copy.deepcopy(x), x.copy(), x | {}):
         assert type(copied) is dict and copied == x
-
-
-def test_json_sees_an_unread_packed_vector_like_a_read_one():
-    # json's C encoder tests the dict's storage size before it calls items()
-    cox = hecke.type_b(2)
-    errors = []
-    for read in (False, True):
-        x = hecke.multiply_t(cox, hecke.c_gen(cox, 0), hecke.c_gen(cox, 1))
-        assert isinstance(x, Packed) and x.terms
-        if read:
-            assert len(x) == len(x.terms)
-        with pytest.raises(TypeError) as err:
-            json.dumps(x)
-        errors.append(str(err.value))
-    assert errors[0] == errors[1]
-    assert json.dumps(Packed({}, [], 16, 0)) == "{}"
-    assert json.dumps(Packed({0: 0}, ["a"], 16, 0)) == "{}"
+    assert json.dumps(Frozen({"a": 1})) == '{"a": 1}'
+    assert json.dumps(Frozen({})) == "{}"
+    assert getattr(Frozen({}), "packed", None) is None
 
 
 @pytest.mark.parametrize("bits", WIDTHS)
