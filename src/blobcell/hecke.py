@@ -20,17 +20,18 @@ Inside the engine an element maps index -> int, each coefficient a
 Kronecker-packed Laurent polynomial (module `kronecker`): p(2^B)·2^{B·off},
 balanced digits in base 2^B.  q_s and q_s - q_s^{-1} are shifts, a product
 with a short polynomial is one int product, and "has an exponent <= 0" is
-a mask test.  Offsets follow the exponents a table can reach (C-basis in
-ℤ[v]: 0; bar(T_w): L(w_0)); the digit width B follows a bound on the
-coefficients read back (32 bits for the C-basis).  A digit read back at or
-beyond the bound 2^{B-2} raises InvariantViolation; it never wraps.
+a mask test.  Offsets follow the exponents a vector can reach (C-basis in
+ℤ[v]: 0; bar(Σ p_y T_y): max deg p_y + max L(y)); the digit width B follows
+a bound on the coefficients read back (32 bits for the C-basis).  A digit of
+2^{B-2} or more in magnitude raises InvariantViolation; it never wraps.
 
 At the boundary elements map windows to LaurentPoly; a window outside the
 group raises SizeMismatch.  `multiply_t` and `bar_involution` return
 `kronecker.Packed` vectors, which `decode()` turns into dicts; `KLBasis.c[w]`
 and the rows of `left_product` are read-only `kronecker.Frozen` dicts, and
 `c[w]` keeps its Packed form: C_s·C_w from `c[w]` into `c_coordinates` is
-never decoded.  `check_bar_invariance` compares packed ints.
+never decoded.  `bar_involution` is Horner's rule on the tree of reduced
+words; `check_bar_invariance` compares packed ints.
 """
 
 from __future__ import annotations
@@ -79,8 +80,7 @@ class Coxeter:
       * `right[k]` and `left[k]`, each a pair (move, descents): the list
         i ↦ i s_k (resp. s_k i) and the set of i that it shortens.
 
-    `weight(k)` is the parameter q_s = v^a of generator k.  The object also
-    memoizes the bar(T_w) that `bar_involution` computes.
+    `weight(k)` is the parameter q_s = v^a of generator k.
     """
 
     def __init__(self, name, gens, identity, apply_right, weight):
@@ -117,13 +117,12 @@ class Coxeter:
             for j in reversed(self.words[i]):
                 i_inv = moves[j][i_inv]
             self.inverse.append(i_inv)
-        self._wlen, self._top = wlen, wlen[-1]  # L(w) and L(w_0)
+        self._wlen = wlen  # L(w)
         inv = self.inverse
         lefts = {k: [inv[move[inv[i]]] for i in range(len(els))]
                  for k, move in moves.items()}
         self.left = {k: (left, shortened(left)) for k, left in lefts.items()}
         self._gen_elts = {k: els[move[0]] for k, move in moves.items()}
-        self._bars: dict = {}  # digit width -> {i: packed bar(T_i)}
 
 
 def type_b(n: int) -> Coxeter:
@@ -206,18 +205,6 @@ def _c_s_times(cox: Coxeter, s: int, cw: dict, bits: int, off: int) -> dict:
     return out
 
 
-def _bar_t(cox: Coxeter, bits: int, w: int) -> dict:
-    """bar(T_w) = bar(T_{ws}) T_s^{-1} at offset L(w_0), memoized per width."""
-    bars = cox._bars.setdefault(bits, {0: {0: 1 << bits * cox._top}})
-    out = bars.get(w)
-    if out is None:
-        s = cox.words[w][-1]
-        out = bars[w] = _mult_gen(cox, cox.right, s,
-                                  _bar_t(cox, bits, cox.right[s][0][w]),
-                                  bits, inverse=True)
-    return out
-
-
 def _packed(cox: Coxeter, x, bits_for) -> tuple:
     """
     x as (terms, bits, off, big): index -> int at width bits and offset off,
@@ -247,8 +234,11 @@ def multiply_t(cox: Coxeter, x: HeckeElement | Packed,
     >>> multiply_t(cox, t_gen(cox, 0), t_gen(cox, 0)).decode()
     {(1, 2): LaurentPoly({0: 1}), (-1, 2): LaurentPoly({-1: -1, 1: 1})}
     """
-    # the sizes of Packed factors without decoding them
-    left = len(getattr(x, "terms", x)) <= len(getattr(y, "terms", y))
+    # sizes without decoding; on a tie, walk a factor that is not packed
+    size_x, size_y = ((len(getattr(f, "terms", f)),
+                       isinstance(f, Packed) or hasattr(f, "packed"))
+                      for f in (x, y))
+    left = size_x <= size_y
     walk = _indexed(cox, x if left else y)
     weight = sum(norm(p) * 3 ** cox.length[i] for i, p in walk)
     other, bits, off_o, big = _packed(cox, y if left else x,
@@ -268,17 +258,29 @@ def multiply_t(cox: Coxeter, x: HeckeElement | Packed,
 
 
 def bar_involution(cox: Coxeter, x: HeckeElement | Packed) -> Packed:
-    """T_w ↦ T_{w^{-1}}^{-1}, v ↦ v^{-1}, extended additively: Packed."""
+    """
+    T_w ↦ T_{w^{-1}}^{-1}, v ↦ v^{-1}, extended additively: Packed.  With
+    words[y] = s_1⋯s_k it is Σ bar(p_y) T_{s_1}^{-1}⋯T_{s_k}^{-1}, by Horner's
+    rule on the tree of reduced words (the parent of y is y s_k): longest
+    first, each node's vector goes into its parent's by one left T_{s_k}^{-1}.
+    """
     terms = _indexed(cox, x)
     bound = sum(norm(p) * 3 ** cox.length[i] for i, p in terms)
-    # a multiple of 16 bits, so that few widths need a table of bar(T_w)
-    bits = width(bound, 16)
-    off = max([0] + [p.max_exp() for _, p in terms if p])
-    out: dict = {}
-    for w, p in terms:
-        add_scaled(out, _bar_t(cox, bits, w), pack(p, bits, off, -1))
-    return Packed({i: c for i, c in out.items() if c}, cox.elements, bits,
-                  off + cox._top, bound)
+    bits = width(bound)
+    off = (max([0] + [p.max_exp() for _, p in terms if p])
+           + max([0] + [cox._wlen[i] for i, _ in terms]))  # v^{-L(y)} at worst
+    acc = {i: {0: pack(p, bits, off, -1)} for i, p in terms}
+    for y in range(max(acc, default=0), 0, -1):
+        if y in acc:
+            s = cox.words[y][-1]
+            vec = _mult_gen(cox, cox.left, s, acc.pop(y), bits, inverse=True)
+            parent = cox.right[s][0][y]
+            # the shorter vector goes into the longer; a new parent is empty
+            small, vec = sorted((acc.get(parent, {}), vec), key=len)
+            add_scaled(vec, small, 1)
+            acc[parent] = vec
+    return Packed({i: c for i, c in acc.get(0, {}).items() if c},
+                  cox.elements, bits, off, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +380,8 @@ class KLBasis:
 
     def check_bar_invariance(self, w) -> bool:
         """
-        bar(C_w) = C_w, compared as ints packed at the width of bar(C_w).
-        It sums bar(c_y)·bar(T_y) over every y <= w, and `_bar_t` keeps
-        each bar(T_y) on the Coxeter, one table per digit width, so the
-        cost and memory grow with the Bruhat interval below w: checking 96
-        elements of B5 took 109-120 s and about 1.5 GB.  Whole-basis
+        bar(C_w) = C_w from `bar_involution` alone, without the W-graph
+        rows, compared as ints packed at the width of bar(C_w).  Whole-basis
         callers use `verify_bar_invariance`.  SizeMismatch outside the group.
         """
         _indexed(self.cox, {w: None})

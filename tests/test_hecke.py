@@ -207,6 +207,24 @@ def test_bar_involution_matches_reference(group):
             == _ref_bar(group, basis.c[w])
 
 
+def test_bar_involution_matches_reference_at_b4():
+    # T_{w_0}, and seeded elements of 1-6 terms whose supports miss a word
+    # prefix of one of their elements: Horner's rule on the tree of reduced
+    # words must pass through nodes where the input has no term.
+    cox = type_b(4)
+    t_w0 = {cox.elements[-1]: LaurentPoly.one()}
+    assert bar_involution(cox, t_w0).decode() == _ref_bar("B4", t_w0)
+    rng = random.Random("hecke-bar:B4")
+    for _ in range(30):
+        x = {w: LaurentPoly({rng.randint(-8, 8): rng.choice([-3, -1, 1, 2])
+                             for _ in range(rng.randint(1, 3))})
+             for w in rng.sample(cox.elements, rng.randint(1, 6))}
+        support = {cox.index[w] for w in x}
+        assert any(cox.right[cox.words[i][-1]][0][i] not in support
+                   for i in support if i)
+        assert bar_involution(cox, x).decode() == _ref_bar("B4", x)
+
+
 def test_bar_is_involution():
     cox = type_b(2)
     basis = compute_kl_basis(2)
@@ -371,8 +389,9 @@ def test_c_coordinates_of_packed_products_match_their_dicts():
 
 def test_products_of_c_w_reach_c_coordinates_packed(monkeypatch):
     # multiply_t reads c[w] through its packed form, and c_coordinates reads
-    # the packed product, so `_indexed` only ever sees C_s (2 terms).  C_e
-    # and the C_s have at most 2 terms and may be walked over C_s instead.
+    # the packed product, so `_indexed` only ever sees C_s (2 terms); when
+    # w is a generator the two factors tie, and C_s is still the one walked.
+    # C_e has 1 term and is walked over C_s instead.
     basis = compute_kl_basis(3)
     cox, indexed, sizes = basis.cox, hecke._indexed, []
 
@@ -381,9 +400,7 @@ def test_products_of_c_w_reach_c_coordinates_packed(monkeypatch):
         return indexed(cox, x)
 
     monkeypatch.setattr(hecke, "_indexed", spy)
-    for w in basis.elements:
-        if len(basis.c[w]) <= 2:
-            continue
+    for w in basis.elements[1:]:
         for s in cox.gens:
             for factors in ((c_gen(cox, s), basis.c[w]),
                             (basis.c[w], c_gen(cox, s))):
@@ -418,13 +435,29 @@ def test_left_product_rejects_a_generator_outside_the_group(group):
             basis.left_product(s, w)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_bar_sweep_agrees_with_the_direct_check(n):
     basis = compute_kl_basis(n)
     swept = basis.verify_bar_invariance()
     assert list(swept) == basis.elements
     assert swept == {w: basis.check_bar_invariance(w) for w in basis.elements}
     assert all(swept.values())
+
+
+def test_direct_bar_check_on_every_40th_element_of_b5(b5_basis):
+    elements = b5_basis.elements[::40]
+    assert len(elements) == 96
+    assert [w for w in elements if not b5_basis.check_bar_invariance(w)] == []
+
+
+def test_bar_sees_a_perturbed_coefficient_of_c_w0_in_b5(b5_basis):
+    # A copy of C_{w_0} (all 3,840 terms), then the same with v added to the
+    # coefficient of one element of middle length.
+    cox = b5_basis.cox
+    x = dict(b5_basis.c[cox.elements[-1]])
+    assert bar_involution(cox, x).decode() == x
+    x[cox.elements[len(x) // 2]] += LaurentPoly.monomial(1)
+    assert bar_involution(cox, x).decode() != x
 
 
 def _build_row(basis, depth=2):
