@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import pytest
 
 import blobcell
-from blobcell import blob, tables
+from blobcell import blob, cli, tables
 from blobcell.cli import main
 
 
@@ -590,3 +590,83 @@ def test_help_exits_0_in_a_fresh_process(args, shown):
     code, out, lines, _ = run_fresh(*args)
     assert code == 0, lines
     assert all(word in out for word in shown)
+
+
+# SHA-256 of the stdout of `blobcell ... --help` at every level, at an
+# 80-column terminal (argparse wraps the command help to COLUMNS).
+HELP_DIGESTS = {
+    "--help":
+        "0746773a2597e2897f10e6276c6f598706c0ce5815685a420dd7313dbde82989",
+    "blob --help":
+        "363f7f2a2fa11b02d39a13c9ab9052cef1e8caf556267d2319c1224181dceccf",
+    "domino --help":
+        "fec02ae9ca67ae35e4034232c7d1991d951eb343153863df08cedcd8bc9c4e61",
+    "fock --help":
+        "fcaa86c5c71dcc0f4299697b7c4cc504e010cd00e8e2b3d79aef0eb98f407578",
+    "ideal --help":
+        "508d0923af9cd06e30be4505d6cd998bbfcfb1523ec1bbd7407095cf7b5e1b66",
+    "knuth --help":
+        "c31c083fcc2021bb6036f89a4fee67f5d3472c9452bb2641638da970c02e05dd",
+    "tensor --help":
+        "b6ebc0cb8cd7ffc91342beac550580a7574a993bda5609ead7ba166f9aeb34d1",
+    "wb --help":
+        "2ae9dbcfe1fb29cee7d59067c7dd3ab9c5eb100900dcd11e0ca92127bcc2a34c",
+    "blob dims --help":
+        "1894b72075839a59caf5f6e54091d7469b045e0b1e606b9eb75c068fa1e1320e",
+    "blob standard --help":
+        "280bb072650ef35490ea4fa2ca3e0b31a6f1232a62630566ca153077a26cd821",
+    "blob verify --help":
+        "8d203b57239b447cf8e0b56227d24be9b200e690061fdcc4695671495c7d7c6d",
+    "cellcompare --help":
+        "37170404a79422998f784eb418f66e1f95321ef2886e339b7fdd6f8a7f611458",
+    "cells --help":
+        "a1c64c1637607d81ca8360af8a359d0c6d61a212c3a879d4439c5f569aebe6ce",
+    "decomp --help":
+        "4b57516b285fccec5970749b8357ede9c683cdb7c9e95d27a735060e63a5bead",
+    "domino insert --help":
+        "56ce8cd053d01f78102ea2727ca7ce1993f5cbeeff679788d895c5be7632e682",
+    "domino reverse --help":
+        "cd2e4a64c73a7143329af983ae1e169be2a46c91ddc2e75d553047cfefe4e8f5",
+    "domino shape --help":
+        "e74e510ce44965fe38a1d43e6b1b5c4a9972e32c65ead6ae02c6977045a06d89",
+    "fock canonical --help":
+        "07d6009f1559485adf557ad6b0e92c9277f527cfd1b3e91921b598906fc79c36",
+    "fock crystal --help":
+        "3cdcb1714ee63b5ee02fd7afee10321c67008668969cfdf431bb1c80e96b99eb",
+    "fock f --help":
+        "aa224a0f297d4e3da4e50693a220eb2b5eaccbf1726b1363b9f9de5d828b11eb",
+    "ideal check --help":
+        "2ed3a9259f5ac5d0643052c8f78408f008d255767f7672590fd81840d689364d",
+    "klbasis --help":
+        "3598f5c0fcb9dd2144b1fe63d258d23a3736992ba2efaec55d78d48ea3312084",
+    "kleshchev --help":
+        "6037fdeed5e62360720d357121cfcb89ac9afedeb930ad3b2a714e6e8d9bb32c",
+    "knuth class --help":
+        "6762a2c17bddb19896f86bdc01b573c496ebb2578dbcd2608cbd061719d4057e",
+    "tables --help":
+        "269d7f6cd43e1567e3b1af8adc9f4e83c3ce0702081d2f62614655c083b1e9b3",
+    "tensor check --help":
+        "2b797a954462d14aad9d08c97f5f6c0d04fa1b87c9fb712f18626fc6e0dee373",
+    "wb enumerate --help":
+        "0cf62a795515d90438ccae5512dbe74f20f1d372d5a594e38cf4307b05a5f0ee",
+    "wb test --help":
+        "717ed0a10d690a8b0b21b567916c8e799018bc41470a2452db7f59d21992660a",
+}
+
+
+@pytest.mark.parametrize("argv", list(HELP_DIGESTS))
+def test_help_digest(argv):
+    res = run(*argv.split(), env={"COLUMNS": "80"})
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == HELP_DIGESTS[argv]
+
+
+def test_command_paths():
+    assert set(cli._COMMANDS) == {
+        "wb enumerate", "wb test", "domino insert", "domino reverse",
+        "domino shape", "knuth class", "klbasis", "cells", "ideal check",
+        "tensor check", "blob dims", "blob standard", "blob verify",
+        "cellcompare", "fock f", "fock crystal", "fock canonical", "decomp",
+        "kleshchev", "tables"}
+    assert set(HELP_DIGESTS) == {f"{p} --help".lstrip()
+                                 for p in ["", *cli._GROUPS, *cli._COMMANDS]}
