@@ -32,10 +32,7 @@ Cells are (row, col), 0-based internally, 1-based in JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import weylb
-from .partitions import Partition
 from .weylb import InvariantViolation
 
 __all__ = [
@@ -55,11 +52,38 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
 class DominoTableau:
-    """A standard domino tableau: map label -> pair of adjacent cells."""
+    """
+    A standard domino tableau: map label -> pair of adjacent cells.
+    Read-only; two tableaux are equal when their `dominoes` are, and the
+    hash is hash((dominoes,)).
+    """
 
+    __slots__ = ("dominoes",)
     dominoes: tuple[tuple[int, Domino], ...]  # sorted by label
+
+    def __init__(self, dominoes: tuple[tuple[int, Domino], ...]) -> None:
+        object.__setattr__(self, "dominoes", dominoes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return DominoTableau, (self.dominoes,)
+
+    def __repr__(self) -> str:
+        return f"DominoTableau(dominoes={self.dominoes!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not DominoTableau:
+            return NotImplemented
+        return self.dominoes == other.dominoes
+
+    def __hash__(self) -> int:
+        return hash((self.dominoes,))
 
     @staticmethod
     def from_dict(d: dict[int, Domino]) -> "DominoTableau":
@@ -82,7 +106,7 @@ class DominoTableau:
             label_at[b] = lab
         return label_at
 
-    def shape(self) -> Partition:
+    def shape(self) -> tuple[int, ...]:
         cell_rows = [r for _, dom in self.dominoes for r, _ in dom]
         return _shape_of([cell_rows.count(r)
                           for r in range(max(cell_rows, default=-1) + 1)])
@@ -173,7 +197,7 @@ class DominoTableau:
         return "\n".join(lines)
 
 
-def _shape_of(rows: list[int]) -> Partition:
+def _shape_of(rows: list[int]) -> tuple[int, ...]:
     """The row lengths `rows` without trailing zeros; ValueError unless they
     are non-increasing, so that no empty row is left between them."""
     k = len(rows)
@@ -271,7 +295,7 @@ def domino_insert(w: weylb.SignedPermutation) -> tuple[DominoTableau, DominoTabl
     return tp, tq
 
 
-def domino_shape(w: weylb.SignedPermutation) -> Partition:
+def domino_shape(w: weylb.SignedPermutation) -> tuple[int, ...]:
     """The shape of P(w), read off the insertion without building Q."""
     rows: list[int] = []
     for _, rows, _ in _grow(w):

@@ -1,13 +1,16 @@
 """The command-line interface: output contracts and exit codes."""
 
+import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -533,11 +536,18 @@ _HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
     (["blob", "verify", "3"], 0,
      {"hecke", "fock", "domino", "kronecker", "tensor", "dataclasses",
       "fractions", "decimal"}),
+    (["domino", "insert", "--", "1", "1"], 2, _HEAVY | {"domino", "knuth"}),
+    (["domino", "shape", "--", "1", "1"], 2, _HEAVY | {"domino", "knuth"}),
+    (["knuth", "class", "--", "1", "1"], 2, _HEAVY | {"domino", "knuth"}),
+    (["domino", "insert", "--", "2", "3", "-1"], 0,
+     _HEAVY | {"dataclasses", "partitions"}),
 ], ids=["help", "wb-count", "usage-error", "klbasis", "kleshchev-usage-error",
         "decomp-usage-error", "fock-canonical-usage-error",
         "fock-crystal-usage-error", "klbasis-usage-error", "cells-usage-error",
         "ideal-usage-error", "tensor-usage-error", "cellcompare-usage-error",
-        "blob-standard-usage-error", "blob-verify"])
+        "blob-standard-usage-error", "blob-verify",
+        "domino-insert-window-error", "domino-shape-window-error",
+        "knuth-class-window-error", "domino-insert"])
 def test_command_loads_only_the_modules_it_uses(args, code, unloaded):
     got, _, lines, loaded = run_fresh(*args)
     assert got == code, lines
@@ -670,3 +680,61 @@ def test_command_paths():
         "kleshchev", "tables"}
     assert set(HELP_DIGESTS) == {f"{p} --help".lstrip()
                                  for p in ["", *cli._GROUPS, *cli._COMMANDS]}
+
+
+@pytest.mark.parametrize("path", sorted(cli._COMMANDS))
+def test_command_table_entry(path):
+    module, _, text = cli._COMMANDS[path]
+    func = cli._command(path)
+    assert func.__module__ == f"blobcell.{module}"
+    assert " ".join(func.__doc__.split()) == text
+    parser = cli._parser("blobcell", path)
+    dests = {action.dest for action in parser._actions} - {"help"}
+    assert dests == set(inspect.signature(func).parameters)
+
+
+@pytest.mark.parametrize("args, code, modules", [
+    (["--help"], 0, set()),
+    (["nonsense"], 2, set()),
+    (["wb", "--help"], 0, set()),
+    (["wb", "enumerate", "--help"], 0, set()),
+    (["wb", "enumerate", "2", "--count"], 0, {"cli_wb"}),
+    (["domino", "shape", "--", "2", "-1"], 0, {"cli_domino"}),
+    (["klbasis", "2"], 0, {"cli_hecke"}),
+    (["blob", "dims", "2"], 0, {"cli_blob"}),
+    (["kleshchev", "4", "3", "2"], 0, {"cli_fock"}),
+], ids=["help", "nonsense", "group-help", "command-help", "wb", "domino",
+        "hecke", "blob", "fock"])
+def test_process_loads_only_its_own_command_module(args, code, modules):
+    got, _, lines, loaded = run_fresh(*args)
+    assert got == code, lines
+    assert {m for m in loaded if m.startswith("cli_")} == modules
+
+
+def _top_level(tree):
+    """The nodes that run when the module is imported."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_command_modules_import_no_library_module_at_top_level():
+    paths = sorted(Path(cli.__file__).parent.glob("cli_*.py"))
+    assert {p.stem for p in paths} == {m for m, _, _ in cli._COMMANDS.values()}
+    found = []
+    for path in paths:
+        for node in _top_level(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [("." * node.level) + (node.module or "")]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.startswith((".", "blobcell"))
+                      and name not in (".cli", "blobcell.cli")]
+    assert found == []

@@ -1,7 +1,9 @@
 """Domino insertion, its inverse, and the two-row shape criterion."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -240,3 +242,23 @@ def test_json_roundtrip():
     assert DominoTableau.from_json(p.to_json()) == p
 
 
+def test_tableau_is_a_read_only_value():
+    t = domino_insert((2, 3, -1))[0]
+    assert repr(t) == ("DominoTableau(dominoes=((1, ((0, 0), (1, 0))), "
+                       "(2, ((0, 1), (1, 1))), (3, ((0, 2), (0, 3)))))")
+    twin = DominoTableau.from_json(t.to_json())
+    assert twin is not t and twin.dominoes is not t.dominoes
+    assert twin == t and hash(twin) == hash(t)
+    # the hash of the frozen dataclass it replaces, so set orders stay put
+    assert hash(t) == hash((t.dominoes,))
+    assert t != (t.dominoes,) and not isinstance(t, tuple)
+    assert t != domino_insert((2, 3, -1))[1]
+    with pytest.raises(AttributeError):
+        t.dominoes = ()
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    with pytest.raises(AttributeError):
+        del t.dominoes
+    for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t),
+                   copy.copy(t)):
+        assert copied == t and copied.dominoes == t.dominoes
