@@ -28,8 +28,6 @@ import io
 import os
 import sys
 
-from . import weylb
-
 MISMATCH = 1
 
 # Command path -> (module, argument specs, help line).  The body is the
@@ -175,6 +173,8 @@ def main(args=None, prog_name=None) -> None:
             _usage(prog, path, "missing command" if tok is None else
                    f"no such {'option' if tok[:1] == '-' else 'command'} "
                    f"{tok!r}")
+        from . import weylb
+
         try:
             weylb.max_n(default=None)
         except ValueError:
@@ -265,6 +265,8 @@ def _at_least(value: int, low: int, name: str = "n") -> None:
 
 def _cap(default: int) -> int:
     """BLOBCELL_MAX_N, which `main` has checked, else the command's default."""
+    from . import weylb
+
     cap = weylb.max_n(default=None)
     return default if cap is None else cap
 

@@ -101,12 +101,12 @@ def tensor_check_cmd(n: int, fmt: str) -> None:
     _at_least(n, 2)
     if n > _cap(5):
         raise ValueError(f"n={n} exceeds tensor bound")
-    from . import blob, hecke, partitions
+    from . import blob, hecke, partitions, tensor
 
     annihilates = hecke.tensor_ideal_annihilates(n)
     symbolic = hecke.ideal_vanish_symbolic(min(n, 3))
     dims_ok = all(
-        len(hecke.permutation_module(n, lam))
+        len(tensor.permutation_module(n, lam))
         == len(blob.half_diagrams(n, lam))
         for lam in partitions.lambda_n(n))
     ok = annihilates and symbolic and dims_ok

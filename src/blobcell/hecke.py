@@ -14,7 +14,13 @@ serves two groups:
 
 T_s satisfies (T_s - q_s)(T_s + q_s^{-1}) = 0 and C_s := T_s - q_s.  The
 C-basis is the unique family with bar(C_w) = C_w and C_w - T_w supported on
-strictly positive powers of v; it is constructed by triangular correction.
+strictly positive powers of v; it is constructed by triangular correction,
+C_w = C_s C_{sw} - Σ μ_y C_y, for the w with w^{-1} >= w only.  Every other
+C_w is the already-built C_{w^{-1}} with each key y replaced by y^{-1}: the
+anti-involution T_y ↦ T_{y^{-1}} fixes every T_s and commutes with bar, and
+L(w) = L(w^{-1}), so it sends C_{w^{-1}} to a bar-invariant T_w plus terms
+in vℤ[v], which is C_w by uniqueness (Lusztig, Hecke algebras with unequal
+parameters, ch. 5-6).
 
 Inside the engine an element maps index -> int, each coefficient a
 Kronecker-packed Laurent polynomial (module `kronecker`): p(2^B)·2^{B·off},
@@ -43,19 +49,14 @@ from .kronecker import (Decoded, Frozen, Packed, add_scaled,
                         bar_symmetric_low, decode, largest_norm, low, norm,
                         pack, repack, width)
 from .laurent import LaurentPoly, add_term, gauss
-from .partitions import WeightOutOfRange
-from .tensor import (generic_tensor_scalars, permutation_module,
-                     tensor_action, tensor_c_action, tensor_identity)
 from .weylb import BoundExceeded, InvariantViolation, SizeMismatch
 
 __all__ = [
     "Coxeter", "type_b", "type_a",
     "t_gen", "c_gen", "multiply_t", "bar_involution",
     "KLBasis", "compute_kl_basis", "left_cells", "IdealJn", "ideal_jn",
-    "type_a_kl_compare",
-    "tensor_identity", "tensor_action", "tensor_c_action",
-    "permutation_module", "tensor_ideal_annihilates", "ideal_vanish_symbolic",
-    "NotInWb", "WeightOutOfRange",
+    "type_a_kl_compare", "tensor_ideal_annihilates", "ideal_vanish_symbolic",
+    "NotInWb",
 ]
 
 KL_MAX_N = 4
@@ -293,9 +294,11 @@ class KLBasis:
     The C-basis {C_w} of the Hecke algebra of `cox`, with the W-graph: the
     memoized C-coordinates of every product C_s C_w.  `c` maps w to C_w.
 
-    The build makes C_w = C_s C_{sw} - Σ μ_y C_y and keeps {w: 1} ∪ {y: μ_y}
-    as the packed row (s, sw); `_ascent_row` finds the μ of the other rows
-    with su > u, and the rows with su < u have a closed form.
+    For w with w^{-1} >= w the build makes C_w = C_s C_{sw} - Σ μ_y C_y and
+    keeps {w: 1} ∪ {y: μ_y} as the packed row (s, sw); for the other w it
+    copies C_{w^{-1}} with T_y ↦ T_{y^{-1}} and keeps no row.
+    `_ascent_row` finds the μ of every other row with su > u, and the rows
+    with su < u have a closed form.
     """
 
     def __init__(self, cox: Coxeter):
@@ -308,10 +311,13 @@ class KLBasis:
         self.c = Decoded(self._c, self.elements, cox.index, self._bits, 0)
 
     def _build(self) -> None:
-        cox, shift = self.cox, self._bits * self._off
+        cox, shift, inv = self.cox, self._bits * self._off, self.cox.inverse
         c = self._c = [{0: 1}]
         one = {}.setdefault  # one int object per distinct coefficient
         for w in range(1, len(cox.elements)):
+            if inv[w] < w:  # C_w is C_{w⁻¹} with T_y ↦ T_{y⁻¹}
+                c.append({inv[y]: h for y, h in c[inv[w]].items()})
+                continue
             s = min(k for k in cox.gens if w in cox.left[k][1])
             d, self._built[s, cox.left[s][0][w]] = self._step(s, w)
             c.append({y: one(h >> shift, h >> shift) for y, h in d.items()
@@ -394,9 +400,10 @@ class KLBasis:
         w -> whether bar(C_w) = C_w follows by induction on the length
         (Lusztig, Hecke algebras with unequal parameters, ch. 5-6), for
         every w: bar(C_s) = C_s for each s, checked directly; then for the
-        row (s, sw) the build kept, every μ is bar-invariant and sits at an
-        element shorter than w, and C_s C_{sw} = C_w + Σ μ_y C_y holds in the
-        T-basis, with C_s C_{sw} from `multiply_t`.
+        row (s, sw), s the least left descent of w (the build's row, or for a
+        copied C_w one from `_ascent_row`), every μ is bar-invariant and sits
+        at an element shorter than w, and C_s C_{sw} = C_w + Σ μ_y C_y holds
+        in the T-basis, with C_s C_{sw} from `multiply_t`.
         """
         cox, els, bits = self.cox, self.elements, self._bits
         big = largest_norm(self._c, bits)  # bounds every Σ|c| of the table
@@ -693,6 +700,8 @@ def tensor_ideal_annihilates(n: int) -> bool:
     """
     if n < 2:
         raise ValueError("the ideal generators need n >= 2")
+    from .tensor import generic_tensor_scalars, tensor_c_action, tensor_identity
+
     sc = generic_tensor_scalars()
     for word in itertools.product((1, 2), repeat=n):
         c1x = tensor_c_action(n, 1, tensor_identity(word, sc), sc)
@@ -720,6 +729,8 @@ def ideal_vanish_symbolic(n: int = 3) -> bool:
     so C_1 C_0 x lies in [-n, 2n], as does [2]_{Q/q} x = (Q/q + q/Q) x.
     These 3n + 1 values need K > 3n; K = 3n + 1.
     """
+    from .tensor import tensor_c_action
+
     big_k = 3 * n + 1
     v = LaurentPoly.monomial
     sc = {"one": LaurentPoly.one(), "q": v(1), "q_inv": v(-1),

@@ -12,7 +12,7 @@ from math import comb
 import pytest
 
 from blobcell import blob, domino, fock, hecke, knuth, partitions, tables, \
-    weylb
+    tensor, weylb
 from blobcell.laurent import LaurentPoly
 
 
@@ -172,7 +172,7 @@ def test_criterion_08_tensor_space(report):
     ok = ok and hecke.ideal_vanish_symbolic(3)
     for n in range(1, 6):
         for lam in partitions.lambda_n(n):
-            ok = ok and len(hecke.permutation_module(n, lam)) \
+            ok = ok and len(tensor.permutation_module(n, lam)) \
                 == len(blob.half_diagrams(n, lam))
     report(8, ok, f"ideal generators annihilate V^(x)n for n<=5, symbolic "
                   f"two-variable identity, dim M = dim Delta "

@@ -130,8 +130,7 @@ def test_standard_module_dims():
             assert len(half_diagrams(n, lam)) == comb(n, (n - lam) // 2)
     with pytest.raises(blob.WeightOutOfRange):
         half_diagrams(3, 2)
-    assert blob.WeightOutOfRange is hecke.WeightOutOfRange \
-        is partitions.WeightOutOfRange
+    assert blob.WeightOutOfRange is partitions.WeightOutOfRange
 
 
 def test_presentation_on_standard_modules():

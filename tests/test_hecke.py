@@ -7,7 +7,7 @@ import random
 import pytest
 import sympy
 
-from blobcell import domino, hecke, laurent, weylb
+from blobcell import domino, hecke, laurent, partitions, tensor, weylb
 from blobcell.hecke import (
     bar_involution, c_gen, compute_kl_basis, ideal_jn, left_cells,
     multiply_t, t_gen, type_a, type_b,
@@ -374,6 +374,33 @@ def test_ascent_rows_match_the_elimination_step(group):
                     == basis._step(s, cox.left[s][0][u])[1]
 
 
+@pytest.mark.parametrize("group, steps", [("B3", 33), ("B4", 229),
+                                          ("S4", 16)])
+def test_inverse_copies_match_the_elimination_step(group, steps, monkeypatch):
+    # The build runs the elimination step for w with w⁻¹ >= w only, and
+    # takes C_{w⁻¹} with T_y ↦ T_{y⁻¹} for the rest: (|W| + #involutions)/2
+    # - 1 steps, and each copy is what the step would have made.
+    cox = type_a(4) if group == "S4" else type_b(int(group[1]))
+    real, calls = hecke.KLBasis._step, []
+
+    def spy(self, s, w):
+        calls.append(w)
+        return real(self, s, w)
+
+    monkeypatch.setattr(hecke.KLBasis, "_step", spy)
+    basis = hecke.KLBasis(cox)
+    inv = cox.inverse
+    assert len(calls) == steps \
+        == (len(inv) + sum(inv[w] == w for w in range(len(inv)))) // 2 - 1
+    assert all(inv[w] >= w for w in calls)
+    shift = basis._bits * basis._off
+    for w in range(1, len(inv)):
+        if inv[w] < w:
+            s = min(k for k in cox.gens if w in cox.left[k][1])
+            d = real(basis, s, w)[0]
+            assert {y: h >> shift for y, h in d.items() if h} == basis._c[w]
+
+
 def test_c_coordinates_of_packed_products_match_their_dicts():
     # A product passed straight from multiply_t to c_coordinates stays
     # packed; the same product as a plain dict is packed again.
@@ -517,11 +544,17 @@ def test_bar_sweep_checks_every_mu(monkeypatch):
     assert not any(swept[w] for w, ok in direct.items() if not ok)
 
 
-@pytest.mark.parametrize("broken", [1, 6])
+# elimination step -> the element it builds, in B3
+_BROKEN = {14: (-1, -2, 3), 6: (2, 3, 1), 19: (-1, -3, 2)}
+
+
+@pytest.mark.parametrize("broken", list(_BROKEN))
 def test_bar_sweep_rejects_what_rests_on_a_broken_element(broken, monkeypatch):
-    # C_w gains v·T_1 in the build step of the element numbered `broken`;
-    # the elements built on it are consistent with it, so only the
-    # induction rejects them: through a μ-term (1) or through sw (6).
+    # C_w gains v·T_1 in the elimination step numbered `broken`; the
+    # elements built on it are consistent with it, so only the induction
+    # rejects them: through a μ-term alone (14: C_(-2, -3, 1)) or through
+    # sw alone (6: C_(3, 2, 1)).  In 6 and 19 w has a copied inverse,
+    # which is broken too.
     real, calls = hecke._c_s_times, []
 
     def step(cox, s, cw, bits, off):
@@ -535,8 +568,10 @@ def test_bar_sweep_rejects_what_rests_on_a_broken_element(broken, monkeypatch):
     basis = compute_kl_basis(3)
     swept = basis.verify_bar_invariance()
     direct = {w: basis.check_bar_invariance(w) for w in basis.elements}
-    assert sum(not ok for ok in direct.values()) > 1
-    assert not any(swept[w] for w, ok in direct.items() if not ok)
+    bad = [w for w, ok in direct.items() if not ok]
+    first = _BROKEN[broken]
+    assert bad[0] == first and weylb.inverse(first) in bad and len(bad) > 2
+    assert not any(swept[w] for w in bad)
 
 
 def _t_s_times(cox, s, cw, bits, off):
@@ -631,14 +666,26 @@ def test_broken_build_step_raises(monkeypatch):
         compute_kl_basis(3)
 
 
-@pytest.mark.parametrize("n, count", [(2, 6), (3, 20), (4, 76)])
-def test_left_cells_are_domino_q_fibers(n, count):
+@pytest.mark.parametrize("n, count", [(2, 6), (3, 20), (4, 76), (5, 312)])
+def test_left_cells_are_domino_q_fibers(n, count, request):
     fibers: dict = {}
     for w in weylb.enumerate_wn(n):
         fibers.setdefault(domino.domino_insert(w)[1], set()).add(w)
-    cells = left_cells(compute_kl_basis(n))
+    # at n = 5 the session's basis, which keeps its cells for the next test
+    basis = request.getfixturevalue("b5_basis") if n == 5 \
+        else compute_kl_basis(n)
+    cells = left_cells(basis)
     assert len(cells) == count
     assert set(cells) == {frozenset(f) for f in fibers.values()}
+
+
+def test_left_cells_inside_wb_of_b5_have_one_domino_shape(b5_basis):
+    inside = [cell for cell in left_cells(b5_basis)
+              if any(weylb.is_in_wb_by_words(u) for u in cell)]
+    assert all(weylb.is_in_wb_by_words(u) for cell in inside for u in cell)
+    assert len(inside) == 32 and sum(map(len, inside)) == 252
+    assert all(len({domino.domino_shape(u) for u in cell}) == 1
+               for cell in inside)
 
 
 def test_cells_partition_group():
@@ -746,8 +793,8 @@ def _sympy_ideal_vanish(n, two):
     two = _Sym(two(q, big_q))
     for tail in itertools.product((1, 2), repeat=n - 2):
         x = {(1, 2) + tail: sc["one"], (2, 1) + tail: -sc["q"]}
-        lhs = hecke.tensor_c_action(
-            n, 1, hecke.tensor_c_action(n, 0, x, sc), sc)
+        lhs = tensor.tensor_c_action(
+            n, 1, tensor.tensor_c_action(n, 0, x, sc), sc)
         if lhs != {w: two * c for w, c in x.items()}:
             return False
     return True
@@ -779,10 +826,10 @@ def test_permutation_module_dims():
     from math import comb
     for n in (2, 3, 4, 5):
         for lam in range(-n, n + 1, 2):
-            assert len(hecke.permutation_module(n, lam)) \
+            assert len(tensor.permutation_module(n, lam)) \
                 == comb(n, (n - lam) // 2)
-    with pytest.raises(hecke.WeightOutOfRange):
-        hecke.permutation_module(3, 2)
+    with pytest.raises(partitions.WeightOutOfRange):
+        tensor.permutation_module(3, 2)
 
 
 def test_type_a_coxeter_sanity():
