@@ -310,10 +310,10 @@ def regular_representation(n: int, m: int = 2) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sparse(mat, zero) -> list:
+def _sparse(mat) -> list:
     """The nonzero entries of each row, as {column: entry}."""
-    return [{j: x for j, x in enumerate(row)
-             if x is not zero and not x.is_zero()} for row in mat]
+    return [{j: x for j, x in enumerate(row) if not x.is_zero()}
+            for row in mat]
 
 
 def _sparse_mul(a, b) -> list:
@@ -327,48 +327,51 @@ def _sparse_mul(a, b) -> list:
     return out
 
 
-def _mat_mul(a, b, zero):
-    """The dense product ab, `zero` at its zero entries."""
-    return [[row.get(j, zero) for j in range(len(a))]
-            for row in _sparse_mul(_sparse(a, zero), _sparse(b, zero))]
-
-
 def _sparse_scale(a, c) -> list:
     return [{j: y for j, x in row.items() if not (y := x * c).is_zero()}
             for row in a]
 
 
-def verify_presentation(mats: dict, m: int = 2, scalars: dict | None = None,
-                        zero=None) -> dict:
-    """
-    Substitute action matrices into every defining relation; returns a
-    report dict with a boolean per relation family (all must be True).
-    The matrices must be square and of one size.  Products and comparisons
-    run on their nonzero entries only, over any scalar type with
-    `is_zero`, `+`, `*` and `==`; `zero`, if given, is the zero object.
-    """
-    sc = scalars if scalars is not None else blob_scalars(m)
-    size = len(mats[0])
-    if any(len(mat) != size or any(len(row) != size for row in mat)
-           for mat in mats.values()):
-        raise SizeMismatch("the matrices are not all square of one size")
-    u = {k: _sparse(mat, zero) for k, mat in mats.items()}
+def _pair_products(u: dict) -> dict:
+    """u_i·u_j for every ordered pair of the sparse generator matrices."""
+    return {(i, j): _sparse_mul(u[i], u[j]) for i in u for j in u}
+
+
+def _relations(u: dict, uu: dict, sc: dict) -> dict:
+    """The relation report of the sparse matrices `u`, whose pair products
+    are `uu`, with loop scalars `sc`."""
     n, mm, scale = len(u), _sparse_mul, _sparse_scale
     report = {
-        "squares": all(mm(u[i], u[i]) == scale(u[i], sc["delta_plain"])
+        "squares": all(uu[i, i] == scale(u[i], sc["delta_plain"])
                        for i in range(1, n)),
-        "blob_square": mm(u[0], u[0]) == scale(u[0], sc["blob_merge"]),
-        "braids": all(mm(mm(u[i], u[j]), u[i]) == u[i]
+        "blob_square": uu[0, 0] == scale(u[0], sc["blob_merge"]),
+        "braids": all(mm(uu[i, j], u[i]) == u[i]
                       for k in range(1, n - 1)
                       for i, j in ((k, k + 1), (k + 1, k))),
     }
     if n >= 2:
-        report["blob_braid"] = (mm(mm(u[1], u[0]), u[1])
+        report["blob_braid"] = (mm(uu[1, 0], u[1])
                                 == scale(u[1], sc["blob_loop"]))
-    report["commuting"] = all(mm(u[i], u[j]) == mm(u[j], u[i])
+    report["commuting"] = all(uu[i, j] == uu[j, i]
                               for i in range(n) for j in range(i + 2, n))
     report["all"] = all(report.values())
     return report
+
+
+def verify_presentation(mats: dict, m: int = 2) -> dict:
+    """
+    Substitute the action matrices of U_0..U_{n-1} over ℤ[v, v⁻¹] into
+    every defining relation at the scalars of b_n(q, m); returns a report
+    dict with a boolean per relation family (all must be True).  The
+    matrices must be square and of one size.  Products and comparisons run
+    on their nonzero entries only, each product of two generators once.
+    """
+    size = len(mats[0])
+    if any(len(mat) != size or any(len(row) != size for row in mat)
+           for mat in mats.values()):
+        raise SizeMismatch("the matrices are not all square of one size")
+    u = {k: _sparse(mat) for k, mat in mats.items()}
+    return _relations(u, _pair_products(u), blob_scalars(m))
 
 
 def _rank(mat) -> int:
@@ -438,7 +441,10 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4,
     of length <= 4, at v = ζ_N^k (`cyclotomic_spec`).  C_0 acts on the cell
     as d·U_0 with the unit d = i(q - q^{-1}), so the cell matrices are
     checked against the scalars -[2], d·[m-1], -d·[m], and their traces
-    against those of Δ_n(λ) with U_0 multiplied by d.  `basis`, a built
+    against those of Δ_n(λ) with U_0 multiplied by d.  Each matrix is
+    specialized once, into sparse rows of its nonzero entries, and the
+    product of each ordered generator pair is formed once per cell and
+    once per λ; the relations and the traces share them.  `basis`, a built
     hecke.KLBasis of W_n, is used instead of building one.
     """
     from . import domino, hecke, partitions, weylb
@@ -459,8 +465,10 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4,
     cells = [c for c in hecke.left_cells(basis)
              if weylb.is_in_wb_by_words(min(c))]
 
-    def at(mat, e):  # the matrix at v = ζ_N^e
-        return [[specialize(x, big_n, e) for x in row] for row in mat]
+    def at(mat, e):  # the nonzero entries of each row at v = ζ_N^e
+        return [{j: y for j, x in row.items()
+                 if not (y := specialize(x, big_n, e)).is_zero()}
+                for row in _sparse(mat)]
 
     sc = {key: specialize(x, big_n, 2 * k)
           for key, x in blob_scalars(m).items()}
@@ -477,19 +485,19 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4,
         lam = partitions.blob_weight_of(bip)
         if lam not in deltas:
             delta = standard_module(n, lam, m)
-            dmats = {s: at(mat, 2 * k) for s, mat in delta.matrices.items()}
-            dmats[0] = [[x * d for x in row] for row in dmats[0]]
+            du = {s: at(mat, 2 * k) for s, mat in delta.matrices.items()}
+            du[0] = _sparse_scale(du[0], d)
             deltas[lam] = (delta.dimension(),
-                           _word_traces(dmats, n, zero, one))
+                           _word_traces(du, _pair_products(du), zero, one))
         dim_delta, dtraces = deltas[lam]
-        cmats = {s: at(mat, k)
-                 for s, mat in hecke.cell_module(basis, min(cell))[1].items()}
+        cu = {s: at(mat, k)
+              for s, mat in hecke.cell_module(basis, min(cell))[1].items()}
+        cuu = _pair_products(cu)
         entry = {"cell_min": min(cell), "lam": lam,
-                 "dim_cell": len(cmats[0]), "dim_delta": dim_delta}
+                 "dim_cell": len(cu[0]), "dim_delta": dim_delta}
         entry["dims_match"] = entry["dim_cell"] == entry["dim_delta"]
-        entry["relations"] = verify_presentation(
-            cmats, m, scalars=sc, zero=zero)["all"]
-        entry["traces_match"] = _word_traces(cmats, n, zero, one) == dtraces
+        entry["relations"] = _relations(cu, cuu, sc)["all"]
+        entry["traces_match"] = _word_traces(cu, cuu, zero, one) == dtraces
         report["cells"].append(entry)
         report["all_match"] = report["all_match"] and all(
             entry[key] for key in ("dims_match", "relations", "traces_match"))
@@ -500,37 +508,25 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4,
     return report
 
 
-def _trace_of_product(a, b, zero):
-    """tr(AB) = Σ_ij A_ij B_ji, without forming AB."""
-    total = zero
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x is zero or x.is_zero():
-                continue
-            y = b[j][i]
-            if y is not zero and not y.is_zero():
-                total = total + x * y
-    return total
-
-
-def _word_traces(mats, n, zero, one) -> dict:
-    """Traces of all words of length <= 4 in the matrices.  Only the n²
-    products of two generators are built: a word splits into two factors,
-    each the identity, a generator or such a product, whose tr(AB) needs
-    no AB; the rotations of a word share its trace."""
-    size = len(mats[0])
-    parts = {(): [[one if i == j else zero for j in range(size)]
-                  for i in range(size)]}
-    parts.update(((k,), mats[k]) for k in range(n))
-    parts.update(((i, j), _mat_mul(mats[i], mats[j], zero))
-                 for i in range(n) for j in range(n))
+def _word_traces(u: dict, uu: dict, zero, one) -> dict:
+    """Traces of all words of length <= 4 in the sparse matrices `u`, whose
+    pair products are `uu`.  A word splits into two factors, each the
+    identity, a generator or a pair product, and tr(AB) = Σ A_ij B_ji is
+    read off their rows without forming AB; the rotations of a word share
+    its trace."""
+    parts = {(): [{i: one} for i in range(len(u[0]))]}
+    parts.update(((k,), mat) for k, mat in u.items())
+    parts.update(uu)
     out = {}
     for length in range(1, 5):
-        for word in itertools.product(range(n), repeat=length):
+        for word in itertools.product(range(len(u)), repeat=length):
             if word not in out:
                 cut = (length + 1) // 2
-                t = _trace_of_product(parts[word[:cut]], parts[word[cut:]],
-                                      zero)
+                b, t = parts[word[cut:]], zero
+                for i, row in enumerate(parts[word[:cut]]):
+                    for j, x in row.items():
+                        if i in b[j]:
+                            t = t + x * b[j][i]
                 for k in range(length):
                     out[word[k:] + word[:k]] = t
     return out

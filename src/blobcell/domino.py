@@ -96,9 +96,6 @@ class DominoTableau:
     def labels(self) -> list[int]:
         return [k for k, _ in self.dominoes]
 
-    def cells(self) -> set[Cell]:
-        return set(self._label_at())
-
     def _label_at(self) -> dict[Cell, int]:
         label_at: dict[Cell, int] = {}
         for lab, (a, b) in self.dominoes:

@@ -7,17 +7,18 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 from math import comb
 
 import pytest
 
-from blobcell import blob, hecke, partitions
+from blobcell import blob, hecke, laurent, partitions
 from blobcell.blob import (
     all_diagrams, blob_algebra_dimension, blob_scalars, compose_diagrams,
     generator_diagram, half_diagrams, identity_diagram,
     regular_representation, standard_module, verify_presentation,
 )
-from blobcell.laurent import LaurentPoly, cyclotomic_root
+from blobcell.laurent import LaurentPoly, cyclotomic_root, specialize
 from blobcell.weylb import BoundExceeded, SizeMismatch
 
 
@@ -272,16 +273,29 @@ def test_rank_matches_sympy():
         assert blob._rank(mat) == ref, mat
 
 
-def test_mat_mul_matches_sums():
-    rng = random.Random(3)
+def _dense_mul(a, b):
     zero = LaurentPoly.zero()
+    return [[sum((x * y[j] for x, y in zip(row, b)), zero)
+             for j in range(len(b[0]))] for row in a]
+
+
+def test_pair_products_match_sums():
+    rng = random.Random(3)
     for size in range(1, 6):
         for _ in range(5):
-            a = [[_random_poly(rng) for _ in range(size)] for _ in range(size)]
-            b = [[_random_poly(rng) for _ in range(size)] for _ in range(size)]
-            want = [[sum((a[i][k] * b[k][j] for k in range(size)), zero)
-                     for j in range(size)] for i in range(size)]
-            assert blob._mat_mul(a, b, zero) == want
+            mats = {k: [[_random_poly(rng) for _ in range(size)]
+                        for _ in range(size)] for k in range(3)}
+            # row 0 of u_0·u_1 cancels: its two terms are p·r and p·(-r)
+            if size > 1:
+                p = _random_poly(rng) + LaurentPoly.one()
+                mats[0][0] = [p, p] + [LaurentPoly.zero()] * (size - 2)
+                mats[1][1] = [-x for x in mats[1][0]]
+            got = blob._pair_products({k: blob._sparse(mat)
+                                       for k, mat in mats.items()})
+            assert got == {(i, j): blob._sparse(_dense_mul(a, b))
+                           for i, a in mats.items() for j, b in mats.items()}
+            if size > 1:
+                assert got[0, 1][0] == {}
 
 
 def test_blob_modules_do_not_import_sympy():
@@ -332,18 +346,18 @@ def test_compare_cell_to_standard_n2():
     assert report["s0_cell_lam"] == -2
 
 
-def _word_traces_by_products(mats, n, zero, one):
-    """Reference: the trace of every word of length <= 4 from its own
+def _word_traces_by_products(mats, n):
+    """Reference: the trace of every word of length <= 4 from its own dense
     matrix product, each built from the matrix of its prefix."""
     size = len(mats[0])
-    prods = {(): [[one if i == j else zero for j in range(size)]
-                  for i in range(size)]}
+    prods = {(): [[LaurentPoly.one() if i == j else LaurentPoly.zero()
+                   for j in range(size)] for i in range(size)]}
     out = {}
     for length in range(1, 5):
         for word in itertools.product(range(n), repeat=length):
-            acc = prods[word] = blob._mat_mul(prods[word[:-1]],
-                                              mats[word[-1]], zero)
-            out[word] = sum((acc[i][i] for i in range(size)), zero)
+            acc = prods[word] = _dense_mul(prods[word[:-1]], mats[word[-1]])
+            out[word] = sum((acc[i][i] for i in range(size)),
+                            LaurentPoly.zero())
     return out
 
 
@@ -360,8 +374,9 @@ def test_word_traces_match_the_products(n):
     modules = [standard_module(n, lam).matrices
                for lam in partitions.lambda_n(n)]
     for mats in modules + [_random_matrices(n, 3, random.Random(n))]:
-        got = blob._word_traces(mats, n, zero, one)
-        assert got == _word_traces_by_products(mats, n, zero, one)
+        u = {k: blob._sparse(mat) for k, mat in mats.items()}
+        got = blob._word_traces(u, blob._pair_products(u), zero, one)
+        assert got == _word_traces_by_products(mats, n)
         assert len(got) == sum(n ** k for k in range(1, 5))
 
 
@@ -393,6 +408,77 @@ def test_compare_cell_to_standard_sees_the_wrong_standard_module(n,
     for entry in report["cells"]:
         assert entry["dims_match"] and entry["relations"]
         assert entry["traces_match"] == (entry["lam"] == 0)
+
+
+def test_compare_cell_to_standard_sees_the_unit_with_the_wrong_sign(
+        monkeypatch):
+    # Negative control: d = i(q - q⁻¹) taken as -d, by specializing i to -i.
+    # The cells then fail the blob relations, whose scalars now carry -d,
+    # and their traces differ from those of Δ_3(λ) with U_0 times -d.
+    basis = hecke.compute_kl_basis(3)
+    assert blob.compare_cell_to_standard(3, basis=basis)["all_match"]
+    real = laurent.cyclotomic_root
+    monkeypatch.setattr(
+        laurent, "cyclotomic_root",
+        lambda n, power=1: -real(n, power) if power == n // 4
+        else real(n, power))
+    report = blob.compare_cell_to_standard(3, basis=basis)
+    assert not report["all_match"]
+    assert not all(entry["relations"] for entry in report["cells"])
+    assert not all(entry["traces_match"] for entry in report["cells"])
+
+
+def _frozen(rows):
+    return tuple(tuple(sorted(row.items())) for row in rows)
+
+
+def test_compare_multiplies_each_generator_pair_once_per_matrix_set(
+        monkeypatch):
+    # Spy on the sparse product.  Each Δ_n(λ) and each cell opens a matrix
+    # set; within it, the products whose factors are both generator
+    # matrices (no factor an earlier product) are each ordered pair once.
+    n, basis = 3, hecke.compute_kl_basis(3)
+    big_n, k = blob.cyclotomic_spec(2)
+    i, q = cyclotomic_root(big_n, big_n // 4), cyclotomic_root(big_n, 2 * k)
+    d = i * (q - cyclotomic_root(big_n, -2 * k))
+
+    def at(mat, e, c=1):
+        return _frozen([{j: y for j, x in enumerate(row)
+                         if not (y := specialize(x, big_n, e) * c).is_zero()}
+                        for row in mat])
+
+    sets, calls, made = [], [], []
+    real_mul, real_cell, real_delta = (blob._sparse_mul, hecke.cell_module,
+                                       blob.standard_module)
+
+    def cell_spy(basis, w):
+        out = real_cell(basis, w)
+        sets.append((len(calls), [at(out[1][s], k) for s in range(n)]))
+        return out
+
+    def delta_spy(n, lam, m=2):
+        out = real_delta(n, lam, m)
+        sets.append((len(calls), [at(out.matrices[s], 2 * k, 1 if s else d)
+                                  for s in range(n)]))
+        return out
+
+    def mul_spy(a, b):
+        out = real_mul(a, b)
+        made.append(out)  # kept alive, so no later matrix reuses its id
+        if not {id(a), id(b)} & {id(x) for x in made[:-1]}:
+            calls.append((_frozen(a), _frozen(b)))
+        return out
+
+    monkeypatch.setattr(hecke, "cell_module", cell_spy)
+    monkeypatch.setattr(blob, "standard_module", delta_spy)
+    monkeypatch.setattr(blob, "_sparse_mul", mul_spy)
+    report = blob.compare_cell_to_standard(n, basis=basis)
+    assert report["all_match"]
+    lams = {entry["lam"] for entry in report["cells"]}
+    assert len(sets) == len(report["cells"]) + len(lams)
+    for (start, gens), (stop, _) in zip(sets, sets[1:] + [(len(calls), 0)]):
+        assert Counter(calls[start:stop]) \
+            == Counter((a, b) for a in gens for b in gens)
 
 
 def test_scalars():

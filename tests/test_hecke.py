@@ -374,6 +374,34 @@ def test_ascent_rows_match_the_elimination_step(group):
                     == basis._step(s, cox.left[s][0][u])[1]
 
 
+def test_ascent_row_falls_back_when_c_y_reaches_further(monkeypatch):
+    # No row of B4 or B5 takes the fallback, so plant it: give the first
+    # C_y that carries a μ a T_z term at a left descent z outside the ys
+    # the row scans.  The term sits above every exponent a μ reads, so the
+    # elimination step still gives the unplanted row.
+    basis = hecke.KLBasis(type_b(3))
+    cox, c = basis.cox, basis._c
+    s, u, y, z = next(
+        (s, u, y, z) for s in cox.gens for u in range(len(c))
+        if u not in cox.left[s][1]
+        for y in sorted(basis._ascent_row(s, u), reverse=True)[1:]
+        for z in sorted(cox.left[s][1] - c[u].keys()
+                        - {cox.left[s][0][x] for x in c[u]}))
+    want = basis._ascent_row(s, u)
+    c[y] = {**c[y], z: 1 << basis._bits * (basis._off + 2)}
+    real, calls = basis._step, []
+
+    def spy(s, w):
+        calls.append((s, w))
+        return real(s, w)
+
+    monkeypatch.setattr(basis, "_step", spy)
+    got = basis._ascent_row(s, u)
+    w = cox.left[s][0][u]
+    assert calls == [(s, w)]
+    assert got == real(s, w)[1] == want
+
+
 @pytest.mark.parametrize("group, steps", [("B3", 33), ("B4", 229),
                                           ("S4", 16)])
 def test_inverse_copies_match_the_elimination_step(group, steps, monkeypatch):
