@@ -31,20 +31,25 @@ whose candidates are all blocked on a not-yet-computed same-degree G are
 retried after the rest of the layer (the dominance-style order on
 bipartitions is not always compatible with the elimination).
 
-One table.  A table per (s, e) numbers the bipartitions it meets and lists
-each one's addable and removable nodes once, by residue and descending
-node_key.  The signatures and the rows read that list: f_i^(a) λ = Σ v^N μ
-runs over the a-sets S of addable i-nodes, μ = λ + S, with the
-Lascoux-Leclerc-Thibon exponent N = Σ_{γ∈S} (#(addable i-nodes above γ not
-in S) − #(removable i-nodes above γ)); a = 1 is the action of f_i.
-canonical_basis walks the crystal, reads its ẽ-strings and builds its rows
-on one table; every other function builds its own.  kleshchev_convert walks
+One table.  Every function reads one table per (s, e, n) on charged-abacus
+bead masks.  A bipartition is one int: component c holds the beads
+{λ_r − r + s_c} in its own window of 2n + 5 bits, bit q at position
+s_c − n − 2 + q, every position below it full; that holds any bipartition
+of degree <= n + 1 with its nodes, whatever the charge.  Adding or removing
+a node of content p flips positions p − 1 and p, so in a window M the
+addable i-nodes are (M<<1|1) & ~M & R_i and the removable ones
+M & ~(M<<1|1) & R_i, R_i the positions of residue i.  Nodes are ordered by
+(position, −c), so the signatures and the rows come from the bits:
+f_i^(a) λ = Σ v^N μ runs over the a-sets S of addable i-nodes, μ = λ + S,
+with the Lascoux-Leclerc-Thibon exponent N = Σ_{γ∈S} (#(addable i-nodes
+above γ not in S) − #(removable i-nodes above γ)); a = 1 is f_i.  Tuples
+are decoded only for the output and the ≺ order.  kleshchev_convert walks
 one ẽ-descent at the geometric charge and replays it once with f̃ at the
 least charge past 2n in the residue class of m, where the endpoint no
 longer depends on the charge.
 
 The elimination runs on Kronecker-packed ints (`blobcell.kronecker`) over
-the numbered bipartitions.  G(ν) is kept at offset 0 and a candidate at an
+the bipartition keys.  G(ν) is kept at offset 0 and a candidate at an
 offset taken from its rows' lowest exponent, so v^N is a shift, the
 offender test is a mask and the multiplier is `bar_symmetric_low`.  A bound
 on Σ|c| of every candidate coefficient grows with each elimination step,
@@ -123,26 +128,6 @@ def removable_nodes(b: Bipartition) -> list[Node]:
     return out
 
 
-def _add_node(b: Bipartition, node: Node) -> Bipartition:
-    i, j, c = node
-    p = list(b[c - 1])
-    if i == len(p) + 1:
-        p.append(1)
-    else:
-        p[i - 1] += 1
-    out = list(b)
-    out[c - 1] = tuple(p)
-    return tuple(out)
-
-
-def _remove_nodes(b: Bipartition, nodes) -> Bipartition:
-    """b without the given removable nodes."""
-    parts = [list(p) for p in b]
-    for i, _, c in nodes:
-        parts[c - 1][i - 1] -= 1
-    return tuple(tuple(x for x in p if x) for p in parts)
-
-
 def f_action(i: int, x: FockVector, s, e: int) -> FockVector:
     """f_i: add an i-node γ with coefficient v^{N_i^>} (see module doc)."""
     return divided_f(i, 1, x, s, e)
@@ -150,93 +135,123 @@ def f_action(i: int, x: FockVector, s, e: int) -> FockVector:
 
 def divided_f(i: int, a: int, x: FockVector, s, e: int) -> FockVector:
     """The divided power f_i^(a) = f_i^a / [a]!, read from the rows."""
-    table = _Table(s, e)
-    keys, number = table.keys, table.number
-    out: FockVector = {}
+    table = _Table(s, e, max([0] + [sum(map(sum, lam)) for lam in x]) + a)
+    rows, out = table.rows[i, a], {}
     for lam, c in x.items():
-        for mu, n in table.row(i, a, number(lam)):
-            add_term(out, keys[mu], c.shift(n))
+        for mu, n in rows[table.encode(lam)]:
+            add_term(out, table.decode(mu), c.shift(n))
     return out
+
+
+class _Memo(dict):
+    """A dict that fills a missing key k with make(k)."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, k):
+        value = self[k] = self.make(k)
+        return value
 
 
 class _Table:
     """
-    The bipartitions met at one (s, e), numbered in that order (`keys[k]`,
-    `number(λ)`), each one's addable and removable nodes listed once.  They
-    are read by `signature(k, i)` and by `row(i, a, k)`, the pairs (μ, N) of
-    f_i^(a) λ = Σ v^N μ.
+    The bipartitions of degree <= n + 1 at one (s, e) as bead-mask keys (see
+    the module docstring); a node is its flip, the int that moves its bead.
     """
 
-    def __init__(self, s, e: int):
+    def __init__(self, s, e: int, n: int):
         if e < 2:
             raise ValueError(f"e must be >= 2, got {e}")
-        self.s, self.e = s, e
-        self.keys: list = []
-        self.index: dict = {}
-        self._nodes: dict = {}  # k -> {i: [(addable?, node), ...]}
-        self._signatures: dict = {}  # (k, i) -> (addable, removable)
-        self._rows: dict = {}  # (i, a, k) -> ((μ, N), ...)
+        self.e, self.n = e, max(n, 0)  # a bound below 0 holds ∅ alone
+        n, w = self.n, 2 * self.n + 5
+        self.w, self.full = w, (1 << w) - 1
+        # R_0 of a window with bit 0 at residue 0; per component the window's
+        # shift in the key, bit 0's position p and its order 2p + 2 - c
+        self._step = ((1 << -(-w // e) * e) - 1) // ((1 << e) - 1)
+        s1, s2 = s
+        self._windows = ((0, s1 - n - 2, 2 * (s1 - n) - 3),
+                         (w, s2 - n - 2, 2 * (s2 - n) - 4))
+        # signatures[i, key]: the flips (adds, rems) the signature rule leaves
+        self.signatures = _Memo(self._signature)
+        # rows[i, a][key]: the pairs (μ, N) of f_i^(a) λ = Σ v^N μ
+        self.rows = _Memo(lambda ia: _Memo(lambda k: self._row(*ia, k)))
 
-    def number(self, lam: Bipartition) -> int:
-        k = self.index.get(lam)
-        if k is None:
-            k = self.index[lam] = len(self.keys)
-            self.keys.append(lam)
-        return k
+    def encode(self, lam: Bipartition) -> int:
+        n, key = self.n, 0
+        if sum(map(sum, lam)) > n + 1:
+            raise BoundExceeded(f"{lam} is past the table's degree {n} + 1")
+        for c, p in enumerate(lam):
+            mask = (1 << n + 2 - len(p)) - 1
+            for r, part in enumerate(p, 1):  # row r's bead
+                mask |= 1 << part - r + n + 2
+            key |= mask << c * self.w
+        return key
 
-    def nodes(self, k: int, i: int) -> list:
-        """The i-nodes of k as (addable?, node), by descending node_key."""
-        table = self._nodes.get(k)
-        if table is None:
-            s, lam = self.s, self.keys[k]
-            marked = sorted([(*node_key(g, s), True, g)
-                             for g in addable_nodes(lam)]
-                            + [(*node_key(g, s), False, g)
-                               for g in removable_nodes(lam)], reverse=True)
-            table = self._nodes[k] = {}
-            for content, _, addable, g in marked:
-                table.setdefault(content % self.e, []).append((addable, g))
-        return table.get(i, ())
+    def decode(self, key: int) -> Bipartition:
+        out = []
+        for c in range(2):
+            mask, parts, t = key >> c * self.w & self.full, [], self.n + 1
+            while (q := mask.bit_length() - 1) > t:  # row r's part is q - t
+                parts.append(q - t)
+                mask ^= 1 << q
+                t -= 1
+            out.append(tuple(parts))
+        return tuple(out)
 
-    def signature(self, k: int, i: int) -> tuple:
-        """The i-nodes of k left by the signature rule: (addable, removable)."""
-        sig = self._signatures.get((k, i))
-        if sig is None:
-            adds, rems = [], []
-            for addable, g in reversed(self.nodes(k, i)):
-                if not addable:
-                    rems.append(g)
-                elif rems:
-                    rems.pop()
-                else:
-                    adds.append(g)
-            sig = self._signatures[k, i] = (tuple(adds), tuple(rems))
-        return sig
+    def _inodes(self, key: int, i: int) -> list:
+        """The i-nodes of key as (order, addable?, flip), by node order."""
+        out, full, e, step = [], self.full, self.e, self._step
+        if not 0 <= i < e:  # no node has residue i
+            return out
+        for shift, bottom, order in self._windows:
+            res = step << (i - bottom) % e & full
+            mask = key >> shift & full
+            below = mask << 1 | 1
+            for bits, addable in ((below & ~mask & res, True),
+                                  (mask & ~below & res, False)):
+                while bits:
+                    q = bits.bit_length() - 1
+                    bits ^= 1 << q
+                    out.append((order + 2 * q, addable, 3 << q - 1 + shift))
+        out.sort()
+        return out
 
-    def paths(self, n: int) -> dict:
-        """crystal_paths on bipartition numbers."""
-        k = self.number(((), ()))
+    def _signature(self, ik: tuple) -> tuple:
+        i, key = ik
+        adds, rems = [], []
+        for _, addable, flip in self._inodes(key, i):
+            if not addable:
+                rems.append(flip)
+            elif rems:
+                rems.pop()
+            else:
+                adds.append(flip)
+        return tuple(adds), tuple(rems)
+
+    def paths(self) -> dict:
+        """crystal_paths on keys."""
+        k = self.encode(((), ()))
         paths, layer = {k: ()}, [k]
-        for _ in range(n):
+        for _ in range(self.n):
             nxt = []
             for k in layer:
                 for i in range(self.e):
-                    adds = self.signature(k, i)[0]
-                    if adds:
-                        fk = self.number(_add_node(self.keys[k], adds[-1]))
-                        if fk not in paths:
-                            paths[fk] = paths[k] + (i,)
-                            nxt.append(fk)
+                    adds = self.signatures[i, k][0]
+                    if adds and (fk := k ^ adds[-1]) not in paths:
+                        paths[fk] = paths[k] + (i,)
+                        nxt.append(fk)
             layer = nxt
         return paths
 
-    def estrings(self, k: int) -> list:
-        """estrings on bipartition numbers."""
-        sigs = [(i, self.signature(k, i)[1]) for i in range(self.e)]
-        return [(i, len(r), self.number(_remove_nodes(self.keys[k], r)))
-                for i, r in sigs if r]
+    def estrings(self, key: int) -> list:
+        """estrings on keys."""
+        rems = [(i, self.signatures[i, key][1]) for i in range(self.e)]
+        return [(i, len(r), key ^ sum(r)) for i, r in rems if r]
 
-    def row(self, i: int, a: int, k: int) -> tuple:
+    def _row(self, i: int, a: int, key: int) -> tuple:
         """
         f_i^(a) λ: λ + S for each a-set S of addable i-nodes, with N the sum
         over γ ∈ S of #(addable i-nodes above γ not in S) − #(removable
@@ -244,24 +259,20 @@ class _Table:
         whose residues are i ± 1 ≠ i as e >= 2, so the a! orders of adding
         S give monomials that sum to v^N·[a]!.
         """
-        key = (i, a, k)
-        row = self._rows.get(key)
-        if row is None:
-            adds, above = [], 0  # (addable i-node, removable i-nodes above)
-            for addable, g in self.nodes(k, i):
-                if addable:
-                    adds.append((g, above))
-                else:
-                    above += 1
-            row = []
-            for chosen in combinations(range(len(adds)), a):
-                mu, n = self.keys[k], 0
-                for t, j in enumerate(chosen):  # j - t addable above, not in S
-                    g, rem = adds[j]
-                    mu, n = _add_node(mu, g), n + j - t - rem
-                row.append((self.number(mu), n))
-            row = self._rows[key] = tuple(row)
-        return row
+        adds, above = [], 0  # (addable i-node, removable i-nodes above)
+        for _, addable, flip in reversed(self._inodes(key, i)):
+            if addable:
+                adds.append((flip, above))
+            else:
+                above += 1
+        row = []
+        for chosen in combinations(range(len(adds)), a):
+            mu, n = key, 0
+            for t, j in enumerate(chosen):  # j - t addable above, not in S
+                flip, rem = adds[j]
+                mu, n = mu ^ flip, n + j - t - rem
+            row.append((mu, n))
+        return tuple(row)
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +281,17 @@ class _Table:
 
 
 def crystal_f(i: int, b: Bipartition, s, e: int) -> Bipartition | None:
-    table = _Table(s, e)
-    adds = table.signature(table.number(b), i)[0]
-    return _add_node(b, adds[-1]) if adds else None
+    table = _Table(s, e, sum(map(sum, b)))
+    key = table.encode(b)
+    adds = table.signatures[i, key][0]
+    return table.decode(key ^ adds[-1]) if adds else None
 
 
 def crystal_e(i: int, b: Bipartition, s, e: int) -> Bipartition | None:
-    table = _Table(s, e)
-    rems = table.signature(table.number(b), i)[1]
-    return _remove_nodes(b, rems[:1]) if rems else None
+    table = _Table(s, e, sum(map(sum, b)))
+    key = table.encode(b)
+    rems = table.signatures[i, key][1]
+    return table.decode(key ^ rems[0]) if rems else None
 
 
 def crystal_paths(n: int, s, e: int) -> dict:
@@ -287,15 +300,15 @@ def crystal_paths(n: int, s, e: int) -> dict:
     maps every reachable bipartition of degree <= n to its residue path
     (the f̃-residue sequence from ((), ())).
     """
-    table = _Table(s, e)
-    return {table.keys[k]: path for k, path in table.paths(n).items()}
+    table = _Table(s, e, n)
+    return {table.decode(k): path for k, path in table.paths().items()}
 
 
 def estrings(b: Bipartition, s, e: int) -> list[tuple[int, int, Bipartition]]:
     """All maximal ẽ-strings at b: (residue i, length ε_i, endpoint ẽ_i^ε b)."""
-    table = _Table(s, e)
-    return [(i, a, table.keys[nu])
-            for i, a, nu in table.estrings(table.number(b))]
+    table = _Table(s, e, sum(map(sum, b)))
+    return [(i, a, table.decode(nu))
+            for i, a, nu in table.estrings(table.encode(b))]
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +328,9 @@ def canonical_basis(n: int, s, e: int, bound: int = 12) -> dict:
     """
     if n > bound:
         raise BoundExceeded(f"n={n} exceeds Fock bound {bound}")
-    table = _Table(s, e)
+    table = _Table(s, e, n)
     by_degree: dict[int, list] = {}
-    for k, path in table.paths(n).items():
+    for k, path in table.paths().items():
         by_degree.setdefault(len(path), []).append(k)
     basis = _Basis(table)
     for d in range(1, n + 1):
@@ -327,7 +340,7 @@ def canonical_basis(n: int, s, e: int, bound: int = 12) -> dict:
             mu = pending.pop(0)
             strings = table.estrings(mu)
             if not strings:
-                raise NotReachable(f"{table.keys[mu]} is not connected to "
+                raise NotReachable(f"{table.decode(mu)} is not connected to "
                                    "the empty bipartition")
             if not any(basis.add(mu, i, a, nu)
                        for i, a, nu in strings if nu in basis.g):
@@ -336,7 +349,7 @@ def canonical_basis(n: int, s, e: int, bound: int = 12) -> dict:
                 if stalled > len(pending):
                     raise NotUnitriangular(
                         "no admissible candidate for any of "
-                        f"{[table.keys[k] for k in pending]}")
+                        f"{[table.decode(k) for k in pending]}")
                 continue
             stalled = 0
     return basis.decode()
@@ -344,7 +357,7 @@ def canonical_basis(n: int, s, e: int, bound: int = 12) -> dict:
 
 class _Basis:
     """
-    The canonical basis under construction, on the bipartition numbers of
+    The canonical basis under construction, on the bipartition keys of
     `table`: g[k] is G(k) as k' -> packed int at offset 0 and width `bits`,
     and big[k] = (largest Σ|c| of a coefficient of G(k), Σ|c| over all its
     coefficients).  A candidate's coefficients are bounded as it is built,
@@ -353,18 +366,13 @@ class _Basis:
 
     def __init__(self, table: _Table):
         self.table = table
-        empty = table.number(((), ()))
-        self.g = {empty: {empty: 1}}
-        self.big = {empty: (1, 1)}
+        empty = table.encode(((), ()))
+        self.g, self.big = {empty: {empty: 1}}, {empty: (1, 1)}
         self.bits = width(1, 16)
-        self._prec: dict = {}  # k -> _prec_key
-        self._norms: dict = {}  # packed int -> Σ|c|
-
-    def prec(self, k: int):
-        key = self._prec.get(k)
-        if key is None:
-            key = self._prec[k] = _prec_key(self.table.keys[k])
-        return key
+        self.names = _Memo(table.decode)  # k -> its bipartition
+        self.prec = _Memo(lambda k: _prec_key(self.names[k])).__getitem__
+        # norms[c]: Σ|c| of the packed int c at the current width
+        self.norms = _Memo(lambda c: sum(map(abs, digits(c, self.bits))))
 
     def add(self, mu: int, i: int, a: int, nu: int) -> bool:
         """
@@ -373,8 +381,8 @@ class _Basis:
         """
         bound = self.big[nu][1]  # Σ|c| of G(ν) bounds every Σ|c| of A(μ)
         self._fit(bound)
-        row, bits = self.table.row, self.bits
-        terms = [(row(i, a, lam), c) for lam, c in self.g[nu].items()]
+        rows, bits = self.table.rows[i, a], self.bits
+        terms = [(rows[lam], c) for lam, c in self.g[nu].items()]
         off = max([0] + [-n for r, _ in terms for _, n in r])
         vec: dict = {}
         get = vec.get
@@ -390,7 +398,7 @@ class _Basis:
             if nb not in self.g:
                 return False
             mult = bar_symmetric_low(vec[nb], bits, off)
-            bound += self._norm(mult) * self.big[nb][0]
+            bound += self.norms[mult] * self.big[nb][0]
             old = self._fit(bound)
             if old != self.bits:
                 bits, mask = self.bits, (1 << self.bits * (off + 1)) - 1
@@ -403,7 +411,7 @@ class _Basis:
         if vec.get(mu) != 1 << shift:
             return False
         self.g[mu] = out = {b: c >> shift for b, c in vec.items() if c}
-        sizes = [self._norm(c) for c in out.values()]
+        sizes = list(map(self.norms.__getitem__, out.values()))
         self.big[mu] = (max(sizes), sum(sizes))
         return True
 
@@ -421,18 +429,12 @@ class _Basis:
                     f"bound of {bound}")
             self.g = {k: {b: repack(c, old, self.bits) for b, c in v.items()}
                       for k, v in self.g.items()}
-            self._norms.clear()
+            self.norms.clear()
         return old
 
-    def _norm(self, c: int) -> int:
-        size = self._norms.get(c)
-        if size is None:
-            size = self._norms[c] = sum(map(abs, digits(c, self.bits)))
-        return size
-
     def decode(self) -> dict:
-        keys, memo = self.table.keys, {}
-        return {keys[k]: decode(v, keys, self.bits, 0, memo)
+        names, memo = self.names, {}
+        return {names[k]: decode(v, names, self.bits, 0, memo)
                 for k, v in self.g.items()}
 
 
@@ -487,9 +489,7 @@ def decomposition_number(geom: AlcoveGeometry, lam: int, mu: int) -> LaurentPoly
     canonical basis computation in the tests).
     """
     wi, wj = geom.alcove_index(lam), geom.alcove_index(mu)
-    if lam != mu and not geom.linked(lam, mu):
-        return LaurentPoly.zero()
-    if not _dihedral_leq(wi, wj):
+    if lam != mu and not geom.linked(lam, mu) or not _dihedral_leq(wi, wj):
         return LaurentPoly.zero()
     return LaurentPoly.monomial(abs(wj) - abs(wi))
 
@@ -505,17 +505,17 @@ def _descent_path(b: Bipartition, s, e: int) -> list[int]:
     from b by any ẽ_i that does not vanish: each step removes one node.
     In the crystal generated by ((), ()) the walk can only stop at ((), ()).
     """
-    table = _Table(s, e)
-    k, path = table.number(b), []
-    for _ in range(sum(map(sum, b))):
+    table = _Table(s, e, sum(map(sum, b)))
+    k, path = table.encode(b), []
+    for _ in range(table.n):
         for i in range(e):
-            rems = table.signature(k, i)[1]
+            rems = table.signatures[i, k][1]
             if rems:
                 break
         else:
             raise NotReachable(f"{b} is not reachable at charge {s}")
         path.append(i)
-        k = table.number(_remove_nodes(table.keys[k], rems[:1]))
+        k ^= rems[0]
     return path[::-1]
 
 
@@ -535,12 +535,12 @@ def kleshchev_convert(n: int, e: int, m: int, lam: int) -> Bipartition:
     geom = alcove_data(e, m)
     path = _descent_path(partitions.one_line_of_weight(n, lam), geom.s, e)
     s1 = 2 * n + 1 + (m - 2 * n - 1) % e
-    table = _Table((s1, 0), e)
-    k = table.number(((), ()))
+    table = _Table((s1, 0), e, n)
+    k = table.encode(((), ()))
     for i in path:
-        adds = table.signature(k, i)[0]
+        adds = table.signatures[i, k][0]
         if not adds:
             raise NotReachable(
                 f"replay at charge ({s1}, 0) died for weight {lam}")
-        k = table.number(_add_node(table.keys[k], adds[-1]))
-    return table.keys[k]
+        k ^= adds[-1]
+    return table.decode(k)

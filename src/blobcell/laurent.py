@@ -206,26 +206,9 @@ class LaurentPoly:
         """The bar involution v -> v^-1 (exponent negation)."""
         return LaurentPoly({-e: x for e, x in self._c.items()})
 
-    def positive_part(self) -> "LaurentPoly":
-        """Sum of terms with exponent > 0."""
-        return LaurentPoly({e: x for e, x in self._c.items() if e > 0})
-
-    def negative_part(self) -> "LaurentPoly":
-        """Sum of terms with exponent < 0."""
-        return LaurentPoly({e: x for e, x in self._c.items() if e < 0})
-
     def nonpositive_part(self) -> "LaurentPoly":
         """Sum of terms with exponent <= 0."""
         return LaurentPoly({e: x for e, x in self._c.items() if e <= 0})
-
-    def bar_symmetrize_nonpositive(self) -> "LaurentPoly":
-        """
-        The unique bar-symmetric polynomial congruent to this one modulo
-        terms with strictly positive exponents: keep exponents <= 0 and
-        mirror the strictly negative ones.
-        """
-        low = self.nonpositive_part()
-        return low + self.negative_part().bar()
 
     # -- protocol ----------------------------------------------------------
 

@@ -334,7 +334,8 @@ _PAIR = ('{"P": {"dominoes": [[1, [1, 1], [2, 1]], [2, [1, 2], [2, 2]], '
          '[3, [2, 1], [2, 2]]], "shape": [4, 2]}}')
 
 # SHA-256 of the stdout of every command in each format, recorded when
-# every command still built all three renderings; "PAIR" stands for _PAIR.
+# every command still built all three renderings (the charge 10^9 rows with
+# the tuple-keyed Fock table); "PAIR" stands for _PAIR.
 STDOUT_DIGESTS = {
     ("wb enumerate 3", "json"):
         "885c1d5546dcd56abe98c9be8c7121cabc2978cd30bb84343b8485d6cb8252c1",
@@ -450,6 +451,12 @@ STDOUT_DIGESTS = {
         "59eaf6288cb1b281c18e024986a4b79f6a5e7472bc728e26dba7cb76d3ea5249",
     ("fock canonical -- 6 3 -1 0", "pretty"):
         "4ef45bbb19905edd332988e517614878b351c9ea253449cf7ce71922b32566db",
+    ("fock canonical -- 8 3 1000000000 0", "json"):
+        "ae423b2c8c31a82acd538ab1115dbb803cb936e5e81674d71b2f878ac9618730",
+    ("fock canonical -- 8 3 1000000000 0", "csv"):
+        "be90709ffb8b4fb2e11dc4d0f0dfa18d344feb140650ee3e08a04112e7543e08",
+    ("fock canonical -- 8 3 1000000000 0", "pretty"):
+        "4c4b18a16e79d77ef92d21317ac55d73643b6509182f774c05ad91ea93049461",
     ("decomp 4 3 2", "json"):
         "f8adec853e297f5021278dd1d72ec9fb3041701f747f0d4b776aa15994348454",
     ("decomp 4 3 2", "csv"):

@@ -1,18 +1,40 @@
 """The level-2 Fock space: operators, crystal, canonical basis, alcoves."""
 
 import hashlib
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blobcell import fock, kronecker, partitions
 from blobcell.laurent import LaurentPoly, add_term, quantum_factorial
-from blobcell.weylb import InvariantViolation
+from blobcell.weylb import BoundExceeded, InvariantViolation
 
 
 S_ANCHOR = (-1, 0)
 E = 3
 WORD = (0, 1, 0, 2, 2, 1, 1, 0, 0, 2)  # operator product, rightmost first
+
+
+def _add_node(b, node):
+    """b with the addable node (i, j, c) (the reference)."""
+    i, j, c = node
+    p = list(b[c - 1])
+    if i == len(p) + 1:
+        p.append(1)
+    else:
+        p[i - 1] += 1
+    out = list(b)
+    out[c - 1] = tuple(p)
+    return tuple(out)
+
+
+def _remove_nodes(b, nodes):
+    """b without the given removable nodes (the reference)."""
+    parts = [list(p) for p in b]
+    for i, _, c in nodes:
+        parts[c - 1][i - 1] -= 1
+    return tuple(tuple(x for x in p if x) for p in parts)
 
 
 def _apply_crystal(word, s, e):
@@ -59,19 +81,12 @@ def _ref_signature(i, b, s, e):
 
 def _ref_crystal_f(i, b, s, e):
     adds, _ = _ref_signature(i, b, s, e)
-    return fock._add_node(b, adds[-1]) if adds else None
+    return _add_node(b, adds[-1]) if adds else None
 
 
 def _ref_crystal_e(i, b, s, e):
     _, rems = _ref_signature(i, b, s, e)
-    if not rems:
-        return None
-    r, _, c = rems[0]
-    p = list(b[c - 1])
-    p[r - 1] -= 1
-    if not p[-1]:
-        p.pop()
-    return tuple(tuple(p) if d == c else q for d, q in enumerate(b, 1))
+    return _remove_nodes(b, rems[:1]) if rems else None
 
 
 def _ref_estrings(b, s, e):
@@ -110,10 +125,16 @@ def _ref_descent_path(b, s, e):
 
 
 CHARGES = ((0, 0), (-1, 0), (0, 1), (2, -3), (11, 0), (0, 9))
+EDGE_CHARGES = ((-1, 0), (11, 0), (-3, 0), (0, 7))
+K = 10 ** 9
+
+
+def _bipartitions_up_to(n):
+    return [b for d in range(n + 1) for b in partitions.bipartitions_of(d)]
 
 
 def test_crystal_matches_reference_signature_rule():
-    lams = [b for n in range(7) for b in partitions.bipartitions_of(n)]
+    lams = _bipartitions_up_to(8)
     for e in range(2, 6):
         for s in CHARGES:
             for b in lams:
@@ -123,12 +144,83 @@ def test_crystal_matches_reference_signature_rule():
                     assert (fock.crystal_e(i, b, s, e)
                             == _ref_crystal_e(i, b, s, e)), (i, b, s, e)
                 assert fock.estrings(b, s, e) == _ref_estrings(b, s, e)
-            paths = fock.crystal_paths(6, s, e)
+            paths = fock.crystal_paths(8, s, e)
             assert list(paths.items()) == list(
-                _ref_crystal_paths(6, s, e).items()), (s, e)
+                _ref_crystal_paths(8, s, e).items()), (s, e)
             for b in paths:
                 assert (fock._descent_path(b, s, e)
                         == _ref_descent_path(b, s, e)), (b, s, e)
+
+
+@pytest.mark.parametrize("s", EDGE_CHARGES)
+def test_table_round_trips_every_bipartition_one_past_its_bound(s):
+    for n in range(9):
+        table = fock._Table(s, 3, n)
+        # rows n + 2, …, 1 of the empty partition hold the low n + 2 bits of
+        # each window of 2n + 5, and every position below is full
+        floor = (1 << n + 2) - 1
+        assert table.encode(((), ())) == floor | floor << 2 * n + 5
+        lams = _bipartitions_up_to(n + 1)
+        keys = [table.encode(b) for b in lams]
+        assert len(set(keys)) == len(keys), (s, n)
+        assert [table.decode(k) for k in keys] == lams, (s, n)
+        for m in filter(None, (n, n + 1)):
+            for b in (((m,), ()), ((1,) * m, ()), ((), (1,) * m)):
+                assert table.decode(table.encode(b)) == b, (s, n, b)
+        with pytest.raises(BoundExceeded):
+            table.encode(((1,) * (n + 2), ()))
+    assert fock.crystal_paths(-3, s, 3) == {((), ()): ()}
+
+
+@pytest.mark.parametrize("s", EDGE_CHARGES)
+def test_table_signatures_match_the_reference_one_past_its_bound(s):
+    # every surviving node of the signature rule, at degrees n and n + 1 of
+    # a table of bound n, where the window's floor and top are reached
+    for e in (2, 3, 4):
+        for n in range(9):
+            table = fock._Table(s, e, n)
+            for b in (partitions.bipartitions_of(n)
+                      + partitions.bipartitions_of(n + 1)):
+                key = table.encode(b)
+                for i in range(e):
+                    adds, rems = table.signatures[i, key]
+                    ref_adds, ref_rems = _ref_signature(i, b, s, e)
+                    assert ([table.decode(key ^ f) for f in adds]
+                            == [_add_node(b, g) for g in ref_adds]), (b, i)
+                    assert ([table.decode(key ^ f) for f in rems]
+                            == [_remove_nodes(b, [g]) for g in ref_rems]), (
+                        b, i)
+
+
+@pytest.mark.parametrize("e, s", [(2, (0, 1)), (3, (-1, 0)), (5, (-2, 0))])
+def test_canonical_basis_is_unchanged_by_shifting_both_charges_by_k_e(e, s):
+    # node order and residues are the same at s + (K e, K e), and each
+    # window holds its own component, so no key grows with K
+    shifted = (s[0] + K * e, s[1] + K * e)
+    assert (repr(fock.canonical_basis(8, shifted, e))
+            == repr(fock.canonical_basis(8, s, e)))
+
+
+def test_crystal_and_f_action_at_charge_10_to_the_9():
+    s, lams = (K, 0), _bipartitions_up_to(5)
+    weight = LaurentPoly({-1: 2, 3: -1})
+    for e in (2, 3, 4):
+        for i in range(e):
+            for b in lams:
+                assert (fock.crystal_f(i, b, s, e)
+                        == _ref_crystal_f(i, b, s, e)), (i, b, e)
+                assert (fock.crystal_e(i, b, s, e)
+                        == _ref_crystal_e(i, b, s, e)), (i, b, e)
+            x = dict.fromkeys(lams, weight)
+            assert fock.f_action(i, x, s, e) == _ref_f_action(i, x, s, e)
+
+
+def test_a_residue_outside_0_to_e_has_no_nodes():
+    b, one = ((1,), (2,)), LaurentPoly.one()
+    for i in (-1, 3, 4):
+        assert fock.crystal_f(i, b, (0, 0), 3) is None
+        assert fock.crystal_e(i, b, (0, 0), 3) is None
+        assert fock.f_action(i, {b: one}, (0, 0), 3) == {}
 
 
 def test_residues_and_node_order():
@@ -155,7 +247,7 @@ def _ref_f_action(i, x, s, e):
         adds = [g for g in fock.addable_nodes(lam)
                 if fock.residue(g, s, e) == i]
         for g in adds:
-            mu = fock._add_node(lam, g)
+            mu = _add_node(lam, g)
             above_add = sum(1 for h in adds if fock.node_less(g, h, s))
             above_rem = sum(1 for h in fock.removable_nodes(mu)
                             if fock.residue(h, s, e) == i
@@ -248,15 +340,18 @@ def test_canonical_basis_widens_as_its_bound_grows(monkeypatch):
 
 
 class _FakeRows:
-    """Rows given by hand, on ∅, NU, MU, Y, Z (numbers 0-4)."""
+    """Rows given by hand, on ∅, NU, MU, Y, Z (keys 0-4)."""
 
     keys = [((), ()), ((1,), ()), ((2,), ()), ((1,), (1,)), ((), (2,))]
 
-    def number(self, lam):
+    def encode(self, lam):
         return self.keys.index(lam)
 
-    def row(self, i, a, k):
-        return ((2, 0), (3, 0), (3, 0), (4, 1)) if k == 1 else ()
+    def decode(self, key):
+        return self.keys[key]
+
+    rows = defaultdict(
+        lambda: defaultdict(tuple, {1: ((2, 0), (3, 0), (3, 0), (4, 1))}))
 
 
 def test_elimination_widens_for_what_an_offender_brings():

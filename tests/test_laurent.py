@@ -46,17 +46,9 @@ def test_divide_exact_rejects_inexact():
 
 @given(polys)
 def test_nonpositive_positive_split(p):
-    assert p.nonpositive_part() + p.positive_part() == p
+    positive = LaurentPoly({e: c for e, c in p.items() if e > 0})
+    assert p.nonpositive_part() + positive == p
     assert all(e <= 0 for e, _ in p.nonpositive_part().items())
-    assert all(e > 0 for e, _ in p.positive_part().items())
-
-
-@given(polys)
-def test_bar_symmetrize_nonpositive(p):
-    """r is the unique bar-invariant poly with r ≡ p below degree 1."""
-    r = p.bar_symmetrize_nonpositive()
-    assert r.bar() == r
-    assert (p - r).nonpositive_part().is_zero()
 
 
 def test_quantum_integers():
