@@ -53,7 +53,11 @@ def fock_canonical_cmd(n: int, e: int, s1: int, s2: int, fmt: str) -> None:
         raise ValueError(f"n={n} out of range")
     from . import fock
 
-    basis = fock.canonical_basis(n, (s1, s2), e, bound=_cap(12))
+    try:
+        basis = fock.canonical_basis(n, (s1, s2), e, bound=_cap(12))
+    except fock.NotUnitriangular as exc:  # a charge the elimination misses
+        raise ValueError(f"no canonical basis at charge ({s1}, {s2}), "
+                         f"e={e}: {exc}")
     degree_n = [(mu, sorted(basis[mu].items())) for mu in
                 sorted(b for b in basis if sum(sum(p) for p in b) == n)]
     _emit(fmt,

@@ -26,10 +26,14 @@ bar-symmetric multiples of already-computed G(ν') of the same degree.  A
 candidate is accepted only if every offender could be eliminated and the
 resulting vector has coefficient exactly 1 at μ — together with
 bar-invariance these conditions characterize G(μ) uniquely, so the result
-does not depend on the residue chosen or the elimination order.  Elements
-whose candidates are all blocked on a not-yet-computed same-degree G are
-retried after the rest of the layer (the dominance-style order on
-bipartitions is not always compatible with the elimination).
+does not depend on the residue chosen or the elimination order.  Of the
+ẽ-strings whose G(ν) is built, the one whose G(ν) has the fewest terms is
+tried first (ties in residue order): a short G(ν) gives a short candidate
+with few offenders, so less is eliminated and fewer candidates are
+blocked.  Elements whose candidates are all blocked on a not-yet-computed
+same-degree G are retried after the rest of the layer (the
+dominance-style order on bipartitions is not always compatible with the
+elimination).
 
 One table.  Every function reads one table per (s, e, n) on charged-abacus
 bead masks.  A bipartition is one int: component c holds the beads
@@ -43,7 +47,9 @@ M & ~(M<<1|1) & R_i, R_i the positions of residue i.  Nodes are ordered by
 f_i^(a) λ = Σ v^N μ runs over the a-sets S of addable i-nodes, μ = λ + S,
 with the Lascoux-Leclerc-Thibon exponent N = Σ_{γ∈S} (#(addable i-nodes
 above γ not in S) − #(removable i-nodes above γ)); a = 1 is f_i.  Tuples
-are decoded only for the output and the ≺ order.  kleshchev_convert walks
+are decoded only for the output and the ≺ order, one window at a time: a
+window's partition depends on its mask alone, and is memoized by it, so a
+key costs two lookups.  kleshchev_convert walks
 one ẽ-descent at the geometric charge and replays it once with f̃ at the
 least charge past 2n in the residue class of m, where the endpoint no
 longer depends on the charge.
@@ -82,7 +88,12 @@ FockVector = dict  # Bipartition -> LaurentPoly
 
 
 class NotUnitriangular(RuntimeError):
-    """The LLT monomial failed to be unitriangular (must not happen)."""
+    """
+    No candidate of some bipartition could be eliminated to a G(μ): the
+    elimination follows the ≺ order of `_prec_key`, which fits charges near
+    the geometric one; far from it (e.g. s = (10, 0), e = 3 from degree 9)
+    a bipartition can be left with every candidate blocked.
+    """
 
 
 class SingularWeight(ValueError):
@@ -174,6 +185,8 @@ class _Table:
         s1, s2 = s
         self._windows = ((0, s1 - n - 2, 2 * (s1 - n) - 3),
                          (w, s2 - n - 2, 2 * (s2 - n) - 4))
+        # parts[mask]: the partition of one window's mask, either component
+        self._parts = _Memo(self._window_parts)
         # signatures[i, key]: the flips (adds, rems) the signature rule leaves
         self.signatures = _Memo(self._signature)
         # rows[i, a][key]: the pairs (μ, N) of f_i^(a) λ = Σ v^N μ
@@ -191,15 +204,15 @@ class _Table:
         return key
 
     def decode(self, key: int) -> Bipartition:
-        out = []
-        for c in range(2):
-            mask, parts, t = key >> c * self.w & self.full, [], self.n + 1
-            while (q := mask.bit_length() - 1) > t:  # row r's part is q - t
-                parts.append(q - t)
-                mask ^= 1 << q
-                t -= 1
-            out.append(tuple(parts))
-        return tuple(out)
+        return self._parts[key & self.full], self._parts[key >> self.w]
+
+    def _window_parts(self, mask: int) -> tuple:
+        parts, t = [], self.n + 1
+        while (q := mask.bit_length() - 1) > t:  # row r's part is q - t
+            parts.append(q - t)
+            mask ^= 1 << q
+            t -= 1
+        return tuple(parts)
 
     def _inodes(self, key: int, i: int) -> list:
         """The i-nodes of key as (order, addable?, flip), by node order."""
@@ -343,7 +356,7 @@ def canonical_basis(n: int, s, e: int, bound: int = 12) -> dict:
                 raise NotReachable(f"{table.decode(mu)} is not connected to "
                                    "the empty bipartition")
             if not any(basis.add(mu, i, a, nu)
-                       for i, a, nu in strings if nu in basis.g):
+                       for i, a, nu in basis.candidates(strings)):
                 pending.append(mu)
                 stalled += 1
                 if stalled > len(pending):
@@ -373,6 +386,16 @@ class _Basis:
         self.prec = _Memo(lambda k: _prec_key(self.names[k])).__getitem__
         # norms[c]: Σ|c| of the packed int c at the current width
         self.norms = _Memo(lambda c: sum(map(abs, digits(c, self.bits))))
+
+    def candidates(self, strings: list) -> list:
+        """
+        The ẽ-strings (i, a, ν) whose G(ν) is built, the G(ν) with the
+        fewest terms first (ties in residue order): any of them gives the
+        same G(μ), and a short G(ν) makes a short candidate.
+        """
+        g = self.g
+        return sorted((t for t in strings if t[2] in g),
+                      key=lambda t: len(g[t[2]]))
 
     def add(self, mu: int, i: int, a: int, nu: int) -> bool:
         """

@@ -346,6 +346,13 @@ def test_compare_cell_to_standard_n2():
     assert report["s0_cell_lam"] == -2
 
 
+def test_compare_cell_to_standard_matches_the_32_cells_of_b5(b5_basis):
+    report = blob.compare_cell_to_standard(5, bound=5, basis=b5_basis)
+    assert report["all_match"]
+    assert len(report["cells"]) == 32
+    assert sum(cell["dim_cell"] for cell in report["cells"]) == 252
+
+
 def _word_traces_by_products(mats, n):
     """Reference: the trace of every word of length <= 4 from its own dense
     matrix product, each built from the matrix of its prefix."""

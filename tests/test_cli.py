@@ -574,8 +574,11 @@ def test_command_loads_only_the_modules_it_uses(args, code, unloaded):
      "m=100000 exceeds the blob parameter bound |m| <= 64"),
     (["blob", "standard", "2", "0", "-m", "-65"], None,
      "m=-65 exceeds the blob parameter bound |m| <= 64"),
+    (["fock", "canonical", "--", "9", "3", "10", "0"], None,
+     "no canonical basis at charge (10, 0), e=3: no admissible candidate"),
 ], ids=["specialization-invalid", "bound-exceeded", "conductor-overflow",
-        "blob-verify-huge-m", "blob-standard-negative-m"])
+        "blob-verify-huge-m", "blob-standard-negative-m",
+        "fock-canonical-far-charge"])
 def test_library_errors_exit_2_in_a_fresh_process(args, env, message):
     code, _, lines, _ = run_fresh(*args, env=env)
     assert code == 2

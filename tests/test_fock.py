@@ -339,6 +339,34 @@ def test_canonical_basis_widens_as_its_bound_grows(monkeypatch):
     assert fock.canonical_basis(10, (-1, 0), 3) == want
 
 
+def test_canonical_basis_does_not_depend_on_the_chosen_string(monkeypatch):
+    # G(μ) is unique, so building it from the first ẽ-string in residue
+    # order in place of the shortest G(ν) gives the same basis, although
+    # some G(μ) come from other strings
+    chosen, add = {}, fock._Basis.add
+
+    def spy(self, mu, i, a, nu):
+        ok = add(self, mu, i, a, nu)
+        if ok:
+            chosen[mu] = i, a
+        return ok
+
+    def residue_order(self, strings):
+        return [t for t in strings if t[2] in self.g]
+
+    monkeypatch.setattr(fock._Basis, "add", spy)
+    moved = 0
+    for e, s, n in [(3, (-1, 0), 10), (2, (0, 1), 10), (5, (-2, 0), 10)]:
+        chosen.clear()
+        with monkeypatch.context() as m:
+            want, fewest = fock.canonical_basis(n, s, e), dict(chosen)
+            m.setattr(fock._Basis, "candidates", residue_order)
+            got = fock.canonical_basis(n, s, e)
+        assert list(got.items()) == list(want.items()), (e, s, n)
+        moved += sum(fewest[mu] != chosen[mu] for mu in fewest)
+    assert moved > 0, moved
+
+
 class _FakeRows:
     """Rows given by hand, on ∅, NU, MU, Y, Z (keys 0-4)."""
 
@@ -367,6 +395,14 @@ def test_elimination_widens_for_what_an_offender_brings():
     keys = _FakeRows.keys
     assert basis.decode()[keys[2]] == {
         keys[2]: LaurentPoly.one(), keys[4]: LaurentPoly.monomial(1, -199)}
+
+
+def test_candidates_put_the_fewest_terms_first():
+    basis = fock._Basis(_FakeRows())
+    basis.g = {0: {0: 1, 1: 1, 2: 1}, 1: {1: 1}, 3: {3: 1, 4: 1}, 4: {4: 1}}
+    strings = [(0, 1, 0), (1, 2, 3), (2, 1, 2), (3, 1, 1), (4, 1, 4)]
+    assert basis.candidates(strings) == [
+        (3, 1, 1), (4, 1, 4), (1, 2, 3), (0, 1, 0)]
 
 
 def _monomials(n, s, e):

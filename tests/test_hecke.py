@@ -716,6 +716,12 @@ def test_left_cells_inside_wb_of_b5_have_one_domino_shape(b5_basis):
                for cell in inside)
 
 
+def test_ideal_jn_of_b5_is_two_sided_with_corank_252(b5_basis):
+    ideal = ideal_jn(5, b5_basis)
+    assert ideal.verify_two_sided()
+    assert len(b5_basis.elements) - len(ideal.outside) == 252
+
+
 def test_cells_partition_group():
     basis = compute_kl_basis(3)
     cells = left_cells(basis)
