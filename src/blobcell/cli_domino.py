@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import sys
 
-from .cli import _dumps, _emit, _window, _wstr
+from .cli import _cap, _dumps, _emit, _window, _wstr
 
 
 def domino_insert_cmd(entries, fmt: str) -> None:
@@ -56,6 +56,12 @@ def domino_shape_cmd(entries, fmt: str) -> None:
 def knuth_class_cmd(entries, fmt: str) -> None:
     """The plactic class of a window."""
     w = _window(entries)
+    from . import weylb
+
+    cap = _cap(weylb.DEFAULT_MAX_N)
+    if len(w) > cap:  # classes grow fast: one of W_12 holds 92,400 windows
+        raise ValueError(f"window length {len(w)} exceeds enumeration "
+                         f"bound {cap}")
     from . import knuth
 
     cls = sorted(knuth.knuth_class(w))

@@ -27,6 +27,12 @@ and the forward rule's image from the lengths of the smaller labels.
 `domino_reverse` raises ValueError unless P and Q are standard of one shape
 and labelled 1..n.
 
+The pass of one letter, `_step`, is the one insertion rule.  `domino_insert`
+and `domino_shape` run it letter by letter on one window.  `p_numbers(n)`,
+which numbers the distinct P over all of W_n for `knuth.knuth_classes`, runs
+it once per window prefix in one depth-first sweep: 6,330 letter steps for
+the 3,840 windows of W_5, against 19,200 one window at a time.
+
 Cells are (row, col), 0-based internally, 1-based in JSON.
 """
 
@@ -37,7 +43,7 @@ from .weylb import InvariantViolation
 
 __all__ = [
     "DominoTableau", "domino_insert", "domino_shape", "domino_reverse",
-    "ShapeMismatch",
+    "p_numbers", "ShapeMismatch",
 ]
 
 Cell = tuple[int, int]
@@ -231,49 +237,89 @@ def _shuffle_position(old: Domino, rows: list[int], cols: list[int]) -> Domino:
     return ((r2, c1), (r2, c1 + 1))  # pivot to horizontal
 
 
+def _step(pos: list, rows: list[int], letter: int) -> tuple[list[int], list[Cell]]:
+    """
+    Insert one letter into the tableau whose positions `pos` (indexed by
+    label, None for a label not inserted yet) fill the row lengths `rows`.
+    `pos` is updated in place; the new row lengths and the two cells added
+    are returned.  One pass over the labels in increasing order: the smaller
+    ones stay, the letter's domino comes next, the larger ones are re-placed.
+    `rows` has 2n + 1 entries for n = len(pos) - 1: the shape has at most 2n
+    cells, so no cell lies past row or column 2n - 1 and the re-placement
+    reads at most index 2n.
+    """
+    j = abs(letter)
+    size = len(rows)
+    new, cols = [0] * size, [0] * size
+    for lab in range(1, len(pos)):
+        p = pos[lab]
+        if lab == j:
+            p = pos[j] = (((0, new[0]), (0, new[0] + 1)) if letter > 0
+                          else ((cols[0], 0), (cols[0] + 1, 0)))
+            gained = list(p)  # the cells that dominoes moved onto
+        elif p is None:
+            continue
+        elif lab > j:
+            moved = _shuffle_position(p, new, cols)
+            if moved is not p:
+                (a, b), (c, d) = moved
+                if b < new[a] or d < new[c]:
+                    raise InvariantViolation("bumping collision")
+                p = pos[lab] = moved
+                gained += moved
+        (a, b), (c, d) = p
+        new[a] += 1
+        new[c] += 1
+        cols[b] += 1
+        cols[d] += 1
+    # Only cells that a domino moved onto can lie outside the old shape.
+    added = sorted(x for x in gained if x[1] >= rows[x[0]])
+    if len(added) != 2:
+        raise InvariantViolation("insertion must add exactly two cells")
+    return new, added
+
+
 def _grow(w: weylb.SignedPermutation):
     """
     Insert the window of w letter by letter, yielding (the positions of P
     so far, indexed by label; its row lengths; the two cells added at this
-    step).  A step passes over the labels in increasing order: the smaller
-    ones stay, the letter's domino comes next, the larger ones are re-placed.
+    step).
     """
     n = len(w)
     pos: list = [None] * (n + 1)
-    # The shape has at most 2n cells, so no cell lies past row or column
-    # 2n - 1 and the re-placement reads at most index 2n.
-    size = 2 * n + 1
-    prev = [0] * size
+    rows = [0] * (2 * n + 1)
     for letter in w:
-        j = abs(letter)
-        rows, cols = [0] * size, [0] * size
-        for lab in range(1, n + 1):
-            p = pos[lab]
-            if lab == j:
-                p = pos[j] = (((0, rows[0]), (0, rows[0] + 1)) if letter > 0
-                              else ((cols[0], 0), (cols[0] + 1, 0)))
-                gained = list(p)  # the cells that dominoes moved onto
-            elif p is None:
-                continue
-            elif lab > j:
-                new = _shuffle_position(p, rows, cols)
-                if new is not p:
-                    (a, b), (c, d) = new
-                    if b < rows[a] or d < rows[c]:
-                        raise InvariantViolation("bumping collision")
-                    p = pos[lab] = new
-                    gained += new
-            (a, b), (c, d) = p
-            rows[a] += 1
-            rows[c] += 1
-            cols[b] += 1
-            cols[d] += 1
-        # Only cells that a domino moved onto can lie outside the old shape.
-        added = sorted(x for x in gained if x[1] >= prev[x[0]])
-        if len(added) != 2:
-            raise InvariantViolation("insertion must add exactly two cells")
-        prev = rows
+        rows, added = _step(pos, rows, letter)
         yield pos, rows, added
+
+
+def p_numbers(n: int) -> dict[weylb.SignedPermutation, int]:
+    """
+    {w: the number of P(w)} for every window w of W_n, in increasing window
+    order; P tableaux are numbered 0, 1, ... as they first appear.
+
+    One depth-first sweep over the window prefixes: each prefix is inserted
+    once, by one `_step` on a copy of its parent's state, so the windows
+    sharing a prefix share its insertion.  Every P is checked standard.
+    """
+    letters = [*range(-n, 0), *range(1, n + 1)]
+    numbers: dict[DominoTableau, int] = {}
+    out: dict[weylb.SignedPermutation, int] = {}
+
+    def sweep(prefix, pos, rows, used):
+        if len(prefix) == n:
+            tp = DominoTableau(tuple(enumerate(pos))[1:])
+            tp.check_standard()
+            out[prefix] = numbers.setdefault(tp, len(numbers))
+            return
+        for letter in letters:
+            if not used >> abs(letter) & 1:
+                child = pos.copy()
+                sweep(prefix + (letter,), child, _step(child, rows, letter)[0],
+                      used | 1 << abs(letter))
+
+    sweep((), [None] * (n + 1), [0] * (2 * n + 1), 0)
+    return out
 
 
 def domino_insert(w: weylb.SignedPermutation) -> tuple[DominoTableau, DominoTableau]:

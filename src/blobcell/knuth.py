@@ -22,8 +22,17 @@ leaves the insertion tableau unchanged:
 
 Every move preserves the insertion tableau P, so each class is contained in
 a P-fiber; the exhaustive tests verify the converse (each fiber is a single
-class) for n <= 5, and the dual statement for Q (each Q-fiber is a single
+class) for n <= 6, and the dual statement for Q (each Q-fiber is a single
 coplactic class) for n <= 4.
+
+One move set, `_moves(w, p_of)`, and one orbit search, `_orbit(w, p_of)`,
+serve every class computation; they take the P lookup as an argument.
+`extended_moves` and `knuth_class` pass `_p_tableau`, which inserts a single
+window.  `knuth_classes(n)` passes the P numbers of `domino.p_numbers(n)`:
+one depth-first insertion sweep over the window prefixes of W_n, so each
+window costs an int lookup in place of an insertion and a tableau
+comparison.  The `blobcell knuth class` command rejects a window longer
+than BLOBCELL_MAX_N (default 8), with exit 2 before it loads this module.
 """
 
 from __future__ import annotations
@@ -70,6 +79,37 @@ def knuth_moves(w: weylb.SignedPermutation) -> set[weylb.SignedPermutation]:
     return out
 
 
+def _moves(w: weylb.SignedPermutation, p_of) -> set[weylb.SignedPermutation]:
+    """The local and exchange moves of the window w; `p_of` maps a window to
+    its insertion tableau, or to anything equal exactly when the tableaux
+    are."""
+    n = len(w)
+    out = knuth_moves(w)
+    pw = p_of(w)
+    for k in range(n):
+        v = w[:k] + (-w[k],) + w[k + 1:]
+        if v not in out and p_of(v) == pw:
+            out.add(v)
+    for k in range(n - 1):
+        v = w[:k] + (w[k + 1], w[k]) + w[k + 2:]
+        if v not in out and p_of(v) == pw:
+            out.add(v)
+    out.discard(w)
+    return out
+
+
+def _orbit(w: weylb.SignedPermutation, p_of) -> set[weylb.SignedPermutation]:
+    """The orbit of the window w under `_moves(., p_of)`."""
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        for v in _moves(frontier.pop(), p_of):
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return seen
+
+
 def extended_moves(w: weylb.SignedPermutation) -> set[weylb.SignedPermutation]:
     """
     Local moves together with the tableau-preserving exchange moves X1/X2.
@@ -78,46 +118,26 @@ def extended_moves(w: weylb.SignedPermutation) -> set[weylb.SignedPermutation]:
     tableau unchanged; this is the completion needed for the classes to
     exhaust the insertion fibers from n = 4 onwards.
     """
-    w = tuple(w)
-    n = len(w)
-    out = knuth_moves(w)
-    pw = _p_tableau(w)
-    for k in range(n):
-        v = w[:k] + (-w[k],) + w[k + 1:]
-        if v not in out and _p_tableau(v) == pw:
-            out.add(v)
-    for k in range(n - 1):
-        v = w[:k] + (w[k + 1], w[k]) + w[k + 2:]
-        if v not in out and _p_tableau(v) == pw:
-            out.add(v)
-    out.discard(w)
-    return out
+    return _moves(tuple(w), _p_tableau)
 
 
 def knuth_class(w: weylb.SignedPermutation) -> set[weylb.SignedPermutation]:
     """The plactic class of w: its orbit under the (completed) moves."""
-    w = tuple(w)
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        u = frontier.pop()
-        for v in extended_moves(u):
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return seen
+    return _orbit(tuple(w), _p_tableau)
 
 
 def knuth_classes(n: int) -> list[set[weylb.SignedPermutation]]:
     """
     All plactic classes of W_n, each discovered once, in the order of their
-    smallest elements.
+    smallest elements.  The exchange moves compare the P numbers of
+    `domino.p_numbers`, one insertion sweep of W_n, in place of tableaux.
     """
+    number = domino.p_numbers(n)
     classes = []
     seen: set[weylb.SignedPermutation] = set()
-    for w in sorted(weylb.enumerate_wn(n)):
+    for w in number:  # in increasing order
         if w not in seen:
-            cls = knuth_class(w)
+            cls = _orbit(w, number.__getitem__)
             classes.append(cls)
             seen |= cls
     return classes

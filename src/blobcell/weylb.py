@@ -281,8 +281,9 @@ def enumerate_wn(n: int):
     All of W_n: for each permutation in lexicographic order, every sign
     pattern, the positive entry before the negative one in each slot.
     """
-    for perm in itertools.permutations(range(1, n + 1)):
-        yield from itertools.product(*[(x, -x) for x in perm])
+    return itertools.chain.from_iterable(
+        itertools.product(*[(x, -x) for x in perm])
+        for perm in itertools.permutations(range(1, n + 1)))
 
 
 def enumerate_wb(n: int, bound: int | None = None) -> list[SignedPermutation]:

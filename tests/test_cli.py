@@ -270,12 +270,25 @@ def test_tables_prints_the_four_goldens():
     assert res.output == tables.format_tables() + "\n"
 
 
+_NINE = ("2", "1", "3", "4", "5", "6", "7", "8", "9")
+
+
 def test_usage_errors_exit_2():
     assert run("wb", "enumerate", "0").exit_code == 2
     assert run("domino", "insert").exit_code == 2
     assert run("domino", "insert", "--", "1", "1").exit_code == 2
     assert run("kleshchev", "4", "4", "2").exit_code == 2  # e != 2m-1
     assert run("nonsense").exit_code == 2
+    res = run("knuth", "class", "--", *_NINE)  # longer than BLOBCELL_MAX_N
+    assert res.exit_code == 2
+    assert "window length 9 exceeds enumeration bound 8" in res.output
+
+
+def test_knuth_class_length_follows_max_n():
+    res = run("knuth", "class", "--format", "json", "--", *_NINE,
+              env={"BLOBCELL_MAX_N": "9"})
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["size"] == 9
 
 
 def test_max_n_env_cap():
@@ -548,6 +561,7 @@ _HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
     (["domino", "insert", "--", "1", "1"], 2, _HEAVY | {"domino", "knuth"}),
     (["domino", "shape", "--", "1", "1"], 2, _HEAVY | {"domino", "knuth"}),
     (["knuth", "class", "--", "1", "1"], 2, _HEAVY | {"domino", "knuth"}),
+    (["knuth", "class", "--", *_NINE], 2, _HEAVY | {"domino", "knuth"}),
     (["domino", "insert", "--", "2", "3", "-1"], 0,
      _HEAVY | {"dataclasses", "partitions"}),
 ], ids=["help", "nonsense", "wb-count", "usage-error", "klbasis",
@@ -557,7 +571,7 @@ _HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
         "ideal-usage-error", "tensor-usage-error", "cellcompare-usage-error",
         "blob-standard-usage-error", "blob-verify",
         "domino-insert-window-error", "domino-shape-window-error",
-        "knuth-class-window-error", "domino-insert"])
+        "knuth-class-window-error", "knuth-class-too-long", "domino-insert"])
 def test_command_loads_only_the_modules_it_uses(args, code, unloaded):
     got, _, lines, loaded = run_fresh(*args)
     assert got == code, lines

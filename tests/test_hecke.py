@@ -505,6 +505,14 @@ def test_direct_bar_check_on_every_40th_element_of_b5(b5_basis):
     assert [w for w in elements if not b5_basis.check_bar_invariance(w)] == []
 
 
+def test_bar_sweep_holds_on_every_element_of_b5(b5_basis):
+    # Criterion 5's full sweep at n = 5, on the session basis.
+    swept = b5_basis.verify_bar_invariance()
+    assert list(swept) == b5_basis.elements
+    assert len(swept) == 3840
+    assert all(swept.values())
+
+
 def test_bar_sees_a_perturbed_coefficient_of_c_w0_in_b5(b5_basis):
     # A copy of C_{w_0} (all 3,840 terms), then the same with v added to the
     # coefficient of one element of middle length.
