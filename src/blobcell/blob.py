@@ -43,16 +43,17 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 
+from . import weylb
 from .laurent import LaurentPoly, quantum_integer
 from .partitions import WeightOutOfRange, check_weight
-from .weylb import BoundExceeded, SizeMismatch
+from .weylb import BoundExceeded, InvariantViolation, NotInWb, SizeMismatch
 
 __all__ = [
-    "BlobDiagram", "blob_scalars",
+    "BlobDiagram", "blob_scalars", "hecke_scalars", "diagram_of",
     "generator_diagram", "all_diagrams", "blob_algebra_dimension",
     "compose_diagrams", "StandardModule", "standard_module",
     "regular_representation", "verify_presentation", "localize_dimension",
-    "compare_cell_to_standard",
+    "compare_cell_to_standard", "NotInWb",
     "ExposureViolation", "WeightOutOfRange", "SpecializationInvalid",
 ]
 
@@ -70,6 +71,14 @@ def blob_scalars(m: int) -> dict:
     return {"delta_plain": -quantum_integer(2),
             "blob_loop": quantum_integer(m - 1),
             "blob_merge": -quantum_integer(m)}
+
+
+def hecke_scalars() -> dict:
+    """The loop, blob loop and merge scalars of C_s ↦ U_s on `hecke.type_b`,
+    where q_{s_0} = v, q_{s_i} = v²: -(v² + v⁻²), v + v⁻¹, -(v + v⁻¹)."""
+    y = quantum_integer(2)
+    return {"delta_plain": -quantum_integer(2, LaurentPoly.monomial(2)),
+            "blob_loop": y, "blob_merge": -y}
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +249,28 @@ def compose_diagrams(a: BlobDiagram, b: BlobDiagram, m: int = 2):
     return _scalar(key, blob_scalars(m), {}), BlobDiagram(partner, blobs)
 
 
+def diagram_of(w) -> BlobDiagram:
+    """
+    D(w), the product of the U_k along `weylb.reduced_word(w)`: NotInWb
+    for w outside W_b, whose product may still be one diagram (U_1U_2U_1 =
+    U_1), and InvariantViolation if a loop closes or two blobs merge.
+
+    >>> diagram_of((-1, 2))
+    BlobDiagram(partner=(3, 2, 1, 0), blobs=9)
+    >>> diagram_of((3, 2, 1))
+    Traceback (most recent call last):
+    blobcell.weylb.NotInWb: (3, 2, 1) lies outside W_b
+    """
+    if not weylb.is_in_wb_by_words(w):
+        raise NotInWb(f"{w} lies outside W_b")
+    d = identity_diagram(len(w))
+    for k in weylb.reduced_word(w):
+        *d, key = _straighten(*d, *generator_diagram(len(w), k))
+        if any(key):
+            raise InvariantViolation(f"{w}: a loop or a merge in its word")
+    return BlobDiagram(*d)
+
+
 # ---------------------------------------------------------------------------
 # Half-diagrams and standard modules
 # ---------------------------------------------------------------------------
@@ -263,6 +294,12 @@ def half_diagrams(n: int, lam: int) -> list[BlobDiagram]:
             out += [BlobDiagram(partner, blobs | defect_blob)
                     for blobs in _blob_choices(arcs, partner)]
     return sorted(out, key=lambda d: _order(d, n))
+
+
+def _top(d: BlobDiagram) -> tuple:
+    """d's top half: the top points' partners, -1 at defects, and blobs."""
+    n = d.n
+    return tuple(p if p < n else -1 for p in d.partner[:n]), d.blobs % (1 << n)
 
 
 def _left_action(n: int, basis: list, sc: dict) -> dict:
@@ -337,10 +374,11 @@ def _pair_products(u: dict) -> dict:
     return {(i, j): _sparse_mul(u[i], u[j]) for i in u for j in u}
 
 
-def _relations(u: dict, uu: dict, sc: dict) -> dict:
-    """The relation report of the sparse matrices `u`, whose pair products
-    are `uu`, with loop scalars `sc`."""
-    n, mm, scale = len(u), _sparse_mul, _sparse_scale
+def _relations(mats: dict, sc: dict) -> dict:
+    """The relation report of the generator matrices `mats` at the loop
+    scalars `sc`, on their nonzero entries, each pair product formed once."""
+    u = {k: _sparse(mat) for k, mat in mats.items()}
+    n, uu, mm, scale = len(u), _pair_products(u), _sparse_mul, _sparse_scale
     report = {
         "squares": all(uu[i, i] == scale(u[i], sc["delta_plain"])
                        for i in range(1, n)),
@@ -370,8 +408,7 @@ def verify_presentation(mats: dict, m: int = 2) -> dict:
     if any(len(mat) != size or any(len(row) != size for row in mat)
            for mat in mats.values()):
         raise SizeMismatch("the matrices are not all square of one size")
-    u = {k: _sparse(mat) for k, mat in mats.items()}
-    return _relations(u, _pair_products(u), blob_scalars(m))
+    return _relations(mats, blob_scalars(m))
 
 
 def _rank(mat) -> int:
@@ -411,7 +448,7 @@ def localize_dimension(module: StandardModule):
 
 
 # ---------------------------------------------------------------------------
-# Cell module vs standard module comparison (cyclotomic specialization)
+# Cell module vs standard module comparison
 # ---------------------------------------------------------------------------
 
 
@@ -435,27 +472,30 @@ def cyclotomic_spec(m: int = 2) -> tuple[int, int]:
 def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4,
                              basis=None) -> dict:
     """
-    For every left cell inside W_b(n): identify the matching standard
-    module Δ_n(λ) via the 2-quotient of the cell's domino shape, and check
-    dimensions, the blob relations and the traces of all generator words
-    of length <= 4, at v = ζ_N^k (`cyclotomic_spec`).  C_0 acts on the cell
-    as d·U_0 with the unit d = i(q - q^{-1}), so the cell matrices are
-    checked against the scalars -[2], d·[m-1], -d·[m], and their traces
-    against those of Δ_n(λ) with U_0 multiplied by d.  Each matrix is
-    specialized once, into sparse rows of its nonzero entries, and the
-    product of each ordered generator pair is formed once per cell and
-    once per λ; the relations and the traces share them.  `basis`, a built
+    For every left cell inside W_b(n), find Δ_n(λ) by the 2-quotient of the
+    cell's domino shape and compare the two over ℤ[v, v⁻¹] at
+    `hecke_scalars()`: `relations`, the cell's C_s satisfy the blob
+    relations; `traces_match`, w ↦ the top half of `diagram_of(w)` is a
+    bijection onto the basis of Δ_n(λ) under which each C_s matrix equals
+    that of U_s (equal matrices have equal traces).  `all_match` also
+    checks, once, that at v = ζ_N^k (`cyclotomic_spec(m)`) these are the
+    scalars of b_n(q, m) with U_0 times d = i(q - q⁻¹): -[2] = -(v² + v⁻²),
+    d·[m-1] = v + v⁻¹ and -d·[m] = -(v + v⁻¹).  `basis`, a built
     hecke.KLBasis of W_n, is used instead of building one.
     """
-    from . import domino, hecke, partitions, weylb
-    from .laurent import CycloNumber, cyclotomic_root, specialize
+    from . import domino, hecke, partitions
+    from .laurent import cyclotomic_root, specialize
 
     if n > bound:
         raise BoundExceeded(f"n={n} exceeds comparison bound {bound}")
     big_n, k = cyclotomic_spec(m)
-    one, zero = CycloNumber.const(big_n, 1), CycloNumber.const(big_n, 0)
     i, q = cyclotomic_root(big_n, big_n // 4), cyclotomic_root(big_n, 2 * k)
     d = i * (q - cyclotomic_root(big_n, -2 * k))
+    sc = hecke_scalars()
+    plain, loop, merge = (specialize(x, big_n, 2 * k)
+                          for x in blob_scalars(m).values())
+    report = {"cells": [], "all_match": [plain, d * loop, d * merge]
+              == [specialize(x, big_n, k) for x in sc.values()]}
 
     if basis is None:
         basis = hecke.compute_kl_basis(n, bound)
@@ -464,40 +504,21 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4,
             f"the basis is of rank {len(basis.cox.gens)}, not {n}")
     cells = [c for c in hecke.left_cells(basis)
              if weylb.is_in_wb_by_words(min(c))]
-
-    def at(mat, e):  # the nonzero entries of each row at v = ζ_N^e
-        return [{j: y for j, x in row.items()
-                 if not (y := specialize(x, big_n, e)).is_zero()}
-                for row in _sparse(mat)]
-
-    sc = {key: specialize(x, big_n, 2 * k)
-          for key, x in blob_scalars(m).items()}
-    sc["blob_loop"] *= d
-    sc["blob_merge"] *= d
-    deltas: dict = {}  # λ -> (dim Δ_n(λ), its word traces with U_0 times d)
-    report = {"cells": [], "all_match": True}
     for cell in cells:
         shapes = {domino.domino_shape(w) for w in cell}
         if len(shapes) != 1:
-            raise weylb.InvariantViolation(
-                f"left cell of {min(cell)} has domino shapes {sorted(shapes)}")
-        bip = partitions.two_quotient(next(iter(shapes)))
-        lam = partitions.blob_weight_of(bip)
-        if lam not in deltas:
-            delta = standard_module(n, lam, m)
-            du = {s: at(mat, 2 * k) for s, mat in delta.matrices.items()}
-            du[0] = _sparse_scale(du[0], d)
-            deltas[lam] = (delta.dimension(),
-                           _word_traces(du, _pair_products(du), zero, one))
-        dim_delta, dtraces = deltas[lam]
-        cu = {s: at(mat, k)
-              for s, mat in hecke.cell_module(basis, min(cell))[1].items()}
-        cuu = _pair_products(cu)
+            raise InvariantViolation(f"cell of {min(cell)}: {sorted(shapes)}")
+        lam = partitions.blob_weight_of(partitions.two_quotient(*shapes))
+        tops = {_top(h): h for h in half_diagrams(n, lam)}
+        members, cmats = hecke.cell_module(basis, min(cell))
+        perm = [tops.get(_top(diagram_of(w))) for w in members]
         entry = {"cell_min": min(cell), "lam": lam,
-                 "dim_cell": len(cu[0]), "dim_delta": dim_delta}
+                 "dim_cell": len(members), "dim_delta": len(tops)}
         entry["dims_match"] = entry["dim_cell"] == entry["dim_delta"]
-        entry["relations"] = _relations(cu, cuu, sc)["all"]
-        entry["traces_match"] = _word_traces(cu, cuu, zero, one) == dtraces
+        entry["relations"] = _relations(cmats, sc)["all"]
+        entry["traces_match"] = (entry["dims_match"]
+                                 and set(perm) == set(tops.values())
+                                 and _left_action(n, perm, sc) == cmats)
         report["cells"].append(entry)
         report["all_match"] = report["all_match"] and all(
             entry[key] for key in ("dims_match", "relations", "traces_match"))
@@ -506,27 +527,3 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4,
         if len(cell) == 1 and min(cell) == (-1,) + tuple(range(2, n + 1)):
             report["s0_cell_lam"] = lam
     return report
-
-
-def _word_traces(u: dict, uu: dict, zero, one) -> dict:
-    """Traces of all words of length <= 4 in the sparse matrices `u`, whose
-    pair products are `uu`.  A word splits into two factors, each the
-    identity, a generator or a pair product, and tr(AB) = Σ A_ij B_ji is
-    read off their rows without forming AB; the rotations of a word share
-    its trace."""
-    parts = {(): [{i: one} for i in range(len(u[0]))]}
-    parts.update(((k,), mat) for k, mat in u.items())
-    parts.update(uu)
-    out = {}
-    for length in range(1, 5):
-        for word in itertools.product(range(len(u)), repeat=length):
-            if word not in out:
-                cut = (length + 1) // 2
-                b, t = parts[word[cut:]], zero
-                for i, row in enumerate(parts[word[:cut]]):
-                    for j, x in row.items():
-                        if i in b[j]:
-                            t = t + x * b[j][i]
-                for k in range(length):
-                    out[word[k:] + word[:k]] = t
-    return out

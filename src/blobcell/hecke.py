@@ -49,7 +49,7 @@ from .kronecker import (Decoded, Frozen, Packed, add_scaled,
                         bar_symmetric_low, decode, largest_norm, low, norm,
                         pack, repack, width)
 from .laurent import LaurentPoly, add_term, gauss
-from .weylb import BoundExceeded, InvariantViolation, SizeMismatch
+from .weylb import BoundExceeded, InvariantViolation, NotInWb, SizeMismatch
 
 __all__ = [
     "Coxeter", "type_b", "type_a",
@@ -61,10 +61,6 @@ __all__ = [
 
 KL_MAX_N = 4
 _C_BITS = 32  # digit width of the C-basis table
-
-
-class NotInWb(ValueError):
-    """Raised when a cell-module base point lies outside W_b."""
 
 
 class Coxeter:

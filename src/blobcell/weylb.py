@@ -27,7 +27,7 @@ __all__ = [
     "is_in_wb_by_avoidance", "is_in_wb_by_words",
     "enumerate_wn", "enumerate_wb", "wb_count_formula",
     "IndexOutOfRange", "SizeMismatch", "BoundExceeded", "InvariantViolation",
-    "max_n",
+    "NotInWb", "max_n",
 ]
 
 SignedPermutation = tuple[int, ...]
@@ -48,6 +48,10 @@ class BoundExceeded(ValueError):
 
 class InvariantViolation(RuntimeError):
     """Raised when a construction breaks one of its own invariants."""
+
+
+class NotInWb(ValueError):
+    """Raised when an element that must lie in W_b lies outside it."""
 
 
 DEFAULT_MAX_N = 8

@@ -12,13 +12,13 @@ from math import comb
 
 import pytest
 
-from blobcell import blob, hecke, laurent, partitions
+from blobcell import blob, hecke, laurent, partitions, weylb
 from blobcell.blob import (
     all_diagrams, blob_algebra_dimension, blob_scalars, compose_diagrams,
     generator_diagram, half_diagrams, identity_diagram,
     regular_representation, standard_module, verify_presentation,
 )
-from blobcell.laurent import LaurentPoly, cyclotomic_root, specialize
+from blobcell.laurent import LaurentPoly, cyclotomic_root
 from blobcell.weylb import BoundExceeded, SizeMismatch
 
 
@@ -353,64 +353,33 @@ def test_compare_cell_to_standard_matches_the_32_cells_of_b5(b5_basis):
     assert sum(cell["dim_cell"] for cell in report["cells"]) == 252
 
 
-def _word_traces_by_products(mats, n):
-    """Reference: the trace of every word of length <= 4 from its own dense
-    matrix product, each built from the matrix of its prefix."""
-    size = len(mats[0])
-    prods = {(): [[LaurentPoly.one() if i == j else LaurentPoly.zero()
-                   for j in range(size)] for i in range(size)]}
-    out = {}
-    for length in range(1, 5):
-        for word in itertools.product(range(n), repeat=length):
-            acc = prods[word] = _dense_mul(prods[word[:-1]], mats[word[-1]])
-            out[word] = sum((acc[i][i] for i in range(size)),
-                            LaurentPoly.zero())
-    return out
+@pytest.fixture(scope="module")
+def bases():
+    """The C-bases of W_2, W_3 and W_4, built once for the comparisons."""
+    return {n: hecke.compute_kl_basis(n) for n in (2, 3, 4)}
 
 
-def _random_matrices(n, size, rng):
-    # no anti-involution relates these, so tr(w) and tr(reversed w) differ
-    return {k: [[LaurentPoly.monomial(rng.randint(-2, 2), rng.randint(-3, 3))
-                 for _ in range(size)] for _ in range(size)]
-            for k in range(n)}
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_word_traces_match_the_products(n):
-    zero, one = LaurentPoly.zero(), LaurentPoly.one()
-    modules = [standard_module(n, lam).matrices
-               for lam in partitions.lambda_n(n)]
-    for mats in modules + [_random_matrices(n, 3, random.Random(n))]:
-        u = {k: blob._sparse(mat) for k, mat in mats.items()}
-        got = blob._word_traces(u, blob._pair_products(u), zero, one)
-        assert got == _word_traces_by_products(mats, n)
-        assert len(got) == sum(n ** k for k in range(1, 5))
-
-
-def test_compare_cell_to_standard_takes_a_built_basis(monkeypatch):
-    basis = hecke.compute_kl_basis(3)
+def test_compare_cell_to_standard_takes_a_built_basis(bases, monkeypatch):
     expected = blob.compare_cell_to_standard(3)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a C-basis was built")
 
     monkeypatch.setattr(hecke, "compute_kl_basis", refuse)
-    assert blob.compare_cell_to_standard(3, basis=basis) == expected
+    assert blob.compare_cell_to_standard(3, basis=bases[3]) == expected
     with pytest.raises(ValueError, match="rank 3, not 2"):
-        blob.compare_cell_to_standard(2, basis=basis)
+        blob.compare_cell_to_standard(2, basis=bases[3])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_compare_cell_to_standard_sees_the_wrong_standard_module(n,
-                                                                 monkeypatch):
+def test_compare_cell_to_standard_sees_the_wrong_standard_module(
+        n, bases, monkeypatch):
     # Negative control: every cell with λ != 0 compared with Δ_n(-λ), of the
-    # same dimension and relations, must fail on its traces.
-    basis = hecke.compute_kl_basis(n)
-    assert blob.compare_cell_to_standard(n, basis=basis)["all_match"]
-    real = blob.standard_module
-    monkeypatch.setattr(blob, "standard_module",
-                        lambda n, lam, m=2: real(n, -lam, m))
-    report = blob.compare_cell_to_standard(n, basis=basis)
+    # same dimension, must fail: no top half of D(w) is a basis element.
+    assert blob.compare_cell_to_standard(n, basis=bases[n])["all_match"]
+    real = blob.half_diagrams
+    monkeypatch.setattr(blob, "half_diagrams", lambda n, lam: real(n, -lam))
+    report = blob.compare_cell_to_standard(n, basis=bases[n])
     assert not report["all_match"]
     for entry in report["cells"]:
         assert entry["dims_match"] and entry["relations"]
@@ -418,21 +387,40 @@ def test_compare_cell_to_standard_sees_the_wrong_standard_module(n,
 
 
 def test_compare_cell_to_standard_sees_the_unit_with_the_wrong_sign(
-        monkeypatch):
-    # Negative control: d = i(q - q⁻¹) taken as -d, by specializing i to -i.
-    # The cells then fail the blob relations, whose scalars now carry -d,
-    # and their traces differ from those of Δ_3(λ) with U_0 times -d.
-    basis = hecke.compute_kl_basis(3)
-    assert blob.compare_cell_to_standard(3, basis=basis)["all_match"]
+        bases, monkeypatch):
+    # Negative control: d = i(q - q⁻¹) taken as -d, by specializing i to -i:
+    # the scalar identities fail, while every cell still equals its Δ_3(λ).
     real = laurent.cyclotomic_root
     monkeypatch.setattr(
         laurent, "cyclotomic_root",
         lambda n, power=1: -real(n, power) if power == n // 4
         else real(n, power))
-    report = blob.compare_cell_to_standard(3, basis=basis)
+    report = blob.compare_cell_to_standard(3, basis=bases[3])
     assert not report["all_match"]
-    assert not all(entry["relations"] for entry in report["cells"])
-    assert not all(entry["traces_match"] for entry in report["cells"])
+    assert all(entry[key] for entry in report["cells"]
+               for key in ("dims_match", "relations", "traces_match"))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("wrong, failing", [
+    ({"blob_merge": blob.hecke_scalars()["blob_loop"]},
+     ("relations", "traces_match")),
+    ({"blob_loop": -blob.hecke_scalars()["delta_plain"]},
+     ("relations", "traces_match")),
+    ({}, ("traces_match",)),
+], ids=["merge-plus-y", "loop-v2-plus-v-2", "reversed-word"])
+def test_compare_cell_to_standard_sees_a_wrong_map(n, wrong, failing, bases,
+                                                   monkeypatch):
+    # Negative controls: the merge taken as +y, the blob loop as v² + v⁻²,
+    # and D(w) from the reversed reduced word, which puts its bottom on top.
+    real, word = blob.hecke_scalars(), weylb.reduced_word
+    monkeypatch.setattr(blob, "hecke_scalars", lambda: {**real, **wrong})
+    if not wrong:
+        monkeypatch.setattr(weylb, "reduced_word", lambda w: word(w)[::-1])
+    report = blob.compare_cell_to_standard(n, basis=bases[n])
+    assert not report["all_match"]
+    for key in failing:
+        assert not all(entry[key] for entry in report["cells"]), key
 
 
 def _frozen(rows):
@@ -440,32 +428,17 @@ def _frozen(rows):
 
 
 def test_compare_multiplies_each_generator_pair_once_per_matrix_set(
-        monkeypatch):
-    # Spy on the sparse product.  Each Δ_n(λ) and each cell opens a matrix
-    # set; within it, the products whose factors are both generator
+        bases, monkeypatch):
+    # Spy on the sparse product.  Each cell opens a matrix set, its C_s over
+    # ℤ[v, v⁻¹]; within it, the products whose factors are both generator
     # matrices (no factor an earlier product) are each ordered pair once.
-    n, basis = 3, hecke.compute_kl_basis(3)
-    big_n, k = blob.cyclotomic_spec(2)
-    i, q = cyclotomic_root(big_n, big_n // 4), cyclotomic_root(big_n, 2 * k)
-    d = i * (q - cyclotomic_root(big_n, -2 * k))
-
-    def at(mat, e, c=1):
-        return _frozen([{j: y for j, x in enumerate(row)
-                         if not (y := specialize(x, big_n, e) * c).is_zero()}
-                        for row in mat])
-
+    n = 3
     sets, calls, made = [], [], []
-    real_mul, real_cell, real_delta = (blob._sparse_mul, hecke.cell_module,
-                                       blob.standard_module)
+    real_mul, real_cell = blob._sparse_mul, hecke.cell_module
 
     def cell_spy(basis, w):
         out = real_cell(basis, w)
-        sets.append((len(calls), [at(out[1][s], k) for s in range(n)]))
-        return out
-
-    def delta_spy(n, lam, m=2):
-        out = real_delta(n, lam, m)
-        sets.append((len(calls), [at(out.matrices[s], 2 * k, 1 if s else d)
+        sets.append((len(calls), [_frozen(blob._sparse(out[1][s]))
                                   for s in range(n)]))
         return out
 
@@ -477,12 +450,10 @@ def test_compare_multiplies_each_generator_pair_once_per_matrix_set(
         return out
 
     monkeypatch.setattr(hecke, "cell_module", cell_spy)
-    monkeypatch.setattr(blob, "standard_module", delta_spy)
     monkeypatch.setattr(blob, "_sparse_mul", mul_spy)
-    report = blob.compare_cell_to_standard(n, basis=basis)
+    report = blob.compare_cell_to_standard(n, basis=bases[n])
     assert report["all_match"]
-    lams = {entry["lam"] for entry in report["cells"]}
-    assert len(sets) == len(report["cells"]) + len(lams)
+    assert len(sets) == len(report["cells"])
     for (start, gens), (stop, _) in zip(sets, sets[1:] + [(len(calls), 0)]):
         assert Counter(calls[start:stop]) \
             == Counter((a, b) for a in gens for b in gens)
@@ -494,6 +465,10 @@ def test_scalars():
     assert sc["delta_plain"] == -(v + v.bar())
     assert sc["blob_loop"] == LaurentPoly.one()   # [m-1] = [1] = 1
     assert sc["blob_merge"] == -(v + v.bar())     # -[m] = -[2]
+    # C_s² = -(q_s + q_s⁻¹)C_s in hecke.type_b: q_{s_1} = v², q_{s_0} = v
+    sc, q = blob.hecke_scalars(), hecke.type_b(2).weight
+    assert sc["delta_plain"] == -(q(1) + q(1).bar())
+    assert sc["blob_merge"] == -(q(0) + q(0).bar()) == -sc["blob_loop"]
 
 
 def test_compare_cell_to_standard_builds_its_basis_within_its_bound(monkeypatch):

@@ -19,10 +19,10 @@ def test_module_doctests(name):
 
 
 def test_doctests_are_found():
-    # The CycloNumber, LaurentPoly, packing, Hecke product, partition and
-    # window examples exist, so a broken collection cannot pass as "no
-    # failures".
+    # The CycloNumber, LaurentPoly, packing, Hecke product, partition,
+    # window and blob diagram examples exist, so a broken collection cannot
+    # pass as "no failures".
     for name in ("blobcell.laurent", "blobcell.kronecker", "blobcell.hecke",
-                 "blobcell.partitions", "blobcell.weylb"):
+                 "blobcell.partitions", "blobcell.weylb", "blobcell.blob"):
         tests = doctest.DocTestFinder().find(importlib.import_module(name))
         assert sum(len(t.examples) for t in tests) > 0, name
