@@ -65,8 +65,10 @@ _COMMANDS = {
                     "on every standard module (and, for small N, on the "
                     "regular representation)."),
     "cellcompare": ("cli_blob", ("n", "-m"), "Match every left cell inside "
-                    "W_b with its standard module at the cyclotomic "
-                    "specialization (l = 2(2m-1))."),
+                    "W_b with its standard module entry for entry over "
+                    "Z[v, v^-1]; M only picks the specialization "
+                    "(l = 2(2m-1)) at which the three scalar identities "
+                    "are checked."),
     "fock f": ("cli_fock", ("e", "s1", "s2", "residues*"),
                "Apply the operator product f_{i1} f_{i2} ... to the empty "
                "bipartition (the rightmost factor acts first)."),

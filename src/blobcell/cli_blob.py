@@ -98,8 +98,9 @@ def blob_verify_cmd(n: int, m: int, fmt: str) -> None:
 
 
 def cellcompare_cmd(n: int, m: int, fmt: str) -> None:
-    """Match every left cell inside W_b with its standard module at the
-    cyclotomic specialization (l = 2(2m-1))."""
+    """Match every left cell inside W_b with its standard module entry for
+    entry over Z[v, v^-1]; M only picks the specialization (l = 2(2m-1)) at
+    which the three scalar identities are checked."""
     _at_least(n, 1)
     from . import blob
 

@@ -18,25 +18,27 @@ sign-change generator to a single vertical domino, the displayed two-row
 preimage words produce two-row tableaux, and insertion is a bijection onto
 shape-matched pairs with Q(w) = P(w^{-1}).
 
-Shapes are kept as row/column length arrays: a cell (r, c) lies in a shape
-iff c < rows[r].  Insertion makes one pass over the labels per letter,
-against the lengths of the dominoes placed so far; `check_standard` adds the
-dominoes in label order, each addable to the shape of the smaller labels; the
-reverse peels labels off in decreasing order and reads the un-bump candidates
-and the forward rule's image from the lengths of the smaller labels.
+The working tableau is one row grid, grid[r] = the labels of row r from
+left to right, beside the domino of each label.  While a letter goes in,
+the new shape of the labels < k is their old one plus a two-cell hole, and
+label k moves iff its old domino meets it, so `_step`, the one insertion
+rule, walks the bumping path from hole to hole; `_unstep` walks it back
+from the two cells Q added.  `domino_insert` and `domino_shape` walk letter
+by letter on one window.  `p_numbers(n)`, which numbers the distinct P over
+all of W_n for `knuth.knuth_classes`, walks once per window prefix in one
+depth-first sweep and undoes each walk after its subtree: 6,330 walks for
+the 3,840 windows of W_5, against 19,200 one window at a time.
+`check_standard` adds the dominoes in label order, each addable to the
+shape of the smaller labels, and keeps the lengths it verified.
 `domino_reverse` raises ValueError unless P and Q are standard of one shape
 and labelled 1..n.
-
-The pass of one letter, `_step`, is the one insertion rule.  `domino_insert`
-and `domino_shape` run it letter by letter on one window.  `p_numbers(n)`,
-which numbers the distinct P over all of W_n for `knuth.knuth_classes`, runs
-it once per window prefix in one depth-first sweep: 6,330 letter steps for
-the 3,840 windows of W_5, against 19,200 one window at a time.
 
 Cells are (row, col), 0-based internally, 1-based in JSON.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 from . import weylb
 from .weylb import InvariantViolation
@@ -65,7 +67,7 @@ class DominoTableau:
     hash is hash((dominoes,)).
     """
 
-    __slots__ = ("dominoes",)
+    __slots__ = ("dominoes", "_lengths")
     dominoes: tuple[tuple[int, Domino], ...]  # sorted by label
 
     def __init__(self, dominoes: tuple[tuple[int, Domino], ...]) -> None:
@@ -121,9 +123,14 @@ class DominoTableau:
         addable to the shape of the smaller labels.  The error names the
         first violation in reading order.  Returns the row and column
         lengths of the shape, padded with zeros; a partition of 2k cells has
-        fewer than 2k rows, so no index past 2k is read or written.
+        fewer than 2k rows, so no index past 2k is read or written.  The
+        lengths stay on the tableau once verified, and each call hands out
+        fresh lists, so no tableau is walked twice.
         """
         size = 2 * len(self.dominoes) + 2
+        lengths = getattr(self, "_lengths", None)
+        if lengths:
+            return [*lengths[:size]], [*lengths[size:]]
         rows, cols = [0] * size, [0] * size
         try:
             for _, ((r, c), (r2, c2)) in self.dominoes:
@@ -137,6 +144,7 @@ class DominoTableau:
                 cols[c] += 1
                 cols[c2] += 1
             else:
+                object.__setattr__(self, "_lengths", (*rows, *cols))
                 return rows, cols
         except IndexError:
             pass
@@ -211,86 +219,91 @@ def _shape_of(rows: list[int]) -> tuple[int, ...]:
     return tuple(rows[:k])
 
 
-def _shuffle_position(old: Domino, rows: list[int], cols: list[int]) -> Domino:
+def _below(grid: list[list[int]], c: int, k: int) -> int:
+    """The number of labels < k in column c of the row grid `grid`, which
+    holds them on top: a scan down the column, stopped by the empty row."""
+    r = 0
+    while c < len(grid[r]) and grid[r][c] < k:
+        r += 1
+    return r
+
+
+def _put(grid: list[list[int]], cell: Cell, k: int) -> int:
+    """Write label k at `cell` of the row grid; return the label it covers,
+    0 if the cell lies just past the end of its row."""
+    r, c = cell
+    row = grid[r]
+    if c < len(row):
+        covered = row[c]
+        if covered < k:
+            raise InvariantViolation("bumping collision")
+        row[c] = k
+        return covered
+    if c > len(row):
+        raise InvariantViolation(
+            "insertion must add two cells, each at the end of its row")
+    row.append(k)
+    return 0
+
+
+def _step(grid: list[list[int]], pos: list, letter: int):
     """
-    The re-placement rule: where a domino at `old` goes once the shape lam
-    of the re-placed smaller labels is fixed; `rows` and `cols` are the row
-    and column lengths of lam.  Unmoved if disjoint from lam; a fully
-    covered domino is appended to the next row (horizontal) or column
-    (vertical) of lam; one covered first cell pivots around the free cell.
+    Insert one letter into the tableau held as the row grid `grid` (row r
+    lists its labels from left to right; 2n + 1 rows, so the last stays
+    empty) and `pos` (the domino of each label, None for one not inserted
+    yet), both in place.  Returns the two cells added, sorted, and the
+    moves [(label, its old domino)], the letter's label first with None.
+
+    While the labels < k are re-placed, their new shape is their old one
+    plus two cells, the hole, each kept with the old label under it (0 for
+    none).  The next label to move is the smaller of the two; a domino
+    with both cells in the hole is appended to the next row (column) of
+    the labels < k, one with only its first cell (r, c) there pivots,
+    which moves that hole cell to (r + 1, c + 1).  The walk ends when both hole cells
+    are empty: they are the cells added.  Row r of the grid lists the new
+    labels < k, then the old ones > k, so its length in the labels < k is
+    a bisect, and a column's is a scan.
     """
-    (r1, c1), (r2, c2) = old
-    first_in = c1 < rows[r1]
-    second_in = c2 < rows[r2]
-    if not first_in:
-        if second_in:
+    k = abs(letter)
+    if letter > 0:
+        c = bisect_left(grid[0], k)
+        a, b = (0, c), (0, c + 1)
+    else:
+        r = _below(grid, 0, k)
+        a, b = (r, 0), (r + 1, 0)
+    pos[k], moved = (a, b), [(k, None)]
+    la, lb = _put(grid, a, k), _put(grid, b, k)
+    while la or lb:
+        k = la if not lb or la and la < lb else lb
+        old = pos[k]
+        moved.append((k, old))
+        (r, c), second = old
+        if (r, c) == a:
+            keep, lk = b, lb
+        elif (r, c) == b:
+            keep, lk = a, la
+        else:
             raise InvariantViolation("partial cover must be the first cell")
-        return old
-    if r1 == r2:
-        if second_in:  # fully covered: append to the next row of lam
-            c = rows[r1 + 1]
-            return ((r1 + 1, c), (r1 + 1, c + 1))
-        return ((r1, c2), (r1 + 1, c2))  # pivot to vertical
-    if second_in:  # fully covered: append to the next column of lam
-        r = cols[c1 + 1]
-        return ((r, c1 + 1), (r + 1, c1 + 1))
-    return ((r2, c1), (r2, c1 + 1))  # pivot to horizontal
+        if second == keep:  # fully covered: append to the next row or column
+            if second[0] == r:
+                c = bisect_left(grid[r + 1], k)
+                a, b = (r + 1, c), (r + 1, c + 1)
+            else:
+                r = _below(grid, c + 1, k)
+                a, b = (r, c + 1), (r + 1, c + 1)
+            pos[k] = a, b
+            la, lb = _put(grid, a, k), _put(grid, b, k)
+        else:  # pivot around the free cell, which keeps label k
+            a, la, b = keep, lk, (r + 1, c + 1)
+            pos[k] = second, b
+            lb = _put(grid, b, k)
+    return ((a, b) if a < b else (b, a)), moved
 
 
-def _step(pos: list, rows: list[int], letter: int) -> tuple[list[int], list[Cell]]:
-    """
-    Insert one letter into the tableau whose positions `pos` (indexed by
-    label, None for a label not inserted yet) fill the row lengths `rows`.
-    `pos` is updated in place; the new row lengths and the two cells added
-    are returned.  One pass over the labels in increasing order: the smaller
-    ones stay, the letter's domino comes next, the larger ones are re-placed.
-    `rows` has 2n + 1 entries for n = len(pos) - 1: the shape has at most 2n
-    cells, so no cell lies past row or column 2n - 1 and the re-placement
-    reads at most index 2n.
-    """
-    j = abs(letter)
-    size = len(rows)
-    new, cols = [0] * size, [0] * size
-    for lab in range(1, len(pos)):
-        p = pos[lab]
-        if lab == j:
-            p = pos[j] = (((0, new[0]), (0, new[0] + 1)) if letter > 0
-                          else ((cols[0], 0), (cols[0] + 1, 0)))
-            gained = list(p)  # the cells that dominoes moved onto
-        elif p is None:
-            continue
-        elif lab > j:
-            moved = _shuffle_position(p, new, cols)
-            if moved is not p:
-                (a, b), (c, d) = moved
-                if b < new[a] or d < new[c]:
-                    raise InvariantViolation("bumping collision")
-                p = pos[lab] = moved
-                gained += moved
-        (a, b), (c, d) = p
-        new[a] += 1
-        new[c] += 1
-        cols[b] += 1
-        cols[d] += 1
-    # Only cells that a domino moved onto can lie outside the old shape.
-    added = sorted(x for x in gained if x[1] >= rows[x[0]])
-    if len(added) != 2:
-        raise InvariantViolation("insertion must add exactly two cells")
-    return new, added
-
-
-def _grow(w: weylb.SignedPermutation):
-    """
-    Insert the window of w letter by letter, yielding (the positions of P
-    so far, indexed by label; its row lengths; the two cells added at this
-    step).
-    """
-    n = len(w)
-    pos: list = [None] * (n + 1)
-    rows = [0] * (2 * n + 1)
-    for letter in w:
-        rows, added = _step(pos, rows, letter)
-        yield pos, rows, added
+def _insert(w: weylb.SignedPermutation):
+    """The row grid and the dominoes of P(w), and the cells added by step."""
+    grid, pos = [[] for _ in range(2 * len(w) + 1)], [None] * (len(w) + 1)
+    return grid, pos, [_step(grid, pos, letter)[0] for letter in w]
 
 
 def p_numbers(n: int) -> dict[weylb.SignedPermutation, int]:
@@ -298,41 +311,46 @@ def p_numbers(n: int) -> dict[weylb.SignedPermutation, int]:
     {w: the number of P(w)} for every window w of W_n, in increasing window
     order; P tableaux are numbered 0, 1, ... as they first appear.
 
-    One depth-first sweep over the window prefixes: each prefix is inserted
-    once, by one `_step` on a copy of its parent's state, so the windows
-    sharing a prefix share its insertion.  Every P is checked standard.
+    One depth-first sweep over the window prefixes on one row grid: each
+    prefix is inserted once, by one `_step` walk in place, so the windows
+    sharing a prefix share its insertion.  After the subtree the walk is
+    undone, not copied: each moved label goes back to its old domino and
+    the two cells added, which end their rows, come off.  Every P is
+    checked standard.
     """
-    letters = [*range(-n, 0), *range(1, n + 1)]
+    letters = [(x, 1 << abs(x)) for x in (*range(-n, 0), *range(1, n + 1))]
     numbers: dict[DominoTableau, int] = {}
     out: dict[weylb.SignedPermutation, int] = {}
+    grid, pos = [[] for _ in range(2 * n + 1)], [None] * (n + 1)
 
-    def sweep(prefix, pos, rows, used):
+    def sweep(prefix, used):
         if len(prefix) == n:
             tp = DominoTableau(tuple(enumerate(pos))[1:])
             tp.check_standard()
             out[prefix] = numbers.setdefault(tp, len(numbers))
             return
-        for letter in letters:
-            if not used >> abs(letter) & 1:
-                child = pos.copy()
-                sweep(prefix + (letter,), child, _step(child, rows, letter)[0],
-                      used | 1 << abs(letter))
+        for letter, bit in letters:
+            if not used & bit:
+                added, moved = _step(grid, pos, letter)
+                sweep(prefix + (letter,), used | bit)
+                for k, old in moved:
+                    pos[k] = old
+                    if old:
+                        (r, c), (r2, c2) = old
+                        grid[r][c] = grid[r2][c2] = k
+                for r, _ in added:
+                    grid[r].pop()
 
-    sweep((), [None] * (n + 1), [0] * (2 * n + 1), 0)
+    sweep((), 0)
     return out
 
 
 def domino_insert(w: weylb.SignedPermutation) -> tuple[DominoTableau, DominoTableau]:
-    """
-    Insert the window of w, returning the pair (P(w), Q(w)); the recording
-    tableau Q marks with label k the two cells added at step k.
-    """
-    pos: list = [None]
-    q = []
-    for step, (pos, _, added) in enumerate(_grow(w), start=1):
-        q.append((step, tuple(added)))
+    """Insert the window of w, returning the pair (P(w), Q(w)); the recording
+    tableau Q marks with label k the two cells added at step k."""
+    _, pos, added = _insert(w)
     tp = DominoTableau(tuple(enumerate(pos))[1:])
-    tq = DominoTableau(tuple(q))
+    tq = DominoTableau(tuple(enumerate(added, start=1)))
     tp.check_standard()
     tq.check_standard()
     return tp, tq
@@ -340,98 +358,78 @@ def domino_insert(w: weylb.SignedPermutation) -> tuple[DominoTableau, DominoTabl
 
 def domino_shape(w: weylb.SignedPermutation) -> tuple[int, ...]:
     """The shape of P(w), read off the insertion without building Q."""
-    rows: list[int] = []
-    for _, rows, _ in _grow(w):
-        pass
-    return _shape_of(rows)
+    return _shape_of([len(row) for row in _insert(w)[0]])
 
 
-def _transpose(dom: Domino) -> Domino:
-    (a, b), (c, d) = dom
-    return ((b, a), (d, c))
-
-
-def _unbump(pos: Domino, hole, rows: list[int], cols: list[int]) -> list[Domino]:
+def _unbump(grid: list[list[int]], k: int, dom: Domino, hole: Domino):
     """
-    The old positions of a label now at the horizontal domino `pos`: the
-    dominoes removable from the pre-insertion shape lam + pos - hole that
-    the forward rule, against lam (row lengths `rows`, column lengths
-    `cols`), sends to pos.  Only two can: the vertical domino that pivots
-    onto pos, and the last two cells of the row above, which, fully
-    covered, are appended where pos lies.
-
-    Both candidates found below are sent to pos, so none is filtered out.
-    The vertical candidate's upper cell lies in lam + pos - hole but not
-    in pos, so it lies in lam; its lower cell is a cell of pos, so it is
-    not in lam, and the domino pivots onto pos.  The row-above candidate
-    lies wholly in lam; it is appended at column rows[r], which is c
-    because lam ∪ pos is a shape.
+    The old domino of label k, now at `dom`: () for the letter's own
+    domino, which fills the hole at the start of row 0 (column 0), else
+    the domino removable from the pre-insertion shape mu of the labels
+    <= k that the forward rule sends to dom, or None.  mu is the shape of
+    the new labels <= k, which `grid` holds ahead of the old ones > k,
+    less the two `hole` cells (sorted).  For a horizontal dom at (r, c),
+    (r, c + 1) only two dominoes are sent there:
+    - the end of row r - 1, appended when fully covered: the hole was that
+      domino and is dom now.  It is removable iff row r - 1 of mu, its new
+      labels <= k, reaches past column c + 1;
+    - the vertical (r - 1, c), (r, c), which pivots, so (r, c + 1) is a
+      hole cell.  It is removable iff mu lacks (r - 1, c + 1), which holds
+      a label < k: iff that is the other hole cell.
+    Transposed for a vertical dom.
     """
-    (r, c), _ = pos
-    if r == 0:
-        return []
-    (h, i), (k, l) = hole
-    found = []
-    # Lengths of lam + pos - hole: column c must end at row r, column c + 1
-    # above row r - 1, so that the vertical domino at its end is removable.
-    if (cols[c] + 1 - (i == c) - (l == c) == r + 1
-            and cols[c + 1] + 1 - (i == c + 1) - (l == c + 1) < r):
-        found.append(((r - 1, c), (r, c)))
-    e = rows[r - 1] - (h == r - 1) - (k == r - 1)  # the row above ends at e
-    if e >= 2 and rows[r] + 2 - (h == r) - (k == r) <= e - 2:
-        found.append(((r - 1, e - 2), (r - 1, e - 1)))
-    return found
+    (r, c), (r2, c2) = dom
+    if hole == dom and not (r if r == r2 else c):
+        return ()
+    if r == r2:
+        if hole == dom:
+            e = bisect_right(grid[r - 1], k)
+            return ((r - 1, e - 2), (r - 1, e - 1)) if e >= c + 2 else None
+        return ((r - 1, c), dom[0]) if hole == ((r - 1, c2), dom[1]) else None
+    if hole == dom:
+        e = _below(grid, c - 1, k + 1)
+        return ((e - 2, c - 1), (e - 1, c - 1)) if e >= r + 2 else None
+    return ((r, c - 1), dom[0]) if hole == ((r2, c - 1), dom[1]) else None
 
 
-def _reverse_letter(tab: dict[int, Domino], labels: list[int], hole: set[Cell],
-                    rows: list[int], cols: list[int]) -> int:
+def _restore(grid: list[list[int]], cell: Cell, held: int) -> None:
+    """Give `cell` back the label it held before the walk reached it, or,
+    for none, take it off the end of its row."""
+    r, c = cell
+    if held:
+        grid[r][c] = held
+    elif c == len(grid[r]) - 1:
+        grid[r].pop()
+    else:
+        raise InvariantViolation("reverse insertion left a gap in a row")
+
+
+def _unstep(grid: list[list[int]], pos: list, hole: Domino) -> int:
     """
-    Undo one insertion step in place: remove the inserted label from `tab`
-    and from `labels` (its keys in increasing order) and return the signed
-    letter.  `hole` is the pair of cells that were added; `rows` and `cols`
-    are the lengths of the tableau's shape, on entry and on return.
-
-    `hole` tracks the two cells by which the shape of the labels >= the
-    current one exceeds its pre-insertion shape; a label was moved by the
-    insertion iff its position meets the hole.  The old position is the
-    unique domino, removable from the pre-insertion shape of the labels up
-    to this one, that the forward re-placement rule sends to the observed
-    position.
+    Undo one insertion step in place on the row grid `grid` and the
+    dominoes `pos`, and return the signed letter; `hole` is the pair of
+    cells the step added, sorted.  The forward walk run back: the last
+    label moved is the larger label under the hole, and `_unbump` gives its
+    old domino.  Each hole cell keeps the label it held before the walk
+    reached it (0 for none) and gets it back when the walk leaves it; a
+    cell the moved label vacates joins the hole, holding that label.
     """
-    for k in range(len(labels) - 1, -1, -1):
-        lab = labels[k]
-        pos = tab[lab]
-        for r, c in pos:  # rows, cols: the shape lam of the labels < lab
-            rows[r] -= 1
-            cols[c] -= 1
-        if pos[0] not in hole and pos[1] not in hole:
+    a, b = hole
+    la = lb = 0
+    while True:
+        k = max(grid[a[0]][a[1]], grid[b[0]][b[1]])
+        dom = pos[k]
+        old = pos[k] = _unbump(grid, k, dom, (a, b))
+        if old is None:
+            raise ValueError(f"reverse bumping stuck at label {k}")
+        _restore(grid, b, lb)
+        if (a, b) != dom:  # pivoted: b was the image of the free cell
+            a, b, la, lb = old[0], a, k, la
             continue
-        (r1, c1), (r2, c2) = pos
-        horizontal = r1 == r2
-        # The inserted domino itself sits exactly in the hole, appended to
-        # row 0 (horizontal) or column 0 (vertical) of lam.
-        if set(pos) == hole and (r1, c1) == ((0, rows[0]) if horizontal
-                                             else (cols[0], 0)):
-            del tab[lab], labels[k]
-            for above in labels[k:]:  # back to the whole tableau's shape
-                for r, c in tab[above]:
-                    rows[r] += 1
-                    cols[c] += 1
-            return lab if horizontal else -lab
-        if horizontal:
-            valid = _unbump(pos, hole, rows, cols)
-        else:
-            valid = [_transpose(old) for old in _unbump(
-                _transpose(pos), {(c, r) for r, c in hole}, cols, rows)]
-        if len(valid) != 1:
-            raise ValueError(f"reverse bumping ambiguous or stuck at label {lab}")
-        old = tab[lab] = valid[0]
-        # The new hole: the cells of lam outside its pre-insertion shape
-        # lam + pos - hole - old.
-        hole = {x for x in (*hole, *old) if x[1] < rows[x[0]]}
-        if len(hole) != 2:
-            raise InvariantViolation("reverse bumping must leave two cells")
-    raise ValueError("no inserted letter found during reverse insertion")
+        _restore(grid, a, la)
+        if not old:
+            return k if dom[0][0] == dom[1][0] else -k
+        (a, b), la, lb = old, k, k
 
 
 def domino_reverse(p: DominoTableau, q: DominoTableau) -> weylb.SignedPermutation:
@@ -443,11 +441,13 @@ def domino_reverse(p: DominoTableau, q: DominoTableau) -> weylb.SignedPermutatio
     for t in (p, q):
         if t.labels() != list(range(1, len(t.dominoes) + 1)):
             raise ValueError(f"labels {t.labels()} are not 1..n")
-    rows, cols = p.check_standard()
+    rows, _ = p.check_standard()
     if q.check_standard()[0] != rows:
         raise ShapeMismatch("P and Q must have equal shapes")
-    tab = p.as_dict()
-    labels = p.labels()
-    letters = [_reverse_letter(tab, labels, set(hole), rows, cols)
-               for _, hole in reversed(q.dominoes)]
+    grid = [[] for _ in range(len(rows) - 1)]
+    for lab, dom in p.dominoes:  # in label order each cell ends its row
+        for r, _ in dom:
+            grid[r].append(lab)
+    pos = [None, *(dom for _, dom in p.dominoes)]
+    letters = [_unstep(grid, pos, hole) for _, hole in reversed(q.dominoes)]
     return tuple(reversed(letters))

@@ -189,9 +189,9 @@ def test_criterion_09_cell_vs_standard(report):
         ok = ok and rep.get("s0_cell_lam") == -n
     ok = ok and len(rep["cells"]) == 16
     ok = ok and sum(e["dim_cell"] for e in rep["cells"]) == comb(8, 4)
-    report(9, ok, f"every left cell in W_b matches its standard module at "
-                  f"the cyclotomic specialization (m=2, l=6), n<=4 "
-                  f"({time.time() - t:.1f}s)")
+    report(9, ok, f"every left cell in W_b matches its standard module "
+                  f"entry for entry over Z[v, v^-1] (scalar identities at "
+                  f"m=2, l=6), n<=4 ({time.time() - t:.1f}s)")
 
 
 def test_criterion_10_type_a_transfer(report):

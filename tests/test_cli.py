@@ -634,7 +634,7 @@ def test_help_exits_0_in_a_fresh_process(args, shown):
 # 80-column terminal (argparse wraps the command help to COLUMNS).
 HELP_DIGESTS = {
     "--help":
-        "0746773a2597e2897f10e6276c6f598706c0ce5815685a420dd7313dbde82989",
+        "329e8b5d291995a450ecd56e6ea558898c5673a018cffafa24a0b6481b90880f",
     "blob --help":
         "363f7f2a2fa11b02d39a13c9ab9052cef1e8caf556267d2319c1224181dceccf",
     "domino --help":
@@ -656,7 +656,7 @@ HELP_DIGESTS = {
     "blob verify --help":
         "8d203b57239b447cf8e0b56227d24be9b200e690061fdcc4695671495c7d7c6d",
     "cellcompare --help":
-        "37170404a79422998f784eb418f66e1f95321ef2886e339b7fdd6f8a7f611458",
+        "72ef470b46a0859636dfa5836f0a5b1e0264ed8d8418bcec5077215e325aaa2b",
     "cells --help":
         "a1c64c1637607d81ca8360af8a359d0c6d61a212c3a879d4439c5f569aebe6ce",
     "decomp --help":

@@ -1,5 +1,6 @@
 """Domino insertion, its inverse, and the two-row shape criterion."""
 
+import bisect
 import copy
 import hashlib
 import itertools
@@ -40,13 +41,6 @@ def test_reverse_roundtrip(w):
     p.check_standard()
     q.check_standard()
     assert domino_reverse(p, q) == w
-
-
-@given(windows(5))
-def test_q_is_p_of_inverse(w):
-    _, q = domino_insert(w)
-    p_inv, _ = domino_insert(weylb.inverse(w))
-    assert q == p_inv
 
 
 def test_bijection_small():
@@ -149,6 +143,16 @@ def test_check_standard_matches_reference_on_label_swaps():
                         "labels not increasing down a column"}
 
 
+def test_check_standard_keeps_its_lengths_and_hands_out_fresh_lists():
+    p, _ = domino_insert((2, 3, -1))
+    want = ([4, 2] + [0] * 6, [2, 2, 1, 1] + [0] * 4)
+    rows, cols = p.check_standard()
+    assert (rows, cols) == want
+    rows[0] = cols[0] = 99
+    assert p.check_standard() == want
+    assert p.check_standard()[0] is not p.check_standard()[0]
+
+
 def test_check_standard_rejects_cells_off_a_partition():
     gap = DominoTableau.from_dict({1: ((0, 0), (1, 0)), 2: ((0, 2), (1, 2))})
     with pytest.raises(ValueError, match="partition shape"):
@@ -181,25 +185,55 @@ def _digest(lines):
 
 @pytest.fixture(scope="module")
 def inserted_up_to_6():
-    """(w, domino_shape(w), the shape of P(w), the repr of (w, P.dominoes,
-    Q.dominoes)) for every w in W_1..W_6."""
+    """(w, domino_shape(w), P(w), Q(w)) for every w in W_1..W_6."""
     out = []
     for n in range(1, 7):
         for w in weylb.enumerate_wn(n):
-            p, q = domino_insert(w)
-            out.append((w, domino.domino_shape(w), p.shape(),
-                        repr((w, p.dominoes, q.dominoes))))
+            out.append((w, domino.domino_shape(w), *domino_insert(w)))
     return out
 
 
 def test_insert_digest_up_to_6(inserted_up_to_6):
     assert len(inserted_up_to_6) == 50362
-    assert _digest(line for *_, line in inserted_up_to_6) == _INSERT_DIGEST
+    assert _digest(repr((w, p.dominoes, q.dominoes))
+                   for w, _, p, q in inserted_up_to_6) == _INSERT_DIGEST
 
 
 def test_shape_digest_6(inserted_up_to_6):
     assert _digest(repr((w, shape)) for w, shape, *_ in inserted_up_to_6
                    if len(w) == 6) == _SHAPE_DIGEST
+
+
+def test_q_is_p_of_inverse(inserted_up_to_6):
+    # (P, Q)(w^{-1}) = (Q, P)(w) on all of W_1..W_6.
+    pq = {w: (p, q) for w, _, p, q in inserted_up_to_6}
+    for w, (p, q) in pq.items():
+        assert pq[weylb.inverse(w)] == (q, p), w
+
+
+def _schensted_shape(perm):
+    """The shape of the Schensted row insertion tableau of a sequence of
+    distinct numbers (written for the tests)."""
+    rows = []
+    for x in perm:
+        for row in rows:
+            i = bisect.bisect_left(row, x)
+            if i == len(row):
+                row.append(x)
+                break
+            row[i], x = x, row[i]
+        else:
+            rows.append([x])
+    return tuple(map(len, rows))
+
+
+def test_shape_is_the_schensted_shape_of_iota(inserted_up_to_6):
+    # An oracle that shares no code with domino insertion: the shape of
+    # P(w) is the row insertion shape of iota(w) in S_2n, so W_b (two rows)
+    # is the set of w with iota(w) 321-avoiding.
+    assert _schensted_shape((3, 1, 2)) == (2, 1)
+    for w, shape, *_ in inserted_up_to_6:
+        assert shape == _schensted_shape(weylb.iota(w)), w
 
 
 def test_reverse_rejects_unequal_shapes():
@@ -233,8 +267,8 @@ def test_two_rows_iff_wb():
 
 
 def test_shape_matches_insertion(inserted_up_to_6):
-    for w, shape, p_shape, _ in inserted_up_to_6:
-        assert shape == p_shape, w
+    for w, shape, p, _ in inserted_up_to_6:
+        assert shape == p.shape(), w
 
 
 def test_json_roundtrip():
