@@ -44,7 +44,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import weylb
-from .laurent import LaurentPoly, quantum_integer
+from .laurent import LaurentPoly, gauss, quantum_integer
 from .partitions import WeightOutOfRange, check_weight
 from .weylb import BoundExceeded, InvariantViolation, NotInWb, SizeMismatch
 
@@ -74,11 +74,15 @@ def blob_scalars(m: int) -> dict:
 
 
 def hecke_scalars() -> dict:
-    """The loop, blob loop and merge scalars of C_s ↦ U_s on `hecke.type_b`,
-    where q_{s_0} = v, q_{s_i} = v²: -(v² + v⁻²), v + v⁻¹, -(v + v⁻¹)."""
-    y = quantum_integer(2)
-    return {"delta_plain": -quantum_integer(2, LaurentPoly.monomial(2)),
-            "blob_loop": y, "blob_merge": -y}
+    """The loop, blob loop and merge scalars of C_s ↦ U_s on `hecke.type_b`
+    at Q = q_{s_0}, q = q_{s_i} (`hecke.type_b_weight`): -(q + q⁻¹),
+    [2]_{Q/q} and -(Q + Q⁻¹), as C_s² = -(q_s + q_s⁻¹)C_s."""
+    from .hecke import type_b_weight
+
+    big_q, q = type_b_weight(0), type_b_weight(1)
+    return {"delta_plain": -(q + q.bar()),
+            "blob_loop": gauss(2, big_q * q.bar()),
+            "blob_merge": -(big_q + big_q.bar())}
 
 
 # ---------------------------------------------------------------------------

@@ -255,14 +255,18 @@ def _step(grid: list[list[int]], pos: list, letter: int):
     moves [(label, its old domino)], the letter's label first with None.
 
     While the labels < k are re-placed, their new shape is their old one
-    plus two cells, the hole, each kept with the old label under it (0 for
-    none).  The next label to move is the smaller of the two; a domino
-    with both cells in the hole is appended to the next row (column) of
-    the labels < k, one with only its first cell (r, c) there pivots,
-    which moves that hole cell to (r + 1, c + 1).  The walk ends when both hole cells
-    are empty: they are the cells added.  Row r of the grid lists the new
-    labels < k, then the old ones > k, so its length in the labels < k is
-    a bisect, and a column's is a scan.
+    plus the hole, two adjacent cells a, b in one row or column with a
+    first, each kept with the old label la, lb under it (0 for none).  The
+    old labels increase along rows and columns and fill a partition, so
+    la < lb, la = lb (one domino) or lb = 0; the cells left of and above a
+    lie in the new shape of the labels < k, a partition, not in the hole,
+    so they held labels < k.  So label la moves next, and its domino starts
+    at a (else InvariantViolation).  If it ends at b, it is appended to the
+    next row (column) of the labels < k; if not, it pivots: b stays in the
+    hole, and (r + 1, c + 1), below or right of b, joins it.  The walk ends
+    when both hole cells are empty: they are the cells added, (a, b).  Row
+    r of the grid lists the new labels < k, then the old ones > k, so its
+    length in the labels < k is a bisect, and a column's is a scan.
     """
     k = abs(letter)
     if letter > 0:
@@ -274,17 +278,12 @@ def _step(grid: list[list[int]], pos: list, letter: int):
     pos[k], moved = (a, b), [(k, None)]
     la, lb = _put(grid, a, k), _put(grid, b, k)
     while la or lb:
-        k = la if not lb or la and la < lb else lb
-        old = pos[k]
+        k, old = la, pos[la]
         moved.append((k, old))
-        (r, c), second = old
-        if (r, c) == a:
-            keep, lk = b, lb
-        elif (r, c) == b:
-            keep, lk = a, la
-        else:
+        if not k or old[0] != a:
             raise InvariantViolation("partial cover must be the first cell")
-        if second == keep:  # fully covered: append to the next row or column
+        (r, c), second = old
+        if second == b:  # fully covered: append to the next row or column
             if second[0] == r:
                 c = bisect_left(grid[r + 1], k)
                 a, b = (r + 1, c), (r + 1, c + 1)
@@ -294,10 +293,10 @@ def _step(grid: list[list[int]], pos: list, letter: int):
             pos[k] = a, b
             la, lb = _put(grid, a, k), _put(grid, b, k)
         else:  # pivot around the free cell, which keeps label k
-            a, la, b = keep, lk, (r + 1, c + 1)
+            a, la, b = b, lb, (r + 1, c + 1)
             pos[k] = second, b
             lb = _put(grid, b, k)
-    return ((a, b) if a < b else (b, a)), moved
+    return (a, b), moved
 
 
 def _insert(w: weylb.SignedPermutation):

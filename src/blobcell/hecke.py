@@ -8,9 +8,9 @@ descent set) are built once, on integer indices, so that the same code
 serves two groups:
 
   * the type-B group W_n of signed permutations with unequal parameters
-    q_{s_0} = v, q_{s_i} = v^2 for i >= 1 (the Γ = ℤ, a = 2, b = 1 regime);
-  * the symmetric group S_N with the equal parameter v^2, used for the
-    comparison along the doubling embedding ι : W_n → S_{2n}.
+    `type_b_weight` (Γ = ℤ, a = 2, b = 1), the source of every generic scalar;
+  * the symmetric group S_N with the equal parameter q_{s_1} of W_n, used
+    for the comparison along the doubling embedding ι : W_n → S_{2n}.
 
 T_s satisfies (T_s - q_s)(T_s + q_s^{-1}) = 0 and C_s := T_s - q_s.  The
 C-basis is the unique family with bar(C_w) = C_w and C_w - T_w supported on
@@ -52,7 +52,7 @@ from .laurent import LaurentPoly, add_term, gauss
 from .weylb import BoundExceeded, InvariantViolation, NotInWb, SizeMismatch
 
 __all__ = [
-    "Coxeter", "type_b", "type_a",
+    "Coxeter", "type_b_weight", "type_b", "type_a",
     "t_gen", "c_gen", "multiply_t", "bar_involution",
     "KLBasis", "compute_kl_basis", "left_cells", "IdealJn", "ideal_jn",
     "type_a_kl_compare", "tensor_ideal_annihilates", "ideal_vanish_symbolic",
@@ -61,6 +61,13 @@ __all__ = [
 
 KL_MAX_N = 4
 _C_BITS = 32  # digit width of the C-basis table
+_Q0, _QI = LaurentPoly.monomial(1), LaurentPoly.monomial(2)
+
+
+def type_b_weight(k: int) -> LaurentPoly:
+    """The r = 0 parameters q_{s_0} = v, q_{s_i} = v^2 (i >= 1), b/a = 1/2,
+    as the same two objects on every call (`left_product` reads them)."""
+    return _Q0 if k == 0 else _QI
 
 
 class Coxeter:
@@ -123,20 +130,18 @@ class Coxeter:
 
 
 def type_b(n: int) -> Coxeter:
-    """W_n with unequal parameters q_{s_0} = v, q_{s_i} = v^2."""
-    q = LaurentPoly.monomial(2)
-    big_q = LaurentPoly.monomial(1)
+    """W_n with the unequal parameters `type_b_weight`."""
     return Coxeter(f"B{n}", range(n), weylb.identity(n), weylb.apply_generator,
-                   weight=lambda k: big_q if k == 0 else q)
+                   weight=type_b_weight)
 
 
 def type_a(n_points: int) -> Coxeter:
     """
-    The symmetric group S_N with the equal parameter v^2.  For k >= 1,
-    `weylb.apply_generator` swaps window slots k and k+1, which is right
-    multiplication by s_k on permutations too.
+    The symmetric group S_N with the equal parameter q_{s_1} of W_n.  For
+    k >= 1, `weylb.apply_generator` swaps window slots k and k+1, which is
+    right multiplication by s_k on permutations too.
     """
-    q = LaurentPoly.monomial(2)
+    q = type_b_weight(1)
     return Coxeter(f"A{n_points - 1}", range(1, n_points),
                    tuple(range(1, n_points + 1)), weylb.apply_generator,
                    weight=lambda k: q)
@@ -577,10 +582,10 @@ class IdealJn:
 def _ideal_generator_pairs(n: int) -> list:
     """
     The pairs (k, c) whose C_1C_kC_1 - c·C_1 generate J_n: (2, 1) when
-    n >= 3, and (0, [2]_{Q/q}) with [2]_{Q/q} = Q/q + q/Q = v + v⁻¹.
+    n >= 3, and (0, [2]_{Q/q}), Q/q + q/Q for Q = q_{s_0}, q = q_{s_i}.
     """
     pairs = [(2, LaurentPoly.one())] if n >= 3 else []
-    return pairs + [(0, LaurentPoly({1: 1, -1: 1}))]
+    return pairs + [(0, gauss(2, type_b_weight(0) * type_b_weight(1).bar()))]
 
 
 def ideal_jn(n: int, basis: KLBasis | None = None) -> IdealJn:
@@ -696,11 +701,11 @@ def tensor_ideal_annihilates(n: int) -> bool:
     """
     if n < 2:
         raise ValueError("the ideal generators need n >= 2")
-    from .tensor import generic_tensor_scalars, tensor_c_action, tensor_identity
+    from .tensor import generic_tensor_scalars, tensor_c_action
 
     sc = generic_tensor_scalars()
     for word in itertools.product((1, 2), repeat=n):
-        c1x = tensor_c_action(n, 1, tensor_identity(word, sc), sc)
+        c1x = tensor_c_action(n, 1, {word: sc["one"]}, sc)
         for k, scale in _ideal_generator_pairs(n):
             # C_1 C_k C_1 x - scale C_1 x
             y = tensor_c_action(n, 1, tensor_c_action(n, k, dict(c1x), sc), sc)
@@ -725,12 +730,10 @@ def ideal_vanish_symbolic(n: int = 3) -> bool:
     so C_1 C_0 x lies in [-n, 2n], as does [2]_{Q/q} x = (Q/q + q/Q) x.
     These 3n + 1 values need K > 3n; K = 3n + 1.
     """
-    from .tensor import tensor_c_action
+    from .tensor import _scalars, tensor_c_action
 
     big_k = 3 * n + 1
-    v = LaurentPoly.monomial
-    sc = {"one": LaurentPoly.one(), "q": v(1), "q_inv": v(-1),
-          "big_q": v(big_k), "big_q_inv": v(-big_k)}
+    sc = _scalars(LaurentPoly.monomial(1), LaurentPoly.monomial(big_k))
     two = gauss(2, sc["big_q"] * sc["q_inv"])
     for tail in itertools.product((1, 2), repeat=n - 2):
         x = {(1, 2) + tail: sc["one"], (2, 1) + tail: -sc["q"]}

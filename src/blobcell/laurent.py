@@ -4,9 +4,9 @@ Exact scalar arithmetic.
 Two kinds of scalars are used throughout the library:
 
 * ``LaurentPoly`` -- integer Laurent polynomials in one variable ``v``.
-  The Hecke-algebra parameters are hard-wired to the one-variable
-  specialization ``q = v**2`` and ``Q = v``; the blob algebra uses a second
-  instance of the same ring in the variable ``q`` (unit exponent 1).
+  The Hecke-algebra parameters are monomials in ``v``, defined once by
+  ``hecke.type_b_weight``; the blob algebra uses a second instance of the
+  same ring in the variable ``q`` (unit exponent 1).
 * ``CycloNumber`` -- elements of the ring Z[zeta_N] of cyclotomic
   integers, represented as polynomials in zeta of degree < phi(N) with
   integer coefficients.  Equal values have equal representations, so
@@ -162,14 +162,7 @@ class LaurentPoly:
             return LaurentPoly.monomial(e * k, x**k)
         if k < 0:
             raise InexactDivision("negative power of a non-monomial")
-        out = _ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(_ONE, self, k)
 
     def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Return self/other, raising InexactDivision if not exact."""
@@ -247,6 +240,18 @@ class LaurentPoly:
 
 _ZERO = LaurentPoly({})
 _ONE = LaurentPoly({0: 1})
+_V = LaurentPoly({1: 1})
+
+
+def _power(one, base, k: int):
+    """base**k for k >= 0 by square-and-multiply, from the unit `one`."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
 
 
 def add_term(x: dict, key, c) -> None:
@@ -271,17 +276,15 @@ def gauss(n: int, x: LaurentPoly) -> LaurentPoly:
         raise NegativeN(f"gauss requires n >= 0, got {n}")
     if len(x._c) != 1 or next(iter(x._c.values())) != 1:
         raise ValueError("gauss base must be a coefficient-1 monomial")
-    k = x.min_exp()
+    k = abs(x.min_exp())  # [n]_x = [n]_{x^-1}; exponents stored top down
     return LaurentPoly({k * e: 1 for e in range(n - 1, -n, -2)}) if n else _ZERO
 
 
-def quantum_integer(n: int, x: LaurentPoly | None = None) -> LaurentPoly:
-    """[n]_x for any integer n, with [-n] = -[n]; default x = v."""
-    if x is None:
-        x = LaurentPoly.monomial(1)
+def quantum_integer(n: int) -> LaurentPoly:
+    """[n] = [n]_v for any integer n, with [-n] = -[n]."""
     if n >= 0:
-        return gauss(n, x)
-    return -gauss(-n, x)
+        return gauss(n, _V)
+    return -gauss(-n, _V)
 
 
 @lru_cache(maxsize=None)
@@ -297,7 +300,7 @@ def quantum_factorial(a: int) -> LaurentPoly:
         raise NegativeN(f"quantum_factorial requires a >= 0, got {a}")
     if a == 0:
         return _ONE
-    return quantum_factorial(a - 1) * gauss(a, LaurentPoly.monomial(1))
+    return quantum_factorial(a - 1) * gauss(a, _V)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +433,7 @@ class CycloNumber:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power: Z[zeta_N] has no division here")
-        out = CycloNumber.const(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(CycloNumber.const(self.n, 1), self, k)
 
     def is_zero(self) -> bool:
         return not any(self._c)

@@ -7,8 +7,9 @@ map words over {1, 2} to scalars.  The ideal checks on this space are in
 `hecke`.
 
 Scalars are pluggable: anything with +, -, *, `is_zero()` and a `one`;
-`q`, `q_inv`, `big_q`, `big_q_inv` are passed in a small dict.  The
-default is the one-variable ring q = v^2, Q = v.
+`q`, `q_inv`, `big_q`, `big_q_inv` are passed in a small dict.
+`generic_tensor_scalars` gives the one-variable ring at q = q_{s_i} and
+Q = q_{s_0} of `hecke.type_b_weight`.
 """
 
 from __future__ import annotations
@@ -18,22 +19,21 @@ import itertools
 from .laurent import LaurentPoly, add_term
 from .partitions import check_weight
 
-__all__ = ["generic_tensor_scalars", "tensor_identity", "tensor_action",
-           "tensor_c_action", "permutation_module"]
+__all__ = ["generic_tensor_scalars", "tensor_action", "tensor_c_action",
+           "permutation_module"]
+
+
+def _scalars(q: LaurentPoly, big_q: LaurentPoly) -> dict:
+    """The scalar dict of the monomials q and Q, their inverses their bars."""
+    return {"one": LaurentPoly.one(), "q": q, "q_inv": q.bar(),
+            "big_q": big_q, "big_q_inv": big_q.bar()}
 
 
 def generic_tensor_scalars() -> dict:
-    return {
-        "one": LaurentPoly.one(),
-        "q": LaurentPoly.monomial(2),
-        "q_inv": LaurentPoly.monomial(-2),
-        "big_q": LaurentPoly.monomial(1),
-        "big_q_inv": LaurentPoly.monomial(-1),
-    }
+    """q = q_{s_i} and Q = q_{s_0} of `hecke.type_b_weight`."""
+    from .hecke import type_b_weight
 
-
-def tensor_identity(word, scalars) -> dict:
-    return {tuple(word): scalars["one"]}
+    return _scalars(type_b_weight(1), type_b_weight(0))
 
 
 def _apply_r(x: dict, slot: int, sc: dict, inverse: bool = False) -> dict:
@@ -76,9 +76,8 @@ def _apply_varpi(x: dict, sc: dict) -> dict:
     return out
 
 
-def tensor_action(n: int, gen: int, x: dict, scalars: dict | None = None) -> dict:
+def tensor_action(n: int, gen: int, x: dict, sc: dict) -> dict:
     """Apply T_gen to the tensor vector x (words over {1,2} of length n)."""
-    sc = scalars if scalars is not None else generic_tensor_scalars()
     if gen != 0:
         return _apply_r(x, gen - 1, sc)
     # T_0 = T_1^{-1} ... T_{n-1}^{-1} S_{n-1} ... S_1 ϖ, rightmost first.
@@ -90,9 +89,8 @@ def tensor_action(n: int, gen: int, x: dict, scalars: dict | None = None) -> dic
     return x
 
 
-def tensor_c_action(n: int, gen: int, x: dict, scalars: dict | None = None) -> dict:
+def tensor_c_action(n: int, gen: int, x: dict, sc: dict) -> dict:
     """Apply C_gen = T_gen - q_gen."""
-    sc = scalars if scalars is not None else generic_tensor_scalars()
     out = tensor_action(n, gen, x, sc)
     p = sc["big_q"] if gen == 0 else sc["q"]
     for w, c in x.items():

@@ -386,16 +386,34 @@ def test_compare_cell_to_standard_sees_the_wrong_standard_module(
         assert entry["traces_match"] == (entry["lam"] == 0)
 
 
-def test_compare_cell_to_standard_sees_the_unit_with_the_wrong_sign(
-        bases, monkeypatch):
-    # Negative control: d = i(q - q⁻¹) taken as -d, by specializing i to -i:
-    # the scalar identities fail, while every cell still equals its Δ_3(λ).
+def _unit_with_the_wrong_sign(monkeypatch):
+    """d = i(q - q⁻¹) taken as -d, by specializing i to -i."""
     real = laurent.cyclotomic_root
     monkeypatch.setattr(
         laurent, "cyclotomic_root",
         lambda n, power=1: -real(n, power) if power == n // 4
         else real(n, power))
+
+
+def test_compare_cell_to_standard_sees_the_unit_with_the_wrong_sign(
+        bases, monkeypatch):
+    # Negative control: d = i(q - q⁻¹) taken as -d, by specializing i to -i:
+    # the scalar identities fail, while every cell still equals its Δ_3(λ).
+    _unit_with_the_wrong_sign(monkeypatch)
     report = blob.compare_cell_to_standard(3, basis=bases[3])
+    assert not report["all_match"]
+    assert all(entry[key] for entry in report["cells"]
+               for key in ("dims_match", "relations", "traces_match"))
+
+
+@pytest.mark.parametrize("m", range(2, 16))
+def test_specialization_identities_hold_at_every_m_within_the_conductor(
+        m, monkeypatch):
+    # W_1 has two cells, so all_match is the check of the scalar identities
+    # at cyclotomic_spec(m); m = 16 needs conductor 124 > 120.
+    assert blob.compare_cell_to_standard(1, m)["all_match"]
+    _unit_with_the_wrong_sign(monkeypatch)
+    report = blob.compare_cell_to_standard(1, m)
     assert not report["all_match"]
     assert all(entry[key] for entry in report["cells"]
                for key in ("dims_match", "relations", "traces_match"))

@@ -2,6 +2,7 @@
 
 import bisect
 import copy
+import gc
 import hashlib
 import itertools
 import pickle
@@ -185,11 +186,17 @@ def _digest(lines):
 
 @pytest.fixture(scope="module")
 def inserted_up_to_6():
-    """(w, domino_shape(w), P(w), Q(w)) for every w in W_1..W_6."""
+    """(w, domino_shape(w), P(w), Q(w)) for every w in W_1..W_6, built with
+    the cyclic GC paused: the 100,724 tableaux it keeps would otherwise set
+    off full collections that find nothing to free."""
     out = []
-    for n in range(1, 7):
-        for w in weylb.enumerate_wn(n):
-            out.append((w, domino.domino_shape(w), *domino_insert(w)))
+    gc.disable()
+    try:
+        for n in range(1, 7):
+            for w in weylb.enumerate_wn(n):
+                out.append((w, domino.domino_shape(w), *domino_insert(w)))
+    finally:
+        gc.enable()
     return out
 
 

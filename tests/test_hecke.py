@@ -7,7 +7,7 @@ import random
 import pytest
 import sympy
 
-from blobcell import domino, hecke, laurent, partitions, tensor, weylb
+from blobcell import blob, domino, hecke, laurent, partitions, tensor, weylb
 from blobcell.hecke import (
     bar_involution, c_gen, compute_kl_basis, ideal_jn, left_cells,
     multiply_t, t_gen, type_a, type_b,
@@ -862,6 +862,35 @@ def test_symbolic_check_matches_sympy_reference(name, monkeypatch):
     for n in (2, 3, 4):
         assert _sympy_ideal_vanish(n, two) is holds
         assert hecke.ideal_vanish_symbolic(n) is holds
+
+
+def test_type_b_weight_is_v_and_v2_as_two_fixed_objects():
+    v = LaurentPoly.monomial
+    assert hecke.type_b_weight(0) == v(1) and hecke.type_b_weight(1) == v(2)
+    assert hecke.type_b_weight(0) is hecke.type_b_weight(0)
+    assert hecke.type_b_weight(1) is hecke.type_b_weight(3)
+
+
+def test_every_generic_scalar_follows_the_one_weight_definition(monkeypatch):
+    # (q_{s_0}, q_{s_i}) = (v², v⁵) keeps b/a < 1 and moves every value
+    # derived from the weights: Q/q = v⁻³.
+    v = LaurentPoly.monomial
+    big_q, q = v(2), v(5)
+    monkeypatch.setattr(hecke, "type_b_weight",
+                        lambda k: big_q if k == 0 else q)
+    cox = type_b(2)
+    assert [cox.weight(k) for k in cox.gens] == [big_q, q]
+    cox = type_a(3)
+    assert [cox.weight(k) for k in cox.gens] == [q, q]
+    two = v(3) + v(-3)  # [2]_{Q/q}
+    assert hecke._ideal_generator_pairs(3) == [(2, LaurentPoly.one()),
+                                               (0, two)]
+    assert blob.hecke_scalars() == {"delta_plain": -(v(5) + v(-5)),
+                                    "blob_loop": two,
+                                    "blob_merge": -(v(2) + v(-2))}
+    assert tensor.generic_tensor_scalars() == {
+        "one": LaurentPoly.one(), "q": v(5), "q_inv": v(-5),
+        "big_q": v(2), "big_q_inv": v(-2)}
 
 
 def test_permutation_module_dims():

@@ -51,6 +51,26 @@ def test_nonpositive_positive_split(p):
     assert all(e <= 0 for e, _ in p.nonpositive_part().items())
 
 
+@given(polys, st.integers(0, 9))
+def test_power_matches_repeated_products(p, k):
+    want = LaurentPoly.one()
+    for _ in range(k):
+        want = want * p
+    assert p ** k == want
+
+
+def test_power_of_a_non_monomial():
+    v, one = LaurentPoly.monomial(1), LaurentPoly.one()
+    assert (v + one) ** 5 == LaurentPoly({5: 1, 4: 5, 3: 10, 2: 10, 1: 5,
+                                          0: 1})
+    assert (v - v.bar()) ** 0 == one
+    assert (v - v.bar()) ** 2 == v ** 2 - one - one + v.bar() ** 2
+    with pytest.raises(InexactDivision, match="non-monomial"):
+        (v + one) ** -1
+    with pytest.raises(InexactDivision, match="non-unit"):
+        (v * 2) ** -1
+
+
 def test_quantum_integers():
     v = LaurentPoly.monomial(1)
     assert quantum_integer(2) == v + v.bar()
@@ -66,6 +86,9 @@ def test_gauss_balanced():
     assert gauss(1, v).is_one()
     assert gauss(0, v).is_zero()
     assert gauss(2, v).bar() == gauss(2, v)
+    # [n]_x = [n]_{1/x}, stored in one order: [2]_{Q/q} at Q/q = v^-1 has
+    # the repr of [2]_v
+    assert repr(gauss(3, v.bar())) == repr(gauss(3, v))
 
 
 def test_cyclotomic_basics():
