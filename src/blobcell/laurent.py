@@ -155,8 +155,8 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if len(self._c) == 1:
             ((e, x),) = self._c.items()
-            if x == 1:
-                return LaurentPoly.monomial(e * k)
+            if x == 1 or x == -1:  # a unit; (-1) ** -1 would be a float
+                return LaurentPoly.monomial(e * k, x ** (k % 2))
             if k < 0:
                 raise InexactDivision("negative power of a non-unit")
             return LaurentPoly.monomial(e * k, x**k)
@@ -215,7 +215,7 @@ class LaurentPoly:
         return bool(self._c)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self._c!r})"
+        return f"LaurentPoly({dict(sorted(self._c.items()))!r})"
 
     def __str__(self) -> str:
         return self.pretty("v")

@@ -2,7 +2,6 @@
 
 import bisect
 import copy
-import gc
 import hashlib
 import itertools
 import pickle
@@ -186,18 +185,9 @@ def _digest(lines):
 
 @pytest.fixture(scope="module")
 def inserted_up_to_6():
-    """(w, domino_shape(w), P(w), Q(w)) for every w in W_1..W_6, built with
-    the cyclic GC paused: the 100,724 tableaux it keeps would otherwise set
-    off full collections that find nothing to free."""
-    out = []
-    gc.disable()
-    try:
-        for n in range(1, 7):
-            for w in weylb.enumerate_wn(n):
-                out.append((w, domino.domino_shape(w), *domino_insert(w)))
-    finally:
-        gc.enable()
-    return out
+    """(w, domino_shape(w), P(w), Q(w)) for every w in W_1..W_6."""
+    return [(w, domino.domino_shape(w), *domino_insert(w))
+            for n in range(1, 7) for w in weylb.enumerate_wn(n)]
 
 
 def test_insert_digest_up_to_6(inserted_up_to_6):
@@ -281,6 +271,56 @@ def test_shape_matches_insertion(inserted_up_to_6):
 def test_json_roundtrip():
     p, _ = domino_insert((3, -1, 2, -4))
     assert DominoTableau.from_json(p.to_json()) == p
+
+
+def test_equal_entries_and_shapes_are_one_object():
+    # P and Q of different windows, and JSON and pickle round trips, each
+    # built by its own call: an entry equal to one seen before is that very
+    # object, and so are the verified lengths of two tableaux of one shape.
+    made = [t for w in weylb.enumerate_wn(3) for t in domino_insert(w)]
+    made += [DominoTableau.from_json(t.to_json()) for t in made[:24]]
+    made += [pickle.loads(pickle.dumps(t)) for t in made[:24]]
+    first = {}
+    for t in made:
+        for entry in t.dominoes:
+            assert first.setdefault(entry, entry) is entry, entry
+    assert len(first) < sum(len(t.dominoes) for t in made) // 10
+    lengths = {}
+    for t in made:
+        t.check_standard()
+        assert lengths.setdefault(t.shape(), t._lengths) is t._lengths, t
+    assert len(lengths) < len(made) // 10
+
+
+def _shared_bound(n):
+    """The bound of the module docstring on the shared table after
+    tableaux with at most n labels: entries (k, domino) with k <= n and
+    (r + 1)(c + 1) <= 2k for both cells (r, c), and one lengths tuple per
+    shape, at most the number of partitions of 2m for m <= n."""
+    entries = 0
+    for k in range(1, n + 1):
+        cells = {(r, c) for r in range(2 * k) for c in range(2 * k)
+                 if (r + 1) * (c + 1) <= 2 * k}
+        entries += sum((r, c + 1) in cells for r, c in cells)
+        entries += sum((r + 1, c) in cells for r, c in cells)
+    count = [1] + [0] * 2 * n  # partitions of m, by the largest part
+    for part in range(1, 2 * n + 1):
+        for m in range(part, 2 * n + 1):
+            count[m] += count[m - part]
+    return entries, sum(count[2 * m] for m in range(1, n + 1))
+
+
+def test_shared_table_stays_within_its_bound(inserted_up_to_6, monkeypatch):
+    entries, shapes = _shared_bound(6)
+    assert (entries, shapes) == (130, 159)
+    tableaux = [t for _, _, p, q in inserted_up_to_6 for t in (p, q)]
+    assert len({id(e) for t in tableaux for e in t.dominoes}) <= entries
+    monkeypatch.setattr(domino, "_SHARED", {})
+    for t in tableaux:
+        DominoTableau(t.dominoes).check_standard()
+    kept = [key for key in domino._SHARED if isinstance(key[1], tuple)]
+    assert 0 < len(kept) <= entries
+    assert 0 < len(domino._SHARED) - len(kept) <= shapes
 
 
 def test_tableau_is_a_read_only_value():

@@ -71,6 +71,28 @@ def test_power_of_a_non_monomial():
         (v * 2) ** -1
 
 
+def test_unit_monomials_have_every_power():
+    # +-v^e is a unit of Z[v^+-1], with inverse +-v^-e.
+    one = LaurentPoly.one()
+    for e, sign, k in itertools.product(range(-3, 4), (1, -1), range(-4, 5)):
+        u = LaurentPoly.monomial(e, sign)
+        base = u if k >= 0 else one.divide_exact(u)
+        want = one
+        for _ in range(abs(k)):
+            want = want * base
+        got = u ** k
+        assert got == want, (e, sign, k)
+        assert one.divide_exact(u ** -k) == got, (e, sign, k)
+
+
+def test_repr_lists_terms_by_increasing_exponent():
+    v = LaurentPoly.monomial(1)
+    assert repr(v + v.bar()) == repr(v.bar() + v) == "LaurentPoly({-1: 1, 1: 1})"
+    assert repr(LaurentPoly({3: 2, -1: -1, 0: 5})) == (
+        "LaurentPoly({-1: -1, 0: 5, 3: 2})")
+    assert repr(LaurentPoly.zero()) == "LaurentPoly({})"
+
+
 def test_quantum_integers():
     v = LaurentPoly.monomial(1)
     assert quantum_integer(2) == v + v.bar()
