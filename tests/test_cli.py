@@ -404,6 +404,12 @@ STDOUT_DIGESTS = {
         "93fb909733dcb74bbe611839579226fe896c63537b81a4812a6c6a0d7be75079",
     ("klbasis 3", "pretty"):
         "97a213249e59ca83de1c94d917a4656f571b51a5ba2999ec635c9bcf3971564c",
+    ("klbasis 4", "json"):
+        "118d990ee7e6012aa690a35a8e0deb5dcd79b2b65bfeb008eee6ee5921fa8131",
+    ("klbasis 4", "csv"):
+        "c172842c2d1cdc768b7554452254ac4f2fe583702b2e5488a47bd1c8d1b54007",
+    ("klbasis 4", "pretty"):
+        "a2d0e00f20a478b181154d6fe1170a735f7b223879f875e2dc144e3117900ab2",
     ("cells 3", "json"):
         "ce7ef31a21be37c74b6704ea82147bde367f2a860a9f3071cf6fc59c8d47709e",
     ("cells 3", "csv"):
