@@ -348,7 +348,8 @@ _PAIR = ('{"P": {"dominoes": [[1, [1, 1], [2, 1]], [2, [1, 2], [2, 2]], '
 
 # SHA-256 of the stdout of every command in each format, recorded when
 # every command still built all three renderings (the charge 10^9 rows with
-# the tuple-keyed Fock table); "PAIR" stands for _PAIR.
+# the tuple-keyed Fock table, `klbasis 4` and the zero vector of `fock f`
+# when each output was still held whole); "PAIR" stands for _PAIR.
 STDOUT_DIGESTS = {
     ("wb enumerate 3", "json"):
         "885c1d5546dcd56abe98c9be8c7121cabc2978cd30bb84343b8485d6cb8252c1",
@@ -458,6 +459,12 @@ STDOUT_DIGESTS = {
         "e12824012b2284269466c8c89e6824894ebd0fd26a8f8a0e59df43eb8afe22da",
     ("fock f -- 3 0 1 1 0 2 1 0", "pretty"):
         "501f6fcf6f04a8d7358fcc29efdb95603e05b8058ffbecded08e62caf28b0f8b",
+    ("fock f -- 3 0 0 1", "json"):
+        "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
+    ("fock f -- 3 0 0 1", "csv"):
+        "718ff2b3232d5785828c0ab5e4893409acbb1ea4a7051f1af244054ff37404af",
+    ("fock f -- 3 0 0 1", "pretty"):
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
     ("fock crystal -- 3 -1 0 0 1 0 2 2 1 1 0 0 2", "json"):
         "34f3e319eb0ac6f64f0492ceabe660242cd6813768e6cfdaa66db28ab4079dcd",
     ("fock crystal -- 3 -1 0 0 1 0 2 2 1 1 0 0 2", "csv"):
