@@ -4,10 +4,17 @@ with deterministic JSON/CSV/pretty output, on the standard library alone.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, which
 includes any ValueError a command raises (a bound, a specialization, an
-argument the library rejects).  Negative window entries are passed after a
-`--` sentinel, e.g. `blobcell domino insert -- 2 3 -1`.
-The BLOBCELL_MAX_N environment variable overrides the size caps of every
-command and is passed to the library bounds.
+argument the library rejects), and 141 when the reader of stdout goes
+away before the output ends (`blobcell klbasis 4 | head -1`): the status
+a shell reports for a filter that SIGPIPE ended, with nothing on stderr.
+Negative window entries are passed after a `--` sentinel, e.g.
+`blobcell domino insert -- 2 3 -1`.  The BLOBCELL_MAX_N environment
+variable overrides the size caps of every command and is passed to the
+library bounds.
+
+Every output is streamed: `_emit` writes the one rendering asked for as
+its builder makes it, in chunks of about 64 KiB, so no command holds its
+whole output and a reader that leaves early is the normal case.
 
 This module is the dispatcher and the output helpers the commands share.
 `_COMMANDS` is data: it maps each command path to the module that holds
@@ -25,10 +32,13 @@ from __future__ import annotations
 
 import importlib
 import io
+import itertools
 import os
 import sys
+from collections.abc import Iterator
 
 MISMATCH = 1
+BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 # Command path -> (module, argument specs, help line).  The body is the
 # function `<path with _ for spaces>_cmd` of the module.  A spec is an
@@ -203,8 +213,9 @@ def main(args=None, prog_name=None) -> None:
     except ValueError as exc:
         parser.error(str(exc))
     except BrokenPipeError:  # the reader went away, as in `| head`
+        # stdout's unwritten rest goes nowhere, not into an error at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+        sys.exit(BROKEN_PIPE)
     except KeyboardInterrupt:
         print("\nAborted!", file=sys.stderr)
         sys.exit(1)
@@ -218,22 +229,82 @@ def _dumps(obj, **kwargs) -> str:
     return json.dumps(obj, **kwargs)
 
 
+_CHUNK = 1 << 16  # characters handed to stdout at once
+
+
 def _emit(fmt: str, obj, rows, text) -> None:
     """
-    One payload, three renderings; keys and row order are always sorted.
-    `obj`, `rows` and `text` are zero-argument builders of the JSON object,
-    the CSV rows and the pretty text: only the one `fmt` asks for runs.
+    One payload, three renderings, each written as it is made; keys and
+    row order are always sorted.  `obj`, `rows` and `text` are
+    zero-argument builders of the JSON value, of the CSV rows and of the
+    pretty lines: only the one `fmt` asks for runs.  Its pieces go to
+    stdout in chunks of about _CHUNK characters, so no rendering holds its
+    whole output and a large one is a few writes per megabyte.
     """
-    if fmt == "json":
-        print(_dumps(obj(), sort_keys=True, separators=(",", ":")))
-    elif fmt == "csv":
-        import csv
+    pieces = (itertools.chain(_json_pieces(obj()), ("\n",)) if fmt == "json"
+              else _csv_pieces(rows()) if fmt == "csv"
+              else _text_pieces(text()))
+    parts, size = [], 0
+    for piece in pieces:
+        parts.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            sys.stdout.write("".join(parts))
+            parts, size = [], 0
+    if parts:
+        sys.stdout.write("".join(parts))
 
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows())
-        sys.stdout.write(buf.getvalue())
+
+def _json_pieces(obj):
+    """
+    json.dumps(obj, sort_keys=True, separators=(",", ":")) in pieces: a
+    dict (str keys) one entry at a time in sorted-key order, anything else
+    as an array one item at a time.  A value that is callable is called
+    when its piece is made, and one that is an iterator streams as an
+    array, so an object of thunks or a generator is never held whole.
+    """
+    if isinstance(obj, dict):
+        sep, close = "{", "}"
+        entries = ((_dumps(k) + ":", obj[k]) for k in sorted(obj))
     else:
-        print(text())
+        sep, close = "[", "]"
+        entries = (("", x) for x in obj)
+    for head, value in entries:
+        if callable(value):
+            value = value()
+        if isinstance(value, Iterator):
+            yield sep + head
+            yield from _json_pieces(value)
+        else:
+            yield sep + head + _dumps(value, sort_keys=True,
+                                      separators=(",", ":"))
+        sep = ","
+    yield close if sep == "," else sep + close
+
+
+def _csv_pieces(rows):
+    """The CSV text of `rows`, in pieces of 256 rows."""
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    rows = iter(rows)
+    while batch := list(itertools.islice(rows, 256)):
+        writer.writerows(batch)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+
+
+def _text_pieces(lines):
+    """Each of `lines` with a newline; a single one for no lines, as
+    print("") writes."""
+    empty = True
+    for line in lines:
+        yield line + "\n"
+        empty = False
+    if empty:
+        yield "\n"
 
 
 def _window(entries) -> tuple:

@@ -4,6 +4,7 @@ this module only when one of them is invoked."""
 from __future__ import annotations
 
 import sys
+from itertools import chain
 
 from .cli import MISMATCH, _at_least, _cap, _emit, _wstr
 
@@ -26,10 +27,9 @@ def blob_dims_cmd(n: int, fmt: str) -> None:
           lambda: {"n": n, "algebra_dim": total,
                    "standard_dims": {str(l): d for l, d in dims.items()},
                    "sum_of_squares_ok": ok},
-          lambda: [["lambda", "dim"]] + [[l, dims[l]] for l in lams],
-          lambda: "\n".join([f"dim b_{n} = {total}"]
-                            + [f"  dim Delta({l}) = {dims[l]}"
-                               for l in lams]))
+          lambda: chain([["lambda", "dim"]], ([l, dims[l]] for l in lams)),
+          lambda: chain([f"dim b_{n} = {total}"],
+                        (f"  dim Delta({l}) = {dims[l]}" for l in lams)))
     if not ok:
         sys.exit(MISMATCH)
 
@@ -57,19 +57,18 @@ def blob_standard_cmd(n: int, lam: int, m: int, fmt: str) -> None:
     dim = mod.dimension()
 
     def text():
-        lines = [f"dim Delta_{n}({lam}) = {dim}"]
+        yield f"dim Delta_{n}({lam}) = {dim}"
         for k, mat in sorted(mats.items()):
-            lines.append(f"U_{k}:")
-            lines += ["  [" + ", ".join(row) + "]" for row in mat]
-        return "\n".join(lines)
+            yield f"U_{k}:"
+            yield from ("  [" + ", ".join(row) + "]" for row in mat)
 
     _emit(fmt,
           lambda: {"n": n, "lambda": lam, "m": m, "dim": dim,
                    "matrices": mats},
-          lambda: [["generator", "row", "entries"]]
-                  + [[k, r, "; ".join(row)]
-                     for k, mat in sorted(mats.items())
-                     for r, row in enumerate(mat)],
+          lambda: chain([["generator", "row", "entries"]],
+                        ([k, r, "; ".join(row)]
+                         for k, mat in sorted(mats.items())
+                         for r, row in enumerate(mat))),
           text)
 
 
@@ -91,8 +90,8 @@ def blob_verify_cmd(n: int, m: int, fmt: str) -> None:
     ok = all(reports.values())
     _emit(fmt, lambda: {"n": n, "m": m, "reports": reports, "ok": ok},
           lambda: [["module", "relations_ok"]] + sorted(reports.items()),
-          lambda: "\n".join(f"{k}: {'ok' if v else 'FAIL'}"
-                            for k, v in sorted(reports.items())))
+          lambda: (f"{k}: {'ok' if v else 'FAIL'}"
+                   for k, v in sorted(reports.items())))
     if not ok:
         sys.exit(MISMATCH)
 
@@ -110,17 +109,17 @@ def cellcompare_cmd(n: int, m: int, fmt: str) -> None:
           lambda: {"n": n, "m": m, "all_match": report["all_match"],
                    "cells": [{**e, "cell_min": list(e["cell_min"])}
                              for e in entries]},
-          lambda: [["cell_min", "lambda", "dim_cell", "dim_delta",
-                    "dims_match", "relations", "traces_match"]]
-                  + [[_wstr(e["cell_min"]), e["lam"], e["dim_cell"],
-                      e["dim_delta"], e["dims_match"], e["relations"],
-                      e["traces_match"]] for e in entries],
-          lambda: "\n".join(
-              [f"cell of {_wstr(e['cell_min'])}: lambda={e['lam']} "
+          lambda: chain([["cell_min", "lambda", "dim_cell", "dim_delta",
+                          "dims_match", "relations", "traces_match"]],
+                        ([_wstr(e["cell_min"]), e["lam"], e["dim_cell"],
+                          e["dim_delta"], e["dims_match"], e["relations"],
+                          e["traces_match"]] for e in entries)),
+          lambda: chain(
+              (f"cell of {_wstr(e['cell_min'])}: lambda={e['lam']} "
                f"dims {e['dim_cell']}/{e['dim_delta']} "
                f"relations={'ok' if e['relations'] else 'FAIL'} "
                f"traces={'ok' if e['traces_match'] else 'FAIL'}"
-               for e in entries]
-              + [f"all_match: {report['all_match']}"]))
+               for e in entries),
+              [f"all_match: {report['all_match']}"]))
     if not report["all_match"]:
         sys.exit(MISMATCH)

@@ -4,6 +4,7 @@ module only when one of them is invoked."""
 from __future__ import annotations
 
 import sys
+from itertools import chain
 
 from .cli import _cap, _dumps, _emit, _window, _wstr
 
@@ -19,7 +20,7 @@ def domino_insert_cmd(entries, fmt: str) -> None:
           lambda: [["tableau", "json"],
                    ["P", _dumps(p.to_json(), sort_keys=True)],
                    ["Q", _dumps(q.to_json(), sort_keys=True)]],
-          lambda: f"P:\n{p.pretty()}\nQ:\n{q.pretty()}")
+          lambda: ["P:", p.pretty(), "Q:", q.pretty()])
 
 
 def domino_reverse_cmd(pair: str, fmt: str) -> None:
@@ -39,7 +40,7 @@ def domino_reverse_cmd(pair: str, fmt: str) -> None:
     except (KeyError, ValueError, domino.ShapeMismatch) as exc:
         raise ValueError(f"invalid tableau pair: {exc}")
     _emit(fmt, lambda: {"window": list(w)}, lambda: [["window"], [_wstr(w)]],
-          lambda: _wstr(w))
+          lambda: [_wstr(w)])
 
 
 def domino_shape_cmd(entries, fmt: str) -> None:
@@ -50,7 +51,7 @@ def domino_shape_cmd(entries, fmt: str) -> None:
     shape = domino.domino_shape(w)
     text = " ".join(map(str, shape))
     _emit(fmt, lambda: {"window": list(w), "shape": list(shape)},
-          lambda: [["shape"], [text]], lambda: text)
+          lambda: [["shape"], [text]], lambda: [text])
 
 
 def knuth_class_cmd(entries, fmt: str) -> None:
@@ -67,6 +68,6 @@ def knuth_class_cmd(entries, fmt: str) -> None:
     cls = sorted(knuth.knuth_class(w))
     _emit(fmt,
           lambda: {"window": list(w), "size": len(cls),
-                   "class": [list(u) for u in cls]},
-          lambda: [["window"]] + [[_wstr(u)] for u in cls],
-          lambda: "\n".join(_wstr(u) for u in cls))
+                   "class": (list(u) for u in cls)},
+          lambda: chain([["window"]], ([_wstr(u)] for u in cls)),
+          lambda: map(_wstr, cls))

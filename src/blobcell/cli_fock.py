@@ -5,6 +5,7 @@ invoked."""
 from __future__ import annotations
 
 import sys
+from itertools import chain
 
 from .cli import MISMATCH, _at_least, _cap, _check_em, _dumps, _emit
 
@@ -22,9 +23,9 @@ def fock_f_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
         vec = fock.f_action(i % e, vec, s, e)
     items = sorted(vec.items())
     _emit(fmt, lambda: {_dumps(b): c.pretty() for b, c in items},
-          lambda: [["bipartition", "coefficient"]]
-                  + [[_dumps(b), c.pretty()] for b, c in items],
-          lambda: "\n".join(f"{b}: {c.pretty()}" for b, c in items))
+          lambda: chain([["bipartition", "coefficient"]],
+                        ([_dumps(b), c.pretty()] for b, c in items)),
+          lambda: (f"{b}: {c.pretty()}" for b, c in items))
 
 
 def fock_crystal_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
@@ -43,7 +44,7 @@ def fock_crystal_cmd(e: int, s1: int, s2: int, residues, fmt: str) -> None:
             sys.exit(MISMATCH)
         b = nb
     _emit(fmt, lambda: {"bipartition": [list(p) for p in b]},
-          lambda: [["bipartition"], [_dumps(b)]], lambda: str(b))
+          lambda: [["bipartition"], [_dumps(b)]], lambda: [str(b)])
 
 
 def fock_canonical_cmd(n: int, e: int, s1: int, s2: int, fmt: str) -> None:
@@ -61,15 +62,15 @@ def fock_canonical_cmd(n: int, e: int, s1: int, s2: int, fmt: str) -> None:
     degree_n = [(mu, sorted(basis[mu].items())) for mu in
                 sorted(b for b in basis if sum(sum(p) for p in b) == n)]
     _emit(fmt,
-          lambda: {_dumps(mu): {_dumps(b): c.pretty() for b, c in terms}
+          lambda: {_dumps(mu): lambda terms=terms: {
+                       _dumps(b): c.pretty() for b, c in terms}
                    for mu, terms in degree_n},
-          lambda: [["mu", "lambda", "coefficient"]]
-                  + [[_dumps(mu), _dumps(b), c.pretty()]
-                     for mu, terms in degree_n for b, c in terms],
-          lambda: "\n".join(
-              f"G{mu} = " + " + ".join(f"({c.pretty()})|{b}>"
-                                       for b, c in terms)
-              for mu, terms in degree_n))
+          lambda: chain([["mu", "lambda", "coefficient"]],
+                        ([_dumps(mu), _dumps(b), c.pretty()]
+                         for mu, terms in degree_n for b, c in terms)),
+          lambda: (f"G{mu} = " + " + ".join(f"({c.pretty()})|{b}>"
+                                            for b, c in terms)
+                   for mu, terms in degree_n))
 
 
 def decomp_cmd(n: int, e: int, m: int, fmt: str) -> None:
@@ -97,22 +98,22 @@ def decomp_cmd(n: int, e: int, m: int, fmt: str) -> None:
     ok = all(match for *_, match in entries)
 
     def text():
-        lines = [f"n={n} e={e} m={m} charge={geom.s}"]
+        yield f"n={n} e={e} m={m} charge={geom.s}"
         for lam_w, mu_w, got, want, match in entries:
             if not got.is_zero() or not match:
-                lines.append(f"  d[{lam_w},{mu_w}] = {got.pretty()}"
-                             + ("" if match else
-                                f"  MISMATCH (alcove: {want.pretty()})"))
-        return "\n".join(lines + ["ok" if ok else "FAIL"])
+                yield (f"  d[{lam_w},{mu_w}] = {got.pretty()}"
+                       + ("" if match else
+                          f"  MISMATCH (alcove: {want.pretty()})"))
+        yield "ok" if ok else "FAIL"
 
     _emit(fmt,
           lambda: {"n": n, "e": e, "m": m, "charge": list(geom.s),
                    "entries": {f"{lam_w},{mu_w}": got.pretty()
                                for lam_w, mu_w, got, *_ in entries},
                    "ok": ok},
-          lambda: [["lambda", "mu", "d", "alcove", "match"]]
-                  + [[lam_w, mu_w, got.pretty(), want.pretty(), match]
-                     for lam_w, mu_w, got, want, match in entries],
+          lambda: chain([["lambda", "mu", "d", "alcove", "match"]],
+                        ([lam_w, mu_w, got.pretty(), want.pretty(), match]
+                         for lam_w, mu_w, got, want, match in entries)),
           text)
     if not ok:
         sys.exit(MISMATCH)
@@ -128,9 +129,9 @@ def kleshchev_cmd(n: int, e: int, m: int, fmt: str) -> None:
     computed = [(lam, fock.kleshchev_convert(n, e, m, lam))
                 for lam in range(n, -n - 1, -2)]
     _emit(fmt, lambda: {str(lam): [list(p) for p in b] for lam, b in computed},
-          lambda: [["lambda", "bipartition"]]
-                  + [[lam, _dumps(b)] for lam, b in computed],
-          lambda: tables.format_table(e, m, rows=computed))
+          lambda: chain([["lambda", "bipartition"]],
+                        ([lam, _dumps(b)] for lam, b in computed)),
+          lambda: [tables.format_table(e, m, rows=computed)])
 
 
 def tables_cmd(paper: bool, fmt: str) -> None:
@@ -143,10 +144,10 @@ def tables_cmd(paper: bool, fmt: str) -> None:
               lambda: {f"{e},{m}": {str(l): [list(p) for p in b]
                                     for l, b in tables.table_rows(e, m)}
                        for (e, m) in keys},
-              lambda: [["e", "m", "lambda", "bipartition"]]
-                      + [[e, m, l, _dumps(b)] for (e, m) in keys
-                         for l, b in tables.table_rows(e, m)],
-              tables.format_tables)
+              lambda: chain([["e", "m", "lambda", "bipartition"]],
+                            ([e, m, l, _dumps(b)] for (e, m) in keys
+                             for l, b in tables.table_rows(e, m))),
+              lambda: [tables.format_tables()])
         return
     from . import fock
 
@@ -162,8 +163,8 @@ def tables_cmd(paper: bool, fmt: str) -> None:
     ok = not diffs
     _emit(fmt, lambda: {"rows_checked": 44, "ok": ok, "diffs": diffs},
           lambda: [["rows_checked", "ok", "diffs"], [44, ok, len(diffs)]],
-          lambda: "\n".join([tables.format_table(e, m, rows=computed[e, m])
-                             for (e, m) in keys]
-                            + [f"all 44 rows match: {ok}"]))
+          lambda: chain((tables.format_table(e, m, rows=computed[e, m])
+                         for (e, m) in keys),
+                        [f"all 44 rows match: {ok}"]))
     if not ok:
         sys.exit(MISMATCH)

@@ -1,10 +1,17 @@
 """The Hecke-algebra commands of `blobcell` (`klbasis`, `cells`, `ideal
 check`, `tensor check`); `cli.main` loads this module only when one of
-them is invoked."""
+them is invoked.
+
+`klbasis` renders every format straight from the packed rows of the
+build (`kronecker.Decoded.packed_row`): each distinct coefficient is
+formatted once, each window once, and no C_w is decoded into, or cached
+by, `basis.c`.  Like every command, its output is streamed by `cli._emit`
+as it is made, so `klbasis 5` (109 MB) never holds its whole text."""
 
 from __future__ import annotations
 
 import sys
+from itertools import chain
 
 from .cli import MISMATCH, _at_least, _cap, _emit, _wstr
 
@@ -20,33 +27,61 @@ def _kl_basis_checked(n: int):
 def klbasis_cmd(n: int, fmt: str) -> None:
     """The C-basis of the Hecke algebra of W_N in the T-basis."""
     basis = _kl_basis_checked(n)
-    ws = {w: _wstr(w) for w in basis.elements}
-    texts = {}  # id -> pretty: equal coefficients share one decoded object
+    c = basis.c
+    _, windows, bits, off = c.packed_row(basis.elements[0])
+    ws = [_wstr(w) for w in windows]  # a term's index is its place here
 
-    def terms(w):
-        """(y, coefficient text) for every T_y term of C_w, unsorted."""
-        for y, h in basis.c[w].items():
-            t = texts.get(id(h))
-            if t is None:
-                t = texts[id(h)] = h.pretty()
-            yield y, t
+    def terms(w, key: list, texts: _Texts) -> dict:
+        """{key[y]: texts[coefficient]} over the T_y terms of C_w."""
+        return {key[y]: texts[x] for y, x in c.packed_row(w)[0].items() if x}
 
-    def text():
-        lines = []
-        for w in basis.elements:
-            body = " + ".join(f"({t}) T[{y}]" for y, t in
-                              sorted((ws[y], t) for y, t in terms(w)))
-            lines.append(f"C[{ws[w]}] = {body}")
-        return "\n".join(lines)
+    def ranked(order: list) -> tuple:
+        """(the rank of each index in `order`, the windows in that order):
+        a row's terms are sorted by their ranks."""
+        rank = [0] * len(order)
+        for r, i in enumerate(order):
+            rank[i] = r
+        return rank, [ws[i] for i in order]
 
-    # pretty sorts each row's terms by window string, CSV by window tuple
-    _emit(fmt,
-          lambda: {ws[w]: {ws[y]: t for y, t in terms(w)}
-                   for w in basis.elements},
-          lambda: [["w", "y", "coefficient"]]
-                  + [[ws[w], ws[y], t] for w in basis.elements
-                     for y, t in sorted(terms(w))],
-          text)
+    def obj():  # C_w's terms are made when its entry is written
+        texts = _Texts(bits, off, "{}")
+        return {s: lambda w=w: terms(w, ws, texts)
+                for w, s in zip(windows, ws)}
+
+    def rows():  # each row's terms by window tuple
+        texts = _Texts(bits, off, "{}")
+        rank, ys = ranked(sorted(range(len(ws)), key=windows.__getitem__))
+        yield ["w", "y", "coefficient"]
+        for i, w in enumerate(windows):
+            d = terms(w, rank, texts)
+            yield from [[ws[i], ys[r], d[r]] for r in sorted(d)]
+
+    def text():  # each row's terms by window string
+        texts = _Texts(bits, off, "({}) ")
+        rank, ys = ranked(sorted(range(len(ws)), key=ws.__getitem__))
+        tee = [f"T[{y}]" for y in ys]
+        for i, w in enumerate(windows):
+            d = terms(w, rank, texts)
+            yield f"C[{ws[i]}] = " + " + ".join([d[r] + tee[r]
+                                                 for r in sorted(d)])
+
+    _emit(fmt, obj, rows, text)
+
+
+class _Texts(dict):
+    """Packed int -> the text of its coefficient in `template`, made when
+    first read."""
+
+    def __init__(self, bits: int, off: int, template: str):
+        super().__init__()
+        self.bits, self.off, self.template = bits, off, template
+
+    def __missing__(self, x: int) -> str:
+        from .kronecker import unpack
+
+        text = self[x] = self.template.format(
+            unpack(x, self.bits, self.off).pretty())
+        return text
 
 
 def cells_cmd(n: int, fmt: str) -> None:
@@ -58,18 +93,18 @@ def cells_cmd(n: int, fmt: str) -> None:
     in_wb = [all(weylb.is_in_wb_by_words(u) for u in members)
              for members in cells]
     _emit(fmt,
-          lambda: [{"size": len(members), "in_wb": inside,
+          lambda: ({"size": len(members), "in_wb": inside,
                     "members": [list(u) for u in members]}
-                   for members, inside in zip(cells, in_wb)],
-          lambda: [["cell", "size", "in_wb", "windows"]]
-                  + [[k, len(members), inside,
-                      "; ".join(_wstr(u) for u in members)]
-                     for k, (members, inside) in enumerate(zip(cells, in_wb))],
-          lambda: "\n".join(
-              f"cell {k} (size {len(members)}, "
-              f"{'inside' if inside else 'outside'} W_b): "
-              + "; ".join(_wstr(u) for u in members)
-              for k, (members, inside) in enumerate(zip(cells, in_wb))))
+                   for members, inside in zip(cells, in_wb)),
+          lambda: chain([["cell", "size", "in_wb", "windows"]],
+                        ([k, len(members), inside,
+                          "; ".join(_wstr(u) for u in members)]
+                         for k, (members, inside)
+                         in enumerate(zip(cells, in_wb)))),
+          lambda: (f"cell {k} (size {len(members)}, "
+                   f"{'inside' if inside else 'outside'} W_b): "
+                   + "; ".join(_wstr(u) for u in members)
+                   for k, (members, inside) in enumerate(zip(cells, in_wb))))
 
 
 def ideal_check_cmd(n: int, fmt: str) -> None:
@@ -87,10 +122,10 @@ def ideal_check_cmd(n: int, fmt: str) -> None:
     obj = {"n": n, "two_sided": two_sided, "generators_inside": gens_inside,
            "corank": corank, "corank_formula": expected, "ok": ok}
     _emit(fmt, lambda: obj, lambda: [list(obj.keys()), list(obj.values())],
-          lambda: f"n={n}: two-sided={two_sided} "
-                  f"generators_inside={gens_inside} "
-                  f"corank={corank} (formula {expected}) -> "
-                  f"{'ok' if ok else 'FAIL'}")
+          lambda: [f"n={n}: two-sided={two_sided} "
+                   f"generators_inside={gens_inside} "
+                   f"corank={corank} (formula {expected}) -> "
+                   f"{'ok' if ok else 'FAIL'}"])
     if not ok:
         sys.exit(MISMATCH)
 
@@ -113,7 +148,7 @@ def tensor_check_cmd(n: int, fmt: str) -> None:
     obj = {"n": n, "ideal_annihilates": annihilates,
            "symbolic_identity": symbolic, "dims_match": dims_ok, "ok": ok}
     _emit(fmt, lambda: obj, lambda: [list(obj.keys()), list(obj.values())],
-          lambda: f"n={n}: annihilates={annihilates} symbolic={symbolic} "
-                  f"dims={dims_ok} -> {'ok' if ok else 'FAIL'}")
+          lambda: [f"n={n}: annihilates={annihilates} symbolic={symbolic} "
+                   f"dims={dims_ok} -> {'ok' if ok else 'FAIL'}"])
     if not ok:
         sys.exit(MISMATCH)

@@ -4,6 +4,7 @@ one of them is invoked."""
 from __future__ import annotations
 
 import sys
+from itertools import chain
 
 from .cli import MISMATCH, _at_least, _cap, _emit, _wstr
 
@@ -17,13 +18,13 @@ def wb_enumerate_cmd(n: int, count: bool, fmt: str) -> None:
     total = len(elements)
     if count:
         _emit(fmt, lambda: {"n": n, "count": total},
-              lambda: [["n", "count"], [n, total]], lambda: str(total))
+              lambda: [["n", "count"], [n, total]], lambda: [str(total)])
         return
     _emit(fmt,
           lambda: {"n": n, "count": total,
-                   "elements": [list(w) for w in elements]},
-          lambda: [["window"]] + [[_wstr(w)] for w in elements],
-          lambda: "\n".join(_wstr(w) for w in elements))
+                   "elements": (list(w) for w in elements)},
+          lambda: chain([["window"]], ([_wstr(w)] for w in elements)),
+          lambda: map(_wstr, elements))
 
 
 def wb_test_cmd(n: int, fmt: str) -> None:
@@ -49,8 +50,8 @@ def wb_test_cmd(n: int, fmt: str) -> None:
                    "ok": ok},
           lambda: [["n", "group_order", "mismatches", "wb_count", "formula",
                     "ok"], [n, total, mism, actual, expected, ok]],
-          lambda: f"n={n}: {total} elements, {mism} mismatches, "
-                  f"|W_b|={actual} (formula {expected}) -> "
-                  f"{'ok' if ok else 'FAIL'}")
+          lambda: [f"n={n}: {total} elements, {mism} mismatches, "
+                   f"|W_b|={actual} (formula {expected}) -> "
+                   f"{'ok' if ok else 'FAIL'}"])
     if not ok:
         sys.exit(MISMATCH)

@@ -39,12 +39,16 @@ entry or an equal shape is one object across all the tableaux the library
 builds.  Tableaux come by the tens of thousands (P and Q for each window of
 W_n) while their entries are few: unshared, a tableau of W_5 holds about
 1.4 KB of private tuples, and P and Q for all of W_7 take 2.6 GB against
-0.3 GB shared (CPython 3.11).  The table only grows, and it stays small:
-after standard tableaux with at most n labels it holds entries (k, domino)
-with k <= n whose cells (r, c) have (r + 1)(c + 1) <= 2k, since the labels
-<= k fill a partition of 2k cells, and one lengths tuple per shape.
-Sharing changes no value: `dominoes`, `repr`, `==`, `hash`, pickling and
-JSON read the same.
+0.3 GB shared (CPython 3.11).  A new tableau takes the entries the table
+already holds; only `check_standard` adds to it: the lengths of a tableau
+it verified standard, and the entries of one that is also labelled 1..n.
+So a refused input (from JSON, say) leaves nothing behind, and the table
+stays small for every input: it only grows, and after verified tableaux
+with at most n dominoes it holds entries (k, domino) with k <= n whose
+cells (r, c) have (r + 1)(c + 1) <= 2k, since the labels <= k fill a
+partition of 2k cells, and one lengths tuple per shape.  Sharing changes
+no value: `dominoes`, `repr`, `==`, `hash`, pickling and JSON read the
+same.
 
 Cells are (row, col), 0-based internally, 1-based in JSON.
 """
@@ -87,8 +91,12 @@ class DominoTableau:
     dominoes: tuple[tuple[int, Domino], ...]  # sorted by label
 
     def __init__(self, dominoes: tuple[tuple[int, Domino], ...]) -> None:
-        object.__setattr__(self, "dominoes", tuple(
-            [_SHARED.setdefault(entry, entry) for entry in dominoes]))
+        get = _SHARED.get
+        shared = [get(entry) for entry in dominoes]
+        if None in shared:  # `_lengths` () asks check_standard to add them
+            shared = [s or entry for s, entry in zip(shared, dominoes)]
+            object.__setattr__(self, "_lengths", ())
+        object.__setattr__(self, "dominoes", tuple(shared))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -141,14 +149,17 @@ class DominoTableau:
         first violation in reading order.  Returns the row and column
         lengths of the shape, padded with zeros; a partition of 2k cells has
         fewer than 2k rows, so no index past 2k is read or written.  The
-        lengths stay on the tableau once verified, as the one shared tuple
-        of the shape, and each call hands out fresh lists, so no tableau is
-        walked twice.
+        lengths stay on the tableau once verified, and each call hands out
+        fresh lists, so no tableau is walked twice.  A tableau that passes
+        keeps the one shared lengths tuple of its shape, and if it is also
+        labelled 1..n it gives the shared table the entries that __init__
+        found missing (see the module docstring).
         """
         size = 2 * len(self.dominoes) + 2
         lengths = getattr(self, "_lengths", None)
         if lengths:
             return [*lengths[:size]], [*lengths[size:]]
+        unshared = lengths is not None  # () from __init__: new entries
         rows, cols = [0] * size, [0] * size
         try:
             for _, ((r, c), (r2, c2)) in self.dominoes:
@@ -162,9 +173,13 @@ class DominoTableau:
                 cols[c] += 1
                 cols[c2] += 1
             else:
+                share = _SHARED.setdefault
                 lengths = (*rows, *cols)
-                object.__setattr__(self, "_lengths",
-                                    _SHARED.setdefault(lengths, lengths))
+                object.__setattr__(self, "_lengths", share(lengths, lengths))
+                if unshared and self.labels() == list(
+                        range(1, len(self.dominoes) + 1)):
+                    object.__setattr__(self, "dominoes", tuple(
+                        [share(entry, entry) for entry in self.dominoes]))
                 return rows, cols
         except IndexError:
             pass

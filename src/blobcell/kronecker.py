@@ -202,6 +202,15 @@ class Decoded(Mapping):
             out.packed = Packed(terms, self._keys, self._bits, self._off, big)
         return out
 
+    def packed_row(self, key) -> tuple:
+        """
+        (terms, keys, bits, off) of the vector at `key`: terms maps index ->
+        packed int (0 for none), keys[index] is the key of a term, and bits
+        and off are the digit width and offset.  Nothing is decoded or
+        cached, and `terms` is the stored dict itself: do not change it.
+        """
+        return self._rows[self._index[key]], self._keys, self._bits, self._off
+
     def __iter__(self):
         return iter(self._keys)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import blobcell
-from blobcell import blob, cli, tables
+from blobcell import blob, cli, kronecker, tables
 from blobcell.cli import main
 
 
@@ -520,6 +520,46 @@ def test_stdout_digest(cmd, fmt):
         == STDOUT_DIGESTS[cmd, fmt]
 
 
+class _CountingStdout(io.StringIO):
+    """A stdout that counts its writes."""
+
+    writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+def test_klbasis_renders_from_the_packed_rows(monkeypatch):
+    # klbasis reads the build's packed rows: with every decoded read of the
+    # C-basis refused, it still prints the pinned bytes.
+    def refuse(self, key):
+        raise AssertionError(f"C_{key} was decoded")
+
+    monkeypatch.setattr(kronecker.Decoded, "__getitem__", refuse)
+    for fmt in ("json", "csv", "pretty"):
+        res = run("klbasis", "3", "--format", fmt)
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() \
+            == STDOUT_DIGESTS["klbasis 3", fmt]
+
+
+@pytest.mark.parametrize("n, elements", [(3, 48), (4, 384)])
+def test_klbasis_csv_is_streamed_in_few_writes(n, elements):
+    # CSV has one row per term (40,633 at n = 4): they reach stdout in
+    # chunks, at most one write per element, and more than one write
+    # once the output outgrows a chunk.
+    out = _CountingStdout()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as end:
+        main(["klbasis", str(n), "--format", "csv"], prog_name="blobcell")
+    assert end.value.code == 0
+    assert 1 <= out.writes <= elements
+    assert (out.writes > 1) == (len(out.getvalue()) > cli._CHUNK)
+    if n == 3:
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() \
+            == STDOUT_DIGESTS["klbasis 3", "csv"]
+
+
 # A fresh `blobcell` process that reports on stderr, last, which blobcell
 # modules it loaded (without the package prefix), and json, argparse,
 # click, dataclasses, fractions and decimal if it did.
@@ -549,6 +589,24 @@ def run_fresh(*args, env=None):
 
 
 _HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
+
+
+def test_reader_leaving_early_ends_quietly_in_a_fresh_process():
+    # `blobcell klbasis 4 | head -1`: 1 MB of output, and the reader closes
+    # the pipe after the first line.
+    src = os.path.dirname(os.path.dirname(blobcell.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from blobcell.cli import main; main()",
+         "klbasis", "4"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.BROKEN_PIPE == 141
+    assert first == b"C[1 2 3 4] = (1) T[1 2 3 4]\n"
+    assert err == b""
 
 
 @pytest.mark.parametrize("args, code, unloaded", [

@@ -323,6 +323,21 @@ def test_shared_table_stays_within_its_bound(inserted_up_to_6, monkeypatch):
     assert 0 < len(domino._SHARED) - len(kept) <= shapes
 
 
+def test_refused_tableaux_leave_the_shared_table_as_it_was():
+    # Each read carries entries the table has not seen: labels past n,
+    # which domino_reverse refuses, or a domino below an empty first row,
+    # which check_standard refuses.
+    before = len(domino._SHARED)
+    for k in range(2, 2002):
+        t = DominoTableau.from_json({"dominoes": [[k + 998, [1, 1], [1, 2]]]})
+        with pytest.raises(ValueError, match="not 1..n"):
+            domino_reverse(t, t)
+        t = DominoTableau.from_json({"dominoes": [[1, [k, 1], [k, 2]]]})
+        with pytest.raises(ValueError, match="partition"):
+            domino_reverse(t, t)
+    assert len(domino._SHARED) == before
+
+
 def test_tableau_is_a_read_only_value():
     t = domino_insert((2, 3, -1))[0]
     assert repr(t) == ("DominoTableau(dominoes=((1, ((0, 0), (1, 0))), "
