@@ -415,40 +415,22 @@ def verify_presentation(mats: dict, m: int = 2) -> dict:
     return _relations(mats, blob_scalars(m))
 
 
-def _rank(mat) -> int:
+def localize_dimension(module: StandardModule) -> int:
     """
-    The rank over ℚ(v) of a matrix of Laurent polynomials, by fraction-free
-    (Bareiss) elimination in ℤ[v, v⁻¹]: after k pivots every entry left is
-    a (k+1)-minor, so dividing by the previous pivot is exact.
-    """
-    mat = [list(row) for row in mat]
-    rank, prev = 0, LaurentPoly.one()
-    for col in range(len(mat[0]) if mat else 0):
-        pivot = next((i for i in range(rank, len(mat))
-                      if not mat[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        top = mat[rank]
-        p = top[col]
-        for row in mat[rank + 1:]:
-            c = row[col]
-            for j in range(col + 1, len(row)):
-                row[j] = (p * row[j] - c * top[j]).divide_exact(prev)
-            row[col] = LaurentPoly.zero()
-        prev = p
-        rank += 1
-    return rank
-
-
-def localize_dimension(module: StandardModule):
-    """
-    The rank of U_{n-1} on Δ_n(λ): this is dim of the localized module
+    The rank over ℚ(v) of U_{n-1} on Δ_n(λ): dim of the localized module
     e·Δ_n(λ) with e = -(1/[2])U_{n-1}, which must equal dim Δ_{n-2}(λ)
-    (and 0 for λ = ±n).  Computed exactly over ℚ(v) by fraction-free
-    elimination (`_rank`), without leaving ℤ[v, v⁻¹].
+    (and 0 for λ = ±n).  U_{n-1} times a half-diagram is one diagram times
+    a scalar, so each column holds at most one nonzero entry; the nonzero
+    rows then have disjoint supports, are independent, and their number is
+    the rank.  InvariantViolation if a column holds two entries.
     """
-    return _rank(module.matrices[module.n - 1])
+    entries = [(i, j) for i, row in enumerate(module.matrices[module.n - 1])
+               for j, x in enumerate(row) if not x.is_zero()]
+    if len({j for _, j in entries}) < len(entries):
+        raise InvariantViolation(
+            f"Δ_{module.n}({module.lam}): a column of U_{module.n - 1} "
+            f"holds two nonzero entries")
+    return len({i for i, _ in entries})
 
 
 # ---------------------------------------------------------------------------

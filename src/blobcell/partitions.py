@@ -210,7 +210,10 @@ def check_weight(n: int, lam: int) -> None:
 def qh_order(x: int, y: int, n: int) -> str:
     """
     The quasi-hereditary order on Lambda_n: x < y iff |x| > |y|;
-    equal absolute values with x != y are incomparable.
+    equal absolute values with x != y are incomparable.  This runs
+    against the two-sided cell order of the W_b cells, which measures as
+    the chain n > -n > n-2 > -(n-2) > ...: there the larger |λ| is
+    higher, and λ sits above -λ for λ > 0.
 
     >>> qh_order(8, 2, 10)
     'less'

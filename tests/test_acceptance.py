@@ -145,7 +145,7 @@ def test_criterion_06_ideal(report):
                   f"generators and corank, n<=4 ({time.time() - t:.1f}s)")
 
 
-def test_criterion_07_blob_presentation(report):
+def check_07() -> tuple:
     t = time.time()
     ok = True
     for n in range(1, 5):
@@ -161,9 +161,13 @@ def test_criterion_07_blob_presentation(report):
                 expected = 0 if abs(lam) == n \
                     else comb(n - 2, (n - 2 - lam) // 2)
                 ok = ok and rank == expected
-    report(7, ok, f"blob relations on regular rep n<=4 and on all "
-                  f"standard modules n<=6; dims and localization ranks "
-                  f"({time.time() - t:.1f}s)")
+    return ok, (f"blob relations on regular rep n<=4 and on all "
+                f"standard modules n<=6; dims and localization ranks "
+                f"({time.time() - t:.1f}s)")
+
+
+def test_criterion_07_blob_presentation(report):
+    report(7, *check_07())
 
 
 def test_criterion_08_tensor_space(report):
@@ -268,3 +272,29 @@ def test_criterion_13_decomposition_matrices(report):
            f"(the printed negative orientation is inconsistent with "
            f"unitriangularity; the computation is the arbiter), and every "
            f"support element precedes mu ({time.time() - t:.1f}s)")
+
+
+def _merges_with_the_wrong_sign(monkeypatch):
+    scalar = blob._scalar
+    monkeypatch.setattr(blob, "_scalar", lambda key, sc, memo: (
+        -scalar(key, sc, memo) if key[2] % 2 else scalar(key, sc, memo)))
+
+
+def _nonzero_columns_for_the_rank(monkeypatch):
+    # 10 of the 18 modules with 2 <= n <= 5 differ: (4, 0) gives 6, not 2
+    monkeypatch.setattr(blob, "localize_dimension", lambda mod: len({
+        j for row in mod.matrices[mod.n - 1]
+        for j, x in enumerate(row) if not x.is_zero()}))
+
+
+CHECKS = {7: check_07}
+DEFECTS = {7: (_merges_with_the_wrong_sign, _nonzero_columns_for_the_rank)}
+
+
+@pytest.mark.parametrize("num", sorted(DEFECTS))
+def test_criterion_fails_under_a_planted_defect(num, monkeypatch):
+    assert CHECKS[num]()[0]
+    for plant in DEFECTS[num]:
+        with monkeypatch.context() as patched:
+            plant(patched)
+            assert not CHECKS[num]()[0], plant.__name__

@@ -236,7 +236,7 @@ def test_presentation_on_regular_representation():
 
 
 def test_localization_ranks():
-    for n in range(2, 8):
+    for n in range(2, 9):
         for lam in partitions.lambda_n(n):
             mod = standard_module(n, lam)
             rank = blob.localize_dimension(mod)
@@ -245,32 +245,39 @@ def test_localization_ranks():
             assert rank == expected, (n, lam, rank, expected)
 
 
+def _column_counts(mat) -> Counter:
+    return Counter(j for row in mat for j, x in enumerate(row)
+                   if not x.is_zero())
+
+
+def test_generators_have_monomial_columns():
+    # U_k times a diagram is one diagram times a scalar: the premise of
+    # localize_dimension, on every standard module and the regular action.
+    actions = [regular_representation(n, m)
+               for n in range(1, 5) for m in (1, 2, 3)]
+    actions += [standard_module(n, lam, m).matrices
+                for n in range(1, 9) for lam in partitions.lambda_n(n)
+                for m in (1, 2, 3)]
+    for mats in actions:
+        for k, mat in mats.items():
+            assert max(_column_counts(mat).values(), default=0) <= 1, k
+
+
+def test_localize_dimension_rejects_a_column_with_two_entries():
+    mod = standard_module(4, 0)
+    mat = mod.matrices[3]
+    j = next(iter(_column_counts(mat)))
+    i = next(i for i, row in enumerate(mat) if row[j].is_zero())
+    mat[i][j] = LaurentPoly.one()
+    with pytest.raises(weylb.InvariantViolation, match="holds two"):
+        blob.localize_dimension(mod)
+
+
 def _random_poly(rng):
     if rng.random() < 0.3:
         return LaurentPoly.zero()
     return LaurentPoly({rng.randint(-2, 2): rng.choice((-2, -1, 1, 1, 3))
                         for _ in range(rng.randint(1, 3))})
-
-
-def test_rank_matches_sympy():
-    # Matrices with rows that are Laurent-polynomial combinations of other
-    # rows, so the rank is often deficient; sympy gives the reference rank.
-    import sympy
-
-    v = sympy.Symbol("v")
-    rng = random.Random(7)
-    for _ in range(30):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        mat = [[_random_poly(rng) for _ in range(cols)]
-               for _ in range(rng.randint(1, rows))]
-        while len(mat) < rows:
-            a, b = _random_poly(rng), _random_poly(rng)
-            x, y = rng.choice(mat), rng.choice(mat)
-            mat.append([a * s + b * t for s, t in zip(x, y)])
-        rng.shuffle(mat)
-        ref = sympy.Matrix([[sum(c * v ** e for e, c in x.items())
-                             for x in row] for row in mat]).rank()
-        assert blob._rank(mat) == ref, mat
 
 
 def _dense_mul(a, b):
@@ -299,10 +306,13 @@ def test_pair_products_match_sums():
 
 
 def test_blob_modules_do_not_import_sympy():
+    # every module of the library, as tests/test_doctests.py finds them
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys\n"
+    code = ("import importlib, pkgutil, sys\n"
+            "import blobcell\n"
+            "for m in pkgutil.iter_modules(blobcell.__path__):\n"
+            "    importlib.import_module(f'blobcell.{m.name}')\n"
             "from blobcell import blob, hecke\n"
-            "import blobcell.cli\n"
             "assert blob.localize_dimension(blob.standard_module(4, 0)) == 2\n"
             "assert hecke.ideal_vanish_symbolic(3)\n"
             "print('sympy' in sys.modules)\n")
