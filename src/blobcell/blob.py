@@ -455,7 +455,7 @@ def cyclotomic_spec(m: int = 2) -> tuple[int, int]:
     raise SpecializationInvalid(f"no valid root for m={m}")
 
 
-def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4,
+def compare_cell_to_standard(n: int, m: int = 2, bound: int | None = None,
                              basis=None) -> dict:
     """
     For every left cell inside W_b(n), find Δ_n(λ) by the 2-quotient of the
@@ -467,13 +467,12 @@ def compare_cell_to_standard(n: int, m: int = 2, bound: int = 4,
     checks, once, that at v = ζ_N^k (`cyclotomic_spec(m)`) these are the
     scalars of b_n(q, m) with U_0 times d = i(q - q⁻¹): -[2] = -(v² + v⁻²),
     d·[m-1] = v + v⁻¹ and -d·[m] = -(v + v⁻¹).  `basis`, a built
-    hecke.KLBasis of W_n, is used instead of building one.
+    hecke.KLBasis of W_n, is used instead of building one; without it,
+    `bound` goes to `hecke.compute_kl_basis` (None: its KL_MAX_N).
     """
     from . import domino, hecke, partitions
     from .laurent import cyclotomic_root, specialize
 
-    if n > bound:
-        raise BoundExceeded(f"n={n} exceeds comparison bound {bound}")
     big_n, k = cyclotomic_spec(m)
     i, q = cyclotomic_root(big_n, big_n // 4), cyclotomic_root(big_n, 2 * k)
     d = i * (q - cyclotomic_root(big_n, -2 * k))

@@ -9,8 +9,8 @@ away before the output ends (`blobcell klbasis 4 | head -1`): the status
 a shell reports for a filter that SIGPIPE ended, with nothing on stderr.
 Negative window entries are passed after a `--` sentinel, e.g.
 `blobcell domino insert -- 2 3 -1`.  The BLOBCELL_MAX_N environment
-variable overrides the size caps of every command and is passed to the
-library bounds.
+variable overrides the size caps of every command: this module alone
+reads it, and passes it as the bound of each library call.
 
 Every output is streamed: `_emit` writes the one rendering asked for as
 its builder makes it, in chunks of about 64 KiB, so no command holds its
@@ -185,10 +185,8 @@ def main(args=None, prog_name=None) -> None:
             _usage(prog, path, "missing command" if tok is None else
                    f"no such {'option' if tok[:1] == '-' else 'command'} "
                    f"{tok!r}")
-        from . import weylb
-
         try:
-            weylb.max_n(default=None)
+            _max_n()
         except ValueError:
             _usage(prog, "", "BLOBCELL_MAX_N must be an integer, got "
                              f"{os.environ['BLOBCELL_MAX_N']!r}")
@@ -336,11 +334,15 @@ def _at_least(value: int, low: int, name: str = "n") -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def _max_n() -> int | None:
+    """BLOBCELL_MAX_N, or None when it is unset; ValueError if not an int."""
+    env = os.environ.get("BLOBCELL_MAX_N")
+    return int(env) if env else None
+
+
 def _cap(default: int) -> int:
     """BLOBCELL_MAX_N, which `main` has checked, else the command's default."""
-    from . import weylb
-
-    cap = weylb.max_n(default=None)
+    cap = _max_n()
     return default if cap is None else cap
 
 

@@ -78,7 +78,7 @@ def blob_verify_cmd(n: int, m: int, fmt: str) -> None:
     _at_least(n, 1)
     _check_blob_m(m)
     if n > _cap(6):
-        raise ValueError(f"n={n} exceeds verification bound")
+        raise ValueError(f"n={n} exceeds verification bound {_cap(6)}")
     from . import blob, partitions
 
     reports = {f"delta({lam})": blob.verify_presentation(
@@ -101,9 +101,9 @@ def cellcompare_cmd(n: int, m: int, fmt: str) -> None:
     entry over Z[v, v^-1]; M only picks the specialization (l = 2(2m-1)) at
     which the three scalar identities are checked."""
     _at_least(n, 1)
-    from . import blob
+    from . import blob, hecke
 
-    report = blob.compare_cell_to_standard(n, m, bound=_cap(4))
+    report = blob.compare_cell_to_standard(n, m, bound=_cap(hecke.KL_MAX_N))
     entries = report["cells"]
     _emit(fmt,
           lambda: {"n": n, "m": m, "all_match": report["all_match"],

@@ -135,7 +135,7 @@ def tensor_check_cmd(n: int, fmt: str) -> None:
     permutation modules have the standard-module dimensions."""
     _at_least(n, 2)
     if n > _cap(5):
-        raise ValueError(f"n={n} exceeds tensor bound")
+        raise ValueError(f"n={n} exceeds tensor bound {_cap(5)}")
     from . import blob, hecke, partitions, tensor
 
     annihilates = hecke.tensor_ideal_annihilates(n)

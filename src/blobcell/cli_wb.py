@@ -11,9 +11,9 @@ from .cli import MISMATCH, _at_least, _cap, _emit, _wstr
 
 def wb_enumerate_cmd(n: int, count: bool, fmt: str) -> None:
     """List (or count) the elements of W_b(N)."""
+    _at_least(n, 1)
     from . import weylb
 
-    _at_least(n, 1)
     elements = weylb.enumerate_wb(n, bound=_cap(weylb.DEFAULT_MAX_N))
     total = len(elements)
     if count:
@@ -29,11 +29,12 @@ def wb_enumerate_cmd(n: int, count: bool, fmt: str) -> None:
 
 def wb_test_cmd(n: int, fmt: str) -> None:
     """Check the three characterizations of W_b(N) against each other."""
+    _at_least(n, 1)
     from . import weylb
 
-    _at_least(n, 1)
-    if n > _cap(weylb.DEFAULT_MAX_N):
-        raise ValueError(f"n={n} exceeds enumeration bound")
+    cap = _cap(weylb.DEFAULT_MAX_N)
+    if n > cap:
+        raise ValueError(f"n={n} exceeds enumeration bound {cap}")
     from . import domino
 
     mism = total = actual = 0

@@ -17,7 +17,6 @@ criterion, and (in module `domino`) the two-row shape condition.
 from __future__ import annotations
 
 import itertools
-import os
 from functools import lru_cache
 
 __all__ = [
@@ -27,7 +26,7 @@ __all__ = [
     "is_in_wb_by_avoidance", "is_in_wb_by_words",
     "enumerate_wn", "enumerate_wb", "wb_count_formula",
     "IndexOutOfRange", "SizeMismatch", "BoundExceeded", "InvariantViolation",
-    "NotInWb", "max_n",
+    "NotInWb",
 ]
 
 SignedPermutation = tuple[int, ...]
@@ -55,12 +54,6 @@ class NotInWb(ValueError):
 
 
 DEFAULT_MAX_N = 8
-
-
-def max_n(default: int | None = DEFAULT_MAX_N) -> int | None:
-    """Enumeration cap; the BLOBCELL_MAX_N environment variable overrides it."""
-    env = os.environ.get("BLOBCELL_MAX_N")
-    return int(env) if env else default
 
 
 def identity(n: int) -> SignedPermutation:
@@ -290,11 +283,10 @@ def enumerate_wn(n: int):
         for perm in itertools.permutations(range(1, n + 1)))
 
 
-def enumerate_wb(n: int, bound: int | None = None) -> list[SignedPermutation]:
+def enumerate_wb(n: int, bound: int = DEFAULT_MAX_N) -> list[SignedPermutation]:
     """All elements of W_b(n), sorted lexicographically by window."""
-    cap = bound if bound is not None else max_n()
-    if n > cap:
-        raise BoundExceeded(f"n={n} exceeds enumeration bound {cap}")
+    if n > bound:
+        raise BoundExceeded(f"n={n} exceeds enumeration bound {bound}")
     return sorted(w for w in enumerate_wn(n) if is_in_wb_by_words(w))
 
 

@@ -501,7 +501,10 @@ def test_scalars():
 
 def test_compare_cell_to_standard_builds_its_basis_within_its_bound(monkeypatch):
     # It once checked n against `bound` but built the C-basis with the
-    # default KL bound 4, so n = 5 could not pass even with bound 5.
+    # default KL bound 4, so n = 5 could not pass even with bound 5.  Now
+    # `bound` only goes to compute_kl_basis, whose check is the one check.
+    with pytest.raises(BoundExceeded, match="n=5 exceeds KL bound 4"):
+        blob.compare_cell_to_standard(5)
     seen = []
 
     class Stop(Exception):

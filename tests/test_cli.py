@@ -284,6 +284,26 @@ def test_usage_errors_exit_2():
     assert "window length 9 exceeds enumeration bound 8" in res.output
 
 
+@pytest.mark.parametrize("args, env, message", [
+    (["wb", "enumerate", "9"], None, "n=9 exceeds enumeration bound 8"),
+    (["wb", "test", "9"], None, "n=9 exceeds enumeration bound 8"),
+    (["wb", "test", "4"], {"BLOBCELL_MAX_N": "3"},
+     "n=4 exceeds enumeration bound 3"),
+    (["blob", "verify", "7"], None, "n=7 exceeds verification bound 6"),
+    (["tensor", "check", "6"], None, "n=6 exceeds tensor bound 5"),
+    (["klbasis", "5"], None, "n=5 exceeds KL bound 4"),
+    (["cellcompare", "5"], None, "n=5 exceeds KL bound 4"),
+    (["cellcompare", "4"], {"BLOBCELL_MAX_N": "3"}, "n=4 exceeds KL bound 3"),
+    (["cellcompare", "5", "-m", "1"], None, "no valid root"),
+], ids=["wb-enumerate", "wb-test", "wb-test-env", "blob-verify",
+        "tensor-check", "klbasis", "cellcompare", "cellcompare-env",
+        "cellcompare-m-first"])
+def test_bound_errors_name_their_cap(args, env, message):
+    res = run(*args, env=env)
+    assert res.exit_code == 2
+    assert message in res.output
+
+
 def test_knuth_class_length_follows_max_n():
     res = run("knuth", "class", "--format", "json", "--", *_NINE,
               env={"BLOBCELL_MAX_N": "9"})
@@ -589,6 +609,9 @@ def run_fresh(*args, env=None):
 
 
 _HEAVY = {"hecke", "fock", "blob", "laurent", "kronecker"}
+# weylb loads only when a command reaches library code: never for --help
+# or for a usage error that the CLI's own argument checks catch
+_UNUSED = _HEAVY | {"weylb"}
 
 
 def test_reader_leaving_early_ends_quietly_in_a_fresh_process():
@@ -610,28 +633,28 @@ def test_reader_leaving_early_ends_quietly_in_a_fresh_process():
 
 
 @pytest.mark.parametrize("args, code, unloaded", [
-    (["--help"], 0, _HEAVY | {"argparse"}),
-    (["nonsense"], 2, _HEAVY | {"argparse"}),
+    (["--help"], 0, _UNUSED | {"argparse"}),
+    (["nonsense"], 2, _UNUSED | {"argparse"}),
     (["wb", "enumerate", "4", "--count"], 0, _HEAVY | {"json"}),
-    (["wb", "enumerate", "0"], 2, _HEAVY),
+    (["wb", "enumerate", "0"], 2, _UNUSED),
     (["klbasis", "2"], 0, {"fock", "blob", "domino", "tensor", "partitions",
                            "fractions", "decimal"}),
-    (["kleshchev", "4", "4", "2"], 2, _HEAVY | {"partitions", "tables"}),
-    (["decomp", "10", "4", "2"], 2, _HEAVY | {"partitions"}),
-    (["fock", "canonical", "--", "10", "1", "0", "0"], 2, _HEAVY),
-    (["fock", "crystal", "1", "0", "0", "0"], 2, _HEAVY),
-    (["klbasis", "0"], 2, _HEAVY | {"tensor", "partitions"}),
-    (["cells", "0"], 2, _HEAVY),
-    (["ideal", "check", "0"], 2, _HEAVY),
-    (["tensor", "check", "0"], 2, _HEAVY),
-    (["cellcompare", "0"], 2, _HEAVY | {"partitions"}),
-    (["blob", "standard", "0", "0"], 2, _HEAVY | {"partitions"}),
+    (["kleshchev", "4", "4", "2"], 2, _UNUSED | {"partitions", "tables"}),
+    (["decomp", "10", "4", "2"], 2, _UNUSED | {"partitions"}),
+    (["fock", "canonical", "--", "10", "1", "0", "0"], 2, _UNUSED),
+    (["fock", "crystal", "1", "0", "0", "0"], 2, _UNUSED),
+    (["klbasis", "0"], 2, _UNUSED | {"tensor", "partitions"}),
+    (["cells", "0"], 2, _UNUSED),
+    (["ideal", "check", "0"], 2, _UNUSED),
+    (["tensor", "check", "0"], 2, _UNUSED),
+    (["cellcompare", "0"], 2, _UNUSED | {"partitions"}),
+    (["blob", "standard", "0", "0"], 2, _UNUSED | {"partitions"}),
     (["blob", "verify", "3"], 0,
      {"hecke", "fock", "domino", "kronecker", "tensor", "dataclasses",
       "fractions", "decimal"}),
-    (["domino", "insert", "--", "1", "1"], 2, _HEAVY | {"domino", "knuth"}),
-    (["domino", "shape", "--", "1", "1"], 2, _HEAVY | {"domino", "knuth"}),
-    (["knuth", "class", "--", "1", "1"], 2, _HEAVY | {"domino", "knuth"}),
+    (["domino", "insert", "--", "1", "1"], 2, _UNUSED | {"domino", "knuth"}),
+    (["domino", "shape", "--", "1", "1"], 2, _UNUSED | {"domino", "knuth"}),
+    (["knuth", "class", "--", "1", "1"], 2, _UNUSED | {"domino", "knuth"}),
     (["knuth", "class", "--", *_NINE], 2, _HEAVY | {"domino", "knuth"}),
     (["domino", "insert", "--", "2", "3", "-1"], 0,
      _HEAVY | {"dataclasses", "partitions"}),
@@ -647,8 +670,6 @@ def test_command_loads_only_the_modules_it_uses(args, code, unloaded):
     got, _, lines, loaded = run_fresh(*args)
     assert got == code, lines
     assert not loaded & (unloaded | {"click"})
-    # weylb reads BLOBCELL_MAX_N once the walk reaches a group or command
-    assert ("weylb" in loaded) == (args[0] not in ("--help", "nonsense"))
 
 
 @pytest.mark.parametrize("args, env, message", [

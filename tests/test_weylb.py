@@ -111,10 +111,10 @@ def test_enumerate_wn_reference_order():
         assert len(want) == 2 ** n * math.factorial(n)
 
 
-def test_max_n_env(monkeypatch):
+def test_enumerate_wb_reads_no_environment(monkeypatch):
+    # BLOBCELL_MAX_N is the CLI's: it passes the cap as `bound`
     monkeypatch.setenv("BLOBCELL_MAX_N", "2")
-    assert weylb.max_n() == 2
-    with pytest.raises(weylb.BoundExceeded):
-        weylb.enumerate_wb(3)
-    monkeypatch.delenv("BLOBCELL_MAX_N")
-    assert weylb.max_n() == weylb.DEFAULT_MAX_N
+    assert len(weylb.enumerate_wb(3)) == 20
+    with pytest.raises(weylb.BoundExceeded, match="n=3 exceeds enumeration "
+                                                  "bound 2"):
+        weylb.enumerate_wb(3, bound=2)
