@@ -11,7 +11,11 @@ The submonoid-of-interest W_b consists of the elements none of whose reduced
 expressions contain three consecutive letters s_i s_j s_i with |i-j| = 1,
 except that s_0 s_1 s_0 is allowed (s_1 s_0 s_1 is not).  Three equivalent
 characterizations are implemented: reduced-word avoidance, a window-word
-criterion, and (in module `domino`) the two-row shape condition.
+criterion, and (in module `domino`) the two-row shape condition.  The
+avoidance test walks every prefix of every reduced word, and reads off the
+window of each whether one of its reduced words ends in a forbidden triple:
+by a rank-2 parabolic argument (see `_has_forbidden_word`) that happens
+exactly when w_k > w_{k+1} > w_{k+2} for some k >= 1, or w_2 < w_1 < -w_2.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ def length(w: SignedPermutation) -> int:
 def right_descents(w: SignedPermutation) -> set[int]:
     """{k >= 1 : i_k > i_{k+1}} together with 0 when i_1 < 0."""
     out = {k for k in range(1, len(w)) if w[k - 1] > w[k]}
-    if w[0] < 0:
+    if w and w[0] < 0:
         out.add(0)
     return out
 
@@ -188,34 +192,60 @@ def iota(w: SignedPermutation) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _forbidden_triple(a: int, b: int) -> bool:
-    """Whether the consecutive pattern s_a s_b s_a is forbidden."""
-    return abs(a - b) == 1 and not (a == 0 and b == 1)
+def _ends_in_forbidden_triple(w: SignedPermutation) -> bool:
+    """
+    Whether some reduced word of w ends in a forbidden triple, read off the
+    window (see `_has_forbidden_word`): w_k > w_{k+1} > w_{k+2} for some
+    k >= 1 (1-based), or w_2 < w_1 < -w_2.
+
+    >>> _ends_in_forbidden_triple((1, -2)), _ends_in_forbidden_triple((-2, -1))
+    (True, False)
+    """
+    if len(w) < 2:
+        return False
+    x, y = w[0], w[1]
+    if y < x < -y:
+        return True
+    for z in w[2:]:
+        if x > y > z:
+            return True
+        x, y = y, z
+    return False
 
 
 @lru_cache(maxsize=1 << 20)
 def _has_forbidden_word(w: SignedPermutation) -> bool:
     """
-    True iff some reduced expression of w ends with, or contains, a forbidden
-    consecutive triple.  A reduced word of w is any reduced word of w*s
-    followed by s, for s a right descent; the triple test inspects the last
-    three letters across that boundary.
+    True iff some reduced word of w has a forbidden triple, for a w whose
+    window shows none at its end.
+
+    The window test is the rank-2 parabolic argument (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, 2.4).  For J = {s_a, s_b} write
+    w = u * x with x in the parabolic subgroup W_J and u minimal in u W_J;
+    lengths add, and w has a reduced word ending in s_a s_b s_a iff x has.
+    u has no right descent in J, so it rises (and for s_0 is positive) on
+    the slots that x moves, and those slots of w show the pattern of x:
+    - J = {s_k, s_{k+1}}, k >= 1: x ends in s_k s_{k+1} s_k only as the
+      longest element of S_3, i.e. w_k > w_{k+1} > w_{k+2};
+    - J = {s_0, s_1}: x ends in s_1 s_0 s_1 as s_1 s_0 s_1 = (1, -2) or
+      s_0 s_1 s_0 s_1 = (-1, -2), i.e. w_2 < w_1 < -w_2 (s_0 s_1 s_0 alone,
+      (-2, -1), is allowed).
+
+    A reduced word of w is one of w*s followed by s, for s a right descent,
+    so descending through every right descent still walks every prefix of
+    every reduced word of w and asks the window test at each.  Each w*s is
+    tested by its window before any is descended from, so only the elements
+    descended from are memoized.
     """
-    for s in right_descents(w):
-        ws = apply_generator(w, s)
-        if _has_forbidden_word(ws):
-            return True
-        for b in right_descents(ws):
-            if _forbidden_triple(s, b):
-                wsb = apply_generator(ws, b)
-                if s in right_descents(wsb):
-                    return True
-    return False
+    below = [apply_generator(w, s) for s in right_descents(w)]
+    return (any(map(_ends_in_forbidden_triple, below))
+            or any(map(_has_forbidden_word, below)))
 
 
 def is_in_wb_by_avoidance(w: SignedPermutation) -> bool:
     """Membership in W_b by exploring all reduced expressions (memoized)."""
-    return not _has_forbidden_word(tuple(w))
+    w = tuple(w)
+    return not (_ends_in_forbidden_triple(w) or _has_forbidden_word(w))
 
 
 def is_in_wb_by_words(w: SignedPermutation) -> bool:

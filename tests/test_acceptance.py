@@ -39,19 +39,23 @@ def test_criterion_01_counting(report):
            f"|W_b(n)| = sum C(n,i)^2 for n=1..7 ({elapsed:.1f}s)")
 
 
-def test_criterion_02_three_way_equivalence(report):
+def check_02(n_max: int = 6) -> tuple:
     t = time.time()
     mismatches = 0
-    for n in range(1, 7):
+    for n in range(1, n_max + 1):
         for w in weylb.enumerate_wn(n):
             a = weylb.is_in_wb_by_avoidance(w)
             b = weylb.is_in_wb_by_words(w)
             c = len(domino.domino_shape(w)) <= 2
             if not (a == b == c):
                 mismatches += 1
-    report(2, mismatches == 0,
-           f"three-way W_b equivalence n<=6, {mismatches} mismatches "
-           f"({time.time() - t:.1f}s)")
+    return mismatches == 0, (f"three-way W_b equivalence n<={n_max}, "
+                             f"{mismatches} mismatches "
+                             f"({time.time() - t:.1f}s)")
+
+
+def test_criterion_02_three_way_equivalence(report):
+    report(2, *check_02())
 
 
 def test_criterion_03_insertion_bijection(report):
@@ -287,14 +291,36 @@ def _nonzero_columns_for_the_rank(monkeypatch):
         for j, x in enumerate(row) if not x.is_zero()}))
 
 
-CHECKS = {7: check_07}
-DEFECTS = {7: (_merges_with_the_wrong_sign, _nonzero_columns_for_the_rank)}
+def _s0s1s0_forbidden_in_place_of_s1s0s1(monkeypatch):
+    # ends in s_0 s_1 s_0 iff w_1, w_2 < 0: (1, -2) passes at n = 2
+    monkeypatch.setattr(weylb, "_ends_in_forbidden_triple", lambda w: (
+        len(w) > 1 and w[0] < 0 and w[1] < 0
+        or any(x > y > z for x, y, z in zip(w, w[1:], w[2:]))))
+
+
+def _type_a_triples_allowed(monkeypatch):
+    # only the B_2 end is read: (3, 2, 1) passes at n = 3
+    ends = weylb._ends_in_forbidden_triple
+    monkeypatch.setattr(weylb, "_ends_in_forbidden_triple",
+                        lambda w: ends(w[:2]))
+
+
+CHECKS = {2: check_02, 7: check_07}
+# each plant with the arguments of the smallest check that shows it
+DEFECTS = {2: ((_s0s1s0_forbidden_in_place_of_s1s0s1, (2,)),
+               (_type_a_triples_allowed, (3,))),
+           7: ((_merges_with_the_wrong_sign, ()),
+               (_nonzero_columns_for_the_rank, ()))}
 
 
 @pytest.mark.parametrize("num", sorted(DEFECTS))
 def test_criterion_fails_under_a_planted_defect(num, monkeypatch):
-    assert CHECKS[num]()[0]
-    for plant in DEFECTS[num]:
+    for plant, args in DEFECTS[num]:
+        assert CHECKS[num](*args)[0]
+        # the W_b memo must neither answer the plant from earlier entries
+        # nor keep the plant's entries for later tests
+        weylb._has_forbidden_word.cache_clear()
         with monkeypatch.context() as patched:
             plant(patched)
-            assert not CHECKS[num]()[0], plant.__name__
+            assert not CHECKS[num](*args)[0], plant.__name__
+        weylb._has_forbidden_word.cache_clear()

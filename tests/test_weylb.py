@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blobcell import weylb
+from blobcell import blob, domino, weylb
 
 
 def windows(n_max=5):
@@ -93,6 +93,40 @@ def test_wb_two_characterizations_small():
         for w in weylb.enumerate_wn(n):
             assert weylb.is_in_wb_by_avoidance(w) \
                 == weylb.is_in_wb_by_words(w)
+
+
+def test_w0_identity_in_all_three_characterizations():
+    assert weylb.enumerate_wb(0) == [()]
+    assert weylb.right_descents(()) == set()
+    assert weylb.reduced_word(()) == ()
+    assert weylb.is_in_wb_by_avoidance(()) and weylb.is_in_wb_by_words(())
+    assert len(domino.domino_shape(())) <= 2
+    assert blob.diagram_of(()) == blob.identity_diagram(0)
+
+
+def _ends_in_forbidden_triple_by_moves(w):
+    # Reference: w = x s b s with lengths adding, for a forbidden pair
+    # (s, b), read off generator moves: s in D(w), b in D(ws), s in D(wsb).
+    for s in weylb.right_descents(w):
+        ws = weylb.apply_generator(w, s)
+        for b in weylb.right_descents(ws):
+            if abs(s - b) == 1 and (s, b) != (0, 1) and s in \
+                    weylb.right_descents(weylb.apply_generator(ws, b)):
+                return True
+    return False
+
+
+def test_window_condition_matches_generator_moves():
+    for n in range(0, 7):
+        for w in weylb.enumerate_wn(n):
+            assert weylb._ends_in_forbidden_triple(w) \
+                == _ends_in_forbidden_triple_by_moves(w), w
+
+
+def test_window_decided_element_leaves_no_memo():
+    weylb._has_forbidden_word.cache_clear()
+    assert not weylb.is_in_wb_by_avoidance((3, 2, 1))
+    assert weylb._has_forbidden_word.cache_info().currsize == 0
 
 
 def test_enumerate_wn_reference_order():
