@@ -386,7 +386,7 @@ def _relations(mats: dict, sc: dict) -> dict:
     report = {
         "squares": all(uu[i, i] == scale(u[i], sc["delta_plain"])
                        for i in range(1, n)),
-        "blob_square": uu[0, 0] == scale(u[0], sc["blob_merge"]),
+        "blob_square": not u or uu[0, 0] == scale(u[0], sc["blob_merge"]),
         "braids": all(mm(uu[i, j], u[i]) == u[i]
                       for k in range(1, n - 1)
                       for i, j in ((k, k + 1), (k + 1, k))),
@@ -408,7 +408,7 @@ def verify_presentation(mats: dict, m: int = 2) -> dict:
     matrices must be square and of one size.  Products and comparisons run
     on their nonzero entries only, each product of two generators once.
     """
-    size = len(mats[0])
+    size = next(map(len, mats.values()), 0)
     if any(len(mat) != size or any(len(row) != size for row in mat)
            for mat in mats.values()):
         raise SizeMismatch("the matrices are not all square of one size")

@@ -297,14 +297,14 @@ class KLBasis:
 
     For w with w^{-1} >= w the build makes C_w = C_s C_{sw} - Σ μ_y C_y and
     keeps {w: 1} ∪ {y: μ_y} as the packed row (s, sw); for the other w it
-    copies C_{w^{-1}} with T_y ↦ T_{y^{-1}} and keeps no row.
-    `_ascent_row` finds the μ of every other row with su > u, and the rows
-    with su < u have a closed form.
+    copies C_{w^{-1}} with T_y ↦ T_{y^{-1}} and keeps no row.  Every other
+    row with su > u comes from the same elimination step, and the rows with
+    su < u have a closed form.
     """
 
     def __init__(self, cox: Coxeter):
         self.cox, self.elements, self._bits = cox, cox.elements, _C_BITS
-        self._off = max(cox._exps.values())  # working exponents stay >= -off
+        self._off = max(cox._exps.values(), default=0)  # exponents >= -off
         # decoded rows, their memo, and the build's packed rows until decoded
         self._rows, self._row_memo, self._built = {}, {}, {}
         self._build()
@@ -312,15 +312,22 @@ class KLBasis:
         self.c = Decoded(self._c, self.elements, cox.index, self._bits, 0)
 
     def _build(self) -> None:
-        cox, shift, inv = self.cox, self._bits * self._off, self.cox.inverse
+        cox, els, inv = self.cox, self.cox.elements, self.cox.inverse
+        shift = self._bits * self._off
+        mask = (1 << shift + self._bits) - 1  # the digits of exponent <= 0
         c = self._c = [{0: 1}]
         one = {}.setdefault  # one int object per distinct coefficient
-        for w in range(1, len(cox.elements)):
+        for w in range(1, len(els)):
             if inv[w] < w:  # C_w is C_{w⁻¹} with T_y ↦ T_{y⁻¹}
                 c.append({inv[y]: h for y, h in c[inv[w]].items()})
                 continue
             s = min(k for k in cox.gens if w in cox.left[k][1])
             d, self._built[s, cox.left[s][0][w]] = self._step(s, w)
+            # T_w has coefficient 1, every other T_y lies in v·ℤ[v]
+            for y, h in d.items():
+                if h != 1 << shift if y == w else h & mask:
+                    raise InvariantViolation(
+                        f"C_{els[w]}: bad coefficient at {els[y]}")
             c.append({y: one(h >> shift, h >> shift) for y, h in d.items()
                       if h})
 
@@ -328,48 +335,17 @@ class KLBasis:
         """
         Subtract μ_y C_y, longest y first, from the packed C_s C_{sw}
         (sw < w) until C_w is left: returns (C_w at offset off, the packed
-        row {w: 1} ∪ {y: μ_y}).
+        row {w: 1} ∪ {y: μ_y}).  The build checks what is left.
         """
         cox, bits, off, c = self.cox, self._bits, self._off, self._c
-        shift, mask = bits * off, (1 << bits * (off + 1)) - 1
         d = _c_s_times(cox, s, c[cox.left[s][0][w]], bits, off)
-        row = {w: 1 << shift}
+        row, mask = {w: 1 << bits * off}, (1 << bits * (off + 1)) - 1
         # a μ_y can only sit at a y with sy < y (Lusztig, Theorem 6.6)
         for y in sorted((d.keys() & cox.left[s][1]) - {w}, reverse=True):
             if d[y] & mask:
                 mu = row[y] = bar_symmetric_low(d[y], bits, off)
                 add_scaled(d, c[y], -mu)
-        els = cox.elements
-        for y, h in d.items():  # T_w has coefficient 1, every other T_y v·ℤ[v]
-            if h != 1 << shift if y == w else h & mask:
-                raise InvariantViolation(
-                    f"C_{els[w]}: bad coefficient at {els[y]}")
         return d, row
-
-    def _ascent_row(self, s: int, u: int) -> dict:
-        """
-        The packed row {su: 1} ∪ {y: μ_y} of C_s C_u, su > u, without
-        forming C_s C_u: for sy < y its T_y coefficient is c_{sy} - q_s^{-1}
-        c_y from C_u, less μ_z p_{y,z} for each μ_z found above y.  μ_y
-        reads only the exponents <= 0, so c_{sy} ∈ vℤ[v] drops out and the
-        rest is taken modulo 2^{B(off+1)}.
-        """
-        cox, bits, off, c = self.cox, self._bits, self._off, self._c
-        move, desc = cox.left[s]
-        keep, down = bits * off, bits * (off - cox._exps[s])
-        mask, cu, w = (1 << bits * (off + 1)) - 1, c[u], move[u]
-        ys = {y if y in desc else move[y] for y in cu} - {w}
-        found, row = [], {}  # (C_z's lookup, μ_z), and z -> μ_z
-        for y in sorted(ys, reverse=True):
-            h = -(cu.get(y, 0) << down)
-            for get, mu in found:
-                h -= mu * (get(y, 0) & mask)
-            if h & mask:
-                if not (c[y].keys() & desc) <= ys:  # C_y reaches further
-                    return self._step(s, w)[1]
-                row[y] = mu = bar_symmetric_low(h, bits, off)
-                found.append((c[y].get, mu))
-        return {w: 1 << keep, **row}
 
     @staticmethod
     def _coords(rest: dict, table: list) -> dict:
@@ -401,10 +377,10 @@ class KLBasis:
         w -> whether bar(C_w) = C_w follows by induction on the length
         (Lusztig, Hecke algebras with unequal parameters, ch. 5-6), for
         every w: bar(C_s) = C_s for each s, checked directly; then for the
-        row (s, sw), s the least left descent of w (the build's row, or for a
-        copied C_w one from `_ascent_row`), every μ is bar-invariant and sits
-        at an element shorter than w, and C_s C_{sw} = C_w + Σ μ_y C_y holds
-        in the T-basis, with C_s C_{sw} from `multiply_t`.
+        row (s, sw) of `left_product`, s the least left descent of w, every
+        μ is bar-invariant and sits at an element shorter than w, and
+        `c_coordinates` expands C_s C_{sw}, from `multiply_t` on the packed
+        C_{sw}, to that row: C_s C_{sw} = C_w + Σ μ_y C_y.
         """
         cox, els, bits = self.cox, self.elements, self._bits
         big = largest_norm(self._c, bits)  # bounds every Σ|c| of the table
@@ -414,26 +390,15 @@ class KLBasis:
         for w in range(1, len(els)):
             s = min(k for k in cox.gens if w in cox.left[k][1])
             sw = cox.left[s][0][w]
-            row = {cox.index[y]: mu
-                   for y, mu in self.left_product(s, els[sw]).items()}
+            row = self.left_product(s, els[sw])
+            mus = {cox.index[y]: mu for y, mu in row.items()}
             prod = multiply_t(cox, c_gen(cox, s),
                               Packed(self._c[sw], els, bits, 0, big))
-            off = max([prod.off] + [-mu.min_exp() for mu in row.values()])
-            want: dict = {}  # Σ row_y C_y, packed at offset off
-            for y, mu in row.items():
-                add_scaled(want, self._c[y], pack(mu, bits, off))
-            bound = prod.big + big * sum(map(norm, row.values()))
-            lift = bits * (off - prod.off)
-            ok.append(base[s] and ok[sw] and row.get(w) == LaurentPoly.one()
+            ok.append(base[s] and ok[sw] and mus.get(w) == LaurentPoly.one()
                       and all(y == w or (cox.length[y] < cox.length[w]
                                          and mu.bar() == mu and ok[y])
-                              for y, mu in row.items())
-                      # the ints are equal iff the polynomials are, as long
-                      # as no coefficient reaches the digit bound
-                      and max(prod.bits, width(bound)) <= bits
-                      and {i: repack(h, prod.bits, bits) << lift
-                           for i, h in prod.terms.items()}
-                      == {i: h for i, h in want.items() if h})
+                              for y, mu in mus.items())
+                      and self.c_coordinates(prod) == row)
         return dict(zip(els, ok))
 
     def c_coordinates(self, x: HeckeElement | Packed) -> dict:
@@ -452,8 +417,9 @@ class KLBasis:
     def left_product(self, s: int, w) -> Frozen:
         """
         The row (s, w) of the W-graph, C_s C_w in C-coordinates, as a memoized
-        read-only dict: the build's row or `_ascent_row` when sw > w, and
-        {w: -(q_s^{-1} + q_s)} from T_s C_w = -q_s^{-1} C_w when sw < w.
+        read-only dict.  When sw > w it is the build's row, or for a w the
+        build copied, the row of the elimination step `_step(s, sw)`; when
+        sw < w it is {w: -(q_s^{-1} + q_s)}, from T_s C_w = -q_s^{-1} C_w.
         SizeMismatch or IndexOutOfRange for a w or s outside the group.
         """
         row = self._rows.get((s, w))
@@ -467,8 +433,9 @@ class KLBasis:
                 row = {w: -(qs.bar() + qs)}
             else:
                 row = decode(self._built.pop((s, i), None)
-                             or self._ascent_row(s, i), self.elements,
-                             self._bits, self._off, self._row_memo)
+                             or self._step(s, cox.left[s][0][i])[1],
+                             self.elements, self._bits, self._off,
+                             self._row_memo)
             row = self._rows[s, w] = Frozen(row)
         return row
 
@@ -730,6 +697,8 @@ def ideal_vanish_symbolic(n: int = 3) -> bool:
     so C_1 C_0 x lies in [-n, 2n], as does [2]_{Q/q} x = (Q/q + q/Q) x.
     These 3n + 1 values need K > 3n; K = 3n + 1.
     """
+    if n < 2:
+        raise ValueError("the ideal generators need n >= 2")
     from .tensor import _scalars, tensor_c_action
 
     big_k = 3 * n + 1

@@ -348,6 +348,8 @@ def _reduce(a: list[int], n: int) -> list[int]:
 
 
 def _check_conductor(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"conductor {n} is not a positive integer")
     if n > MAX_CONDUCTOR:
         raise ConductorOverflow(f"conductor {n} exceeds bound {MAX_CONDUCTOR}")
 

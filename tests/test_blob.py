@@ -356,6 +356,18 @@ def test_compare_cell_to_standard_n2():
     assert report["s0_cell_lam"] == -2
 
 
+def test_w0_has_one_cell_matching_the_one_standard_module():
+    basis = hecke.compute_kl_basis(0)
+    assert basis.elements == [()]
+    assert hecke.left_cells(basis) == [frozenset({()})]
+    report = blob.compare_cell_to_standard(0)
+    assert [cell["lam"] for cell in report["cells"]] == [0]
+    assert report["all_match"] and report["identity_cell_lam"] == 0
+    for mats in (blob.regular_representation(0),
+                 blob.standard_module(0, 0).matrices):
+        assert blob.verify_presentation(mats)["all"]
+
+
 def test_compare_cell_to_standard_matches_the_32_cells_of_b5(b5_basis):
     report = blob.compare_cell_to_standard(5, bound=5, basis=b5_basis)
     assert report["all_match"]

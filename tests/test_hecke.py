@@ -361,47 +361,6 @@ def test_left_product_matches_t_basis_reference(group):
                     == basis.c_coordinates(_ref_multiply(group, basis.c[w], cs))
 
 
-@pytest.mark.parametrize("group", ["B3", "B4", "S4"])
-def test_ascent_rows_match_the_elimination_step(group):
-    # The μ of every row C_s C_u with su > u, found without forming C_s C_u,
-    # against the build's elimination step on the whole product.
-    cox = type_a(4) if group == "S4" else type_b(int(group[1]))
-    basis = hecke.KLBasis(cox)
-    for u in range(len(basis.elements)):
-        for s in cox.gens:
-            if u not in cox.left[s][1]:
-                assert basis._ascent_row(s, u) \
-                    == basis._step(s, cox.left[s][0][u])[1]
-
-
-def test_ascent_row_falls_back_when_c_y_reaches_further(monkeypatch):
-    # No row of B4 or B5 takes the fallback, so plant it: give the first
-    # C_y that carries a μ a T_z term at a left descent z outside the ys
-    # the row scans.  The term sits above every exponent a μ reads, so the
-    # elimination step still gives the unplanted row.
-    basis = hecke.KLBasis(type_b(3))
-    cox, c = basis.cox, basis._c
-    s, u, y, z = next(
-        (s, u, y, z) for s in cox.gens for u in range(len(c))
-        if u not in cox.left[s][1]
-        for y in sorted(basis._ascent_row(s, u), reverse=True)[1:]
-        for z in sorted(cox.left[s][1] - c[u].keys()
-                        - {cox.left[s][0][x] for x in c[u]}))
-    want = basis._ascent_row(s, u)
-    c[y] = {**c[y], z: 1 << basis._bits * (basis._off + 2)}
-    real, calls = basis._step, []
-
-    def spy(s, w):
-        calls.append((s, w))
-        return real(s, w)
-
-    monkeypatch.setattr(basis, "_step", spy)
-    got = basis._ascent_row(s, u)
-    w = cox.left[s][0][u]
-    assert calls == [(s, w)]
-    assert got == real(s, w)[1] == want
-
-
 @pytest.mark.parametrize("group, steps", [("B3", 33), ("B4", 229),
                                           ("S4", 16)])
 def test_inverse_copies_match_the_elimination_step(group, steps, monkeypatch):
@@ -543,6 +502,18 @@ def test_bar_sweep_fails_on_a_mu_that_is_not_bar_invariant():
     # the memoized rows are read-only: replace this one with a changed copy
     basis._rows[key] = {**row, y: row[y] + LaurentPoly.monomial(1)}
     assert not all(basis.verify_bar_invariance().values())
+
+
+def test_bar_sweep_fails_on_a_bar_invariant_change_to_a_mu():
+    # v + v⁻¹ is bar-invariant, so the changed μ passes the μ check, and
+    # only the identity C_s C_{sw} = C_w + Σ μ_y C_y rejects w.
+    basis = compute_kl_basis(3)
+    s, sw, w = _build_row(basis)
+    key = s, basis.elements[sw]
+    row = basis.left_product(*key)
+    y = next(y for y in row if y != basis.elements[w])
+    basis._rows[key] = {**row, y: row[y] + LaurentPoly({1: 1, -1: 1})}
+    assert not basis.verify_bar_invariance()[basis.elements[w]]
 
 
 def test_bar_sweep_fails_on_a_perturbed_coefficient():
@@ -799,6 +770,13 @@ def test_tensor_ideal_small():
     for n in (2, 3):
         assert hecke.tensor_ideal_annihilates(n)
     assert hecke.ideal_vanish_symbolic(3)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_ideal_checks_refuse_fewer_than_two_strands(n):
+    for check in (hecke.tensor_ideal_annihilates, hecke.ideal_vanish_symbolic):
+        with pytest.raises(ValueError, match="ideal generators need n >= 2"):
+            check(n)
 
 
 class _Sym:

@@ -310,6 +310,27 @@ def test_cyclo_conductor_overflow():
         specialize(LaurentPoly.one(), 2 * MAX_CONDUCTOR, 1)
 
 
+_V1 = LaurentPoly.monomial(1)
+_LOW_CONDUCTOR_CALLS = {  # call -> (conductor, call)
+    "CycloNumber(0, [1])": (0, lambda: CycloNumber(0, [1])),
+    "CycloNumber(0, [7])": (0, lambda: CycloNumber(0, [7])),
+    "CycloNumber(-3, [1, 2])": (-3, lambda: CycloNumber(-3, [1, 2])),
+    "CycloNumber(-3, [5])": (-3, lambda: CycloNumber(-3, [5])),
+    "specialize(v, 0, 1)": (0, lambda: specialize(_V1, 0, 1)),
+    "cyclotomic_root(0)": (0, lambda: cyclotomic_root(0)),
+    "cyclotomic_root(-4)": (-4, lambda: cyclotomic_root(-4)),
+}
+
+
+@pytest.mark.parametrize("call", list(_LOW_CONDUCTOR_CALLS))
+def test_cyclo_conductor_below_one_is_refused(call):
+    # These once compared equal across different values, raised IndexError
+    # or divided by zero.
+    conductor, make = _LOW_CONDUCTOR_CALLS[call]
+    with pytest.raises(ValueError, match=f"conductor {conductor} "):
+        make()
+
+
 @pytest.mark.parametrize("n", CONDUCTORS)
 def test_specialize_matches_ring_products(n):
     # specialize(p, n, k) = sum of c * zeta^(k e), each power of zeta (and
